@@ -220,12 +220,33 @@ def read_prediction_csv(path) -> tuple[np.ndarray, np.ndarray]:
         rows = list(csv.reader(fh))
     if not rows or rows[0][:2] != ["frame_idx", "predicted_id"]:
         raise DataValidationError(f"{path}: not a prediction csv")
-    labels = np.array([int(r[1]) for r in rows[1:]], dtype=np.int64)
-    probs = np.array([[float(v) for v in r[2:]] for r in rows[1:]], dtype=np.float32)
+    try:
+        labels = np.array([int(r[1]) for r in rows[1:]], dtype=np.int64)
+        probs = np.array([[float(v) for v in r[2:]] for r in rows[1:]],
+                         dtype=np.float32)
+    except (ValueError, IndexError):
+        raise DataValidationError(f"{path}: {_first_bad_row(rows)}") from None
     return labels, probs
 
 
+def _first_bad_row(rows: list[list[str]]) -> str:
+    """Describe the first data row read_prediction_csv cannot parse."""
+    width = len(rows[0])
+    for lineno, row in enumerate(rows[1:], start=2):
+        if len(row) != width:
+            return f"line {lineno}: expected {width} fields, got {len(row)}"
+        kinds = [("an integer", int)] + [("a number", float)] * (width - 2)
+        for name, value, (kind, parse) in zip(rows[0][1:], row[1:], kinds):
+            try:
+                parse(value)
+            except ValueError:
+                return f"line {lineno}: {name} {value!r} is not {kind}"
+    return "malformed rows"
+
+
 def cmd_infer(args) -> int:
+    if not os.path.isfile(args.ckpt):
+        raise UsageError(f"no checkpoint file at {args.ckpt}")
     mdl = model_mod.load_model(args.ckpt)
     if args.acausal and not mdl.config.acausal:
         raise UsageError("--acausal requires a model trained with acausal features")

@@ -7,6 +7,9 @@ Phase ids are 0-based everywhere, including on disk.
 
 from __future__ import annotations
 
+import contextlib
+import os
+import threading
 import zlib
 from dataclasses import dataclass, field, fields, replace
 
@@ -159,6 +162,26 @@ def validate_sequence(seq: FeatureSequence, tax: PhaseTaxonomy) -> FeatureSequen
     seq.features = np.ascontiguousarray(feats, dtype=MODEL_DTYPE)
     seq.features.setflags(write=False)
     return seq
+
+
+@contextlib.contextmanager
+def atomic_open(path, mode: str = "w", **kwargs):
+    """Open a temporary file next to `path` for writing. When the block ends
+    normally the file is flushed to disk and renamed over `path` in one step;
+    when it raises, the temporary file is removed and `path` keeps its old
+    content, so readers never see a partly written file."""
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

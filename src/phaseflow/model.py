@@ -53,7 +53,9 @@ class PhaseModel:
         extra = self.base_ssm_dim * (2 if self.config.acausal else 1)
         return self.config.embed_dim + extra
 
-    def new_extractor(self) -> ssm.SsmExtractor:
+    def new_extractor(self, batch: int | None = None) -> ssm.SsmExtractor:
+        """Aggregators of this model's statistic stream; `batch=B` runs B
+        streams in lockstep."""
         cfg = self.config
         bank = None
         if "gabor" in cfg.enabled_ssm_features:
@@ -61,7 +63,7 @@ class PhaseModel:
                                        cfg.gabor_scale_max, causal=True)
         return ssm.SsmExtractor(
             self.n_phases, cfg.enabled_ssm_features, cfg.csl_levels,
-            gabor_bank=bank, transition=self.transition)
+            gabor_bank=bank, transition=self.transition, batch=batch)
 
 
 def init_model(config: ExperimentConfig, taxonomy: PhaseTaxonomy,

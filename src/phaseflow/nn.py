@@ -5,6 +5,14 @@ numpy, plus a central-finite-difference gradient checker.
 Gate layout inside the fused (4H) axis is [input | forget | candidate |
 output]. Model math runs in float32; passing float64 parameters switches the
 whole path to 64-bit (used by the gradient-check harness).
+
+Every per-frame array may carry leading batch axes: the cell, the taped
+step, the window loss and the backward pass index with `...`, so B streams
+stepped in lockstep are one (B, D) @ (D, 4H) matmul per frame and one
+backward pass per window. A single stream is the case without batch axes.
+BLAS sums a product with B > 1 rows in another order than a single row, so
+a stream's outputs are bit-equal to streaming inference only at B=1; at
+larger B they agree to float rounding.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataValidationError, NumericError, softmax
+from .core import DataValidationError, NumericError, atomic_open, softmax
 
 PROB_FLOOR = 1e-12
 CHECKPOINT_MAGIC = b"PHCK"
@@ -69,27 +77,35 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-z))
 
 
+def _cell(params: dict, h: np.ndarray, c: np.ndarray, x: np.ndarray):
+    """The LSTM cell shared by streaming and training: returns the gate
+    activations (i, f, g, o), c', tanh(c') and h'."""
+    H = hidden_dim_of(params)
+    z = x @ params["lstm_wx"] + h @ params["lstm_wh"] + params["lstm_b"]
+    act = _sigmoid(z)
+    i = act[..., :H]
+    f = act[..., H:2 * H]
+    g = np.tanh(z[..., 2 * H:3 * H])
+    o = act[..., 3 * H:]
+    c_new = f * c + i * g
+    tanh_c = np.tanh(c_new)
+    return (i, f, g, o), c_new, tanh_c, o * tanh_c
+
+
 def lstm_step(params: dict, h: np.ndarray, c: np.ndarray,
               x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One LSTM cell update; returns (h', c')."""
-    H = hidden_dim_of(params)
-    if x.shape != (input_dim_of(params),):
+    if x.shape[-1:] != (input_dim_of(params),):
         raise DataValidationError(
             f"lstm input dimension mismatch: got {x.shape}, "
             f"expected ({input_dim_of(params)},)")
-    z = x @ params["lstm_wx"] + h @ params["lstm_wh"] + params["lstm_b"]
-    i = _sigmoid(z[:H])
-    f = _sigmoid(z[H:2 * H])
-    g = np.tanh(z[2 * H:3 * H])
-    o = _sigmoid(z[3 * H:])
-    c_new = f * c + i * g
-    h_new = o * np.tanh(c_new)
+    _, c_new, _, h_new = _cell(params, h, c, x)
     return h_new, c_new
 
 
 def head_forward(params: dict, h: np.ndarray) -> np.ndarray:
     """Affine map hidden -> phase logits."""
-    if h.shape != (hidden_dim_of(params),):
+    if h.shape[-1:] != (hidden_dim_of(params),):
         raise DataValidationError(
             f"head input dimension mismatch: got {h.shape}, "
             f"expected ({hidden_dim_of(params)},)")
@@ -129,10 +145,11 @@ class WindowTape:
 class WindowRecorder:
     """Taped forward pass over one window, one frame at a time.
 
-    Runs the exact arithmetic of lstm_step + head_forward + softmax, so a
-    loss-free training forward is bit-equal to streaming inference. Inputs may
-    be produced incrementally (the SSM statistic for frame t depends on the
-    recorded m of earlier frames).
+    Runs the cell of lstm_step, then the head and softmax of head_forward, so
+    a loss-free training forward of one stream is bit-equal to streaming
+    inference. Inputs may be produced incrementally (the SSM statistic for
+    frame t depends on the recorded m of earlier frames). With (B, H) states
+    and (B, D) inputs it tapes B streams in lockstep.
     """
 
     def __init__(self, params: dict, h: np.ndarray, c: np.ndarray):
@@ -143,22 +160,14 @@ class WindowRecorder:
 
     def step(self, x: np.ndarray) -> np.ndarray:
         params = self.params
-        H = hidden_dim_of(params)
         h, c = self.h, self.c
-        z = x @ params["lstm_wx"] + h @ params["lstm_wh"] + params["lstm_b"]
-        i = _sigmoid(z[:H])
-        f = _sigmoid(z[H:2 * H])
-        g = np.tanh(z[2 * H:3 * H])
-        o = _sigmoid(z[3 * H:])
-        c_new = f * c + i * g
-        tanh_c = np.tanh(c_new)
-        h_new = o * tanh_c
+        gates, c_new, tanh_c, h_new = _cell(params, h, c, x)
         m = softmax(h_new @ params["head_w"] + params["head_b"])
         t = self.tape
         t.xs.append(x)
         t.h_prevs.append(h)
         t.c_prevs.append(c)
-        t.gates.append((i, f, g, o))
+        t.gates.append(gates)
         t.c_news.append(c_new)
         t.tanh_cs.append(tanh_c)
         t.h_news.append(h_new)
@@ -185,38 +194,42 @@ def window_loss_and_dlogits(ms: np.ndarray, ys, prox_targets=None,
     """Summed window loss (cross-entropy + optional proximal term) and its
     gradient w.r.t. the per-frame logits.
 
-    The proximal term is prox_weight * sum_t ||m_t - prox_targets[t]||^2,
-    pulling outputs toward the previous epoch's. Gradients go through the
-    explicit softmax Jacobian so the probability-floor clamp is honored.
+    `ms` is (..., N) and `ys` the matching (...) labels: one window is (T, N),
+    B windows in lockstep (T, B, N). The proximal term is
+    prox_weight * sum ||m - prox_targets||^2, pulling outputs toward the
+    previous epoch's. Gradients go through the explicit softmax Jacobian so
+    the probability-floor clamp is honored.
     """
-    loss = 0.0
-    dlogits = np.zeros_like(ms)
-    for t, y in enumerate(ys):
-        m = ms[t]
-        if not 0 <= y < m.shape[0]:
-            raise DataValidationError(f"label {y} out of range at window frame {t}")
-        dm = np.zeros_like(m)
-        my = float(m[y])
-        if my > PROB_FLOOR:
-            loss += -np.log(my)
-            dm[y] = -1.0 / my
-        else:
-            loss += -np.log(PROB_FLOOR)
-        if prox_targets is not None and prox_weight > 0.0:
-            diff = m - prox_targets[t]
-            loss += prox_weight * float(diff @ diff)
-            dm += 2.0 * prox_weight * diff
-        # softmax Jacobian: dz_k = m_k * (dm_k - <dm, m>)
-        dlogits[t] = m * (dm - float(dm @ m))
-    return float(loss), dlogits
+    ms = np.asarray(ms)
+    ys = np.asarray(ys)
+    bad = (ys < 0) | (ys >= ms.shape[-1])
+    if bad.any():
+        at = tuple(int(v) for v in np.argwhere(bad)[0])
+        raise DataValidationError(
+            f"label {int(ys[at])} out of range at window frame {at[0]}")
+    my = np.take_along_axis(ms, ys[..., None], axis=-1).astype(np.float64)
+    kept = my > PROB_FLOOR
+    loss = float(-np.log(np.where(kept, my, PROB_FLOOR)).sum())
+    dm = np.zeros_like(ms)
+    np.put_along_axis(dm, ys[..., None], np.where(kept, -1.0 / my, 0.0), axis=-1)
+    if prox_targets is not None and prox_weight > 0.0:
+        diff = ms - prox_targets
+        loss += prox_weight * float((diff * diff).sum(dtype=np.float64))
+        dm += 2.0 * prox_weight * diff
+    # softmax Jacobian: dz_k = m_k * (dm_k - <dm, m>)
+    dlogits = ms * (dm - (dm * ms).sum(axis=-1, keepdims=True))
+    return loss, dlogits
 
 
 def window_backward(params: dict, tape: WindowTape,
                     dlogits: np.ndarray) -> dict[str, np.ndarray]:
-    """Analytic gradients of the window loss w.r.t. all parameter blocks.
+    """Analytic gradients of the window loss w.r.t. all parameter blocks,
+    summed over the window's frames and over its batch rows.
 
     Gradients do not flow into the inputs (SSM statistics are constants) or
-    past the window's initial state.
+    past the window's initial state. A frame whose dlogits are zero from the
+    end of its row onward adds exactly zero, which is how rows whose window
+    ended early are masked.
     """
     W = tape.n_frames
     dz_rows = [None] * W
@@ -238,19 +251,21 @@ def window_backward(params: dict, tape: WindowTape,
             df * f * (1.0 - f),
             dg * (1.0 - g * g),
             do * o * (1.0 - o),
-        ])
+        ], axis=-1)
         dh_next = dz_rows[t] @ wh_t
         dc_next = dc * f
-    dz = np.stack(dz_rows)
-    xs = np.stack(tape.xs)
-    h_prevs = np.stack(tape.h_prevs)
-    h_news = np.stack(tape.h_news)
+
+    def rows(arrays, width):
+        return np.stack(arrays).reshape(-1, width)
+
+    dz = rows(dz_rows, 4 * hidden_dim_of(params))
+    dl = np.asarray(dlogits).reshape(-1, n_phases_of(params))
     return {
-        "lstm_wx": xs.T @ dz,
-        "lstm_wh": h_prevs.T @ dz,
+        "lstm_wx": rows(tape.xs, input_dim_of(params)).T @ dz,
+        "lstm_wh": rows(tape.h_prevs, hidden_dim_of(params)).T @ dz,
         "lstm_b": dz.sum(axis=0),
-        "head_w": h_news.T @ dlogits,
-        "head_b": dlogits.sum(axis=0),
+        "head_w": rows(tape.h_news, hidden_dim_of(params)).T @ dl,
+        "head_b": dl.sum(axis=0),
     }
 
 
@@ -350,9 +365,10 @@ def finite_difference_grads(loss_fn, params: dict,
 
 def save_checkpoint(path, params: dict, extra: dict) -> None:
     """Write params (and a JSON `extra` echo) in the PHCK binary format:
-    magic, u32 version, length-prefixed JSON, then named float32-LE blocks."""
+    magic, u32 version, length-prefixed JSON, then named float32-LE blocks.
+    The file is replaced atomically: a failed write leaves the old one."""
     blob = json.dumps(extra, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         fh.write(struct.pack("<I", len(blob)))

@@ -12,20 +12,32 @@ Three feature kinds, concatenated in the fixed order csl | gabor | hmm:
 Acausal variants run the same aggregator over the time-reversed stream, so
 the value at frame t summarizes frames strictly after t.
 
+Every aggregator also runs B independent streams in lockstep: built with
+`batch=B`, its state gains a leading axis of B rows (the Gabor ring holds
+them as B column blocks), `update` takes (B, N) likelihoods and `feature`
+returns (B, dim). `take(rows)` copies some rows out into a new aggregator and
+`put(rows, part)` writes them back. `batch=None` is the single stream without
+that axis.
+
 Aggregator internals are float64; the model casts to float32 at the input
 concat.
 """
 
 from __future__ import annotations
 
+import copy
 import csv as _csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DataValidationError, PhaseTaxonomy, UsageError
+from .core import DataValidationError, PhaseTaxonomy, UsageError, atomic_open
 
 FEATURE_ORDER = ("csl", "gabor", "hmm")
+
+
+def _lead(batch: int | None) -> tuple[int, ...]:
+    return () if batch is None else (batch,)
 
 
 # ---------------------------------------------------------------------------
@@ -34,27 +46,42 @@ FEATURE_ORDER = ("csl", "gabor", "hmm")
 class CslAccumulator:
     """Cumulative sum likelihood counters: counts[n][l] of frames with
     m[n] >= level l, plus a trailing is-argmax counter per phase. Argmax ties
-    break to the lowest phase id. Feature is log(count + 1), phase-major."""
+    break to the lowest phase id. Feature is log(count + 1), phase-major.
+    Counts are held as float64, exact up to 2**53 frames."""
 
-    def __init__(self, n_phases: int, levels=(0.25, 0.5, 0.75)):
+    def __init__(self, n_phases: int, levels=(0.25, 0.5, 0.75),
+                 batch: int | None = None):
         self.n_phases = n_phases
         self.levels = np.asarray(levels, dtype=np.float64)
-        self.counts = np.zeros((n_phases, len(levels) + 1), dtype=np.int64)
+        self.counts = np.zeros(_lead(batch) + (n_phases, len(levels) + 1))
+        self._hits = np.empty(self.counts.shape, dtype=bool)
+        self._phase_ids = np.arange(n_phases)
 
     @property
     def dim(self) -> int:
         return self.n_phases * (len(self.levels) + 1)
 
     def reset(self) -> None:
-        self.counts[:] = 0
+        self.counts[...] = 0.0
 
     def update(self, m: np.ndarray) -> None:
-        m = np.asarray(m, dtype=np.float64)
-        self.counts[:, :-1] += m[:, None] >= self.levels[None, :]
-        self.counts[int(np.argmax(m)), -1] += 1
+        m = np.asarray(m)
+        np.greater_equal(m[..., None], self.levels, out=self._hits[..., :-1])
+        np.equal(self._phase_ids, np.argmax(m, axis=-1)[..., None],
+                 out=self._hits[..., -1])
+        self.counts += self._hits
 
     def feature(self) -> np.ndarray:
-        return np.log1p(self.counts.astype(np.float64)).reshape(-1)
+        return np.log1p(self.counts).reshape(self.counts.shape[:-2] + (-1,))
+
+    def take(self, rows) -> "CslAccumulator":
+        part = copy.copy(self)
+        part.counts = self.counts[rows]
+        part._hits = np.empty(part.counts.shape, dtype=bool)
+        return part
+
+    def put(self, rows, part: "CslAccumulator") -> None:
+        self.counts[rows] = part.counts
 
 
 # ---------------------------------------------------------------------------
@@ -119,30 +146,68 @@ class GaborBank:
 class GaborAccumulator:
     """Streaming causal filtering through a ring buffer of the last `width`
     likelihood frames (zero history before the stream starts). Feature is the
-    response magnitude per (phase, scale), phase-major."""
+    response magnitude per (phase, scale), phase-major.
 
-    def __init__(self, n_phases: int, bank: GaborBank):
+    The ring is a (width, B*N) window sliding down a buffer of twice that
+    height, so an update writes one row and the window stays contiguous; the
+    live rows move back to the top once every width + 1 updates. The real and
+    imaginary kernels are stacked into one (2K, width) matrix."""
+
+    def __init__(self, n_phases: int, bank: GaborBank, batch: int | None = None):
         if not bank.causal:
             raise UsageError("streaming gabor aggregation requires a causal bank")
         self.n_phases = n_phases
         self.bank = bank
-        self.buf = np.zeros((bank.width, n_phases))
+        self._lead = _lead(batch)
+        self._kernels = np.concatenate([bank.kernels_real, bank.kernels_imag])
+        self.buf = np.zeros((2 * bank.width, n_phases * (batch or 1)))
+        self.pos = 0
 
     @property
     def dim(self) -> int:
         return self.n_phases * self.bank.num_scales
 
+    @property
+    def window(self) -> np.ndarray:
+        """The last `width` frames, oldest first: (width, B*N), row-major
+        over (stream, phase)."""
+        return self.buf[self.pos:self.pos + self.bank.width]
+
     def reset(self) -> None:
         self.buf[:] = 0.0
+        self.pos = 0
 
     def update(self, m: np.ndarray) -> None:
-        self.buf[:-1] = self.buf[1:]
-        self.buf[-1] = np.asarray(m, dtype=np.float64)
+        w = self.bank.width
+        p = self.pos + 1
+        if p + w > self.buf.shape[0]:
+            self.buf[:w - 1] = self.buf[p:p + w - 1]
+            p = 0
+        self.buf[p + w - 1] = np.asarray(m).reshape(-1)
+        self.pos = p
 
     def feature(self) -> np.ndarray:
-        re = self.bank.kernels_real @ self.buf    # (K, N)
-        im = self.bank.kernels_imag @ self.buf
-        return np.hypot(re, im).T.reshape(-1)
+        k = self.bank.num_scales
+        r = self._kernels @ self.window                  # (2K, B*N)
+        r *= r
+        mag = np.sqrt(r[:k] + r[k:]).reshape(k, -1, self.n_phases)
+        return mag.transpose(1, 2, 0).reshape(self._lead + (self.dim,))
+
+    def _columns(self, rows) -> np.ndarray:
+        n = self.n_phases
+        return (np.asarray(rows)[:, None] * n + np.arange(n)).reshape(-1)
+
+    def take(self, rows) -> "GaborAccumulator":
+        part = copy.copy(self)
+        cols = self._columns(rows)
+        part._lead = (len(cols) // self.n_phases,)
+        part.buf = np.zeros((self.buf.shape[0], cols.shape[0]))
+        part.buf[:self.bank.width] = self.window[:, cols]
+        part.pos = 0
+        return part
+
+    def put(self, rows, part: "GaborAccumulator") -> None:
+        self.window[:, self._columns(rows)] = part.window
 
 
 def gabor_batch_response(bank: GaborBank, ms: np.ndarray) -> np.ndarray:
@@ -200,7 +265,7 @@ class TransitionMatrix:
     def save_csv(self, path, taxonomy: PhaseTaxonomy | None = None) -> None:
         # repr round-trips float64 exactly and stays human-readable
         names = taxonomy.names if taxonomy else [f"phase_{i}" for i in range(self.n_phases)]
-        with open(path, "w", newline="") as fh:
+        with atomic_open(path, "w", newline="") as fh:
             w = _csv.writer(fh)
             w.writerow(names)
             for row in self.a:
@@ -247,14 +312,15 @@ class HmmFilterState:
 
     Belief starts uniform; the emitted feature is the zero vector before the
     first update. On normalization underflow the belief resets to uniform and
-    a diagnostic counter increments.
+    a diagnostic counter increments (one count per stream and frame).
     """
 
-    def __init__(self, transition: TransitionMatrix):
+    def __init__(self, transition: TransitionMatrix, batch: int | None = None):
         self.transition = transition
         n = transition.n_phases
-        self.belief = np.full(n, 1.0 / n)
-        self.t = 0
+        self.belief = np.full(_lead(batch) + (n,), 1.0 / n)
+        self.seen = np.zeros(_lead(batch) + (1,))   # 1.0 once updated
+        self._all_seen = False                       # False: check `seen`
         self.underflow_count = 0
 
     @property
@@ -262,25 +328,48 @@ class HmmFilterState:
         return self.transition.n_phases
 
     def reset(self) -> None:
-        self.belief[:] = 1.0 / self.transition.n_phases
-        self.t = 0
+        self.belief[...] = 1.0 / self.transition.n_phases
+        self.seen[...] = 0.0
+        self._all_seen = False
         self.underflow_count = 0
 
     def update(self, m: np.ndarray) -> None:
-        pred = self.transition.a.T @ self.belief
-        post = pred * np.asarray(m, dtype=np.float64)
-        s = post.sum()
-        if s <= 0.0 or not np.isfinite(s):
-            self.underflow_count += 1
-            self.belief = np.full(self.dim, 1.0 / self.dim)
+        post = (self.belief @ self.transition.a) * m
+        s = post.sum(axis=-1, keepdims=True)
+        if s.size == 1:     # one stream: a Python float test is cheapest
+            ok = 0.0 < s.item() < np.inf
         else:
+            ok = s.min() > 0.0 and s.max() < np.inf
+        if ok:
             self.belief = post / s
-        self.t += 1
+        else:
+            ok = (s > 0.0) & np.isfinite(s)
+            self.underflow_count += int((~ok).sum())
+            with np.errstate(divide="ignore", invalid="ignore"):
+                self.belief = np.where(ok, post / s, 1.0 / self.dim)
+        if not self._all_seen:
+            self.seen[...] = 1.0
+            self._all_seen = True
 
     def feature(self) -> np.ndarray:
-        if self.t == 0:
-            return np.zeros(self.dim)
-        return self.belief.copy()
+        if self._all_seen:
+            return self.belief.copy()
+        return self.belief * self.seen
+
+    def take(self, rows) -> "HmmFilterState":
+        part = copy.copy(self)
+        part.belief = self.belief[rows]
+        part.seen = self.seen[rows]
+        part._all_seen = False
+        return part
+
+    def put(self, rows, part: "HmmFilterState") -> None:
+        # the counter travels with the part: take() copied the total in,
+        # so the part's count is the new total
+        self.belief[rows] = part.belief
+        self.seen[rows] = part.seen
+        self._all_seen = False
+        self.underflow_count = part.underflow_count
 
 
 def hmm_forward_marginals(transition: TransitionMatrix, ms: np.ndarray) -> np.ndarray:
@@ -301,32 +390,41 @@ class SsmExtractor:
 
     `feature()` returns the statistic for the history consumed so far; it is
     the zero vector before the first update ("history memory initialized with
-    zeros"). Total dimension is fixed for the life of the extractor.
+    zeros"). Total dimension is fixed for the life of the extractor. With
+    `batch=B` it runs B streams in lockstep (see the module doc).
     """
 
     def __init__(self, n_phases: int, enabled=("csl", "gabor", "hmm"),
                  csl_levels=(0.25, 0.5, 0.75), gabor_bank: GaborBank | None = None,
-                 transition: TransitionMatrix | None = None):
+                 transition: TransitionMatrix | None = None,
+                 batch: int | None = None):
         unknown = set(enabled) - set(FEATURE_ORDER)
         if unknown:
             raise UsageError(f"unknown ssm features: {sorted(unknown)}")
         self.n_phases = n_phases
         self.enabled = tuple(k for k in FEATURE_ORDER if k in enabled)
+        self._lead = _lead(batch)
         self._parts = []
         if "csl" in self.enabled:
-            self._parts.append(CslAccumulator(n_phases, csl_levels))
+            self._parts.append(CslAccumulator(n_phases, csl_levels, batch))
         if "gabor" in self.enabled:
             bank = gabor_bank if gabor_bank is not None else GaborBank.build()
-            self._parts.append(GaborAccumulator(n_phases, bank))
+            self._parts.append(GaborAccumulator(n_phases, bank, batch))
         if "hmm" in self.enabled:
             if transition is None:
                 transition = TransitionMatrix.uniform(n_phases)
-            self._parts.append(HmmFilterState(transition))
+            self._parts.append(HmmFilterState(transition, batch))
         self._dim = sum(p.dim for p in self._parts)
 
     @property
     def dim(self) -> int:
         return self._dim
+
+    @property
+    def underflow_count(self) -> int:
+        """HMM normalization underflows so far (0 without the hmm feature)."""
+        return sum(p.underflow_count for p in self._parts
+                   if isinstance(p, HmmFilterState))
 
     def reset(self) -> None:
         for p in self._parts:
@@ -338,12 +436,24 @@ class SsmExtractor:
 
     def feature(self) -> np.ndarray:
         if not self._parts:
-            return np.zeros(0)
-        out = np.concatenate([p.feature() for p in self._parts])
-        if out.shape[0] != self._dim:
+            return np.zeros(self._lead + (0,))
+        out = np.concatenate([p.feature() for p in self._parts], axis=-1)
+        if out.shape[-1] != self._dim:
             raise DataValidationError(
-                f"ssm feature dimension drift: expected {self._dim}, got {out.shape[0]}")
+                f"ssm feature dimension drift: expected {self._dim}, got {out.shape[-1]}")
         return out
+
+    def take(self, rows) -> "SsmExtractor":
+        """A new extractor holding copies of the state of streams `rows`."""
+        part = copy.copy(self)
+        part._lead = (len(rows),)
+        part._parts = [p.take(rows) for p in self._parts]
+        return part
+
+    def put(self, rows, part: "SsmExtractor") -> None:
+        """Write the state of `part` (made by `take(rows)`) back to `rows`."""
+        for mine, theirs in zip(self._parts, part._parts):
+            mine.put(rows, theirs)
 
 
 def ssm_dim(n_phases: int, enabled, n_levels: int = 3, num_scales: int = 10) -> int:

@@ -7,6 +7,28 @@ In acausal mode each video trains two parallel sessions sharing one parameter
 set: pass 1 with zeroed acausal channels (whose no-gradient stream refreshes
 the acausal feature cache every epoch) and pass 2 consuming the cached
 acausal features; the window loss sums both passes.
+
+Lockstep engine. Within a video the frames must run one after another (the
+statistic at frame t aggregates the model's own outputs before t), but
+videos are independent, so every pass runs its streams side by side, one
+frame of each per step:
+
+* `train_epoch` steps the aligned windows of one Adam step together: per
+  frame one (B, D) @ (D, 4H) cell matmul and batched CSL/Gabor/HMM state,
+  per window one vectorised loss and one batched backward pass. The state of
+  every stream lives in arrays with one row per stream; a batch gathers its
+  rows at the start of its window and scatters them back at the end.
+* the cache refresh and validation run all their videos together, window by
+  window, and the set of live streams shrinks as videos end.
+
+A window that ends before the longest one in its step is padded: its rows
+see zero embeddings, are masked out of the loss (so they add exactly zero
+gradient) and feed the uniform vector to the statistics, whose state for
+that video is never read again.
+
+Rows are summed in a different order than one video at a time, so the
+engine matches per-video inference to float rounding; only at B=1
+(`training_forward_probs`) is it bit-equal to streaming inference.
 """
 
 from __future__ import annotations
@@ -15,7 +37,7 @@ import json
 import logging
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -29,25 +51,33 @@ from .core import (
     UsageError,
     substream,
 )
-from .model import PhaseModel, init_model, run_inference, save_model
+# run_inference is not called here; it stays importable from train because
+# the perfbench tracer wraps `train.run_inference`
+from .model import PhaseModel, init_model, run_inference, save_model  # noqa: F401
 
 log = logging.getLogger(__name__)
 
 
 @dataclass
 class EpochLog:
+    """One line of training_log.jsonl. Stage times are seconds; the gradient
+    norm is the pre-clip global norm of each Adam step, clipped_frac the
+    share of steps above `grad_clip`, hmm_underflows the HMM filter resets in
+    the epoch's training windows and cache refresh."""
+
     epoch: int
     train_loss: float
     val_accuracy: float
     wall_time_s: float
+    train_s: float
+    refresh_s: float
+    validate_s: float
+    grad_norm_p50: float
+    clipped_frac: float
+    hmm_underflows: int
 
     def to_json(self) -> str:
-        return json.dumps({
-            "epoch": self.epoch,
-            "train_loss": self.train_loss,
-            "val_accuracy": self.val_accuracy,
-            "wall_time_s": self.wall_time_s,
-        })
+        return json.dumps(asdict(self))
 
 
 @dataclass
@@ -62,6 +92,8 @@ class TrainRun:
     acausal_cache: dict[str, np.ndarray] = field(default_factory=dict)
     curve: list[EpochLog] = field(default_factory=list)
     last_epoch_loss: float = float("nan")
+    grad_norms: list[float] = field(default_factory=list)   # last epoch's
+    hmm_underflows: int = 0                                  # since last reset
 
 
 @dataclass
@@ -80,9 +112,6 @@ def batch_scheduler(video_lengths: dict[str, int], batch_size: int, window: int,
     if batch_size < 1:
         raise UsageError("batch_size must be >= 1")
     ids = sorted(video_lengths)
-    if len(ids) < batch_size:
-        log.warning("only %d video(s) for batch size %d; effective batch is smaller",
-                    len(ids), batch_size)
     order = [ids[i] for i in rng.permutation(len(ids))]
     next_start = {vid: 0 for vid in ids}
     queue = deque(order)
@@ -103,49 +132,95 @@ def batch_scheduler(video_lengths: dict[str, int], batch_size: int, window: int,
     return batches
 
 
-class _VideoSession:
-    """Carried LSTM/SSM state of one video across its training windows: one
-    (h, c, extractor) triple per pass (single in causal mode)."""
+def _inputs(model: PhaseModel, windows, width: int) -> np.ndarray:
+    """Inputs [v | s | a] of aligned windows as (width, B, input_dim): the
+    embeddings and acausal rows filled in, the statistic block left for the
+    engine to fill frame by frame, frames past a window's end zero.
 
-    def __init__(self, model: PhaseModel, acausal_rows: np.ndarray | None):
-        H = model.config.hidden_dim
-        self.passes = [(
-            *nn.zero_state(H), model.new_extractor(), None,
-        )]
-        if model.config.acausal:
-            self.passes.append((*nn.zero_state(H), model.new_extractor(), acausal_rows))
-
-    def states(self):
-        return self.passes
-
-    def set_state(self, idx, h, c):
-        _, _, extractor, rows = self.passes[idx]
-        self.passes[idx] = (h, c, extractor, rows)
+    `windows` holds (seq, start, stop, acausal_rows or None) per row; None
+    feeds zeros to the acausal channels (pass 1)."""
+    E = model.config.embed_dim
+    a0 = E + model.base_ssm_dim
+    xs = np.zeros((width, len(windows), model.input_dim), MODEL_DTYPE)
+    for j, (seq, start, stop, acausal) in enumerate(windows):
+        xs[:stop - start, j, :E] = seq.features[start:stop]
+        if acausal is not None:
+            xs[:stop - start, j, a0:] = acausal[start:stop]
+    return xs
 
 
-def _window_pass(model: PhaseModel, h, c, extractor, acausal_rows,
-                 frames: np.ndarray, start: int, labels, prox_rows,
-                 prox_weight: float, zero_acausal):
-    """Forward + loss + backward for one pass over one window. The per-frame
-    input is [v | s | (a)] where s comes from the live extractor (detached)."""
+def _run_window(model: PhaseModel, h, c, extractor: ssm.SsmExtractor,
+                xs: np.ndarray, lengths: np.ndarray) -> nn.WindowRecorder:
+    """Taped lockstep forward of B aligned windows (`xs` from _inputs, one
+    row per stream): each frame's statistic comes from the live extractor
+    (detached), and each output updates it. Rows past their window's length
+    feed the uniform vector, which cannot underflow the HMM filter."""
+    E = model.config.embed_dim
+    S = model.base_ssm_dim
+    uniform = np.float32(1.0 / model.n_phases)
+    ended_from = int(lengths.min())
     rec = nn.WindowRecorder(model.params, h, c)
-    for k in range(frames.shape[0]):
-        s = extractor.feature().astype(MODEL_DTYPE)
-        if zero_acausal is None:
-            x = np.concatenate([frames[k], s])
-        else:
-            a = zero_acausal if acausal_rows is None else acausal_rows[start + k]
-            x = np.concatenate([frames[k], s, a])
+    for k, x in enumerate(xs):
+        if S:
+            x[:, E:E + S] = extractor.feature()
         m = rec.step(x)
-        extractor.update(m)
-    ms = rec.ms
-    loss, dlogits = nn.window_loss_and_dlogits(ms, labels, prox_rows, prox_weight)
-    grads = nn.window_backward(model.params, rec.tape, dlogits)
-    return loss, grads, ms, rec.h, rec.c
+        if S:
+            if k >= ended_from:
+                m = np.where((lengths <= k)[:, None], uniform, m)
+            extractor.update(m)
+    return rec
+
+
+def _lockstep_probs(model: PhaseModel, seqs: list[FeatureSequence],
+                    acausal: list | None = None) -> tuple[list[np.ndarray], int]:
+    """Loss-free training-mode forward over whole videos in lockstep, one
+    `seq_len_bptt` window at a time with state carried across windows.
+    Returns the (T, N) probabilities of each sequence, in input order, and
+    the HMM underflow count. `acausal` holds each sequence's acausal rows
+    (pass 2); without it an acausal model sees zeros there (pass 1)."""
+    if not seqs:
+        return [], 0
+    H = model.config.hidden_dim
+    width = model.config.seq_len_bptt
+    # longest first, so the streams still running are always a prefix
+    order = sorted(range(len(seqs)), key=lambda j: -seqs[j].n_frames)
+    dtype = model.params["head_b"].dtype
+    probs = [np.empty((s.n_frames, model.n_phases), dtype) for s in seqs]
+    live = len(order)
+    h, c = np.zeros((live, H), MODEL_DTYPE), np.zeros((live, H), MODEL_DTYPE)
+    extractor = model.new_extractor(batch=live)
+    for start in range(0, seqs[order[0]].n_frames, width):
+        n = sum(1 for j in order[:live] if seqs[j].n_frames > start)
+        if n < live:
+            live = n
+            h, c, extractor = h[:n], c[:n], extractor.take(np.arange(n))
+        windows = [(seqs[j], start, min(start + width, seqs[j].n_frames),
+                    None if acausal is None else acausal[j]) for j in order[:n]]
+        lengths = np.array([stop - start for _, _, stop, _ in windows])
+        rec = _run_window(model, h, c, extractor,
+                          _inputs(model, windows, int(lengths.max())), lengths)
+        ms = rec.ms
+        for col, (j, n_k) in enumerate(zip(order, lengths)):
+            probs[j][start:start + n_k] = ms[:n_k, col]
+        h, c = rec.h, rec.c
+    return probs, extractor.underflow_count
+
+
+def _window_loss(ms, ys, valid, prox, weight: float):
+    """nn.window_loss_and_dlogits over the valid frames of a padded batch;
+    padded frames get zero dlogits."""
+    if valid.all():
+        return nn.window_loss_and_dlogits(ms, ys, prox, weight)
+    loss, dl = nn.window_loss_and_dlogits(
+        ms[valid], ys[valid], None if prox is None else prox[valid], weight)
+    dlogits = np.zeros_like(ms)
+    dlogits[valid] = dl
+    return loss, dlogits
 
 
 def train_epoch(run: TrainRun, train_seqs: list[FeatureSequence]) -> TrainRun:
-    """One pass over the training set; one Adam step per window batch.
+    """One pass over the training set; one Adam step per window batch, its
+    windows stepped in lockstep (see the module doc).
 
     Raises NumericError naming the video/frame window if the loss goes
     non-finite.
@@ -154,99 +229,105 @@ def train_epoch(run: TrainRun, train_seqs: list[FeatureSequence]) -> TrainRun:
     model = run.model
     run.epoch += 1
     by_id = {s.video_id: s for s in train_seqs}
-    lengths = {s.video_id: s.n_frames for s in train_seqs}
+    ids = sorted(by_id)
     rng = substream(cfg.rng_seed, "batching", run.epoch)
-    batches = batch_scheduler(lengths, cfg.batch_size, cfg.seq_len_bptt, rng)
-    zero_acausal = (np.zeros(model.base_ssm_dim, MODEL_DTYPE)
-                    if cfg.acausal else None)
-    sessions = {vid: _VideoSession(model, run.acausal_cache.get(vid))
-                for vid in sorted(by_id)}
+    batches = batch_scheduler({vid: by_id[vid].n_frames for vid in ids},
+                              cfg.batch_size, cfg.seq_len_bptt, rng)
+    # one stream per video and pass: pass p of video j is row p * V + j
+    n_pass = 2 if cfg.acausal else 1
+    V = len(ids)
+    row_of = {vid: j for j, vid in enumerate(ids)}
+    h_all = np.zeros((n_pass * V, cfg.hidden_dim), MODEL_DTYPE)
+    c_all = np.zeros_like(h_all)
+    states = model.new_extractor(batch=n_pass * V)
+    use_prox = cfg.proximal_weight > 0.0 and bool(run.prox_cache)
     total_loss = 0.0
     total_frames = 0
+    run.grad_norms = []
     for batch in batches:
-        grad_sum = nn.zero_grads(model.params)
-        n_windows = 0
-        for vid, start, stop in batch:
-            seq = by_id[vid]
-            frames = seq.features[start:stop]
-            labels = seq.labels[start:stop]
-            prox = run.prox_cache.get(vid)
-            prox_rows = prox[start:stop] if prox is not None else None
-            sess = sessions[vid]
-            window_loss = 0.0
-            for idx, (h, c, extractor, rows) in enumerate(sess.states()):
-                # the proximal tie applies to the evaluated (last) pass only
-                is_final_pass = idx == len(sess.passes) - 1
-                loss, grads, ms, h_out, c_out = _window_pass(
-                    model, h, c, extractor, rows, frames, start, labels,
-                    prox_rows if is_final_pass else None,
-                    cfg.proximal_weight if is_final_pass else 0.0,
-                    zero_acausal,
-                )
-                if not (np.isfinite(loss) and np.isfinite(ms).all()):
-                    raise NumericError(
-                        f"non-finite loss in video {vid} frames [{start}, {stop})")
-                nn.accumulate_grads(grad_sum, grads)
-                sess.set_state(idx, h_out, c_out)
-                window_loss += loss
-            total_loss += window_loss
-            total_frames += stop - start
-            n_windows += 1
-        for k in grad_sum:
-            grad_sum[k] /= n_windows
-        nn.clip_global_norm(grad_sum, cfg.grad_clip)
-        run.adam.step(model.params, grad_sum)
+        B = len(batch)
+        windows = [(by_id[vid], start, stop,
+                     run.acausal_cache.get(vid) if p == 1 else None)
+                   for p in range(n_pass) for vid, start, stop in batch]
+        rows = np.array([p * V + row_of[vid]
+                         for p in range(n_pass) for vid, _, _ in batch])
+        lengths = np.array([stop - start for _, start, stop, _ in windows])
+        width = int(lengths.max())
+        extractor = states.take(rows)
+        rec = _run_window(model, h_all[rows], c_all[rows], extractor,
+                          _inputs(model, windows, width), lengths)
+        ms = rec.ms                                   # (width, n_pass * B, N)
+        valid = np.arange(width)[:, None] < lengths
+        ys = np.zeros(valid.shape, np.int64)
+        # the proximal tie applies to the evaluated (last) pass only; other
+        # rows, and videos without a cached stream, are tied to their own
+        # outputs, which adds exactly nothing
+        prox = ms.copy() if use_prox else None
+        for col, (seq, start, stop, _) in enumerate(windows):
+            ys[:stop - start, col] = seq.labels[start:stop]
+            cached = run.prox_cache.get(seq.video_id) if use_prox else None
+            if cached is not None and col >= (n_pass - 1) * B:
+                prox[:stop - start, col] = cached[start:stop]
+        loss, dlogits = _window_loss(ms, ys, valid, prox, cfg.proximal_weight)
+        if not (np.isfinite(loss) and np.isfinite(ms[valid]).all()):
+            finite = (np.isfinite(ms).all(axis=-1) | ~valid).all(axis=0)
+            j = int(np.argmin(finite.reshape(n_pass, B).all(axis=0)))
+            vid, start, stop = batch[j]
+            raise NumericError(
+                f"non-finite loss in video {vid} frames [{start}, {stop})")
+        grads = nn.window_backward(model.params, rec.tape, dlogits)
+        h_all[rows], c_all[rows] = rec.h, rec.c
+        states.put(rows, extractor)
+        for g in grads.values():
+            g /= B
+        run.grad_norms.append(nn.clip_global_norm(grads, cfg.grad_clip))
+        run.adam.step(model.params, grads)
+        total_loss += loss
+        total_frames += int(lengths[:B].sum())
     run.last_epoch_loss = total_loss / max(1, total_frames)
+    run.hmm_underflows += states.underflow_count
     return run
+
+
+def _offline_probs(model: PhaseModel, seqs: list[FeatureSequence]):
+    """Probabilities of the evaluated pass for every sequence, all run in
+    lockstep: the causal pass, or in acausal mode pass 2 on the acausal rows
+    derived from pass 1. Returns (probs, acausal rows or None, underflows)."""
+    probs, underflows = _lockstep_probs(model, seqs)
+    if not model.config.acausal:
+        return probs, None, underflows
+    rows = [ssm.acausal_feature_stream(model.new_extractor(), p).astype(MODEL_DTYPE)
+            for p in probs]
+    probs, more = _lockstep_probs(model, seqs, rows)
+    return probs, rows, underflows + more
 
 
 def training_forward_probs(model: PhaseModel, seq: FeatureSequence,
                            acausal_rows: np.ndarray | None = None) -> np.ndarray:
     """Loss-free training-mode forward over consecutive windows with carried
-    state; bit-equal to streaming inference by construction."""
-    cfg = model.config
-    h, c = nn.zero_state(cfg.hidden_dim)
-    extractor = model.new_extractor()
-    zero_acausal = (np.zeros(model.base_ssm_dim, MODEL_DTYPE)
-                    if cfg.acausal else None)
-    out = []
-    for start in range(0, seq.n_frames, cfg.seq_len_bptt):
-        stop = min(start + cfg.seq_len_bptt, seq.n_frames)
-        rec = nn.WindowRecorder(model.params, h, c)
-        for k in range(stop - start):
-            s = extractor.feature().astype(MODEL_DTYPE)
-            if zero_acausal is None:
-                x = np.concatenate([seq.features[start + k], s])
-            else:
-                a = zero_acausal if acausal_rows is None else acausal_rows[start + k]
-                x = np.concatenate([seq.features[start + k], s, a])
-            m = rec.step(x)
-            extractor.update(m)
-        out.append(rec.ms)
-        h, c = rec.h, rec.c
-    return np.concatenate(out, axis=0)
+    state: the lockstep engine at B=1, bit-equal to streaming inference."""
+    probs, _ = _lockstep_probs(
+        model, [seq], None if acausal_rows is None else [acausal_rows])
+    return probs[0]
 
 
 def _refresh_caches(run: TrainRun, train_seqs: list[FeatureSequence]) -> None:
-    """Full no-gradient pass per video with the current parameters: stores the
-    probability stream for the proximal term and, in acausal mode, the acausal
-    feature rows derived from the pass-1 stream."""
-    model = run.model
-    for seq in train_seqs:
-        result = run_inference(model, seq)
-        run.prox_cache[seq.video_id] = result.probs.astype(MODEL_DTYPE)
-        if model.config.acausal:
-            rows = ssm.acausal_feature_stream(model.new_extractor(), result.pass1_probs)
-            run.acausal_cache[seq.video_id] = rows.astype(MODEL_DTYPE)
+    """No-gradient pass over all training videos with the current parameters:
+    stores the probability stream for the proximal term and, in acausal mode,
+    the acausal feature rows derived from the pass-1 stream."""
+    probs, rows, underflows = _offline_probs(run.model, train_seqs)
+    ids = [s.video_id for s in train_seqs]
+    run.prox_cache.update(zip(ids, probs))
+    if rows is not None:
+        run.acausal_cache.update(zip(ids, rows))
+    run.hmm_underflows += underflows
 
 
 def dataset_frame_accuracy(model: PhaseModel, seqs: list[FeatureSequence]) -> float:
-    correct = 0
-    total = 0
-    for seq in sorted(seqs, key=lambda s: s.video_id):
-        result = run_inference(model, seq)
-        correct += int((result.labels == seq.labels).sum())
-        total += seq.n_frames
+    probs, _, _ = _offline_probs(model, seqs)
+    correct = sum(int((np.argmax(p, axis=1) == s.labels).sum())
+                  for s, p in zip(seqs, probs))
+    total = sum(s.n_frames for s in seqs)
     return correct / total if total else 0.0
 
 
@@ -264,6 +345,10 @@ def fit(config: ExperimentConfig, taxonomy: PhaseTaxonomy,
         if s.labels is None:
             raise UsageError(f"video {s.video_id} has no labels")
 
+    if len(train_seqs) < config.batch_size:
+        log.warning("only %d video(s) for batch size %d; effective batch is smaller",
+                    len(train_seqs), config.batch_size)
+
     transition = ssm.estimate_transition_matrix(
         [s.labels for s in sorted(train_seqs, key=lambda q: q.video_id)],
         taxonomy.n_phases, config.hmm_smoothing)
@@ -280,13 +365,22 @@ def fit(config: ExperimentConfig, taxonomy: PhaseTaxonomy,
     log_fh = open(log_path, "w") if log_path else None
     try:
         for _ in range(config.epochs):
+            run.hmm_underflows = 0
             t0 = time.perf_counter()
             train_epoch(run, train_seqs)
+            t1 = time.perf_counter()
             _refresh_caches(run, train_seqs)
+            t2 = time.perf_counter()
             val_acc = (dataset_frame_accuracy(model, val_seqs)
                        if val_seqs else float("nan"))
-            entry = EpochLog(run.epoch, float(run.last_epoch_loss),
-                             float(val_acc), time.perf_counter() - t0)
+            t3 = time.perf_counter()
+            norms = np.asarray(run.grad_norms)
+            entry = EpochLog(
+                run.epoch, float(run.last_epoch_loss), float(val_acc), t3 - t0,
+                train_s=t1 - t0, refresh_s=t2 - t1, validate_s=t3 - t2,
+                grad_norm_p50=float(np.median(norms)),
+                clipped_frac=float((norms > config.grad_clip).mean()),
+                hmm_underflows=run.hmm_underflows)
             run.curve.append(entry)
             if log_fh:
                 log_fh.write(entry.to_json() + "\n")

@@ -109,8 +109,9 @@ class TestTrain:
         assert (ckpt / "config.txt").exists()
         lines = (ckpt / "training_log.jsonl").read_text().strip().splitlines()
         assert len(lines) == 2
-        assert {"epoch", "train_loss", "val_accuracy", "wall_time_s"} == \
-            set(json.loads(lines[0]))
+        assert {"epoch", "train_loss", "val_accuracy", "wall_time_s", "train_s",
+                "refresh_s", "validate_s", "grad_norm_p50", "clipped_frac",
+                "hmm_underflows"} == set(json.loads(lines[0]))
 
     def test_config_echo_round_trips(self, workspace):
         echoed = parse_config_text((workspace["ckpt"] / "config.txt").read_text())
@@ -145,6 +146,31 @@ class TestInfer:
         assert main(["infer", "--ckpt", str(workspace["ckpt"] / "best.ckpt"),
                      "--data", str(workspace["data"]),
                      "--out", str(tmp_path / "p"), "--acausal"]) == 2
+
+
+class TestTypedErrors:
+    def test_infer_missing_checkpoint_is_usage_error(self, workspace, tmp_path, capsys):
+        missing = tmp_path / "nope" / "best.ckpt"
+        assert main(["infer", "--ckpt", str(missing), "--data", str(workspace["data"]),
+                     "--out", str(tmp_path / "p")]) == 2
+        assert str(missing) in capsys.readouterr().err
+
+    def test_eval_non_integer_prediction_is_data_error(self, workspace, tmp_path, capsys):
+        pred = tmp_path / "pred"
+        pred.mkdir()
+        for src in sorted(workspace["pred"].glob("*.csv")):
+            (pred / src.name).write_bytes(src.read_bytes())
+        bad = sorted(pred.glob("*.csv"))[0]
+        lines = bad.read_text().splitlines()
+        fields = lines[3].split(",")
+        fields[1] = "x"
+        lines[3] = ",".join(fields)
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["eval", "--pred", str(pred), "--data", str(workspace["data"]),
+                     "--out", str(tmp_path / "r")]) == 3
+        err = capsys.readouterr().err
+        assert str(bad) in err
+        assert "line 4: predicted_id 'x' is not an integer" in err
 
 
 class TestEval:

@@ -326,6 +326,20 @@ class TestCheckpoint:
         with pytest.raises(DataValidationError, match="magic"):
             nn.load_checkpoint(path)
 
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "best.ckpt"
+        params = make_params(5, 3, 4, seed=8, dtype=np.float32)
+        nn.save_checkpoint(path, params, {"epoch": 1})
+        # the last block cannot be converted, so the write fails part-way
+        broken = dict(params, zz=np.array(["not", "numbers"]))
+        with pytest.raises(ValueError):
+            nn.save_checkpoint(path, broken, {"epoch": 2})
+        loaded, extra = nn.load_checkpoint(path)
+        assert extra == {"epoch": 1}
+        for k in params:
+            np.testing.assert_array_equal(loaded[k], params[k])
+        assert [p.name for p in tmp_path.iterdir()] == ["best.ckpt"]
+
     def test_truncated_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
         nn.save_checkpoint(path, {"w": np.arange(6, dtype=np.float32)}, {})

@@ -334,3 +334,55 @@ class TestStreamHelpers:
     def test_acausal_requires_complete_stream(self):
         with pytest.raises(UsageError):
             acausal_feature_stream(SsmExtractor(3), np.zeros(3))
+
+
+class TestBatched:
+    """B streams in one extractor (leading batch axis) against B unbatched
+    extractors fed the same rows."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(12)
+        self.n = 3
+        self.bank = GaborBank.build(3, 3.0, 6.0)
+        self.tm = TransitionMatrix(rng.random((3, 3)) + 0.1)
+        self.rng = rng
+
+    def extractor(self, batch=None):
+        return SsmExtractor(self.n, gabor_bank=self.bank, transition=self.tm,
+                            batch=batch)
+
+    def frames(self, t, b):
+        return softmax(self.rng.standard_normal((t, b, self.n)) * 2.0)
+
+    def test_lockstep_matches_per_stream(self):
+        B, T = 4, 60
+        ms = self.frames(T, B)
+        ms[[5, 20, 21], [1, 3, 1]] = 0.0        # underflows in streams 1 and 3
+        batched = self.extractor(B)
+        singles = [self.extractor() for _ in range(B)]
+        for t in range(T):
+            feat = batched.feature()
+            assert feat.shape == (B, batched.dim)
+            for b in range(B):
+                np.testing.assert_allclose(feat[b], singles[b].feature(), atol=1e-12)
+            batched.update(ms[t])
+            for b in range(B):
+                singles[b].update(ms[t, b])
+        assert batched.underflow_count == sum(s.underflow_count for s in singles) == 3
+
+    def test_take_and_put_carry_state_and_underflows(self):
+        store = self.extractor(4)
+        singles = [self.extractor() for _ in range(4)]
+        for rows in ([0, 2], [1, 3, 0], [2], [3, 1], [0, 1, 2, 3]):
+            part = store.take(np.array(rows))
+            ms = self.frames(7, len(rows))
+            ms[3, 0] = 0.0                          # one underflow per window
+            for m in ms:
+                feat = part.feature()
+                for i, r in enumerate(rows):
+                    np.testing.assert_allclose(feat[i], singles[r].feature(), atol=1e-12)
+                part.update(m)
+                for i, r in enumerate(rows):
+                    singles[r].update(m[i])
+            store.put(np.array(rows), part)
+        assert store.underflow_count == sum(s.underflow_count for s in singles) == 5

@@ -4,8 +4,9 @@ import logging
 import numpy as np
 import pytest
 
-from phaseflow import nn
+from phaseflow import nn, train as train_mod
 from phaseflow.core import (
+    MODEL_DTYPE,
     ExperimentConfig,
     FeatureSequence,
     NumericError,
@@ -15,7 +16,13 @@ from phaseflow.core import (
     substream,
     validate_sequence,
 )
-from phaseflow.model import infer_video, init_model, run_inference
+from phaseflow.model import (
+    InferenceSession,
+    infer_video,
+    infer_video_acausal,
+    init_model,
+    run_inference,
+)
 from phaseflow.train import (
     TrainRun,
     batch_scheduler,
@@ -60,10 +67,10 @@ def new_run(config, train_seqs):
 
 
 class TestBatchScheduler:
-    def test_single_video_warns_and_degrades(self, caplog):
-        with caplog.at_level(logging.WARNING, logger="phaseflow.train"):
-            batches = batch_scheduler({"v0": 20}, 32, 8, np.random.default_rng(0))
-        assert "effective batch" in caplog.text
+    def test_single_video_warns_and_degrades(self):
+        # the "effective batch is smaller" warning is fit's, once per fit
+        # (TestFit.test_small_training_set_warns_once_per_fit)
+        batches = batch_scheduler({"v0": 20}, 32, 8, np.random.default_rng(0))
         assert [len(b) for b in batches] == [1, 1, 1]
         assert batches[0][0] == ("v0", 0, 8)
         assert batches[2][0] == ("v0", 16, 20)
@@ -244,6 +251,14 @@ class TestFit:
         result = fit(cfg, TAX2, train, val)
         assert result.best_val_accuracy > 0.95
 
+    def test_small_training_set_warns_once_per_fit(self, caplog):
+        train, val = toy_dataset(n_train=3, n_val=1)
+        with caplog.at_level(logging.WARNING, logger="phaseflow.train"):
+            fit(toy_config(epochs=3, batch_size=32), TAX2, train, val)
+        warned = [r for r in caplog.records if "effective batch" in r.getMessage()]
+        assert len(warned) == 1
+        assert warned[0].getMessage().startswith("only 3 video(s) for batch size 32")
+
     def test_rejects_overlapping_splits(self):
         train, _ = toy_dataset()
         with pytest.raises(UsageError, match="overlap"):
@@ -257,7 +272,9 @@ class TestFit:
         lines = log_path.read_text().strip().splitlines()
         assert len(lines) == 2
         entry = json.loads(lines[0])
-        assert set(entry) == {"epoch", "train_loss", "val_accuracy", "wall_time_s"}
+        assert set(entry) == {"epoch", "train_loss", "val_accuracy", "wall_time_s",
+                              "train_s", "refresh_s", "validate_s", "grad_norm_p50",
+                              "clipped_frac", "hmm_underflows"}
         assert (tmp_path / "epoch_001.ckpt").exists()
         assert (tmp_path / "epoch_002.ckpt").exists()
         assert (tmp_path / "best.ckpt").exists()
@@ -272,3 +289,141 @@ class TestFit:
         out = run_inference(result.model, val[0])
         assert out.pass1_probs is not None
         assert out.probs.shape == out.pass1_probs.shape
+
+
+# ---------------------------------------------------------------------------
+# lockstep engine against the one-video-at-a-time path (test oracle)
+
+RAGGED = (1, 7, 8, 9, 37)
+ALL_SSM = dict(enabled_ssm_features=("csl", "gabor", "hmm"), gabor_num_scales=3,
+               gabor_scale_min=3.0, gabor_scale_max=6.0)
+
+
+def ragged_videos(seed=11, lengths=RAGGED):
+    rng = np.random.default_rng(seed)
+    return [separable_video(rng, f"v{i}", t) for i, t in enumerate(lengths)]
+
+
+def per_video_step_grads(run, train_seqs):
+    """Per-Adam-step gradients of the next epoch, computed one window of one
+    video and pass at a time with unbatched state, as training ran before the
+    lockstep engine. Parameters are not updated."""
+    cfg, model = run.config, run.model
+    by_id = {s.video_id: s for s in train_seqs}
+    rng = substream(cfg.rng_seed, "batching", run.epoch + 1)
+    batches = batch_scheduler({v: s.n_frames for v, s in by_id.items()},
+                              cfg.batch_size, cfg.seq_len_bptt, rng)
+    zero_a = np.zeros(model.base_ssm_dim, MODEL_DTYPE) if cfg.acausal else None
+    n_pass = 2 if cfg.acausal else 1
+    # per video and pass: [h, c, extractor, acausal rows (pass 2 only)]
+    sessions = {vid: [[*nn.zero_state(cfg.hidden_dim), model.new_extractor(),
+                       run.acausal_cache.get(vid) if p == 1 else None]
+                      for p in range(n_pass)]
+                for vid in by_id}
+    steps = []
+    for batch in batches:
+        total = nn.zero_grads(model.params)
+        for vid, start, stop in batch:
+            seq = by_id[vid]
+            for idx, sess in enumerate(sessions[vid]):
+                h, c, ext, rows = sess
+                rec = nn.WindowRecorder(model.params, h, c)
+                for k in range(start, stop):
+                    parts = [seq.features[k], ext.feature().astype(MODEL_DTYPE)]
+                    if zero_a is not None:
+                        parts.append(zero_a if rows is None else rows[k])
+                    ext.update(rec.step(np.concatenate(parts)))
+                final = idx == n_pass - 1
+                prox = run.prox_cache.get(vid) if final else None
+                _, dl = nn.window_loss_and_dlogits(
+                    rec.ms, seq.labels[start:stop],
+                    None if prox is None else prox[start:stop],
+                    cfg.proximal_weight if final else 0.0)
+                nn.accumulate_grads(total, nn.window_backward(model.params, rec.tape, dl))
+                sess[0], sess[1] = rec.h, rec.c
+        for k in total:
+            total[k] /= len(batch)
+        steps.append(total)
+    underflows = sum(sess[2].underflow_count
+                     for passes in sessions.values() for sess in passes)
+    return steps, underflows
+
+
+def lockstep_step_grads(run, train_seqs, monkeypatch):
+    """Per-Adam-step gradients of train_epoch with the parameters frozen."""
+    steps = []
+    monkeypatch.setattr(run.adam, "step",
+                        lambda params, grads: steps.append(
+                            {k: g.copy() for k, g in grads.items()}))
+    run.hmm_underflows = 0
+    train_epoch(run, train_seqs)
+    return steps
+
+
+def rel_diff(a, b):
+    return np.linalg.norm(a - b) / max(np.linalg.norm(a), np.linalg.norm(b), 1e-30)
+
+
+class TestLockstepEngine:
+    @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+    def test_probs_match_per_video_inference(self, dtype, tol):
+        # float32: BLAS sums a batch of rows in another order than one row,
+        # and that rounding feeds back through the statistics: <= 1e-5
+        # absolute; float64: the same reordering, <= 1e-12 absolute
+        model = init_model(toy_config(**ALL_SSM), TAX2)
+        model.params = {k: v.astype(dtype) for k, v in model.params.items()}
+        seqs = ragged_videos()
+        probs, _ = train_mod._lockstep_probs(model, seqs)
+        for seq, p in zip(seqs, probs):
+            ref = infer_video(model, seq).probs
+            assert p.dtype == ref.dtype == dtype
+            np.testing.assert_allclose(p, ref, rtol=0, atol=tol)
+
+    def test_acausal_two_pass_matches_per_video(self):
+        cfg = toy_config(acausal=True, **ALL_SSM)
+        model = init_model(cfg, TAX2)
+        rng = np.random.default_rng(3)
+        # non-zero acausal weights so pass 2 depends on the acausal rows
+        model.params["lstm_wx"][:] = rng.uniform(
+            -0.3, 0.3, model.params["lstm_wx"].shape).astype(np.float32)
+        seqs = ragged_videos(seed=12)
+        probs, rows, _ = train_mod._offline_probs(model, seqs)
+        for seq, p, a in zip(seqs, probs, rows):
+            ref = infer_video_acausal(model, seq)
+            np.testing.assert_allclose(p, ref.probs, rtol=0, atol=1e-5)
+            assert a.shape == (seq.n_frames, model.base_ssm_dim)
+
+    @pytest.mark.parametrize("acausal", [False, True])
+    @pytest.mark.parametrize("batch_size", [2, 8])
+    def test_step_gradients_match_per_video(self, acausal, batch_size, monkeypatch):
+        # 5 videos: more than a batch of 2, fewer than a batch of 8. Frozen
+        # parameters, so both paths see the same states; per Adam step the
+        # gradient blocks agree to 1e-5 relative (float32 summation order)
+        cfg = toy_config(batch_size=batch_size, acausal=acausal, proximal_weight=0.5,
+                         grad_clip=1e9, **ALL_SSM)
+        seqs = ragged_videos(seed=13)
+        run = new_run(cfg, seqs)
+        train_mod._refresh_caches(run, seqs)      # prox targets, acausal rows
+        expected, underflows = per_video_step_grads(run, seqs)
+        got = lockstep_step_grads(run, seqs, monkeypatch)
+        assert len(got) == len(expected)
+        for g, e in zip(got, expected):
+            for k in e:
+                assert rel_diff(g[k], e[k]) <= 1e-5, k
+        assert run.hmm_underflows == underflows
+
+    def test_hmm_underflows_equal_per_video_sum(self):
+        # non-finite outputs make every real frame an underflow; padded rows
+        # of the ragged final windows must add none
+        model = init_model(toy_config(**ALL_SSM), TAX2)
+        model.params["head_w"][:] = np.inf
+        seqs = ragged_videos()
+        with np.errstate(invalid="ignore"):
+            _, underflows = train_mod._lockstep_probs(model, seqs)
+            expected = 0
+            for seq in seqs:
+                sess = InferenceSession(model)
+                for v in seq.features:
+                    sess.step(v)
+                expected += sess.extractor.underflow_count
+        assert underflows == expected == sum(RAGGED)
