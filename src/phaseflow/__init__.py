@@ -36,7 +36,6 @@ from .model import (
     infer_video_acausal,
     init_model,
     load_model,
-    plain_lstm_infer,
     save_model,
 )
 from .ssm import (

@@ -18,7 +18,6 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +29,6 @@ from .core import (
     DataValidationError,
     ExperimentConfig,
     NumericError,
-    PhaseTaxonomy,
     UsageError,
 )
 
@@ -86,9 +84,12 @@ def load_config(path: str | None) -> ExperimentConfig:
         return ExperimentConfig()
     try:
         with open(path) as fh:
-            return parse_config_text(fh.read())
-    except FileNotFoundError:
-        raise UsageError(f"config file not found: {path}") from None
+            text = fh.read()
+    except OSError as e:
+        raise UsageError(f"cannot read config file {path}: {e.strerror}") from None
+    except UnicodeDecodeError:
+        raise UsageError(f"config file {path} is not UTF-8 text") from None
+    return parse_config_text(text)
 
 
 def write_config_echo(outdir: str, config: ExperimentConfig) -> None:

@@ -11,7 +11,7 @@ import contextlib
 import os
 import threading
 import zlib
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -192,23 +192,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def validate_prob_vector(p: np.ndarray, n_phases: int | None = None, tol: float = 1e-6) -> np.ndarray:
-    """Check the simplex invariant: entries in [0, 1], summing to 1 within tol."""
-    p = np.asarray(p)
-    if p.ndim != 1:
-        raise DataValidationError(f"probability vector must be 1-D, got shape {p.shape}")
-    if n_phases is not None and p.shape[0] != n_phases:
-        raise DataValidationError(f"expected {n_phases} entries, got {p.shape[0]}")
-    if not np.isfinite(p).all():
-        raise NumericError("probability vector contains non-finite entries")
-    if (p < -tol).any() or (p > 1 + tol).any():
-        raise DataValidationError("probability entries outside [0, 1]")
-    s = float(p.sum())
-    if abs(s - 1.0) > tol:
-        raise DataValidationError(f"probabilities sum to {s}, not 1")
-    return p
-
-
 SSM_FEATURE_KINDS = ("csl", "gabor", "hmm")
 
 
@@ -275,17 +258,20 @@ class ExperimentConfig:
             if f.name not in d:
                 continue
             v = d[f.name]
-            if f.name == "enabled_ssm_features":
-                v = tuple(v)
-            elif f.name == "csl_levels":
-                v = tuple(float(x) for x in v)
-            elif f.name == "acausal":
-                v = bool(v)
-            elif f.name in ("learning_rate", "proximal_weight", "gabor_scale_min",
-                            "gabor_scale_max", "hmm_smoothing", "grad_clip"):
-                v = float(v)
-            else:
-                v = int(v)
+            try:
+                if f.name == "enabled_ssm_features":
+                    v = tuple(v)
+                elif f.name == "csl_levels":
+                    v = tuple(float(x) for x in v)
+                elif f.name == "acausal":
+                    v = bool(v)
+                elif f.name in ("learning_rate", "proximal_weight", "gabor_scale_min",
+                                "gabor_scale_max", "hmm_smoothing", "grad_clip"):
+                    v = float(v)
+                else:
+                    v = int(v)
+            except (TypeError, ValueError):
+                raise UsageError(f"config key {f.name}: invalid value {v!r}") from None
             kwargs[f.name] = v
         return cls(**kwargs)
 

@@ -364,11 +364,24 @@ def write_dataset(dirpath, sequences, taxonomy: PhaseTaxonomy,
 
 
 def read_manifest(dirpath) -> dict | None:
+    """The dataset's manifest, or None without one. A manifest that is not
+    JSON or lacks the `videos` list of {id, split} entries raises a
+    DataValidationError naming its path."""
     path = os.path.join(dirpath, MANIFEST_NAME)
     if not os.path.exists(path):
         return None
-    with open(path) as fh:
-        return json.load(fh)
+    try:
+        with open(path) as fh:
+            manifest = json.load(fh)
+    except (OSError, ValueError) as e:
+        raise DataValidationError(f"{path}: unreadable manifest: {e}") from None
+    videos = manifest.get("videos") if isinstance(manifest, dict) else None
+    if not isinstance(videos, list) or not all(
+            isinstance(v, dict) and isinstance(v.get("id"), str) and "split" in v
+            for v in videos):
+        raise DataValidationError(
+            f"{path}: manifest needs a 'videos' list of entries with 'id' and 'split'")
+    return manifest
 
 
 def read_dataset(dirpath, split: str | None = None):
@@ -412,11 +425,13 @@ def default_split(n_videos: int) -> list[str]:
 
 def import_external_features(csv_path, meta: dict) -> FeatureSequence:
     """Load precomputed per-frame embeddings from CSV (rows = frames, columns
-    = features plus an optional 'label' column), downsampling to 1 fps by
-    frame striding. `meta` needs video_id and fps; a taxonomy dict enables
-    label validation."""
+    = features plus an optional 'label' column), downsampled to 1 fps by
+    keeping frame floor(k * fps) for each whole second k. `meta` needs
+    video_id and fps >= 1; a taxonomy dict enables label validation.
+    Non-finite features are rejected."""
     fps = float(meta["fps"])
-    stride = max(1, int(round(fps)))
+    if not 1.0 <= fps < np.inf:
+        raise DataValidationError(f"{csv_path}: fps must be finite and >= 1, got {fps}")
     with open(csv_path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
@@ -446,8 +461,15 @@ def import_external_features(csv_path, meta: dict) -> FeatureSequence:
             labels.append(int(values[label_col]))
             del values[label_col]
         feats.append(values)
-    feats = np.asarray(feats, dtype=np.float32)[::stride]
-    labs = np.asarray(labels, dtype=np.int64)[::stride] if label_col is not None else None
+    feats = np.asarray(feats, dtype=np.float32)
+    bad = ~np.isfinite(feats)
+    if bad.any():
+        raise DataValidationError(
+            f"{csv_path}: non-finite feature at row {start + int(np.argwhere(bad)[0][0])}")
+    keep = np.floor(np.arange(len(feats)) * fps).astype(np.int64)
+    keep = keep[keep < len(feats)]
+    feats = feats[keep]
+    labs = np.asarray(labels, dtype=np.int64)[keep] if label_col is not None else None
     seq = FeatureSequence(video_id=str(meta["video_id"]), fps=1.0,
                           features=feats, labels=labs)
     if "taxonomy" in meta:

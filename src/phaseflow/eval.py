@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,42 +87,6 @@ def confusion_matrix(gt, pred, n_phases: int) -> np.ndarray:
     return cm
 
 
-def frame_metrics(gt, pred, n_phases: int) -> dict:
-    """Frame accuracy plus per-phase precision/recall/F1 and the confusion
-    matrix. Macro averages run over phases present in gt; a gt phase with no
-    predicted positives contributes precision 0."""
-    cm = confusion_matrix(gt, pred, n_phases)
-    total = int(cm.sum())
-    accuracy = float(np.trace(cm)) / total
-    per_phase = {}
-    macro = []
-    for p in range(n_phases):
-        tp = float(cm[p, p])
-        support = float(cm[p].sum())
-        predicted = float(cm[:, p].sum())
-        if support == 0 and predicted == 0:
-            continue
-        precision = tp / predicted if predicted > 0 else 0.0
-        recall = tp / support if support > 0 else 0.0
-        f1 = (2 * precision * recall / (precision + recall)
-              if precision + recall > 0 else 0.0)
-        per_phase[p] = {"precision": precision, "recall": recall,
-                        "f1": f1, "support": int(support)}
-        if support > 0:
-            macro.append((precision, recall, f1))
-    if not macro:
-        raise DataValidationError("no phases present in ground truth")
-    arr = np.asarray(macro)
-    return {
-        "accuracy": accuracy,
-        "precision": float(arr[:, 0].mean()),
-        "recall": float(arr[:, 1].mean()),
-        "f1": float(arr[:, 2].mean()),
-        "per_phase": per_phase,
-        "confusion": cm,
-    }
-
-
 def bucket_counts(gt, pred) -> np.ndarray:
     """(5, 2) [correct, total] frame counts; each frame belongs to the
     duration bucket of its ground-truth segment."""
@@ -134,13 +98,6 @@ def bucket_counts(gt, pred) -> np.ndarray:
         counts[b, 0] += int((pred[sl] == seg.phase).sum())
         counts[b, 1] += seg.length
     return counts
-
-
-def bucket_accuracy(gt, pred) -> dict[str, float | None]:
-    """Accuracy within each duration bucket; unpopulated buckets are None."""
-    counts = bucket_counts(gt, pred)
-    return {name: (float(c) / t if t > 0 else None)
-            for (name, _, _), (c, t) in zip(DURATION_BUCKETS, counts)}
 
 
 def match_transitions(gt, pred, window: int = TRANSITION_WINDOW_S) -> dict:
@@ -168,24 +125,11 @@ def match_transitions(gt, pred, window: int = TRANSITION_WINDOW_S) -> dict:
     }
 
 
-def transition_accuracy(gt, pred, window: int = TRANSITION_WINDOW_S) -> float | None:
-    """Fraction of gt transitions matched by a predicted transition into the
-    same phase within the window; None when gt has no transitions."""
-    c = match_transitions(gt, pred, window)
-    return c["matched"] / c["gt_total"] if c["gt_total"] > 0 else None
-
-
 def midpoint_counts(gt, pred) -> tuple[int, int]:
     gt, pred = _check_lengths(gt, pred)
     segs = extract_segments(gt)
     correct = sum(1 for s in segs if pred[s.midpoint] == s.phase)
     return correct, len(segs)
-
-
-def midpoint_accuracy(gt, pred) -> float:
-    """Fraction of gt segments whose midpoint frame is labeled correctly."""
-    correct, total = midpoint_counts(gt, pred)
-    return correct / total
 
 
 # ---------------------------------------------------------------------------
@@ -216,10 +160,12 @@ class MetricsReport:
         return float(np.trace(self.confusion)) / t if t else None
 
     def frame_stats(self) -> dict | None:
+        """Frame accuracy plus per-phase precision/recall/F1. Macro averages
+        run over phases present in gt; a gt phase with no predicted positives
+        contributes precision 0. None when the scope has no frames."""
         if self.total_frames == 0:
             return None
         gt_counts = self.confusion.sum(axis=1)
-        # reconstruct frame_metrics from the pooled confusion matrix
         per_phase = {}
         macro = []
         for p in range(self.n_phases):

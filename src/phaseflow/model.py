@@ -10,7 +10,7 @@ aggregators after the head fires.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,7 +60,7 @@ class PhaseModel:
         bank = None
         if "gabor" in cfg.enabled_ssm_features:
             bank = ssm.GaborBank.build(cfg.gabor_num_scales, cfg.gabor_scale_min,
-                                       cfg.gabor_scale_max, causal=True)
+                                       cfg.gabor_scale_max)
         return ssm.SsmExtractor(
             self.n_phases, cfg.enabled_ssm_features, cfg.csl_levels,
             gabor_bank=bank, transition=self.transition, batch=batch)
@@ -200,19 +200,6 @@ def hmm_smooth_posthoc(probs: np.ndarray,
     the hmm SSM feature (this never feeds back into the model)."""
     marg = ssm.hmm_forward_marginals(transition, np.asarray(probs, dtype=np.float64))
     return np.argmax(marg, axis=1)
-
-
-def plain_lstm_infer(params: dict, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dedicated plain-LSTM baseline: embeddings straight into the LSTM, no
-    statistic side channel. The ssm-disabled PhaseModel must match this
-    bit-for-bit."""
-    h, c = nn.zero_state(nn.hidden_dim_of(params))
-    probs = []
-    for v in features:
-        h, c = nn.lstm_step(params, h, c, v)
-        probs.append(softmax(nn.head_forward(params, h)))
-    probs = np.stack(probs)
-    return probs, np.argmax(probs, axis=1)
 
 
 def save_model(model: PhaseModel, ckpt_path) -> None:

@@ -1,10 +1,10 @@
 """Minimal neural-network layer: LSTM cell, affine head, softmax
 cross-entropy, truncated-BPTT backward pass and Adam, all hand-derived in
-numpy, plus a central-finite-difference gradient checker.
+numpy.
 
 Gate layout inside the fused (4H) axis is [input | forget | candidate |
 output]. Model math runs in float32; passing float64 parameters switches the
-whole path to 64-bit (used by the gradient-check harness).
+whole path to 64-bit (what the finite-difference gradient checks use).
 
 Every per-frame array may carry leading batch axes: the cell, the taped
 step, the window loss and the backward pass index with `...`, so B streams
@@ -33,14 +33,8 @@ PARAM_BLOCKS = ("lstm_wx", "lstm_wh", "lstm_b", "head_w", "head_b")
 
 
 def init_params(input_dim: int, hidden_dim: int, n_phases: int,
-                rng: np.random.Generator, dtype=np.float32,
-                zero_rows_from: int | None = None) -> dict[str, np.ndarray]:
-    """Uniform [-1/sqrt(fan_in), 1/sqrt(fan_in)] init; forget-gate bias 1.0.
-
-    Input rows at/after `zero_rows_from` start at zero: statistic channels
-    begin ignored, so training first shapes the likelihood stream they
-    aggregate and picks them up once they carry signal.
-    """
+                rng: np.random.Generator, dtype=np.float32) -> dict[str, np.ndarray]:
+    """Uniform [-1/sqrt(fan_in), 1/sqrt(fan_in)] init; forget-gate bias 1.0."""
     h = hidden_dim
     sx = 1.0 / np.sqrt(input_dim)
     sh = 1.0 / np.sqrt(h)
@@ -52,8 +46,6 @@ def init_params(input_dim: int, hidden_dim: int, n_phases: int,
         "head_b": np.zeros(n_phases, dtype),
     }
     params["lstm_b"][h:2 * h] = 1.0
-    if zero_rows_from is not None:
-        params["lstm_wx"][zero_rows_from:, :] = 0.0
     return params
 
 
@@ -110,13 +102,6 @@ def head_forward(params: dict, h: np.ndarray) -> np.ndarray:
             f"head input dimension mismatch: got {h.shape}, "
             f"expected ({hidden_dim_of(params)},)")
     return h @ params["head_w"] + params["head_b"]
-
-
-def cross_entropy_loss(m: np.ndarray, y: int) -> float:
-    """-log m[y], clamped at the 1e-12 probability floor."""
-    if not 0 <= y < m.shape[0]:
-        raise DataValidationError(f"label {y} out of range for {m.shape[0]} phases")
-    return float(-np.log(max(float(m[y]), PROB_FLOOR)))
 
 
 @dataclass
@@ -180,15 +165,6 @@ class WindowRecorder:
         return np.stack(self.tape.ms)
 
 
-def forward_window(params: dict, h: np.ndarray, c: np.ndarray,
-                   xs) -> tuple[np.ndarray, np.ndarray, np.ndarray, WindowTape]:
-    """Forward over a window of precomputed inputs; records the tape."""
-    rec = WindowRecorder(params, h, c)
-    for x in xs:
-        rec.step(x)
-    return rec.ms, rec.h, rec.c, rec.tape
-
-
 def window_loss_and_dlogits(ms: np.ndarray, ys, prox_targets=None,
                             prox_weight: float = 0.0) -> tuple[float, np.ndarray]:
     """Summed window loss (cross-entropy + optional proximal term) and its
@@ -209,9 +185,10 @@ def window_loss_and_dlogits(ms: np.ndarray, ys, prox_targets=None,
             f"label {int(ys[at])} out of range at window frame {at[0]}")
     my = np.take_along_axis(ms, ys[..., None], axis=-1).astype(np.float64)
     kept = my > PROB_FLOOR
-    loss = float(-np.log(np.where(kept, my, PROB_FLOOR)).sum())
+    clamped = np.where(kept, my, PROB_FLOOR)
+    loss = float(-np.log(clamped).sum())
     dm = np.zeros_like(ms)
-    np.put_along_axis(dm, ys[..., None], np.where(kept, -1.0 / my, 0.0), axis=-1)
+    np.put_along_axis(dm, ys[..., None], np.where(kept, -1.0 / clamped, 0.0), axis=-1)
     if prox_targets is not None and prox_weight > 0.0:
         diff = ms - prox_targets
         loss += prox_weight * float((diff * diff).sum(dtype=np.float64))
@@ -269,30 +246,6 @@ def window_backward(params: dict, tape: WindowTape,
     }
 
 
-def window_grads(params: dict, h, c, xs, ys, prox_targets=None,
-                 prox_weight: float = 0.0):
-    """Forward + loss + backward over one window.
-
-    Returns (loss, grads, ms, h_out, c_out).
-    """
-    ms, h_out, c_out, tape = forward_window(params, h, c, xs)
-    loss, dlogits = window_loss_and_dlogits(ms, ys, prox_targets, prox_weight)
-    grads = window_backward(params, tape, dlogits)
-    return loss, grads, ms, h_out, c_out
-
-
-def zero_grads(params: dict) -> dict[str, np.ndarray]:
-    return {k: np.zeros_like(v) for k, v in params.items()}
-
-
-def accumulate_grads(total: dict, grads: dict, scale: float = 1.0) -> None:
-    for k in total:
-        if scale == 1.0:
-            total[k] += grads[k]
-        else:
-            total[k] += scale * grads[k]
-
-
 def global_grad_norm(grads: dict) -> float:
     sq = 0.0
     for g in grads.values():
@@ -337,30 +290,6 @@ class Adam:
             m_hat = self.m[k] / bc1
             v_hat = self.v[k] / bc2
             p -= (self.lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(p.dtype)
-
-
-def finite_difference_grads(loss_fn, params: dict,
-                            step: float = 1e-5) -> dict[str, np.ndarray]:
-    """Central finite differences of loss_fn w.r.t. every parameter entry.
-
-    loss_fn takes the params dict and returns a scalar; intended for 64-bit
-    parameters on small instances.
-    """
-    grads = {}
-    for name, p in params.items():
-        g = np.zeros_like(p, dtype=np.float64)
-        flat = p.reshape(-1)
-        gflat = g.reshape(-1)
-        for idx in range(flat.shape[0]):
-            orig = flat[idx]
-            flat[idx] = orig + step
-            up = loss_fn(params)
-            flat[idx] = orig - step
-            down = loss_fn(params)
-            flat[idx] = orig
-            gflat[idx] = (up - down) / (2.0 * step)
-        grads[name] = g
-    return grads
 
 
 def save_checkpoint(path, params: dict, extra: dict) -> None:

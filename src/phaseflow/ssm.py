@@ -31,9 +31,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DataValidationError, PhaseTaxonomy, UsageError, atomic_open
-
-FEATURE_ORDER = ("csl", "gabor", "hmm")
+from .core import (
+    SSM_FEATURE_KINDS,
+    DataValidationError,
+    PhaseTaxonomy,
+    UsageError,
+    atomic_open,
+)
 
 
 def _lead(batch: int | None) -> tuple[int, ...]:
@@ -87,16 +91,16 @@ class CslAccumulator:
 # ---------------------------------------------------------------------------
 # Gabor filter bank
 
-def gabor_kernel(sigma: float, causal: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """Complex 1-D Gabor kernel sampled at integer lags.
+def gabor_kernel(sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """Complex causal 1-D Gabor kernel sampled at integer lags.
 
-    Gaussian envelope times a carrier of wavelength 4*sigma; support
-    [-3*sigma, 0] (causal) or [-3*sigma, 3*sigma]. Normalized so the L1 norm
-    of the complex kernel (= the envelope sum) is 1. Returned arrays are
-    ordered oldest lag first, lag 0 last (causal) / centered (symmetric).
+    Gaussian envelope times a carrier of wavelength 4*sigma over the support
+    [-3*sigma, 0]. Normalized so the L1 norm of the complex kernel (= the
+    envelope sum) is 1. Returned arrays are ordered oldest lag first, lag 0
+    last.
     """
     half = int(np.floor(3.0 * sigma))
-    u = np.arange(-half, 1 if causal else half + 1, dtype=np.float64)
+    u = np.arange(-half, 1, dtype=np.float64)
     envelope = np.exp(-(u * u) / (2.0 * sigma * sigma))
     omega = 2.0 * np.pi / (4.0 * sigma)
     norm = envelope.sum()
@@ -105,29 +109,25 @@ def gabor_kernel(sigma: float, causal: bool = True) -> tuple[np.ndarray, np.ndar
 
 @dataclass(frozen=True)
 class GaborBank:
-    """Fixed filter bank over `scales`; kernels padded into (K, width)
+    """Fixed causal filter bank over `scales`; kernels padded into (K, width)
     matrices aligned so the last column is lag 0 (newest frame)."""
 
     scales: np.ndarray
-    causal: bool
     kernels_real: np.ndarray = field(repr=False)
     kernels_imag: np.ndarray = field(repr=False)
-    support_lengths: np.ndarray = field(repr=False)
 
     @classmethod
     def build(cls, num_scales: int = 10, scale_min: float = 10.0,
-              scale_max: float = 30.0, causal: bool = True) -> "GaborBank":
+              scale_max: float = 30.0) -> "GaborBank":
         scales = np.linspace(scale_min, scale_max, num_scales)
-        kernels = [gabor_kernel(s, causal=causal) for s in scales]
-        lengths = np.array([k[0].shape[0] for k in kernels], dtype=np.int64)
-        width = int(lengths.max())
+        kernels = [gabor_kernel(s) for s in scales]
+        width = max(len(kr) for kr, _ in kernels)
         re = np.zeros((num_scales, width))
         im = np.zeros((num_scales, width))
         for k, (kr, ki) in enumerate(kernels):
             re[k, width - len(kr):] = kr
             im[k, width - len(ki):] = ki
-        return cls(scales=scales, causal=causal, kernels_real=re,
-                   kernels_imag=im, support_lengths=lengths)
+        return cls(scales=scales, kernels_real=re, kernels_imag=im)
 
     @property
     def num_scales(self) -> int:
@@ -136,11 +136,6 @@ class GaborBank:
     @property
     def width(self) -> int:
         return self.kernels_real.shape[1]
-
-    def kernel(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        n = int(self.support_lengths[k])
-        return (self.kernels_real[k, self.width - n:],
-                self.kernels_imag[k, self.width - n:])
 
 
 class GaborAccumulator:
@@ -154,8 +149,6 @@ class GaborAccumulator:
     imaginary kernels are stacked into one (2K, width) matrix."""
 
     def __init__(self, n_phases: int, bank: GaborBank, batch: int | None = None):
-        if not bank.causal:
-            raise UsageError("streaming gabor aggregation requires a causal bank")
         self.n_phases = n_phases
         self.bank = bank
         self._lead = _lead(batch)
@@ -208,29 +201,6 @@ class GaborAccumulator:
 
     def put(self, rows, part: "GaborAccumulator") -> None:
         self.window[:, self._columns(rows)] = part.window
-
-
-def gabor_batch_response(bank: GaborBank, ms: np.ndarray) -> np.ndarray:
-    """Direct full-stream convolution: response[t] is anchored at frame t with
-    zero-padded history (and future, for symmetric banks). Returns
-    (T, N * num_scales), ordered like GaborAccumulator.feature()."""
-    ms = np.asarray(ms, dtype=np.float64)
-    T, n = ms.shape
-    out = np.zeros((T, n * bank.num_scales))
-    for k in range(bank.num_scales):
-        kr, ki = bank.kernel(k)
-        L = kr.shape[0]
-        lag0 = L - 1 if bank.causal else (L - 1) // 2
-        for t in range(T):
-            re = np.zeros(n)
-            im = np.zeros(n)
-            for j in range(L):
-                tt = t + (j - lag0)
-                if 0 <= tt < T:
-                    re += kr[j] * ms[tt]
-                    im += ki[j] * ms[tt]
-            out[t].reshape(n, bank.num_scales)[:, k] = np.hypot(re, im)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -398,11 +368,11 @@ class SsmExtractor:
                  csl_levels=(0.25, 0.5, 0.75), gabor_bank: GaborBank | None = None,
                  transition: TransitionMatrix | None = None,
                  batch: int | None = None):
-        unknown = set(enabled) - set(FEATURE_ORDER)
+        unknown = set(enabled) - set(SSM_FEATURE_KINDS)
         if unknown:
             raise UsageError(f"unknown ssm features: {sorted(unknown)}")
         self.n_phases = n_phases
-        self.enabled = tuple(k for k in FEATURE_ORDER if k in enabled)
+        self.enabled = tuple(k for k in SSM_FEATURE_KINDS if k in enabled)
         self._lead = _lead(batch)
         self._parts = []
         if "csl" in self.enabled:

@@ -172,6 +172,29 @@ class TestTypedErrors:
         assert str(bad) in err
         assert "line 4: predicted_id 'x' is not an integer" in err
 
+    @pytest.mark.parametrize("manifest", [
+        "{bad", "{}", '{"videos": [{"id": "video_000"}]}',
+        '{"videos": [{"split": "train"}]}',
+    ])
+    def test_malformed_manifest_is_data_error(self, tmp_path, capsys, manifest):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "manifest.json").write_text(manifest)
+        assert main(["train", "--data", str(data), "--out", str(tmp_path / "c")]) == 3
+        assert str(data / "manifest.json") in capsys.readouterr().err
+
+    def test_bad_config_value_is_usage_error(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("hidden_dim = abc\n")
+        assert main(["train", "--data", str(workspace["data"]), "--config", str(cfg),
+                     "--out", str(tmp_path / "c")]) == 2
+        assert "hidden_dim" in capsys.readouterr().err
+
+    def test_unreadable_config_is_usage_error(self, workspace, tmp_path, capsys):
+        assert main(["train", "--data", str(workspace["data"]), "--config", str(tmp_path),
+                     "--out", str(tmp_path / "c")]) == 2
+        assert str(tmp_path) in capsys.readouterr().err
+
 
 class TestEval:
     def test_report_files(self, workspace):

@@ -7,13 +7,28 @@ from phaseflow.core import (
     DataValidationError,
     ExperimentConfig,
     FeatureSequence,
+    NumericError,
     PhaseTaxonomy,
     UsageError,
     softmax,
     substream,
-    validate_prob_vector,
     validate_sequence,
 )
+
+
+def validate_prob_vector(p, tol=1e-6):
+    """Check the simplex invariant: entries in [0, 1], summing to 1 within tol."""
+    p = np.asarray(p)
+    if p.ndim != 1:
+        raise DataValidationError(f"probability vector must be 1-D, got shape {p.shape}")
+    if not np.isfinite(p).all():
+        raise NumericError("probability vector contains non-finite entries")
+    if (p < -tol).any() or (p > 1 + tol).any():
+        raise DataValidationError("probability entries outside [0, 1]")
+    s = float(p.sum())
+    if abs(s - 1.0) > tol:
+        raise DataValidationError(f"probabilities sum to {s}, not 1")
+    return p
 
 
 def make_seq(features, labels=None, video_id="v0", fps=1.0):

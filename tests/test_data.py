@@ -263,6 +263,25 @@ class TestImportExternal:
         seq = import_external_features(path, {"video_id": "x", "fps": 1})
         assert seq.n_frames == 3
 
+    def test_fractional_fps_keeps_one_frame_per_second(self, tmp_path):
+        path = tmp_path / "feats.csv"
+        path.write_text("\n".join(f"{i},0" for i in range(5)))
+        seq = import_external_features(path, {"video_id": "x", "fps": 2.5})
+        # 5 frames at 2.5 fps span 2 s: frames floor(0 * 2.5) and floor(1 * 2.5)
+        np.testing.assert_array_equal(seq.features[:, 0], [0.0, 2.0])
+
+    def test_fps_below_one_rejected(self, tmp_path):
+        path = tmp_path / "feats.csv"
+        path.write_text("1,2\n3,4\n")
+        with pytest.raises(DataValidationError, match="fps"):
+            import_external_features(path, {"video_id": "x", "fps": 0.5})
+
+    def test_nonfinite_feature_rejected_without_taxonomy(self, tmp_path):
+        path = tmp_path / "feats.csv"
+        path.write_text("f0,f1\n1,2\nnan,4\n")
+        with pytest.raises(DataValidationError, match="non-finite feature at row 2"):
+            import_external_features(path, {"video_id": "x", "fps": 1})
+
     def test_ragged_row_names_row(self, tmp_path):
         path = tmp_path / "feats.csv"
         path.write_text("f0,f1\n1,2\n3\n")

@@ -9,15 +9,11 @@ from phaseflow.eval import (
     MetricsReport,
     Segment,
     aggregate_reports,
-    bucket_accuracy,
     bucket_counts,
     compute_report,
     extract_segments,
-    frame_metrics,
     match_transitions,
-    midpoint_accuracy,
     render_report,
-    transition_accuracy,
 )
 
 # ---------------------------------------------------------------------------
@@ -136,12 +132,12 @@ class TestExtractSegments:
 
 class TestFrameMetrics:
     def test_perfect_prediction(self):
-        m = frame_metrics([0, 1, 2], [0, 1, 2], 3)
+        m = compute_report([0, 1, 2], [0, 1, 2], 3).frame_stats()
         assert m["accuracy"] == 1.0
         assert m["f1"] == 1.0
 
     def test_hand_counted_case(self):
-        m = frame_metrics([0, 0, 1, 1], [0, 1, 1, 1], 2)
+        m = compute_report([0, 0, 1, 1], [0, 1, 1, 1], 2).frame_stats()
         assert m["accuracy"] == 0.75
         assert m["per_phase"][0]["precision"] == 1.0
         assert m["per_phase"][0]["recall"] == 0.5
@@ -149,31 +145,31 @@ class TestFrameMetrics:
         assert m["per_phase"][1]["recall"] == 1.0
 
     def test_absent_phase_excluded(self):
-        m = frame_metrics([0, 0], [0, 0], 3)
+        m = compute_report([0, 0], [0, 0], 3).frame_stats()
         assert set(m["per_phase"]) == {0}
 
     def test_length_mismatch(self):
         with pytest.raises(DataValidationError):
-            frame_metrics([0, 1], [0], 2)
+            compute_report([0, 1], [0], 2)
 
     def test_micro_identity_accuracy_is_confusion_trace(self):
         rng = np.random.default_rng(1)
         gt, pred = random_label_pair(rng)
-        m = frame_metrics(gt, pred, 5)
-        assert m["accuracy"] == np.trace(m["confusion"]) / len(gt)
+        rep = compute_report(gt, pred, 5)
+        assert rep.frame_stats()["accuracy"] == np.trace(rep.confusion) / len(gt)
 
 
 class TestBuckets:
     def test_only_long_bucket_populated(self):
         gt = np.zeros(100, dtype=int)
-        acc = bucket_accuracy(gt, gt)
+        acc = compute_report(gt, gt, 2).bucket_accuracy()
         assert acc[">60s"] == 1.0
         assert all(acc[name] is None for name in ("1-3s", "4-10s", "11-30s", "31-60s"))
 
     def test_hand_case_short_wrong_long_right(self):
         gt = np.array([0] * 2 + [1] * 100)
         pred = np.array([1] * 2 + [1] * 100)
-        acc = bucket_accuracy(gt, pred)
+        acc = compute_report(gt, pred, 2).bucket_accuracy()
         assert acc["1-3s"] == 0.0
         assert acc[">60s"] == 1.0
 
@@ -188,14 +184,14 @@ class TestTransitions:
     def test_perfect_prediction(self):
         rng = np.random.default_rng(3)
         gt, _ = random_label_pair(rng)
-        assert transition_accuracy(gt, gt) == 1.0
+        assert compute_report(gt, gt, 5).transition_accuracy == 1.0
 
     def test_shift_by_eleven_not_matched(self):
         gt = np.array([0] * 20 + [1] * 20)
         pred = np.array([0] * 31 + [1] * 9)
-        assert transition_accuracy(gt, pred) == 0.0
+        assert compute_report(gt, pred, 2).transition_accuracy == 0.0
         pred10 = np.array([0] * 30 + [1] * 10)
-        assert transition_accuracy(gt, pred10) == 1.0
+        assert compute_report(gt, pred10, 2).transition_accuracy == 1.0
 
     def test_one_prediction_between_two_gt_transitions_matches_nearest(self):
         gt = np.array([0] * 10 + [1] * 5 + [0] * 10 + [1] * 10 + [0] * 5)
@@ -207,24 +203,24 @@ class TestTransitions:
 
     def test_no_transitions_reported_absent(self):
         gt = np.zeros(30, dtype=int)
-        assert transition_accuracy(gt, gt) is None
+        assert compute_report(gt, gt, 2).transition_accuracy is None
 
 
 class TestMidpoint:
     def test_perfect(self):
         rng = np.random.default_rng(4)
         gt, _ = random_label_pair(rng)
-        assert midpoint_accuracy(gt, gt) == 1.0
+        assert compute_report(gt, gt, 5).midpoint_accuracy == 1.0
 
     def test_length_one_segment_is_its_own_midpoint(self):
         gt = np.array([0, 1, 0])
         pred = np.array([0, 0, 0])
-        assert midpoint_accuracy(gt, pred) == pytest.approx(2 / 3)
+        assert compute_report(gt, pred, 2).midpoint_accuracy == pytest.approx(2 / 3)
 
     def test_three_segments_middle_wrong(self):
         gt = np.array([0] * 5 + [1] * 5 + [2] * 5)
         pred = np.array([0] * 5 + [2] * 5 + [2] * 5)
-        assert midpoint_accuracy(gt, pred) == pytest.approx(2 / 3)
+        assert compute_report(gt, pred, 3).midpoint_accuracy == pytest.approx(2 / 3)
 
 
 class TestOracleSweep:
@@ -232,7 +228,8 @@ class TestOracleSweep:
         rng = np.random.default_rng(5)
         for _ in range(100):
             gt, pred = random_label_pair(rng)
-            m = frame_metrics(gt, pred, 5)
+            rep = compute_report(gt, pred, 5)
+            m = rep.frame_stats()
             assert m["accuracy"] == naive_accuracy(gt, pred)
             ref = naive_prf(gt, pred, 5)
             assert set(m["per_phase"]) == set(ref)
@@ -241,17 +238,17 @@ class TestOracleSweep:
                 assert m["per_phase"][p]["recall"] == rec
                 assert m["per_phase"][p]["f1"] == f1
                 assert m["per_phase"][p]["support"] == support
-            counts = bucket_counts(gt, pred)
+            present = [v for v in ref.values() if v[3] > 0]
+            for k, name in enumerate(("precision", "recall", "f1")):
+                assert m[name] == np.mean([v[k] for v in present])
             ref_b = naive_bucket(gt, pred)
             for k, (name, _, _) in enumerate(DURATION_BUCKETS):
-                assert counts[k, 0] == ref_b[name][0]
-                assert counts[k, 1] == ref_b[name][1]
-            tc = match_transitions(gt, pred)
-            matched, gt_total, pred_total = naive_transition_match(gt, pred)
-            assert (tc["matched"], tc["gt_total"], tc["pred_total"]) == \
-                (matched, gt_total, pred_total)
-            assert midpoint_accuracy(gt, pred) == \
-                naive_midpoint(gt, pred)[0] / naive_midpoint(gt, pred)[1]
+                assert rep.bucket[k, 0] == ref_b[name][0]
+                assert rep.bucket[k, 1] == ref_b[name][1]
+            assert (rep.transitions_matched, rep.transitions_gt_total,
+                    rep.transitions_pred_total) == naive_transition_match(gt, pred)
+            assert (rep.midpoint_correct, rep.midpoint_total) == \
+                naive_midpoint(gt, pred)
 
 
 class TestAggregation:

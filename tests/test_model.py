@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from phaseflow import nn
 from phaseflow.core import (
     DataValidationError,
     ExperimentConfig,
@@ -19,7 +20,6 @@ from phaseflow.model import (
     infer_video_acausal,
     init_model,
     load_model,
-    plain_lstm_infer,
     save_model,
 )
 from phaseflow.ssm import TransitionMatrix
@@ -33,6 +33,18 @@ def small_config(**kw):
                 gabor_scale_max=5.0, rng_seed=1, epochs=1)
     base.update(kw)
     return ExperimentConfig(**base)
+
+
+def plain_lstm_infer(params, features):
+    """Plain-LSTM baseline: embeddings straight into the LSTM, no statistic
+    side channel. The ssm-disabled PhaseModel must match this bit-for-bit."""
+    h, c = nn.zero_state(nn.hidden_dim_of(params))
+    probs = []
+    for v in features:
+        h, c = nn.lstm_step(params, h, c, v)
+        probs.append(softmax(nn.head_forward(params, h)))
+    probs = np.stack(probs)
+    return probs, np.argmax(probs, axis=1)
 
 
 def random_seq(rng, t, d, n, video_id="v0"):

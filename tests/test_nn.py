@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import finite_difference_grads, window_pass
 from phaseflow import nn
 from phaseflow.core import DataValidationError, NumericError, softmax
 
@@ -130,25 +131,31 @@ class TestHead:
         np.testing.assert_allclose(nn.head_forward(params, h), expected, rtol=1e-12)
 
 
+def cross_entropy(m, y):
+    """The window loss of a one-frame window without the proximal term."""
+    loss, _ = nn.window_loss_and_dlogits(np.asarray(m)[None], [y])
+    return loss
+
+
 class TestCrossEntropy:
     def test_perfect_prediction_zero_loss(self):
-        assert nn.cross_entropy_loss(np.array([0.0, 1.0]), 1) == 0.0
+        assert cross_entropy(np.array([0.0, 1.0]), 1) == 0.0
 
     def test_uniform_is_log_n(self):
         m = np.full(4, 0.25)
-        assert nn.cross_entropy_loss(m, 2) == pytest.approx(np.log(4), rel=1e-12)
+        assert cross_entropy(m, 2) == pytest.approx(np.log(4), rel=1e-12)
 
     def test_direct_formula(self):
         m = np.array([0.7, 0.3])
-        assert nn.cross_entropy_loss(m, 1) == pytest.approx(np.log(1 / 0.3), rel=1e-12)
+        assert cross_entropy(m, 1) == pytest.approx(np.log(1 / 0.3), rel=1e-12)
 
     def test_floor_clamps(self):
         m = np.array([1.0, 0.0])
-        assert nn.cross_entropy_loss(m, 1) == pytest.approx(-np.log(1e-12))
+        assert cross_entropy(m, 1) == pytest.approx(-np.log(1e-12))
 
     def test_label_out_of_range(self):
         with pytest.raises(DataValidationError):
-            nn.cross_entropy_loss(np.array([0.5, 0.5]), 2)
+            cross_entropy(np.array([0.5, 0.5]), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +166,7 @@ def window_loss_fn(xs, ys, prox, lam):
     def fn(params):
         H = params["lstm_wh"].shape[0]
         h, c = nn.zero_state(H, np.float64)
-        ms, _, _, _ = nn.forward_window(params, h, c, xs)
-        loss, _ = nn.window_loss_and_dlogits(ms, ys, prox, lam)
+        loss, _ = window_pass(params, h, c, xs, ys, prox, lam)
         return loss
     return fn
 
@@ -172,11 +178,9 @@ def run_gradient_check(H, D, N, T, seed, lam=0.0):
     ys = rng.integers(0, N, T)
     prox = softmax(rng.standard_normal((T, N))) if lam > 0 else None
     h, c = nn.zero_state(H, np.float64)
-    ms, _, _, tape = nn.forward_window(params, h, c, xs)
-    _, dlogits = nn.window_loss_and_dlogits(ms, ys, prox, lam)
-    analytic = nn.window_backward(params, tape, dlogits)
-    fd = nn.finite_difference_grads(window_loss_fn(xs, ys, prox, lam), params,
-                                    step=1e-5)
+    _, analytic = window_pass(params, h, c, xs, ys, prox, lam)
+    fd = finite_difference_grads(window_loss_fn(xs, ys, prox, lam), params,
+                                 step=1e-5)
     worst = max(rel_error(analytic[k], fd[k]) for k in params)
     return worst
 
@@ -202,7 +206,7 @@ class TestAdam:
         params = make_params(2, 2, 2, dtype=np.float32)
         before = {k: v.copy() for k, v in params.items()}
         opt = nn.Adam(params, lr=0.1)
-        opt.step(params, nn.zero_grads(params))
+        opt.step(params, {k: np.zeros_like(v) for k, v in params.items()})
         for k in params:
             np.testing.assert_array_equal(params[k], before[k])
 
@@ -233,7 +237,7 @@ class TestAdam:
     def test_nonfinite_gradient_names_block(self):
         params = make_params(2, 2, 2, dtype=np.float32)
         opt = nn.Adam(params, lr=0.01)
-        grads = nn.zero_grads(params)
+        grads = {k: np.zeros_like(v) for k, v in params.items()}
         grads["lstm_wh"][0, 0] = np.nan
         with pytest.raises(NumericError, match="lstm_wh"):
             opt.step(params, grads)
@@ -248,14 +252,15 @@ class TestTrainingDynamics:
         return xs, ys
 
     def _batch_loss_and_grads(self, params, xs, ys):
-        total = nn.zero_grads(params)
+        total = {k: np.zeros_like(v) for k, v in params.items()}
         loss_sum = 0.0
         H = params["lstm_wh"].shape[0]
         for x, y in zip(xs, ys):
             h, c = nn.zero_state(H, np.float64)
-            loss, grads, _, _, _ = nn.window_grads(params, h, c, [x], [y])
+            loss, grads = window_pass(params, h, c, [x], [y])
             loss_sum += loss
-            nn.accumulate_grads(total, grads)
+            for k in total:
+                total[k] += grads[k]
         for k in total:
             total[k] /= len(xs)
         return loss_sum / len(xs), total
@@ -282,7 +287,7 @@ class TestTrainingDynamics:
                 h, c = nn.zero_state(4)
                 xs = [data_rng.standard_normal(3).astype(np.float32) for _ in range(4)]
                 ys = data_rng.integers(0, 2, 4)
-                _, grads, _, _, _ = nn.window_grads(params, h, c, xs, ys)
+                _, grads = window_pass(params, h, c, xs, ys)
                 opt.step(params, grads)
             return params
         p1, p2 = run(), run()

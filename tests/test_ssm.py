@@ -14,7 +14,6 @@ from phaseflow.ssm import (
     acausal_feature_stream,
     estimate_transition_matrix,
     feature_stream,
-    gabor_batch_response,
     gabor_kernel,
     hmm_forward_marginals,
     ssm_dim,
@@ -48,6 +47,28 @@ def hmm_path_sum(a, ms):
     total = np.zeros(n)
     np.add.at(total, paths[:, T], w)
     return total / total.sum()
+
+
+def gabor_batch_response(bank, ms):
+    """Direct causal convolution of the full stream with each scale's kernel:
+    response[t] is anchored at frame t with zero-padded history. Returns
+    (T, N * num_scales), ordered like GaborAccumulator.feature()."""
+    ms = np.asarray(ms, dtype=np.float64)
+    T, n = ms.shape
+    out = np.zeros((T, n * bank.num_scales))
+    for k, sigma in enumerate(bank.scales):
+        kr, ki = gabor_kernel(sigma)
+        L = kr.shape[0]
+        for t in range(T):
+            re = np.zeros(n)
+            im = np.zeros(n)
+            for j in range(L):
+                tt = t + j - (L - 1)
+                if tt >= 0:
+                    re += kr[j] * ms[tt]
+                    im += ki[j] * ms[tt]
+            out[t].reshape(n, bank.num_scales)[:, k] = np.hypot(re, im)
+    return out
 
 
 def random_prob_streams(rng, n_streams, t_max, n_max):
@@ -107,11 +128,16 @@ class TestCsl:
 
 class TestGaborBank:
     def test_kernel_l1_norm_is_one(self):
-        for causal in (True, False):
-            bank = GaborBank.build(10, 10.0, 30.0, causal=causal)
-            for k in range(bank.num_scales):
-                re, im = bank.kernel(k)
-                assert np.hypot(re, im).sum() == pytest.approx(1.0, abs=1e-9)
+        bank = GaborBank.build(10, 10.0, 30.0)
+        for k, sigma in enumerate(bank.scales):
+            re, im = gabor_kernel(sigma)
+            assert np.hypot(re, im).sum() == pytest.approx(1.0, abs=1e-9)
+            # the bank holds each kernel right-aligned on lag 0, zero-padded
+            pad = bank.width - re.shape[0]
+            np.testing.assert_array_equal(bank.kernels_real[k, pad:], re)
+            np.testing.assert_array_equal(bank.kernels_imag[k, pad:], im)
+            assert not bank.kernels_real[k, :pad].any()
+            assert not bank.kernels_imag[k, :pad].any()
 
     def test_ten_scales_linear_between_10_and_30(self):
         bank = GaborBank.build()
@@ -121,11 +147,9 @@ class TestGaborBank:
         np.testing.assert_allclose(np.diff(bank.scales), 20.0 / 9, rtol=1e-12)
 
     def test_causal_kernel_has_no_future_weight(self):
-        re, im = gabor_kernel(10.0, causal=True)
+        re, im = gabor_kernel(10.0)
         # support is [-30, 0]: 31 taps ending at lag 0
         assert re.shape[0] == 31
-        sym_re, _ = gabor_kernel(10.0, causal=False)
-        assert sym_re.shape[0] == 61
 
     def test_delta_response_traces_kernel_magnitude(self):
         bank = GaborBank.build(2, 4.0, 6.0)
@@ -136,7 +160,7 @@ class TestGaborBank:
         for j in range(10):
             feat = acc.feature().reshape(3, 2)
             for k in range(2):
-                re, im = bank.kernel(k)
+                re, im = gabor_kernel(bank.scales[k])
                 L = re.shape[0]
                 expected = np.hypot(re[L - 1 - j], im[L - 1 - j]) if j < L else 0.0
                 assert feat[1, k] == pytest.approx(expected, abs=1e-12)
@@ -151,7 +175,7 @@ class TestGaborBank:
             acc.update(np.array([c, c]))
         feat = acc.feature().reshape(2, 3)
         for k in range(3):
-            re, im = bank.kernel(k)
+            re, im = gabor_kernel(bank.scales[k])
             expected = c * np.hypot(re.sum(), im.sum())
             assert feat[0, k] == pytest.approx(expected, rel=1e-9)
 

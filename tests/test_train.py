@@ -4,6 +4,7 @@ import logging
 import numpy as np
 import pytest
 
+from oracles import finite_difference_grads, window_pass
 from phaseflow import nn, train as train_mod
 from phaseflow.core import (
     MODEL_DTYPE,
@@ -183,12 +184,11 @@ class TestDetachment:
         analytic = nn.window_backward(params64, rec.tape, dlogits)
 
         def frozen_loss(params):
-            ms, _, _, _ = nn.forward_window(
-                params, *nn.zero_state(3, np.float64), xs)
-            loss, _ = nn.window_loss_and_dlogits(ms, seq.labels[:8])
+            loss, _ = window_pass(params, *nn.zero_state(3, np.float64), xs,
+                                  seq.labels[:8])
             return loss
 
-        fd = nn.finite_difference_grads(frozen_loss, params64, step=1e-5)
+        fd = finite_difference_grads(frozen_loss, params64, step=1e-5)
         for k in params64:
             num = np.linalg.norm((analytic[k] - fd[k]).ravel())
             den = max(np.linalg.norm(analytic[k].ravel()),
@@ -322,7 +322,7 @@ def per_video_step_grads(run, train_seqs):
                 for vid in by_id}
     steps = []
     for batch in batches:
-        total = nn.zero_grads(model.params)
+        total = {k: np.zeros_like(v) for k, v in model.params.items()}
         for vid, start, stop in batch:
             seq = by_id[vid]
             for idx, sess in enumerate(sessions[vid]):
@@ -339,7 +339,8 @@ def per_video_step_grads(run, train_seqs):
                     rec.ms, seq.labels[start:stop],
                     None if prox is None else prox[start:stop],
                     cfg.proximal_weight if final else 0.0)
-                nn.accumulate_grads(total, nn.window_backward(model.params, rec.tape, dl))
+                for k, g in nn.window_backward(model.params, rec.tape, dl).items():
+                    total[k] += g
                 sess[0], sess[1] = rec.h, rec.c
         for k in total:
             total[k] /= len(batch)
