@@ -428,7 +428,7 @@ def import_external_features(csv_path, meta: dict) -> FeatureSequence:
     = features plus an optional 'label' column), downsampled to 1 fps by
     keeping frame floor(k * fps) for each whole second k. `meta` needs
     video_id and fps >= 1; a taxonomy dict enables label validation.
-    Non-finite features are rejected."""
+    Non-finite features and non-integer labels are rejected."""
     fps = float(meta["fps"])
     if not 1.0 <= fps < np.inf:
         raise DataValidationError(f"{csv_path}: fps must be finite and >= 1, got {fps}")
@@ -458,8 +458,11 @@ def import_external_features(csv_path, meta: dict) -> FeatureSequence:
             raise DataValidationError(
                 f"{csv_path}: non-numeric cell at row {r}, column {bad}") from None
         if label_col is not None:
-            labels.append(int(values[label_col]))
-            del values[label_col]
+            label = values.pop(label_col)
+            if not label.is_integer():
+                raise DataValidationError(
+                    f"{csv_path}: label {row[label_col]!r} at row {r} is not an integer")
+            labels.append(int(label))
         feats.append(values)
     feats = np.asarray(feats, dtype=np.float32)
     bad = ~np.isfinite(feats)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,7 +33,9 @@ TRANSITION_FILENAME = "transition.csv"
 @dataclass
 class PhaseModel:
     """Parameter bundle: config, taxonomy, LSTM/head weights and the
-    transition matrix (estimated from training labels when hmm is enabled)."""
+    transition matrix (estimated from training labels when hmm is enabled),
+    plus the one definition of the LSTM input [v | s | a] (`blocks`,
+    `acausal_rows`) that streaming and training both write through."""
 
     config: ExperimentConfig
     taxonomy: PhaseTaxonomy
@@ -43,15 +46,26 @@ class PhaseModel:
     def n_phases(self) -> int:
         return self.taxonomy.n_phases
 
-    @property
-    def base_ssm_dim(self) -> int:
-        return ssm.ssm_dim(self.n_phases, self.config.enabled_ssm_features,
-                           len(self.config.csl_levels), self.config.gabor_num_scales)
+    @cached_property
+    def blocks(self) -> tuple[slice, slice, slice]:
+        """Column slices of the visual embedding v, the causal statistic s
+        and the acausal statistic a (empty in causal configs). The statistic
+        width is the extractor's `dim`, cached here because the training
+        engine reads the layout every window."""
+        E = self.config.embed_dim
+        S = self.new_extractor().dim
+        end = E + S * (2 if self.config.acausal else 1)
+        return slice(0, E), slice(E, E + S), slice(E + S, end)
 
     @property
     def input_dim(self) -> int:
-        extra = self.base_ssm_dim * (2 if self.config.acausal else 1)
-        return self.config.embed_dim + extra
+        return self.blocks[2].stop
+
+    def acausal_rows(self, pass1_probs: np.ndarray) -> np.ndarray:
+        """The a block of every frame of a video: the acausal statistic
+        stream of its pass-1 likelihoods, in the model dtype."""
+        return ssm.acausal_feature_stream(
+            self.new_extractor(), pass1_probs).astype(MODEL_DTYPE)
 
     def new_extractor(self, batch: int | None = None) -> ssm.SsmExtractor:
         """Aggregators of this model's statistic stream; `batch=B` runs B
@@ -81,11 +95,12 @@ def init_model(config: ExperimentConfig, taxonomy: PhaseTaxonomy,
 
 class InferenceSession:
     """Single-video streaming state: LSTM state (zeroed), SSM aggregators
-    (zero history), and the likelihood stream emitted so far.
+    (zero history), the input row [v | s | a] and the likelihood stream
+    emitted so far; frame t is the next one, t = len(probs).
 
-    In acausal configs the input layout is [v | s_causal | s_acausal]; a
-    session created without `acausal_features` feeds zeros there (the role of
-    pass 1 of the offline two-pass scheme).
+    In acausal configs row t of `acausal_features` fills the a block; a
+    session created without them keeps it zero (the role of pass 1 of the
+    offline two-pass scheme).
     """
 
     def __init__(self, model: PhaseModel,
@@ -95,35 +110,30 @@ class InferenceSession:
         self.model = model
         self.h, self.c = nn.zero_state(model.config.hidden_dim)
         self.extractor = model.new_extractor()
+        self._blocks = model.blocks
+        width = self._blocks[2].stop - self._blocks[2].start
+        if acausal_features is not None and acausal_features.shape[1:] != (width,):
+            raise DataValidationError(f"acausal features must be (T, {width}), "
+                                      f"got {acausal_features.shape}")
         self.acausal_features = acausal_features
-        self._zero_acausal = (np.zeros(model.base_ssm_dim, MODEL_DTYPE)
-                              if model.config.acausal else None)
-        self.t = 0
+        self._x = np.zeros(model.input_dim, MODEL_DTYPE)
         self.probs: list[np.ndarray] = []
-
-    def build_input(self, v: np.ndarray) -> np.ndarray:
-        s = self.extractor.feature().astype(MODEL_DTYPE)
-        if self._zero_acausal is None:
-            return np.concatenate([v, s])
-        if self.acausal_features is None:
-            a = self._zero_acausal
-        else:
-            a = self.acausal_features[self.t]
-        return np.concatenate([v, s, a])
 
     def step(self, v: np.ndarray) -> np.ndarray:
         """Advance one frame: returns the phase likelihood vector m_t."""
         if v.shape != (self.model.config.embed_dim,):
             raise DataValidationError(
-                f"embedding dimension mismatch at frame {self.t}: got {v.shape}, "
-                f"expected ({self.model.config.embed_dim},)")
-        x = self.build_input(v)
+                f"embedding dimension mismatch at frame {len(self.probs)}: "
+                f"got {v.shape}, expected ({self.model.config.embed_dim},)")
+        x, (vb, sb, ab) = self._x, self._blocks
+        x[vb] = v
+        x[sb] = self.extractor.feature()
+        if self.acausal_features is not None:
+            x[ab] = self.acausal_features[len(self.probs)]
         self.h, self.c = nn.lstm_step(self.model.params, self.h, self.c, x)
         m = softmax(nn.head_forward(self.model.params, self.h))
         self.extractor.update(m)
         self.probs.append(m)
-        self.t += 1
-        assert self.t == len(self.probs)
         return m
 
 
@@ -151,8 +161,7 @@ def infer_video_acausal(model: PhaseModel, seq: FeatureSequence) -> InferenceRes
     if not model.config.acausal:
         raise UsageError("model config is causal; acausal inference unavailable")
     pass1 = infer_video(model, seq)
-    acausal = ssm.acausal_feature_stream(model.new_extractor(), pass1.probs)
-    session = InferenceSession(model, acausal_features=acausal.astype(MODEL_DTYPE))
+    session = InferenceSession(model, acausal_features=model.acausal_rows(pass1.probs))
     for v in seq.features:
         session.step(v)
     probs = np.stack(session.probs)
@@ -217,8 +226,12 @@ def save_model(model: PhaseModel, ckpt_path) -> None:
 
 def load_model(ckpt_path) -> PhaseModel:
     params, extra = nn.load_checkpoint(ckpt_path)
-    config = ExperimentConfig.from_dict(extra["config"])
-    taxonomy = PhaseTaxonomy.from_dict(extra["taxonomy"])
+    try:
+        config = ExperimentConfig.from_dict(extra["config"])
+        taxonomy = PhaseTaxonomy.from_dict(extra["taxonomy"])
+    except (KeyError, TypeError, UsageError) as e:
+        raise DataValidationError(
+            f"bad checkpoint header in {ckpt_path}: {type(e).__name__}: {e}") from None
     transition = None
     if extra.get("has_transition"):
         tpath = os.path.join(os.path.dirname(os.path.abspath(ckpt_path)), TRANSITION_FILENAME)
@@ -230,8 +243,10 @@ def load_model(ckpt_path) -> PhaseModel:
     missing = set(nn.PARAM_BLOCKS) - set(params)
     if missing:
         raise DataValidationError(f"checkpoint missing parameter blocks: {sorted(missing)}")
-    if params["lstm_wx"].shape[0] != model.input_dim:
-        raise DataValidationError(
-            f"checkpoint input dim {params['lstm_wx'].shape[0]} does not match "
-            f"config-derived dim {model.input_dim}")
+    H, N = config.hidden_dim, taxonomy.n_phases
+    for name, shape in (("lstm_wx", (model.input_dim, 4 * H)), ("lstm_wh", (H, 4 * H)),
+                        ("lstm_b", (4 * H,)), ("head_w", (H, N)), ("head_b", (N,))):
+        if params[name].shape != shape:
+            raise DataValidationError(f"checkpoint {ckpt_path}: block {name} has shape "
+                                      f"{params[name].shape}, config implies {shape}")
     return model

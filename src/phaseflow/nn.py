@@ -130,11 +130,12 @@ class WindowTape:
 class WindowRecorder:
     """Taped forward pass over one window, one frame at a time.
 
-    Runs the cell of lstm_step, then the head and softmax of head_forward, so
-    a loss-free training forward of one stream is bit-equal to streaming
-    inference. Inputs may be produced incrementally (the SSM statistic for
-    frame t depends on the recorded m of earlier frames). With (B, H) states
-    and (B, D) inputs it tapes B streams in lockstep.
+    Each step runs `_cell` (the cell of lstm_step), then head_forward and
+    softmax: the calls streaming inference makes, so a loss-free training
+    forward of one stream is bit-equal to it. Inputs may be produced
+    incrementally (the SSM statistic for frame t depends on the recorded m of
+    earlier frames). With (B, H) states and (B, D) inputs it tapes B streams
+    in lockstep.
     """
 
     def __init__(self, params: dict, h: np.ndarray, c: np.ndarray):
@@ -147,7 +148,7 @@ class WindowRecorder:
         params = self.params
         h, c = self.h, self.c
         gates, c_new, tanh_c, h_new = _cell(params, h, c, x)
-        m = softmax(h_new @ params["head_w"] + params["head_b"])
+        m = softmax(head_forward(params, h_new))
         t = self.tape
         t.xs.append(x)
         t.h_prevs.append(h)
@@ -332,7 +333,10 @@ def load_checkpoint(path) -> tuple[dict, dict]:
         raise DataValidationError(f"unsupported checkpoint version {version}")
     chunk, off = take(4, off)
     chunk, off = take(struct.unpack("<I", chunk)[0], off)
-    extra = json.loads(chunk.decode("utf-8"))
+    try:
+        extra = json.loads(chunk.decode("utf-8"))
+    except ValueError as e:
+        raise DataValidationError(f"bad checkpoint header in {path}: {e}") from None
     chunk, off = take(4, off)
     n_blocks = struct.unpack("<I", chunk)[0]
     params = {}

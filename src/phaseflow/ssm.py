@@ -19,8 +19,8 @@ returns (B, dim). `take(rows)` copies some rows out into a new aggregator and
 `put(rows, part)` writes them back. `batch=None` is the single stream without
 that axis.
 
-Aggregator internals are float64; the model casts to float32 at the input
-concat.
+Aggregator internals are float64; the model casts to float32 when it writes
+the statistic into its input row.
 """
 
 from __future__ import annotations
@@ -64,9 +64,6 @@ class CslAccumulator:
     @property
     def dim(self) -> int:
         return self.n_phases * (len(self.levels) + 1)
-
-    def reset(self) -> None:
-        self.counts[...] = 0.0
 
     def update(self, m: np.ndarray) -> None:
         m = np.asarray(m)
@@ -166,10 +163,6 @@ class GaborAccumulator:
         over (stream, phase)."""
         return self.buf[self.pos:self.pos + self.bank.width]
 
-    def reset(self) -> None:
-        self.buf[:] = 0.0
-        self.pos = 0
-
     def update(self, m: np.ndarray) -> None:
         w = self.bank.width
         p = self.pos + 1
@@ -208,18 +201,16 @@ class GaborAccumulator:
 
 @dataclass(frozen=True)
 class TransitionMatrix:
-    """Row-stochastic phase transition matrix with estimation metadata."""
+    """Row-stochastic phase transition matrix."""
 
     a: np.ndarray
-    n_sequences: int = 0
-    smoothing: float = 0.0
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=np.float64)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DataValidationError(f"transition matrix must be square, got {a.shape}")
-        if (a <= 0).any():
-            raise DataValidationError("transition matrix entries must be positive")
+        if not (np.isfinite(a) & (a > 0)).all():
+            raise DataValidationError("transition matrix entries must be finite and positive")
         a = a / a.sum(axis=1, keepdims=True)
         a.setflags(write=False)
         object.__setattr__(self, "a", a)
@@ -243,16 +234,17 @@ class TransitionMatrix:
 
     @classmethod
     def load_csv(cls, path) -> "TransitionMatrix":
-        with open(path, newline="") as fh:
-            rows = list(_csv.reader(fh))
-        if not rows:
-            raise DataValidationError(f"empty transition matrix file: {path}")
-        n = len(rows[0])
-        if len(rows) != n + 1:
-            raise DataValidationError(
-                f"transition matrix file {path}: expected {n} rows, got {len(rows) - 1}")
-        a = np.array([[float(v) for v in row] for row in rows[1:]])
-        return cls(a)
+        """Read a file written by save_csv; malformed content raises
+        DataValidationError naming the file."""
+        try:
+            with open(path, newline="") as fh:
+                rows = list(_csv.reader(fh))
+            if not rows or any(len(row) != len(rows) - 1 for row in rows):
+                raise ValueError("expected a header of N phase names and N rows "
+                                 "of N cells")
+            return cls(np.array([[float(v) for v in row] for row in rows[1:]]))
+        except (ValueError, DataValidationError) as e:
+            raise DataValidationError(f"transition matrix file {path}: {e}") from None
 
 
 def estimate_transition_matrix(label_sequences, n_phases: int,
@@ -274,37 +266,33 @@ def estimate_transition_matrix(label_sequences, n_phases: int,
             raise DataValidationError("label out of range in transition estimation")
         np.add.at(counts, (seq[:-1], seq[1:]), 1)
     a = counts.astype(np.float64) + smoothing
-    return TransitionMatrix(a, n_sequences=len(label_sequences), smoothing=smoothing)
+    return TransitionMatrix(a)
 
 
 class HmmFilterState:
-    """Streaming forward filter: belief' ~ (A^T belief) * m, renormalized.
+    """Streaming forward filter: belief' ~ (A^T prior) * m, renormalized.
 
-    Belief starts uniform; the emitted feature is the zero vector before the
-    first update. On normalization underflow the belief resets to uniform and
-    a diagnostic counter increments (one count per stream and frame).
+    `prior` is the state distribution the next update carries through A: the
+    uniform initial state before the first frame, then the last belief.
+    `belief`, the feature, is the filtered posterior of the last frame and
+    the zero vector before the first update. On normalization underflow the
+    belief resets to uniform and a diagnostic counter increments (one count
+    per stream and frame).
     """
 
     def __init__(self, transition: TransitionMatrix, batch: int | None = None):
         self.transition = transition
         n = transition.n_phases
-        self.belief = np.full(_lead(batch) + (n,), 1.0 / n)
-        self.seen = np.zeros(_lead(batch) + (1,))   # 1.0 once updated
-        self._all_seen = False                       # False: check `seen`
+        self.prior = np.full(_lead(batch) + (n,), 1.0 / n)
+        self.belief = np.zeros_like(self.prior)
         self.underflow_count = 0
 
     @property
     def dim(self) -> int:
         return self.transition.n_phases
 
-    def reset(self) -> None:
-        self.belief[...] = 1.0 / self.transition.n_phases
-        self.seen[...] = 0.0
-        self._all_seen = False
-        self.underflow_count = 0
-
     def update(self, m: np.ndarray) -> None:
-        post = (self.belief @ self.transition.a) * m
+        post = (self.prior @ self.transition.a) * m
         s = post.sum(axis=-1, keepdims=True)
         if s.size == 1:     # one stream: a Python float test is cheapest
             ok = 0.0 < s.item() < np.inf
@@ -317,28 +305,22 @@ class HmmFilterState:
             self.underflow_count += int((~ok).sum())
             with np.errstate(divide="ignore", invalid="ignore"):
                 self.belief = np.where(ok, post / s, 1.0 / self.dim)
-        if not self._all_seen:
-            self.seen[...] = 1.0
-            self._all_seen = True
+        self.prior = self.belief
 
     def feature(self) -> np.ndarray:
-        if self._all_seen:
-            return self.belief.copy()
-        return self.belief * self.seen
+        return self.belief.copy()
 
     def take(self, rows) -> "HmmFilterState":
         part = copy.copy(self)
+        part.prior = self.prior[rows]
         part.belief = self.belief[rows]
-        part.seen = self.seen[rows]
-        part._all_seen = False
         return part
 
     def put(self, rows, part: "HmmFilterState") -> None:
         # the counter travels with the part: take() copied the total in,
         # so the part's count is the new total
+        self.prior[rows] = part.prior
         self.belief[rows] = part.belief
-        self.seen[rows] = part.seen
-        self._all_seen = False
         self.underflow_count = part.underflow_count
 
 
@@ -396,10 +378,6 @@ class SsmExtractor:
         return sum(p.underflow_count for p in self._parts
                    if isinstance(p, HmmFilterState))
 
-    def reset(self) -> None:
-        for p in self._parts:
-            p.reset()
-
     def update(self, m: np.ndarray) -> None:
         for p in self._parts:
             p.update(m)
@@ -426,22 +404,10 @@ class SsmExtractor:
             mine.put(rows, theirs)
 
 
-def ssm_dim(n_phases: int, enabled, n_levels: int = 3, num_scales: int = 10) -> int:
-    """Concatenated feature dimension for one (causal) statistic stream."""
-    dim = 0
-    if "csl" in enabled:
-        dim += n_phases * (n_levels + 1)
-    if "gabor" in enabled:
-        dim += n_phases * num_scales
-    if "hmm" in enabled:
-        dim += n_phases
-    return dim
-
-
 def feature_stream(extractor: SsmExtractor, ms) -> np.ndarray:
     """Causal statistic stream: row t is the feature available when frame t is
-    processed, i.e. aggregated over m[0..t-1]; row 0 is zeros."""
-    extractor.reset()
+    processed, i.e. aggregated over m[0..t-1]. `extractor` must be fresh (no
+    updates yet), so row 0 is zeros; it holds the whole stream afterwards."""
     rows = []
     for m in ms:
         rows.append(extractor.feature())

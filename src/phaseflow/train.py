@@ -27,8 +27,11 @@ gradient) and feed the uniform vector to the statistics, whose state for
 that video is never read again.
 
 Rows are summed in a different order than one video at a time, so the
-engine matches per-video inference to float rounding; only at B=1
-(`training_forward_probs`) is it bit-equal to streaming inference.
+engine matches per-video inference to float rounding. At B=1
+(`training_forward_probs`) it is bit-equal to streaming inference by
+construction: it writes each input through the same `PhaseModel.blocks`
+and `acausal_rows` and runs the same calls (`nn._cell`, `nn.head_forward`,
+`softmax`, the aggregators' `feature`/`update`) on the same values.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ import numpy as np
 from . import nn, ssm
 from .core import (
     MODEL_DTYPE,
+    DataValidationError,
     ExperimentConfig,
     FeatureSequence,
     NumericError,
@@ -93,7 +97,7 @@ class TrainRun:
     curve: list[EpochLog] = field(default_factory=list)
     last_epoch_loss: float = float("nan")
     grad_norms: list[float] = field(default_factory=list)   # last epoch's
-    hmm_underflows: int = 0                                  # since last reset
+    hmm_underflows: int = 0                                  # this epoch's
 
 
 @dataclass
@@ -139,13 +143,12 @@ def _inputs(model: PhaseModel, windows, width: int) -> np.ndarray:
 
     `windows` holds (seq, start, stop, acausal_rows or None) per row; None
     feeds zeros to the acausal channels (pass 1)."""
-    E = model.config.embed_dim
-    a0 = E + model.base_ssm_dim
+    vb, _, ab = model.blocks
     xs = np.zeros((width, len(windows), model.input_dim), MODEL_DTYPE)
     for j, (seq, start, stop, acausal) in enumerate(windows):
-        xs[:stop - start, j, :E] = seq.features[start:stop]
+        xs[:stop - start, j, vb] = seq.features[start:stop]
         if acausal is not None:
-            xs[:stop - start, j, a0:] = acausal[start:stop]
+            xs[:stop - start, j, ab] = acausal[start:stop]
     return xs
 
 
@@ -155,16 +158,16 @@ def _run_window(model: PhaseModel, h, c, extractor: ssm.SsmExtractor,
     row per stream): each frame's statistic comes from the live extractor
     (detached), and each output updates it. Rows past their window's length
     feed the uniform vector, which cannot underflow the HMM filter."""
-    E = model.config.embed_dim
-    S = model.base_ssm_dim
+    sb = model.blocks[1]
+    has_stats = sb.stop > sb.start
     uniform = np.float32(1.0 / model.n_phases)
     ended_from = int(lengths.min())
     rec = nn.WindowRecorder(model.params, h, c)
     for k, x in enumerate(xs):
-        if S:
-            x[:, E:E + S] = extractor.feature()
+        if has_stats:
+            x[:, sb] = extractor.feature()
         m = rec.step(x)
-        if S:
+        if has_stats:
             if k >= ended_from:
                 m = np.where((lengths <= k)[:, None], uniform, m)
             extractor.update(m)
@@ -296,8 +299,7 @@ def _offline_probs(model: PhaseModel, seqs: list[FeatureSequence]):
     probs, underflows = _lockstep_probs(model, seqs)
     if not model.config.acausal:
         return probs, None, underflows
-    rows = [ssm.acausal_feature_stream(model.new_extractor(), p).astype(MODEL_DTYPE)
-            for p in probs]
+    rows = [model.acausal_rows(p) for p in probs]
     probs, more = _lockstep_probs(model, seqs, rows)
     return probs, rows, underflows + more
 
@@ -344,6 +346,10 @@ def fit(config: ExperimentConfig, taxonomy: PhaseTaxonomy,
     for s in list(train_seqs) + list(val_seqs):
         if s.labels is None:
             raise UsageError(f"video {s.video_id} has no labels")
+        if s.features.shape[-1] != config.embed_dim:
+            raise DataValidationError(
+                f"video {s.video_id} has {s.features.shape[-1]}-d embeddings, "
+                f"but config embed_dim is {config.embed_dim}")
 
     if len(train_seqs) < config.batch_size:
         log.warning("only %d video(s) for batch size %d; effective batch is smaller",

@@ -1,10 +1,12 @@
 import json
 import os
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from phaseflow import nn
 from phaseflow.cli import main, parse_config_text
 from phaseflow.core import PhaseTaxonomy, UsageError
 from phaseflow.data import WorkflowGrammar
@@ -63,6 +65,12 @@ def workspace(tmp_path_factory):
                  "--out", str(report)]) == 0
     return {"root": root, "grammar": grammar_path, "config": config_path,
             "data": data, "ckpt": ckpt, "pred": pred, "report": report}
+
+
+def with_header(ckpt: bytes, header: bytes) -> bytes:
+    """The PHCK checkpoint `ckpt` with its JSON header replaced by `header`."""
+    n = struct.unpack("<I", ckpt[8:12])[0]
+    return ckpt[:8] + struct.pack("<I", len(header)) + header + ckpt[12 + n:]
 
 
 def tree_bytes(path: Path, skip_names=()):
@@ -182,6 +190,48 @@ class TestTypedErrors:
         (data / "manifest.json").write_text(manifest)
         assert main(["train", "--data", str(data), "--out", str(tmp_path / "c")]) == 3
         assert str(data / "manifest.json") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("broken", [
+        "header {bad", "header {}", "transition non-numeric", "transition ragged",
+        "block head_w",
+    ])
+    def test_malformed_checkpoint_is_data_error(self, workspace, tmp_path, capsys,
+                                                broken):
+        ckpt = tmp_path / "ckpt"
+        ckpt.mkdir()
+        for name in ("best.ckpt", "transition.csv"):
+            (ckpt / name).write_bytes((workspace["ckpt"] / name).read_bytes())
+        kind, what = broken.split(" ")
+        if kind == "header":
+            bad = ckpt / "best.ckpt"
+            bad.write_bytes(with_header(bad.read_bytes(), what.encode()))
+        elif kind == "block":
+            bad = ckpt / "best.ckpt"
+            params, extra = nn.load_checkpoint(bad)
+            params[what] = np.zeros((params[what].shape[0], 1), np.float32)
+            nn.save_checkpoint(bad, params, extra)
+        else:
+            bad = ckpt / "transition.csv"
+            lines = bad.read_text().splitlines()
+            cells = lines[2].split(",")
+            if what == "non-numeric":
+                cells[1] = "x"
+            else:
+                cells.append("0.5")
+            lines[2] = ",".join(cells)
+            bad.write_text("\n".join(lines) + "\n")
+        assert main(["infer", "--ckpt", str(ckpt / "best.ckpt"),
+                     "--data", str(workspace["data"]), "--out", str(tmp_path / "p")]) == 3
+        assert str(bad) in capsys.readouterr().err
+
+    def test_embedding_width_mismatch_is_data_error(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIG_TEXT.replace("embed_dim = 6", "embed_dim = 4"))
+        assert main(["train", "--data", str(workspace["data"]), "--config", str(cfg),
+                     "--out", str(tmp_path / "c")]) == 3
+        err = capsys.readouterr().err
+        assert "video_0" in err
+        assert "6-d embeddings, but config embed_dim is 4" in err
 
     def test_bad_config_value_is_usage_error(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

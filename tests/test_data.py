@@ -288,6 +288,13 @@ class TestImportExternal:
         with pytest.raises(DataValidationError, match="row 2"):
             import_external_features(path, {"video_id": "x", "fps": 1})
 
+    @pytest.mark.parametrize("label", ["nan", "1.5", "inf"])
+    def test_non_integer_label_names_row(self, tmp_path, label):
+        path = tmp_path / "feats.csv"
+        path.write_text(f"f0,label\n1,0\n2,{label}\n")
+        with pytest.raises(DataValidationError, match=f"label '{label}' at row 2"):
+            import_external_features(path, {"video_id": "x", "fps": 1})
+
     def test_non_numeric_cell_named(self, tmp_path):
         path = tmp_path / "feats.csv"
         path.write_text("f0,f1\n1,2\n3,oops\n")

@@ -55,12 +55,21 @@ def random_seq(rng, t, d, n, video_id="v0"):
 
 
 class TestForwardStep:
-    def test_first_frame_consumes_zero_statistic(self):
+    def test_first_frame_consumes_zero_statistic(self, monkeypatch):
         mdl = init_model(small_config(), TAX2)
         sess = InferenceSession(mdl)
-        v = np.ones(3, np.float32)
-        x = sess.build_input(v)
-        np.testing.assert_array_equal(x, np.concatenate([v, np.zeros(mdl.base_ssm_dim, np.float32)]))
+        inputs = []
+        step = nn.lstm_step
+
+        def recording_step(params, h, c, x):
+            inputs.append(x.copy())
+            return step(params, h, c, x)
+
+        monkeypatch.setattr(nn, "lstm_step", recording_step)
+        sess.step(np.ones(3, np.float32))
+        expected = np.zeros(mdl.input_dim, np.float32)
+        expected[:3] = 1.0
+        np.testing.assert_array_equal(inputs[0], expected)
 
     def test_disabled_ssm_is_bit_identical_to_plain_lstm(self):
         mdl = init_model(small_config(enabled_ssm_features=()), TAX2)
@@ -173,8 +182,7 @@ class TestAcausal:
 
     def test_zero_weighted_acausal_channels_reduce_to_causal(self):
         mdl = self.acausal_model()
-        d = mdl.config.embed_dim + mdl.base_ssm_dim
-        mdl.params["lstm_wx"][d:, :] = 0.0
+        mdl.params["lstm_wx"][mdl.blocks[2], :] = 0.0
         rng = np.random.default_rng(7)
         seq = random_seq(rng, 30, 3, 2)
         two_pass = infer_video_acausal(mdl, seq)
@@ -201,7 +209,14 @@ class TestAcausal:
         with pytest.raises(UsageError):
             infer_video_acausal(mdl, random_seq(rng, 5, 3, 2))
         with pytest.raises(UsageError):
-            InferenceSession(mdl, acausal_features=np.zeros((5, mdl.base_ssm_dim)))
+            InferenceSession(mdl, acausal_features=np.zeros((5, 4)))
+
+    def test_acausal_feature_width_checked(self):
+        mdl = self.acausal_model()
+        width = mdl.new_extractor().dim
+        InferenceSession(mdl, acausal_features=np.zeros((5, width)))
+        with pytest.raises(DataValidationError, match=f"must be \\(T, {width}\\)"):
+            InferenceSession(mdl, acausal_features=np.zeros((5, width + 1)))
 
 
 class TestHmmSmoothing:

@@ -16,7 +16,6 @@ from phaseflow.ssm import (
     feature_stream,
     gabor_kernel,
     hmm_forward_marginals,
-    ssm_dim,
 )
 
 # ---------------------------------------------------------------------------
@@ -194,7 +193,6 @@ class TestTransitionMatrix:
     def test_hand_counted_estimate(self):
         tm = estimate_transition_matrix([[0, 0, 1, 1]], 2, smoothing=1e-9)
         np.testing.assert_allclose(tm.a, [[0.5, 0.5], [0.0, 1.0]], atol=1e-8)
-        assert tm.n_sequences == 1
 
     def test_rows_stochastic_and_positive(self):
         rng = np.random.default_rng(2)
@@ -286,7 +284,6 @@ class TestConcatDims:
     def test_csl_only_two_phases_one_level(self):
         ex = SsmExtractor(2, enabled=("csl",), csl_levels=(0.5,))
         assert ex.dim == 4
-        assert ssm_dim(2, ("csl",), n_levels=1) == 4
 
     def test_all_features_seven_phases(self):
         ex = SsmExtractor(7)

@@ -212,16 +212,29 @@ class TestDetachment:
 
 
 class TestTrainingForwardEqualsInference:
-    @pytest.mark.parametrize("features", [(), ("csl", "gabor", "hmm")])
-    def test_bit_exact_over_consecutive_windows(self, features):
-        cfg = toy_config(enabled_ssm_features=features, gabor_num_scales=3,
-                         gabor_scale_min=3.0, gabor_scale_max=6.0)
+    @pytest.mark.parametrize("features,acausal", [
+        pytest.param((), False, id="features0"),
+        pytest.param(("csl", "gabor", "hmm"), False, id="features1"),
+        pytest.param(("csl", "hmm"), True, id="acausal-csl-hmm"),
+        pytest.param(("csl", "gabor", "hmm"), True, id="acausal-all"),
+    ])
+    def test_bit_exact_over_consecutive_windows(self, features, acausal):
+        cfg = toy_config(enabled_ssm_features=features, acausal=acausal,
+                         gabor_num_scales=3, gabor_scale_min=3.0, gabor_scale_max=6.0)
         model = init_model(cfg, TAX2)
         rng = np.random.default_rng(7)
         seq = separable_video(rng, "v0", t=37)     # not a multiple of 8
         train_probs = training_forward_probs(model, seq)
-        infer_probs = infer_video(model, seq).probs
-        assert np.array_equal(train_probs, infer_probs)
+        if not acausal:
+            assert np.array_equal(train_probs, infer_video(model, seq).probs)
+            return
+        # pass 1 (a block zero), then pass 2 on the rows derived from pass 1;
+        # the a block's weights are drawn like the others, so pass 2 differs
+        ref = infer_video_acausal(model, seq)
+        assert np.array_equal(train_probs, ref.pass1_probs)
+        pass2 = training_forward_probs(model, seq, model.acausal_rows(train_probs))
+        assert np.array_equal(pass2, ref.probs)
+        assert not np.array_equal(ref.probs, ref.pass1_probs)
 
 
 class TestFit:
@@ -313,7 +326,7 @@ def per_video_step_grads(run, train_seqs):
     rng = substream(cfg.rng_seed, "batching", run.epoch + 1)
     batches = batch_scheduler({v: s.n_frames for v, s in by_id.items()},
                               cfg.batch_size, cfg.seq_len_bptt, rng)
-    zero_a = np.zeros(model.base_ssm_dim, MODEL_DTYPE) if cfg.acausal else None
+    zero_a = np.zeros(model.new_extractor().dim, MODEL_DTYPE) if cfg.acausal else None
     n_pass = 2 if cfg.acausal else 1
     # per video and pass: [h, c, extractor, acausal rows (pass 2 only)]
     sessions = {vid: [[*nn.zero_state(cfg.hidden_dim), model.new_extractor(),
@@ -392,7 +405,7 @@ class TestLockstepEngine:
         for seq, p, a in zip(seqs, probs, rows):
             ref = infer_video_acausal(model, seq)
             np.testing.assert_allclose(p, ref.probs, rtol=0, atol=1e-5)
-            assert a.shape == (seq.n_frames, model.base_ssm_dim)
+            assert a.shape == (seq.n_frames, model.new_extractor().dim)
 
     @pytest.mark.parametrize("acausal", [False, True])
     @pytest.mark.parametrize("batch_size", [2, 8])
