@@ -8,13 +8,15 @@
 
 Exit codes: 0 success, 2 usage error, 3 data validation error, 4 numeric
 failure. Config files are flat `key = value` text; the resolved config is
-echoed into every output directory. PHASEFLOW_THREADS caps worker threads.
+echoed into every output directory.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import io
 import json
 import os
 import sys
@@ -30,6 +32,7 @@ from .core import (
     ExperimentConfig,
     NumericError,
     UsageError,
+    read_text,
 )
 
 EXIT_OK = 0
@@ -53,8 +56,14 @@ DEFAULT_ARMS = "baseline,gabor,csl,ssm,acausal"
 # ---------------------------------------------------------------------------
 # Config file handling (flat key = value lines, '#' comments)
 
+def _list_value(text: str) -> tuple[str, ...]:
+    """A comma list; 'none' is the empty list."""
+    items = tuple(v.strip() for v in text.split(",") if v.strip())
+    return () if items == ("none",) else items
+
+
 def parse_config_text(text: str) -> ExperimentConfig:
-    raw: dict[str, object] = {}
+    d: dict[str, object] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -62,18 +71,12 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if "=" not in line:
             raise UsageError(f"config line {lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        raw[key] = value
-    d: dict[str, object] = {}
-    for key, value in raw.items():
         if key in ("enabled_ssm_features", "csl_levels"):
-            items = [v.strip() for v in str(value).split(",") if v.strip()]
-            if items == ["none"]:
-                items = []
-            d[key] = items
+            d[key] = _list_value(value)
         elif key == "acausal":
-            if str(value).lower() not in ("true", "false", "0", "1"):
+            if value.lower() not in ("true", "false", "0", "1"):
                 raise UsageError(f"config key acausal must be true/false, got {value!r}")
-            d[key] = str(value).lower() in ("true", "1")
+            d[key] = value.lower() in ("true", "1")
         else:
             d[key] = value
     return ExperimentConfig.from_dict(d)
@@ -83,12 +86,9 @@ def load_config(path: str | None) -> ExperimentConfig:
     if path is None:
         return ExperimentConfig()
     try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as e:
-        raise UsageError(f"cannot read config file {path}: {e.strerror}") from None
-    except UnicodeDecodeError:
-        raise UsageError(f"config file {path} is not UTF-8 text") from None
+        text = read_text(path)
+    except DataValidationError as e:    # the config is an argument: exit 2
+        raise UsageError(f"config file: {e}") from None
     return parse_config_text(text)
 
 
@@ -102,31 +102,22 @@ def write_config_echo(outdir: str, config: ExperimentConfig) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-class output_dir:
+@contextlib.contextmanager
+def output_dir(path: str):
     """Create the output directory and hold its lock file for the duration of
     the command; concurrent invocations on the same directory are refused."""
-
-    def __init__(self, path: str):
-        self.path = path
-        self.lock = os.path.join(path, LOCK_NAME)
-
-    def __enter__(self) -> str:
-        os.makedirs(self.path, exist_ok=True)
-        try:
-            fd = os.open(self.lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise UsageError(
-                f"output directory {self.path} is locked by another invocation "
-                f"(stale? remove {self.lock})") from None
-        os.close(fd)
-        return self.path
-
-    def __exit__(self, *exc):
-        try:
-            os.unlink(self.lock)
-        except FileNotFoundError:
-            pass
-        return False
+    os.makedirs(path, exist_ok=True)
+    lock = os.path.join(path, LOCK_NAME)
+    try:
+        os.close(os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+    except FileExistsError:
+        raise UsageError(f"output directory {path} is locked by another invocation "
+                         f"(stale? remove {lock})") from None
+    try:
+        yield path
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(lock)
 
 
 # ---------------------------------------------------------------------------
@@ -136,8 +127,7 @@ def cmd_synth(args) -> int:
     if args.grammar in data_mod.GRAMMAR_PRESETS:
         grammar = data_mod.GRAMMAR_PRESETS[args.grammar]()
     elif os.path.exists(args.grammar):
-        with open(args.grammar) as fh:
-            grammar = data_mod.WorkflowGrammar.from_dict(json.load(fh))
+        grammar = data_mod.load_grammar(args.grammar)
     else:
         raise UsageError(
             f"unknown grammar {args.grammar!r}: not a preset "
@@ -167,22 +157,16 @@ def cmd_synth(args) -> int:
 # train
 
 def _load_split(datadir: str, split: str):
-    manifest = data_mod.read_manifest(datadir)
-    if manifest is None:
-        if split == "train":
-            return data_mod.read_dataset(datadir)
-        return [], None
-    seqs, tax = data_mod.read_dataset(datadir, split=split)
-    return seqs, tax
+    """A manifest split; without a manifest every video is training data."""
+    if data_mod.read_manifest(datadir) is not None:
+        return data_mod.read_dataset(datadir, split=split)
+    return data_mod.read_dataset(datadir) if split == "train" else ([], None)
 
 
 def cmd_train(args) -> int:
     config = load_config(args.config)
     if args.features is not None:
-        feats = [f.strip() for f in args.features.split(",") if f.strip()]
-        if feats == ["none"]:
-            feats = []
-        config = config.with_overrides(enabled_ssm_features=tuple(feats))
+        config = config.with_overrides(enabled_ssm_features=_list_value(args.features))
     if args.acausal:
         config = config.with_overrides(acausal=True)
     train_seqs, taxonomy = _load_split(args.data, "train")
@@ -217,31 +201,44 @@ def write_prediction_csv(path, result: model_mod.InferenceResult,
 
 
 def read_prediction_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0][:2] != ["frame_idx", "predicted_id"]:
-        raise DataValidationError(f"{path}: not a prediction csv")
+    """Labels and probabilities written by write_prediction_csv. Text that is
+    not UTF-8, a header without prob_0..prob_{N-1} or a row that does not
+    parse or names no phase 0..N-1 raises DataValidationError naming the line."""
+    rows = list(csv.reader(io.StringIO(read_text(path), newline="")))
+    n = len(rows[0]) - 2 if rows else 0
+    if n < 1 or rows[0] != ["frame_idx", "predicted_id"] + [f"prob_{p}" for p in range(n)]:
+        raise DataValidationError(
+            f"{path}: line 1: expected the header frame_idx,predicted_id,prob_0,...")
     try:
+        if any(len(r) != n + 2 for r in rows[1:]):
+            raise ValueError
         labels = np.array([int(r[1]) for r in rows[1:]], dtype=np.int64)
         probs = np.array([[float(v) for v in r[2:]] for r in rows[1:]],
-                         dtype=np.float32)
-    except (ValueError, IndexError):
+                         dtype=np.float32).reshape(len(labels), n)
+        if ((labels < 0) | (labels >= n)).any():
+            raise ValueError
+    except (ValueError, IndexError, OverflowError):
         raise DataValidationError(f"{path}: {_first_bad_row(rows)}") from None
     return labels, probs
 
 
 def _first_bad_row(rows: list[list[str]]) -> str:
-    """Describe the first data row read_prediction_csv cannot parse."""
+    """Describe the first data row read_prediction_csv rejects."""
     width = len(rows[0])
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != width:
             return f"line {lineno}: expected {width} fields, got {len(row)}"
-        kinds = [("an integer", int)] + [("a number", float)] * (width - 2)
-        for name, value, (kind, parse) in zip(rows[0][1:], row[1:], kinds):
+        try:
+            if int(row[1]) not in range(width - 2):
+                return (f"line {lineno}: predicted_id {row[1]} is not a phase id "
+                        f"0..{width - 3}")
+        except ValueError:
+            return f"line {lineno}: predicted_id {row[1]!r} is not an integer"
+        for name, value in zip(rows[0][2:], row[2:]):
             try:
-                parse(value)
+                float(value)
             except ValueError:
-                return f"line {lineno}: {name} {value!r} is not {kind}"
+                return f"line {lineno}: {name} {value!r} is not a number"
     return "malformed rows"
 
 
@@ -251,24 +248,25 @@ def cmd_infer(args) -> int:
     mdl = model_mod.load_model(args.ckpt)
     if args.acausal and not mdl.config.acausal:
         raise UsageError("--acausal requires a model trained with acausal features")
-    # without --acausal an acausal-capable model runs its causal pass only
-    run_acausal = bool(args.acausal)
-    manifest = data_mod.read_manifest(args.data)
-    split = "test" if manifest is not None else None
-    seqs, tax = data_mod.read_dataset(args.data, split=split)
+    has_split = data_mod.read_manifest(args.data) is not None
+    seqs, tax = data_mod.read_dataset(args.data, split="test" if has_split else None)
     if tax.names != mdl.taxonomy.names:
         raise DataValidationError("dataset taxonomy differs from the checkpoint's")
     if args.hmm_smooth and mdl.transition is None:
         raise UsageError("--hmm-smooth needs a transition matrix next to the checkpoint")
+    if args.acausal or not mdl.config.acausal:
+        results = model_mod.infer_dataset(mdl, seqs)
+    else:
+        # without --acausal an acausal-capable model runs its causal pass only
+        probs, _ = model_mod._lockstep_probs(mdl, seqs)
+        results = {s.video_id: model_mod.InferenceResult(s.video_id, p, np.argmax(p, axis=1))
+                   for s, p in zip(seqs, probs)}
     with output_dir(args.out) as out:
-        infer_one = (model_mod.infer_video_acausal if run_acausal
-                     else model_mod.infer_video)
-        for seq in sorted(seqs, key=lambda s: s.video_id):
-            result = infer_one(mdl, seq)
+        for vid, result in sorted(results.items()):
             labels = result.labels
             if args.hmm_smooth:
                 labels = model_mod.hmm_smooth_posthoc(result.probs, mdl.transition)
-            write_prediction_csv(_prediction_path(out, seq.video_id), result, labels)
+            write_prediction_csv(_prediction_path(out, vid), result, labels)
         print(f"wrote {len(seqs)} prediction files to {out}")
     return EXIT_OK
 
@@ -277,6 +275,8 @@ def cmd_infer(args) -> int:
 # eval
 
 def cmd_eval(args) -> int:
+    if not os.path.isdir(args.pred):
+        raise UsageError(f"no prediction directory at {args.pred}")
     pred_files = sorted(f for f in os.listdir(args.pred) if f.endswith(".csv"))
     if not pred_files:
         raise DataValidationError(f"no prediction csvs in {args.pred}")
@@ -287,7 +287,12 @@ def cmd_eval(args) -> int:
         seq, taxonomy = data_mod.read_video_dir(os.path.join(args.data, vid))
         if seq.labels is None:
             raise DataValidationError(f"{vid}: dataset has no ground-truth labels")
-        pred, probs = read_prediction_csv(os.path.join(args.pred, fname))
+        path = os.path.join(args.pred, fname)
+        pred, probs = read_prediction_csv(path)
+        if probs.shape != (seq.n_frames, taxonomy.n_phases):
+            raise DataValidationError(
+                f"{path}: {probs.shape[0]} rows of {probs.shape[1]} probabilities "
+                f"for {seq.n_frames} frames of {taxonomy.n_phases} phases")
         report = eval_mod.compute_report(seq.labels, pred, taxonomy.n_phases)
         video_results.append({
             "video_id": vid, "gt": seq.labels, "pred": pred,

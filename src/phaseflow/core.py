@@ -141,8 +141,8 @@ def validate_sequence(seq: FeatureSequence, tax: PhaseTaxonomy) -> FeatureSequen
         raise DataValidationError(
             f"{seq.video_id}: non-finite feature value at frame {frame}"
         )
-    if seq.fps <= 0:
-        raise DataValidationError(f"{seq.video_id}: fps must be positive")
+    if not 0 < seq.fps < np.inf:
+        raise DataValidationError(f"{seq.video_id}: fps must be finite and positive")
     if seq.labels is not None:
         labels = np.asarray(seq.labels)
         if labels.shape != (feats.shape[0],):
@@ -162,6 +162,26 @@ def validate_sequence(seq: FeatureSequence, tax: PhaseTaxonomy) -> FeatureSequen
     seq.features = np.ascontiguousarray(feats, dtype=MODEL_DTYPE)
     seq.features.setflags(write=False)
     return seq
+
+
+def read_bytes(path) -> bytes:
+    """An input file's bytes; DataValidationError names one not readable."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as e:
+        raise DataValidationError(f"cannot read {path}: {e.strerror}") from None
+
+
+def read_text(path) -> str:
+    """An input file's UTF-8 text; DataValidationError names the file and
+    the line of bytes that are not UTF-8."""
+    raw = read_bytes(path)
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = raw.count(b"\n", 0, e.start) + 1
+        raise DataValidationError(f"{path}: line {line}: not UTF-8 text") from None
 
 
 @contextlib.contextmanager
@@ -258,19 +278,11 @@ class ExperimentConfig:
             if f.name not in d:
                 continue
             v = d[f.name]
-            try:
-                if f.name == "enabled_ssm_features":
-                    v = tuple(v)
-                elif f.name == "csl_levels":
+            try:   # each value takes the type of the field's default
+                v = type(f.default)(v)
+                if f.name == "csl_levels":
                     v = tuple(float(x) for x in v)
-                elif f.name == "acausal":
-                    v = bool(v)
-                elif f.name in ("learning_rate", "proximal_weight", "gabor_scale_min",
-                                "gabor_scale_max", "hmm_smoothing", "grad_clip"):
-                    v = float(v)
-                else:
-                    v = int(v)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise UsageError(f"config key {f.name}: invalid value {v!r}") from None
             kwargs[f.name] = v
         return cls(**kwargs)

@@ -15,6 +15,7 @@ carrying the split and generator metadata.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import struct
@@ -26,6 +27,8 @@ from .core import (
     DataValidationError,
     FeatureSequence,
     PhaseTaxonomy,
+    read_bytes,
+    read_text,
     substream,
     validate_sequence,
 )
@@ -159,6 +162,17 @@ class WorkflowGrammar:
         )
 
 
+def load_grammar(path) -> WorkflowGrammar:
+    """Read a grammar JSON file in the layout of `to_dict`; content that does
+    not parse or make a valid grammar raises GrammarError naming the file."""
+    text = read_text(path)
+    try:
+        return WorkflowGrammar.from_dict(json.loads(text))
+    except (ValueError, LookupError, TypeError, AttributeError, ArithmeticError,
+            DataValidationError) as e:
+        raise GrammarError(f"grammar file {path}: {type(e).__name__}: {e}") from None
+
+
 def sample_phase_order(grammar: WorkflowGrammar, rng: np.random.Generator) -> list[int]:
     """Weighted random linear extension of the precedence DAG over the sampled
     occurrence multiset: placeable phases are drawn with probability
@@ -273,8 +287,7 @@ def write_features_bin(path, features: np.ndarray) -> None:
 
 
 def read_features_bin(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        data = fh.read()
+    data = read_bytes(path)
     if len(data) < 16:
         raise DataValidationError(f"{path}: truncated header")
     if data[:4] != FEATURES_MAGIC:
@@ -312,41 +325,39 @@ def write_video_dir(dirpath, seq: FeatureSequence, taxonomy: PhaseTaxonomy) -> N
 
 
 def read_video_dir(dirpath) -> tuple[FeatureSequence, PhaseTaxonomy]:
+    """One video; a missing or malformed file raises DataValidationError naming it."""
     meta_path = os.path.join(dirpath, "meta.json")
+    text = read_text(meta_path)
     try:
-        with open(meta_path) as fh:
-            meta = json.load(fh)
-    except FileNotFoundError:
-        raise DataValidationError(f"{dirpath}: missing meta.json") from None
-    except json.JSONDecodeError as e:
-        raise DataValidationError(f"{meta_path}: invalid JSON ({e})") from None
-    taxonomy = PhaseTaxonomy.from_dict(meta["taxonomy"])
+        meta = json.loads(text)
+        taxonomy = PhaseTaxonomy.from_dict(meta["taxonomy"])
+        video_id, fps = str(meta["video_id"]), float(meta["fps"])
+    except (ValueError, KeyError, TypeError, DataValidationError) as e:
+        raise DataValidationError(f"{meta_path}: {type(e).__name__}: {e}") from None
     features = read_features_bin(os.path.join(dirpath, "features.bin"))
     labels = None
     labels_path = os.path.join(dirpath, "labels.csv")
     if os.path.exists(labels_path):
         labels = _read_labels_csv(labels_path, features.shape[0])
-    seq = FeatureSequence(video_id=meta["video_id"], fps=float(meta["fps"]),
-                          features=features, labels=labels,
+    seq = FeatureSequence(video_id=video_id, fps=fps, features=features, labels=labels,
                           source_seed=meta.get("generator_seed"))
     return validate_sequence(seq, taxonomy), taxonomy
 
 
 def _read_labels_csv(path, n_frames: int) -> np.ndarray:
     labels = np.full(n_frames, -1, dtype=np.int64)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["frame_idx", "label_id"]:
-            raise DataValidationError(f"{path}: expected header frame_idx,label_id")
-        for row in reader:
-            try:
-                idx, lab = int(row[0]), int(row[1])
-            except (ValueError, IndexError):
-                raise DataValidationError(f"{path}: malformed row {row}") from None
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    header = next(reader, None)
+    if header != ["frame_idx", "label_id"]:
+        raise DataValidationError(f"{path}: expected header frame_idx,label_id")
+    for row in reader:
+        try:
+            idx, lab = int(row[0]), int(row[1])
             if not 0 <= idx < n_frames:
                 raise DataValidationError(f"{path}: frame_idx {idx} out of range")
             labels[idx] = lab
+        except (ValueError, IndexError, OverflowError):
+            raise DataValidationError(f"{path}: malformed row {row}") from None
     if (labels < 0).any():
         missing = int(np.argwhere(labels < 0)[0][0])
         raise DataValidationError(f"{path}: no label for frame {missing}")

@@ -1,10 +1,24 @@
-"""The SSM-LSTM temporal model: streaming forward inference that interleaves
-LSTM updates with sufficient-statistic aggregation, the offline two-pass
-acausal variant, post-hoc HMM smoothing, and the plain-LSTM baseline.
+"""The SSM-LSTM temporal model and the two ways to run it: online, one
+frame at a time (`InferenceSession`), and offline, many videos in lockstep
+(the engine behind `infer_dataset`, training, the cache refresh and
+validation); plus the two-pass acausal variant and post-hoc HMM smoothing.
 
 Per-frame step order (strict causality): the statistic consumed at frame t
 was aggregated from frames < t only; the new likelihood m_t updates the
 aggregators after the head fires.
+
+Lockstep engine. The frames of a video run in order, but videos are
+independent, so the engine steps B videos side by side, one frame of each
+per step: one (B, D) @ (D, 4H) cell matmul and batched statistics with one
+row per stream. `_lockstep_probs` runs whole videos window by window,
+longest first, so the live streams shrink to a prefix as videos end; rows
+past the end of a shorter window see zero embeddings and feed the uniform
+vector to the statistics. Rows are summed in another order than one video
+at a time, so the engine matches `infer_video` to float rounding. At B=1 it
+is bit-equal to streaming inference by construction: it writes each input
+through the same `PhaseModel.blocks` and `acausal_rows` and runs the same
+calls (`nn._cell`, `nn.head_forward`, `softmax`, the aggregators'
+`feature`/`update`) on the same values.
 """
 
 from __future__ import annotations
@@ -176,30 +190,107 @@ def run_inference(model: PhaseModel, seq: FeatureSequence) -> InferenceResult:
 
 
 def worker_thread_count() -> int:
-    """Worker cap from PHASEFLOW_THREADS (default: machine cores)."""
-    raw = os.environ.get("PHASEFLOW_THREADS", "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            raise UsageError(f"PHASEFLOW_THREADS must be an integer, got {raw!r}") from None
+    """The machine's core count. No inference runs on threads; perfbench
+    reads this to size the host-speed bursts around its infer units."""
     return os.cpu_count() or 1
 
 
-def infer_dataset(model: PhaseModel, seqs,
-                  max_workers: int | None = None) -> dict[str, InferenceResult]:
-    """Run inference over many videos, optionally on worker threads. Videos
-    are independent and results merge keyed by video id, so the thread count
-    never changes the output."""
+def _inputs(model: PhaseModel, windows, width: int) -> np.ndarray:
+    """Inputs [v | s | a] of aligned windows as (width, B, input_dim): the
+    embeddings and acausal rows filled in, the statistic block left for the
+    engine to fill frame by frame, frames past a window's end zero.
+
+    `windows` holds (seq, start, stop, acausal_rows or None) per row; None
+    feeds zeros to the acausal channels (pass 1)."""
+    vb, _, ab = model.blocks
+    xs = np.zeros((width, len(windows), model.input_dim), MODEL_DTYPE)
+    for j, (seq, start, stop, acausal) in enumerate(windows):
+        xs[:stop - start, j, vb] = seq.features[start:stop]
+        if acausal is not None:
+            xs[:stop - start, j, ab] = acausal[start:stop]
+    return xs
+
+
+def _run_window(model: PhaseModel, h, c, extractor: ssm.SsmExtractor,
+                xs: np.ndarray, lengths: np.ndarray) -> nn.WindowRecorder:
+    """Taped lockstep forward of B aligned windows (`xs` from _inputs, one
+    row per stream): each frame's statistic comes from the live extractor
+    (detached), and each output updates it. Rows past their window's length
+    feed the uniform vector, which cannot underflow the HMM filter."""
+    sb = model.blocks[1]
+    has_stats = sb.stop > sb.start
+    uniform = np.float32(1.0 / model.n_phases)
+    ended_from = int(lengths.min())
+    rec = nn.WindowRecorder(model.params, h, c)
+    for k, x in enumerate(xs):
+        if has_stats:
+            x[:, sb] = extractor.feature()
+        m = rec.step(x)
+        if has_stats:
+            if k >= ended_from:
+                m = np.where((lengths <= k)[:, None], uniform, m)
+            extractor.update(m)
+    return rec
+
+
+def _lockstep_probs(model: PhaseModel, seqs: list[FeatureSequence],
+                    acausal: list | None = None) -> tuple[list[np.ndarray], int]:
+    """Loss-free training-mode forward over whole videos in lockstep, one
+    `seq_len_bptt` window at a time with state carried across windows.
+    Returns the (T, N) probabilities of each sequence, in input order, and
+    the HMM underflow count. `acausal` holds each sequence's acausal rows
+    (pass 2); without it an acausal model sees zeros there (pass 1)."""
+    if not seqs:
+        return [], 0
+    H = model.config.hidden_dim
+    width = model.config.seq_len_bptt
+    # longest first, so the streams still running are always a prefix
+    order = sorted(range(len(seqs)), key=lambda j: -seqs[j].n_frames)
+    dtype = model.params["head_b"].dtype
+    probs = [np.empty((s.n_frames, model.n_phases), dtype) for s in seqs]
+    live = len(order)
+    h, c = np.zeros((live, H), MODEL_DTYPE), np.zeros((live, H), MODEL_DTYPE)
+    extractor = model.new_extractor(batch=live)
+    for start in range(0, seqs[order[0]].n_frames, width):
+        n = sum(1 for j in order[:live] if seqs[j].n_frames > start)
+        if n < live:
+            live = n
+            h, c, extractor = h[:n], c[:n], extractor.take(np.arange(n))
+        windows = [(seqs[j], start, min(start + width, seqs[j].n_frames),
+                    None if acausal is None else acausal[j]) for j in order[:n]]
+        lengths = np.array([stop - start for _, _, stop, _ in windows])
+        rec = _run_window(model, h, c, extractor,
+                          _inputs(model, windows, int(lengths.max())), lengths)
+        ms = rec.ms
+        for col, (j, n_k) in enumerate(zip(order, lengths)):
+            probs[j][start:start + n_k] = ms[:n_k, col]
+        h, c = rec.h, rec.c
+    return probs, extractor.underflow_count
+
+
+def _offline_probs(model: PhaseModel, seqs: list[FeatureSequence]):
+    """The evaluated pass of every sequence, all run in lockstep: the causal
+    pass, or in acausal mode pass 2 on the acausal rows derived from pass 1.
+    Returns (probs, pass-1 probs, acausal rows or None, underflows)."""
+    pass1, underflows = _lockstep_probs(model, seqs)
+    if not model.config.acausal:
+        return pass1, pass1, None, underflows
+    rows = [model.acausal_rows(p) for p in pass1]
+    probs, more = _lockstep_probs(model, seqs, rows)
+    return probs, pass1, rows, underflows + more
+
+
+def infer_dataset(model: PhaseModel, seqs) -> dict[str, InferenceResult]:
+    """Inference over many videos in lockstep, keyed by video id; acausal
+    models run both passes and fill `pass1_probs`. Videos enter in id order,
+    so the input order never changes the output. The probabilities agree
+    with `infer_video`/`infer_video_acausal` to float rounding."""
     seqs = sorted(seqs, key=lambda s: s.video_id)
-    if max_workers is None:
-        max_workers = worker_thread_count()
-    if max_workers <= 1 or len(seqs) <= 1:
-        return {s.video_id: run_inference(model, s) for s in seqs}
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        results = list(pool.map(lambda s: run_inference(model, s), seqs))
-    return {s.video_id: r for s, r in zip(seqs, results)}
+    probs, pass1, _, _ = _offline_probs(model, seqs)
+    acausal = model.config.acausal
+    return {s.video_id: InferenceResult(s.video_id, p, np.argmax(p, axis=1),
+                                        pass1[j] if acausal else None)
+            for j, (s, p) in enumerate(zip(seqs, probs))}
 
 
 def hmm_smooth_posthoc(probs: np.ndarray,

@@ -18,12 +18,13 @@ larger B they agree to float rounding.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataValidationError, NumericError, atomic_open, softmax
+from .core import DataValidationError, NumericError, atomic_open, read_bytes, softmax
 
 PROB_FLOOR = 1e-12
 CHECKPOINT_MAGIC = b"PHCK"
@@ -247,16 +248,11 @@ def window_backward(params: dict, tape: WindowTape,
     }
 
 
-def global_grad_norm(grads: dict) -> float:
-    sq = 0.0
-    for g in grads.values():
-        sq += float((g.astype(np.float64) ** 2).sum())
-    return float(np.sqrt(sq))
-
-
 def clip_global_norm(grads: dict, max_norm: float) -> float:
-    """Scale gradients in place so the global norm is at most max_norm."""
-    norm = global_grad_norm(grads)
+    """Scale gradients in place so the global norm is at most max_norm;
+    returns the norm before clipping."""
+    norm = float(np.sqrt(sum(float((g.astype(np.float64) ** 2).sum())
+                             for g in grads.values())))
     if norm > max_norm:
         scale = max_norm / norm
         for g in grads.values():
@@ -315,44 +311,38 @@ def save_checkpoint(path, params: dict, extra: dict) -> None:
 
 
 def load_checkpoint(path) -> tuple[dict, dict]:
-    """Read a PHCK checkpoint; returns (params, extra)."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    """Read a PHCK checkpoint; returns (params, extra). A file that does not
+    follow the format raises DataValidationError naming it."""
+    data = read_bytes(path)
+    off = 0
 
-    def take(n, off):
+    def take(n):
+        nonlocal off
         if off + n > len(data):
             raise DataValidationError(f"truncated checkpoint file: {path}")
-        return data[off:off + n], off + n
+        off += n
+        return data[off - n:off]
 
-    chunk, off = take(4, 0)
-    if chunk != CHECKPOINT_MAGIC:
+    def u32():
+        return struct.unpack("<I", take(4))[0]
+
+    if take(4) != CHECKPOINT_MAGIC:
         raise DataValidationError(f"bad checkpoint magic in {path}")
-    chunk, off = take(4, off)
-    version = struct.unpack("<I", chunk)[0]
+    version = u32()
     if version != CHECKPOINT_VERSION:
         raise DataValidationError(f"unsupported checkpoint version {version}")
-    chunk, off = take(4, off)
-    chunk, off = take(struct.unpack("<I", chunk)[0], off)
     try:
-        extra = json.loads(chunk.decode("utf-8"))
+        extra = json.loads(take(u32()).decode("utf-8"))
+        if not isinstance(extra, dict):
+            raise ValueError("the header is not a JSON object")
+        params = {}
+        for _ in range(u32()):
+            name = take(u32()).decode("utf-8")
+            shape = [u32() for _ in range(u32())]
+            params[name] = np.frombuffer(take(4 * math.prod(shape)),
+                                         dtype="<f4").reshape(shape).copy()
     except ValueError as e:
-        raise DataValidationError(f"bad checkpoint header in {path}: {e}") from None
-    chunk, off = take(4, off)
-    n_blocks = struct.unpack("<I", chunk)[0]
-    params = {}
-    for _ in range(n_blocks):
-        chunk, off = take(4, off)
-        chunk, off = take(struct.unpack("<I", chunk)[0], off)
-        name = chunk.decode("utf-8")
-        chunk, off = take(4, off)
-        ndim = struct.unpack("<I", chunk)[0]
-        shape = []
-        for _ in range(ndim):
-            chunk, off = take(4, off)
-            shape.append(struct.unpack("<I", chunk)[0])
-        count = int(np.prod(shape)) if shape else 1
-        chunk, off = take(4 * count, off)
-        params[name] = np.frombuffer(chunk, dtype="<f4").reshape(shape).copy()
+        raise DataValidationError(f"malformed checkpoint {path}: {e}") from None
     if off != len(data):
         raise DataValidationError(f"trailing bytes in checkpoint file: {path}")
     return params, extra

@@ -366,11 +366,7 @@ class SsmExtractor:
             if transition is None:
                 transition = TransitionMatrix.uniform(n_phases)
             self._parts.append(HmmFilterState(transition, batch))
-        self._dim = sum(p.dim for p in self._parts)
-
-    @property
-    def dim(self) -> int:
-        return self._dim
+        self.dim = sum(p.dim for p in self._parts)
 
     @property
     def underflow_count(self) -> int:
@@ -385,11 +381,7 @@ class SsmExtractor:
     def feature(self) -> np.ndarray:
         if not self._parts:
             return np.zeros(self._lead + (0,))
-        out = np.concatenate([p.feature() for p in self._parts], axis=-1)
-        if out.shape[-1] != self._dim:
-            raise DataValidationError(
-                f"ssm feature dimension drift: expected {self._dim}, got {out.shape[-1]}")
-        return out
+        return np.concatenate([p.feature() for p in self._parts], axis=-1)
 
     def take(self, rows) -> "SsmExtractor":
         """A new extractor holding copies of the state of streams `rows`."""

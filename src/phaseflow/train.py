@@ -8,30 +8,15 @@ set: pass 1 with zeroed acausal channels (whose no-gradient stream refreshes
 the acausal feature cache every epoch) and pass 2 consuming the cached
 acausal features; the window loss sums both passes.
 
-Lockstep engine. Within a video the frames must run one after another (the
-statistic at frame t aggregates the model's own outputs before t), but
-videos are independent, so every pass runs its streams side by side, one
-frame of each per step:
-
-* `train_epoch` steps the aligned windows of one Adam step together: per
-  frame one (B, D) @ (D, 4H) cell matmul and batched CSL/Gabor/HMM state,
-  per window one vectorised loss and one batched backward pass. The state of
-  every stream lives in arrays with one row per stream; a batch gathers its
-  rows at the start of its window and scatters them back at the end.
-* the cache refresh and validation run all their videos together, window by
-  window, and the set of live streams shrinks as videos end.
-
-A window that ends before the longest one in its step is padded: its rows
-see zero embeddings, are masked out of the loss (so they add exactly zero
-gradient) and feed the uniform vector to the statistics, whose state for
-that video is never read again.
-
-Rows are summed in a different order than one video at a time, so the
-engine matches per-video inference to float rounding. At B=1
-(`training_forward_probs`) it is bit-equal to streaming inference by
-construction: it writes each input through the same `PhaseModel.blocks`
-and `acausal_rows` and runs the same calls (`nn._cell`, `nn.head_forward`,
-`softmax`, the aggregators' `feature`/`update`) on the same values.
+Training runs on the lockstep engine of `model`. `train_epoch` steps the
+aligned windows of one Adam step together, with one vectorised loss and one
+batched backward pass per window; each batch gathers its streams' state rows
+at the start of its window and scatters them back at the end, and the padded
+rows of a short window are masked out of the loss (exactly zero gradient).
+The cache refresh and validation run all their videos through
+`_offline_probs`, as `infer_dataset` does. At B=1 (`training_forward_probs`)
+the engine is bit-equal to streaming inference; at larger B it agrees to
+float rounding.
 """
 
 from __future__ import annotations
@@ -57,7 +42,8 @@ from .core import (
 )
 # run_inference is not called here; it stays importable from train because
 # the perfbench tracer wraps `train.run_inference`
-from .model import PhaseModel, init_model, run_inference, save_model  # noqa: F401
+from .model import (PhaseModel, _inputs, _lockstep_probs, _offline_probs,  # noqa: F401
+                    _run_window, init_model, run_inference, save_model)
 
 log = logging.getLogger(__name__)
 
@@ -79,9 +65,6 @@ class EpochLog:
     grad_norm_p50: float
     clipped_frac: float
     hmm_underflows: int
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
 
 
 @dataclass
@@ -134,79 +117,6 @@ def batch_scheduler(video_lengths: dict[str, int], batch_size: int, window: int,
         queue.extend(requeue)
         batches.append(batch)
     return batches
-
-
-def _inputs(model: PhaseModel, windows, width: int) -> np.ndarray:
-    """Inputs [v | s | a] of aligned windows as (width, B, input_dim): the
-    embeddings and acausal rows filled in, the statistic block left for the
-    engine to fill frame by frame, frames past a window's end zero.
-
-    `windows` holds (seq, start, stop, acausal_rows or None) per row; None
-    feeds zeros to the acausal channels (pass 1)."""
-    vb, _, ab = model.blocks
-    xs = np.zeros((width, len(windows), model.input_dim), MODEL_DTYPE)
-    for j, (seq, start, stop, acausal) in enumerate(windows):
-        xs[:stop - start, j, vb] = seq.features[start:stop]
-        if acausal is not None:
-            xs[:stop - start, j, ab] = acausal[start:stop]
-    return xs
-
-
-def _run_window(model: PhaseModel, h, c, extractor: ssm.SsmExtractor,
-                xs: np.ndarray, lengths: np.ndarray) -> nn.WindowRecorder:
-    """Taped lockstep forward of B aligned windows (`xs` from _inputs, one
-    row per stream): each frame's statistic comes from the live extractor
-    (detached), and each output updates it. Rows past their window's length
-    feed the uniform vector, which cannot underflow the HMM filter."""
-    sb = model.blocks[1]
-    has_stats = sb.stop > sb.start
-    uniform = np.float32(1.0 / model.n_phases)
-    ended_from = int(lengths.min())
-    rec = nn.WindowRecorder(model.params, h, c)
-    for k, x in enumerate(xs):
-        if has_stats:
-            x[:, sb] = extractor.feature()
-        m = rec.step(x)
-        if has_stats:
-            if k >= ended_from:
-                m = np.where((lengths <= k)[:, None], uniform, m)
-            extractor.update(m)
-    return rec
-
-
-def _lockstep_probs(model: PhaseModel, seqs: list[FeatureSequence],
-                    acausal: list | None = None) -> tuple[list[np.ndarray], int]:
-    """Loss-free training-mode forward over whole videos in lockstep, one
-    `seq_len_bptt` window at a time with state carried across windows.
-    Returns the (T, N) probabilities of each sequence, in input order, and
-    the HMM underflow count. `acausal` holds each sequence's acausal rows
-    (pass 2); without it an acausal model sees zeros there (pass 1)."""
-    if not seqs:
-        return [], 0
-    H = model.config.hidden_dim
-    width = model.config.seq_len_bptt
-    # longest first, so the streams still running are always a prefix
-    order = sorted(range(len(seqs)), key=lambda j: -seqs[j].n_frames)
-    dtype = model.params["head_b"].dtype
-    probs = [np.empty((s.n_frames, model.n_phases), dtype) for s in seqs]
-    live = len(order)
-    h, c = np.zeros((live, H), MODEL_DTYPE), np.zeros((live, H), MODEL_DTYPE)
-    extractor = model.new_extractor(batch=live)
-    for start in range(0, seqs[order[0]].n_frames, width):
-        n = sum(1 for j in order[:live] if seqs[j].n_frames > start)
-        if n < live:
-            live = n
-            h, c, extractor = h[:n], c[:n], extractor.take(np.arange(n))
-        windows = [(seqs[j], start, min(start + width, seqs[j].n_frames),
-                    None if acausal is None else acausal[j]) for j in order[:n]]
-        lengths = np.array([stop - start for _, _, stop, _ in windows])
-        rec = _run_window(model, h, c, extractor,
-                          _inputs(model, windows, int(lengths.max())), lengths)
-        ms = rec.ms
-        for col, (j, n_k) in enumerate(zip(order, lengths)):
-            probs[j][start:start + n_k] = ms[:n_k, col]
-        h, c = rec.h, rec.c
-    return probs, extractor.underflow_count
 
 
 def _window_loss(ms, ys, valid, prox, weight: float):
@@ -292,18 +202,6 @@ def train_epoch(run: TrainRun, train_seqs: list[FeatureSequence]) -> TrainRun:
     return run
 
 
-def _offline_probs(model: PhaseModel, seqs: list[FeatureSequence]):
-    """Probabilities of the evaluated pass for every sequence, all run in
-    lockstep: the causal pass, or in acausal mode pass 2 on the acausal rows
-    derived from pass 1. Returns (probs, acausal rows or None, underflows)."""
-    probs, underflows = _lockstep_probs(model, seqs)
-    if not model.config.acausal:
-        return probs, None, underflows
-    rows = [model.acausal_rows(p) for p in probs]
-    probs, more = _lockstep_probs(model, seqs, rows)
-    return probs, rows, underflows + more
-
-
 def training_forward_probs(model: PhaseModel, seq: FeatureSequence,
                            acausal_rows: np.ndarray | None = None) -> np.ndarray:
     """Loss-free training-mode forward over consecutive windows with carried
@@ -317,7 +215,7 @@ def _refresh_caches(run: TrainRun, train_seqs: list[FeatureSequence]) -> None:
     """No-gradient pass over all training videos with the current parameters:
     stores the probability stream for the proximal term and, in acausal mode,
     the acausal feature rows derived from the pass-1 stream."""
-    probs, rows, underflows = _offline_probs(run.model, train_seqs)
+    probs, _, rows, underflows = _offline_probs(run.model, train_seqs)
     ids = [s.video_id for s in train_seqs]
     run.prox_cache.update(zip(ids, probs))
     if rows is not None:
@@ -326,7 +224,7 @@ def _refresh_caches(run: TrainRun, train_seqs: list[FeatureSequence]) -> None:
 
 
 def dataset_frame_accuracy(model: PhaseModel, seqs: list[FeatureSequence]) -> float:
-    probs, _, _ = _offline_probs(model, seqs)
+    probs = _offline_probs(model, seqs)[0]
     correct = sum(int((np.argmax(p, axis=1) == s.labels).sum())
                   for s, p in zip(seqs, probs))
     total = sum(s.n_frames for s in seqs)
@@ -389,7 +287,7 @@ def fit(config: ExperimentConfig, taxonomy: PhaseTaxonomy,
                 hmm_underflows=run.hmm_underflows)
             run.curve.append(entry)
             if log_fh:
-                log_fh.write(entry.to_json() + "\n")
+                log_fh.write(json.dumps(asdict(entry)) + "\n")
                 log_fh.flush()
             if ckpt_dir is not None:
                 save_model(model, f"{ckpt_dir}/epoch_{run.epoch:03d}.ckpt")

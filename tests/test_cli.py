@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import struct
 from pathlib import Path
 
@@ -193,7 +194,7 @@ class TestTypedErrors:
 
     @pytest.mark.parametrize("broken", [
         "header {bad", "header {}", "transition non-numeric", "transition ragged",
-        "block head_w",
+        "block head_w", "name head_b",
     ])
     def test_malformed_checkpoint_is_data_error(self, workspace, tmp_path, capsys,
                                                 broken):
@@ -210,6 +211,9 @@ class TestTypedErrors:
             params, extra = nn.load_checkpoint(bad)
             params[what] = np.zeros((params[what].shape[0], 1), np.float32)
             nn.save_checkpoint(bad, params, extra)
+        elif kind == "name":     # a block name that is not UTF-8
+            bad = ckpt / "best.ckpt"
+            bad.write_bytes(bad.read_bytes().replace(what.encode(), b"head_\xff"))
         else:
             bad = ckpt / "transition.csv"
             lines = bad.read_text().splitlines()
@@ -223,6 +227,62 @@ class TestTypedErrors:
         assert main(["infer", "--ckpt", str(ckpt / "best.ckpt"),
                      "--data", str(workspace["data"]), "--out", str(tmp_path / "p")]) == 3
         assert str(bad) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("broken", ["id -1", "id 99", "no-probs", "bytes"])
+    def test_malformed_prediction_is_data_error(self, workspace, tmp_path, capsys, broken):
+        pred = shutil.copytree(workspace["pred"], tmp_path / "pred")
+        bad = sorted(pred.glob("*.csv"))[0]
+        lines = bad.read_bytes().splitlines()
+        line = 4
+        if broken == "no-probs":
+            lines = [b",".join(row.split(b",")[:2]) for row in lines]
+            line = 1
+        elif broken == "bytes":
+            lines[3] += b"\xff"
+        else:
+            fields = lines[3].split(b",")
+            fields[1] = broken.split()[1].encode()
+            lines[3] = b",".join(fields)
+        bad.write_bytes(b"\n".join(lines) + b"\n")
+        assert main(["eval", "--pred", str(pred), "--data", str(workspace["data"]),
+                     "--out", str(tmp_path / "r")]) == 3
+        err = capsys.readouterr().err
+        assert str(bad) in err
+        assert f"line {line}:" in err
+
+    def test_eval_missing_prediction_dir_is_usage_error(self, workspace, tmp_path, capsys):
+        missing = tmp_path / "nope"
+        assert main(["eval", "--pred", str(missing), "--data", str(workspace["data"]),
+                     "--out", str(tmp_path / "r")]) == 2
+        assert str(missing) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("broken", [
+        "meta.json {}", "meta.json fps", "meta.json bytes", "labels.csv bytes",
+        "features.bin missing",
+    ])
+    def test_malformed_video_dir_is_data_error(self, workspace, tmp_path, capsys, broken):
+        data = shutil.copytree(workspace["data"], tmp_path / "data")
+        name, what = broken.split()
+        bad = data / "video_000" / name
+        if what == "missing":
+            bad.unlink()
+        elif what == "bytes":
+            bad.write_bytes(bad.read_bytes().replace(b"0", b"\xff", 1))
+        elif what == "fps":
+            meta = json.loads(bad.read_text())
+            bad.write_text(json.dumps({**meta, "fps": "abc"}))
+        else:
+            bad.write_text(what)
+        assert main(["train", "--data", str(data), "--out", str(tmp_path / "c")]) == 3
+        assert str(bad) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["{bad", "{}"])
+    def test_malformed_grammar_file_is_data_error(self, tmp_path, capsys, text):
+        grammar = tmp_path / "grammar.json"
+        grammar.write_text(text)
+        assert main(["synth", "--grammar", str(grammar), "--videos", "2", "--seed", "1",
+                     "--out", str(tmp_path / "d")]) == 3
+        assert str(grammar) in capsys.readouterr().err
 
     def test_embedding_width_mismatch_is_data_error(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -287,24 +347,16 @@ class TestConfigParsing:
 
 
 class TestAblate:
-    def test_small_ablation_and_thread_independence(self, workspace, tmp_path):
+    def test_small_ablation_is_reproducible(self, workspace, tmp_path):
         args = ["ablate", "--data", str(workspace["data"]),
                 "--config", str(workspace["config"]), "--seeds", "1",
                 "--arms", "baseline,csl"]
-        outs = []
-        for name, threads in (("t1", "1"), ("t2", "3")):
-            out = tmp_path / name
-            os.environ["PHASEFLOW_THREADS"] = threads
-            try:
-                assert main(args + ["--out", str(out)]) == 0
-            finally:
-                os.environ.pop("PHASEFLOW_THREADS", None)
-            outs.append(out)
-        payloads = [json.loads((o / "ablation.json").read_text()) for o in outs]
-        assert payloads[0] == payloads[1]
-        assert (outs[0] / "ablation.csv").read_bytes() == \
-            (outs[1] / "ablation.csv").read_bytes()
-        res = payloads[0]["results"]
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            assert main(args + ["--out", str(out)]) == 0
+        for name in ("ablation.json", "ablation.csv", "config.txt"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        res = json.loads((outs[0] / "ablation.json").read_text())["results"]
         assert set(res) == {"baseline", "csl"}
         assert 0.0 <= res["csl"]["1"]["accuracy"] <= 1.0
 

@@ -162,15 +162,37 @@ class TestInferVideo:
         b = infer_video(mdl, seq)
         assert np.array_equal(a.probs, b.probs)
 
-    def test_infer_dataset_thread_count_does_not_change_results(self):
-        mdl = init_model(small_config(), TAX2)
+    @pytest.mark.parametrize("acausal", [False, True], ids=["causal", "acausal"])
+    def test_infer_dataset_matches_per_video_inference(self, acausal):
+        # the lockstep engine sums rows in another order than one video at a
+        # time: float32 probabilities agree to 1e-5 absolute
+        mdl = init_model(small_config(acausal=acausal, enabled_ssm_features=(
+            "csl", "gabor", "hmm")), TAX2)
         rng = np.random.default_rng(6)
-        seqs = [random_seq(rng, 20, 3, 2, video_id=f"v{i}") for i in range(5)]
-        seq_map1 = infer_dataset(mdl, seqs, max_workers=1)
-        seq_map4 = infer_dataset(mdl, seqs, max_workers=4)
-        assert seq_map1.keys() == seq_map4.keys()
-        for vid in seq_map1:
-            assert np.array_equal(seq_map1[vid].probs, seq_map4[vid].probs)
+        # non-zero weights everywhere, so pass 2 depends on the acausal rows
+        mdl.params["lstm_wx"][:] = rng.uniform(-0.5, 0.5, mdl.params["lstm_wx"].shape)
+        seqs = [random_seq(rng, t, 3, 2, video_id=f"v{i}")
+                for i, t in enumerate((9, 1, 23, 8, 1, 16))]
+        got = infer_dataset(mdl, seqs)
+        assert sorted(got) == [s.video_id for s in seqs]
+        ref_of = infer_video_acausal if acausal else infer_video
+        for seq in seqs:
+            r, ref = got[seq.video_id], ref_of(mdl, seq)
+            assert r.video_id == seq.video_id
+            np.testing.assert_allclose(r.probs, ref.probs, rtol=0, atol=1e-5)
+            assert np.array_equal(r.labels, np.argmax(r.probs, axis=1))
+            if acausal:
+                np.testing.assert_allclose(r.pass1_probs, ref.pass1_probs,
+                                           rtol=0, atol=1e-5)
+            else:
+                assert r.pass1_probs is None
+        if acausal:
+            assert not np.allclose(got["v2"].probs, got["v2"].pass1_probs, atol=1e-3)
+        shuffled = infer_dataset(mdl, [seqs[j] for j in (4, 2, 0, 5, 1, 3)])
+        for vid, r in got.items():
+            assert np.array_equal(shuffled[vid].probs, r.probs)
+            if acausal:
+                assert np.array_equal(shuffled[vid].pass1_probs, r.pass1_probs)
 
 
 class TestAcausal:

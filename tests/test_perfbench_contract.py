@@ -1,7 +1,9 @@
 """The benchmark's tracer (perfbench/bench_trace.py) wraps package names from
 outside, on the name each caller looks up. Installing it fails if a wrapped
 name is gone, so renaming or removing one fails here and not only in
-`python3 perfbench/run.py --smoke`."""
+`python3 perfbench/run.py --smoke`. The workloads (perfbench/
+bench_workloads.py) also call some names directly and read the results'
+fields; those are pinned here too."""
 
 import importlib.util
 from pathlib import Path
@@ -12,10 +14,11 @@ from phaseflow import model, train
 from phaseflow.core import ExperimentConfig, FeatureSequence, PhaseTaxonomy
 
 TAX2 = PhaseTaxonomy(("left", "right"))
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def load_bench_trace():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "bench_trace.py"
+    path = PERFBENCH / "bench_trace.py"
     spec = importlib.util.spec_from_file_location("bench_trace", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -52,3 +55,28 @@ def test_tracer_sees_the_calls_it_wraps_and_uninstalls():
     assert metrics["nn.head_softmax_us.calls"][0] > 0
     for owner, attr, original in wrapped:
         assert getattr(owner, attr) is original, attr
+
+
+def test_infer_dataset_passes_the_workload_checks(monkeypatch):
+    # bench_workloads sizes its infer-unit bursts by worker_thread_count()
+    # and checks each streamed video of an acausal model against the
+    # `pass1_probs` infer_dataset returned, with its own Checks and PROB_ATOL
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    bench_workloads = importlib.import_module("bench_workloads")
+    assert model.worker_thread_count() >= 1
+    cfg = ExperimentConfig(hidden_dim=3, embed_dim=2, acausal=True,
+                           enabled_ssm_features=("csl", "gabor", "hmm"))
+    mdl = model.init_model(cfg, TAX2)
+    seqs = videos(4)
+    inferred = model.infer_dataset(mdl, seqs)
+    checks = bench_workloads.Checks()
+    for seq in seqs:
+        r = inferred[seq.video_id]
+        sess = model.InferenceSession(mdl)
+        for x in seq.features:
+            sess.step(x)
+        checks.simplex(r.probs, seq.video_id)
+        checks.check(np.array_equal(r.labels, np.argmax(r.probs, axis=1)), seq.video_id)
+        checks.close(np.stack(sess.probs), r.pass1_probs, seq.video_id)
+    assert bench_workloads.PROB_ATOL <= 1e-4
+    assert (checks.attempted, checks.failed) == (3 * len(seqs), 0), checks.failures

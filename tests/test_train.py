@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import finite_difference_grads, window_pass
-from phaseflow import nn, train as train_mod
+from phaseflow import model as model_mod, nn, train as train_mod
 from phaseflow.core import (
     MODEL_DTYPE,
     ExperimentConfig,
@@ -387,7 +387,7 @@ class TestLockstepEngine:
         model = init_model(toy_config(**ALL_SSM), TAX2)
         model.params = {k: v.astype(dtype) for k, v in model.params.items()}
         seqs = ragged_videos()
-        probs, _ = train_mod._lockstep_probs(model, seqs)
+        probs, _ = model_mod._lockstep_probs(model, seqs)
         for seq, p in zip(seqs, probs):
             ref = infer_video(model, seq).probs
             assert p.dtype == ref.dtype == dtype
@@ -401,7 +401,7 @@ class TestLockstepEngine:
         model.params["lstm_wx"][:] = rng.uniform(
             -0.3, 0.3, model.params["lstm_wx"].shape).astype(np.float32)
         seqs = ragged_videos(seed=12)
-        probs, rows, _ = train_mod._offline_probs(model, seqs)
+        probs, _, rows, _ = model_mod._offline_probs(model, seqs)
         for seq, p, a in zip(seqs, probs, rows):
             ref = infer_video_acausal(model, seq)
             np.testing.assert_allclose(p, ref.probs, rtol=0, atol=1e-5)
@@ -433,7 +433,7 @@ class TestLockstepEngine:
         model.params["head_w"][:] = np.inf
         seqs = ragged_videos()
         with np.errstate(invalid="ignore"):
-            _, underflows = train_mod._lockstep_probs(model, seqs)
+            _, underflows = model_mod._lockstep_probs(model, seqs)
             expected = 0
             for seq in seqs:
                 sess = InferenceSession(model)
