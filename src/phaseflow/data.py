@@ -91,6 +91,12 @@ class WorkflowGrammar:
         for a, b in self.precedence:
             if not (0 <= a < n and 0 <= b < n):
                 raise GrammarError(f"precedence pair ({a}, {b}) out of range")
+        for kind, groups in (("interchangeable", self.interchangeable_groups),
+                             ("ambiguity", self.ambiguity_groups)):
+            for group in groups:
+                if not all(0 <= p < n for p in group):
+                    raise GrammarError(f"{kind} group {tuple(group)} names a phase "
+                                       f"outside 0..{n - 1}")
         reach = _reachability(n, self.precedence)
         if reach.diagonal().any():
             cyc = int(np.argwhere(reach.diagonal())[0][0])
@@ -355,6 +361,9 @@ def _read_labels_csv(path, n_frames: int) -> np.ndarray:
             idx, lab = int(row[0]), int(row[1])
             if not 0 <= idx < n_frames:
                 raise DataValidationError(f"{path}: frame_idx {idx} out of range")
+            if lab < 0:     # -1 marks a frame without a label row
+                raise DataValidationError(
+                    f"{path}: label out of range at frame {idx} (got {lab})")
             labels[idx] = lab
         except (ValueError, IndexError, OverflowError):
             raise DataValidationError(f"{path}: malformed row {row}") from None

@@ -19,6 +19,12 @@ is bit-equal to streaming inference by construction: it writes each input
 through the same `PhaseModel.blocks` and `acausal_rows` and runs the same
 calls (`nn._cell`, `nn.head_forward`, `softmax`, the aggregators'
 `feature`/`update`) on the same values.
+
+Acausal rows. Pass 2 reads the acausal statistic of each video's complete
+pass-1 stream. `PhaseModel.acausal_rows` derives it for all videos of a
+refresh, validation or `infer_dataset` call at once
+(`ssm.acausal_feature_streams`: closed forms plus one batched HMM filter)
+and writes each video's rows straight into the model dtype.
 """
 
 from __future__ import annotations
@@ -75,11 +81,12 @@ class PhaseModel:
     def input_dim(self) -> int:
         return self.blocks[2].stop
 
-    def acausal_rows(self, pass1_probs: np.ndarray) -> np.ndarray:
-        """The a block of every frame of a video: the acausal statistic
-        stream of its pass-1 likelihoods, in the model dtype."""
-        return ssm.acausal_feature_stream(
-            self.new_extractor(), pass1_probs).astype(MODEL_DTYPE)
+    def acausal_rows(self, pass1_probs: list[np.ndarray]) -> list[np.ndarray]:
+        """The a block of every frame of each video: the acausal statistic
+        rows of its pass-1 likelihoods, all videos in one call, each
+        written straight into an array of the model dtype."""
+        return ssm.acausal_feature_streams(self.new_extractor(), pass1_probs,
+                                           MODEL_DTYPE)
 
     def new_extractor(self, batch: int | None = None) -> ssm.SsmExtractor:
         """Aggregators of this model's statistic stream; `batch=B` runs B
@@ -175,7 +182,9 @@ def infer_video_acausal(model: PhaseModel, seq: FeatureSequence) -> InferenceRes
     if not model.config.acausal:
         raise UsageError("model config is causal; acausal inference unavailable")
     pass1 = infer_video(model, seq)
-    session = InferenceSession(model, acausal_features=model.acausal_rows(pass1.probs))
+    # the one-stream case of `PhaseModel.acausal_rows`
+    rows = ssm.acausal_feature_stream(model.new_extractor(), pass1.probs)
+    session = InferenceSession(model, acausal_features=rows.astype(MODEL_DTYPE))
     for v in seq.features:
         session.step(v)
     probs = np.stack(session.probs)
@@ -275,7 +284,7 @@ def _offline_probs(model: PhaseModel, seqs: list[FeatureSequence]):
     pass1, underflows = _lockstep_probs(model, seqs)
     if not model.config.acausal:
         return pass1, pass1, None, underflows
-    rows = [model.acausal_rows(p) for p in pass1]
+    rows = model.acausal_rows(pass1)
     probs, more = _lockstep_probs(model, seqs, rows)
     return probs, pass1, rows, underflows + more
 
@@ -298,8 +307,8 @@ def hmm_smooth_posthoc(probs: np.ndarray,
     """Offline smoothing pass over an emitted likelihood stream: forward
     filter under `transition`, then per-frame posterior argmax. Distinct from
     the hmm SSM feature (this never feeds back into the model)."""
-    marg = ssm.hmm_forward_marginals(transition, np.asarray(probs, dtype=np.float64))
-    return np.argmax(marg, axis=1)
+    marg, _ = ssm.hmm_forward_marginals(transition, [np.asarray(probs, np.float64)])
+    return np.argmax(marg[0], axis=1)
 
 
 def save_model(model: PhaseModel, ckpt_path) -> None:

@@ -261,7 +261,11 @@ def clip_global_norm(grads: dict, max_norm: float) -> float:
 
 
 class Adam:
-    """Standard Adam with bias correction; moment buffers per parameter block."""
+    """Standard Adam with bias correction; moment buffers per parameter block.
+
+    `step` updates the moments and parameters in place, with two temporary
+    arrays per block and the operations of the textbook formula in the same
+    order, so its floats are the formula's."""
 
     def __init__(self, params: dict, lr: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -282,11 +286,22 @@ class Adam:
             g = grads[k]
             if not np.isfinite(g).all():
                 raise NumericError(f"non-finite gradient in parameter block '{k}'")
-            self.m[k] = b1 * self.m[k] + (1.0 - b1) * g
-            self.v[k] = b2 * self.v[k] + (1.0 - b2) * (g * g)
-            m_hat = self.m[k] / bc1
-            v_hat = self.v[k] / bc2
-            p -= (self.lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(p.dtype)
+            m, v = self.m[k], self.v[k]
+            upd = np.multiply(g, 1.0 - b1)      # m = b1 * m + (1 - b1) * g
+            m *= b1
+            m += upd
+            np.multiply(g, g, out=upd)          # v = b2 * v + (1 - b2) * (g * g)
+            upd *= 1.0 - b2
+            v *= b2
+            v += upd
+            # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+            np.divide(m, bc1, out=upd)
+            upd *= self.lr
+            den = np.divide(v, bc2)
+            np.sqrt(den, out=den)
+            den += self.eps
+            upd /= den
+            p -= upd
 
 
 def save_checkpoint(path, params: dict, extra: dict) -> None:

@@ -9,8 +9,14 @@ Three feature kinds, concatenated in the fixed order csl | gabor | hmm:
   each likelihood channel through a bounded ring buffer.
 * HMM: forward-filtered posterior under a row-stochastic transition matrix.
 
-Acausal variants run the same aggregator over the time-reversed stream, so
-the value at frame t summarizes frames strictly after t.
+Acausal variants run the same statistic over the time-reversed stream, so
+the value at frame t summarizes frames strictly after t. That stream is
+complete before the statistic is needed, so `acausal_feature_streams` does
+not step the aggregators frame by frame: each aggregator's `stream` gives
+the rows of a whole stream in closed form (CSL a shifted cumulative count,
+Gabor one filter-bank product over sliding windows), and only the HMM
+filter stays sequential, stepped once for all streams together
+(`hmm_forward_marginals`).
 
 Every aggregator also runs B independent streams in lockstep: built with
 `batch=B`, its state gains a leading axis of B rows (the Gabor ring holds
@@ -30,6 +36,7 @@ import csv as _csv
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
     SSM_FEATURE_KINDS,
@@ -65,15 +72,26 @@ class CslAccumulator:
     def dim(self) -> int:
         return self.n_phases * (len(self.levels) + 1)
 
-    def update(self, m: np.ndarray) -> None:
+    def _hit_mask(self, m: np.ndarray, out: np.ndarray) -> np.ndarray:
         m = np.asarray(m)
-        np.greater_equal(m[..., None], self.levels, out=self._hits[..., :-1])
-        np.equal(self._phase_ids, np.argmax(m, axis=-1)[..., None],
-                 out=self._hits[..., -1])
-        self.counts += self._hits
+        np.greater_equal(m[..., None], self.levels, out=out[..., :-1])
+        np.equal(self._phase_ids, np.argmax(m, axis=-1)[..., None], out=out[..., -1])
+        return out
+
+    def update(self, m: np.ndarray) -> None:
+        self.counts += self._hit_mask(m, self._hits)
 
     def feature(self) -> np.ndarray:
         return np.log1p(self.counts).reshape(self.counts.shape[:-2] + (-1,))
+
+    def stream(self, ms: np.ndarray) -> np.ndarray:
+        """Rows of a complete (T, N) stream: row t is `feature()` after the
+        updates m[0..t-1], as a cumulative count shifted by one row. The
+        counts are integers held in float64, so the rows are exact."""
+        hits = self._hit_mask(ms, np.empty(np.shape(ms) + self.counts.shape[-1:], bool))
+        counts = np.zeros(hits.shape)
+        np.cumsum(hits[:-1], axis=0, out=counts[1:])
+        return np.log1p(counts).reshape(len(counts), -1)
 
     def take(self, rows) -> "CslAccumulator":
         part = copy.copy(self)
@@ -87,6 +105,11 @@ class CslAccumulator:
 
 # ---------------------------------------------------------------------------
 # Gabor filter bank
+
+# frames per product in GaborAccumulator.stream: bounds the float64
+# temporaries of a long stream, and measured faster than one product
+STREAM_CHUNK = 256
+
 
 def gabor_kernel(sigma: float) -> tuple[np.ndarray, np.ndarray]:
     """Complex causal 1-D Gabor kernel sampled at integer lags.
@@ -172,12 +195,32 @@ class GaborAccumulator:
         self.buf[p + w - 1] = np.asarray(m).reshape(-1)
         self.pos = p
 
-    def feature(self) -> np.ndarray:
+    def _magnitudes(self, windows: np.ndarray) -> np.ndarray:
+        """Response magnitudes of windows (..., width, C), oldest frame
+        first: (..., C, K)."""
         k = self.bank.num_scales
-        r = self._kernels @ self.window                  # (2K, B*N)
+        r = self._kernels @ windows                      # (..., 2K, C)
         r *= r
-        mag = np.sqrt(r[:k] + r[k:]).reshape(k, -1, self.n_phases)
-        return mag.transpose(1, 2, 0).reshape(self._lead + (self.dim,))
+        mag = r[..., :k, :] + r[..., k:, :]
+        return np.sqrt(mag, out=mag).swapaxes(-1, -2)
+
+    def feature(self) -> np.ndarray:
+        return self._magnitudes(self.window).reshape(self._lead + (self.dim,))
+
+    def stream(self, ms: np.ndarray) -> np.ndarray:
+        """Rows of a complete (T, N) stream: row t is `feature()` after the
+        updates m[0..t-1], from products of the kernels with the zero-padded
+        windows of the stream, STREAM_CHUNK rows at a time."""
+        w, T = self.bank.width, len(ms)
+        padded = np.zeros((w + T, self.n_phases))
+        padded[w:] = ms
+        # window t holds frames t-w..t-1; the one after the last frame is unused
+        windows = sliding_window_view(padded, w, axis=0)[:T].swapaxes(1, 2)
+        out = np.empty((T, self.dim))
+        for a in range(0, T, STREAM_CHUNK):
+            part = windows[a:a + STREAM_CHUNK]
+            out[a:a + STREAM_CHUNK] = self._magnitudes(part).reshape(-1, self.dim)
+        return out
 
     def _columns(self, rows) -> np.ndarray:
         n = self.n_phases
@@ -324,14 +367,43 @@ class HmmFilterState:
         self.underflow_count = part.underflow_count
 
 
-def hmm_forward_marginals(transition: TransitionMatrix, ms: np.ndarray) -> np.ndarray:
-    """Filtered posterior at every frame for a complete stream (T, N)."""
-    f = HmmFilterState(transition)
-    out = np.empty_like(np.asarray(ms, dtype=np.float64))
-    for t, m in enumerate(ms):
-        f.update(m)
-        out[t] = f.belief
-    return out
+def hmm_forward_marginals(transition: TransitionMatrix,
+                          streams) -> tuple[list[np.ndarray], int]:
+    """Filtered posterior at every frame of complete (T_j, N) streams, in
+    input order, and the underflow count summed over them. One batched
+    filter steps all streams, longest first, so the streams still running
+    are always a prefix of its rows."""
+    streams = [np.asarray(ms) for ms in streams]
+    if not streams:
+        return [], 0
+    order = sorted(range(len(streams)), key=lambda j: -len(streams[j]))
+    lengths = [len(streams[j]) for j in order]
+    packed = np.zeros((lengths[0], len(order), transition.n_phases),
+                      np.result_type(*streams))
+    for col, j in enumerate(order):
+        packed[:lengths[col], col] = streams[j]
+    marg = np.empty(packed.shape)
+    # one stream runs without the batch axis, as in streaming: it steps faster
+    batched = len(order) > 1
+    f = HmmFilterState(transition, batch=len(order) if batched else None)
+    start = 0
+    for live in range(len(order), 0, -1):
+        # frames [start, stop) run the `live` longest streams
+        stop = lengths[live - 1]
+        if stop > start:
+            if live < len(order):
+                f = f.take(np.arange(live))
+            rows = slice(live) if batched else 0
+            beliefs = []
+            for m in packed[start:stop, rows]:
+                f.update(m)
+                beliefs.append(f.belief)
+            marg[start:stop, rows] = beliefs
+            start = stop
+    out = [None] * len(streams)
+    for col, j in enumerate(order):
+        out[j] = marg[:lengths[col], col]
+    return out, f.underflow_count
 
 
 # ---------------------------------------------------------------------------
@@ -396,22 +468,34 @@ class SsmExtractor:
             mine.put(rows, theirs)
 
 
-def feature_stream(extractor: SsmExtractor, ms) -> np.ndarray:
-    """Causal statistic stream: row t is the feature available when frame t is
-    processed, i.e. aggregated over m[0..t-1]. `extractor` must be fresh (no
-    updates yet), so row 0 is zeros; it holds the whole stream afterwards."""
-    rows = []
-    for m in ms:
-        rows.append(extractor.feature())
-        extractor.update(m)
-    return np.stack(rows) if rows else np.zeros((0, extractor.dim))
+def acausal_feature_streams(extractor: SsmExtractor, streams,
+                            dtype=np.float64) -> list[np.ndarray]:
+    """Acausal statistic rows of complete (T_j, N) streams, one (T_j, dim)
+    array of `dtype` per stream: row t aggregates m[t+1..T_j-1], so the last
+    row is zeros. Each aggregator works on the reversed streams, where row t
+    sees frames < t (see the module doc). Only the extractor's settings are
+    read; its HMM underflow counter grows by the streams' underflows."""
+    rev = [np.asarray(ms)[::-1] for ms in streams]
+    if any(r.ndim != 2 for r in rev):
+        raise UsageError("acausal aggregation needs complete (T, N) streams")
+    out = [np.empty((len(r), extractor.dim), dtype) for r in rev]
+    col = 0
+    for part in extractor._parts:
+        # each stream's block of this aggregator, in reversed time
+        blocks = [o[::-1, col:col + part.dim] for o in out]
+        col += part.dim
+        if isinstance(part, HmmFilterState):
+            marg, underflows = hmm_forward_marginals(part.transition, rev)
+            part.underflow_count += underflows
+            for block, m in zip(blocks, marg):
+                block[:1] = 0.0
+                block[1:] = m[:-1]
+        else:
+            for block, r in zip(blocks, rev):
+                block[:] = part.stream(r)
+    return out
 
 
 def acausal_feature_stream(extractor: SsmExtractor, ms) -> np.ndarray:
-    """Acausal statistic stream: the causal aggregator run over the reversed
-    stream and re-reversed, so row t aggregates m[t+1..T-1] and the last row
-    is zeros. Requires the complete stream (offline mode only)."""
-    ms = np.asarray(ms)
-    if ms.ndim != 2:
-        raise UsageError("acausal aggregation needs the complete (T, N) stream")
-    return feature_stream(extractor, ms[::-1])[::-1].copy()
+    """The one-stream case of `acausal_feature_streams`, in float64."""
+    return acausal_feature_streams(extractor, [ms])[0]

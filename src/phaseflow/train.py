@@ -6,7 +6,8 @@ proximal penalty pulling outputs toward the previous epoch's.
 In acausal mode each video trains two parallel sessions sharing one parameter
 set: pass 1 with zeroed acausal channels (whose no-gradient stream refreshes
 the acausal feature cache every epoch) and pass 2 consuming the cached
-acausal features; the window loss sums both passes.
+acausal features; the window loss sums both passes. Before epoch 1 only
+pass 1 runs, to fill that cache from the initial parameters.
 
 Training runs on the lockstep engine of `model`. `train_epoch` steps the
 aligned windows of one Adam step together, with one vectorised loss and one
@@ -14,9 +15,10 @@ batched backward pass per window; each batch gathers its streams' state rows
 at the start of its window and scatters them back at the end, and the padded
 rows of a short window are masked out of the loss (exactly zero gradient).
 The cache refresh and validation run all their videos through
-`_offline_probs`, as `infer_dataset` does. At B=1 (`training_forward_probs`)
-the engine is bit-equal to streaming inference; at larger B it agrees to
-float rounding.
+`_offline_probs`, as `infer_dataset` does, which derives the acausal rows
+of every video in one closed-form call (`PhaseModel.acausal_rows`). At B=1
+(`training_forward_probs`) the engine is bit-equal to streaming inference;
+at larger B it agrees to float rounding.
 """
 
 from __future__ import annotations
@@ -260,8 +262,11 @@ def fit(config: ExperimentConfig, taxonomy: PhaseTaxonomy,
                        transition)
     run = TrainRun(config, model, nn.Adam(model.params, config.learning_rate))
     if config.acausal:
-        _refresh_caches(run, train_seqs)     # epoch-1 acausal features come
-        run.prox_cache.clear()               # from the init params; no prox yet
+        # epoch-1 acausal rows come from pass 1 under the init params; pass 2
+        # is not run, as there are no proximal targets before epoch 1
+        ids = [s.video_id for s in train_seqs]
+        run.acausal_cache.update(zip(ids, model.acausal_rows(
+            _lockstep_probs(model, train_seqs)[0])))
 
     best_epoch = 0
     best_acc = -1.0

@@ -284,6 +284,16 @@ class TestTypedErrors:
                      "--out", str(tmp_path / "d")]) == 3
         assert str(grammar) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["interchangeable_groups", "ambiguity_groups"])
+    def test_grammar_group_out_of_range_is_data_error(self, tmp_path, capsys, field):
+        grammar = tmp_path / "grammar.json"
+        grammar.write_text(json.dumps({**tiny_grammar_dict(), field: [[-1, 2]]}))
+        assert main(["synth", "--grammar", str(grammar), "--videos", "2", "--seed", "1",
+                     "--out", str(tmp_path / "d")]) == 3
+        err = capsys.readouterr().err
+        assert str(grammar) in err
+        assert "(-1, 2) names a phase outside 0..2" in err
+
     def test_embedding_width_mismatch_is_data_error(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(CONFIG_TEXT.replace("embed_dim = 6", "embed_dim = 4"))

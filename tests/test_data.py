@@ -57,6 +57,12 @@ class TestGrammarValidation:
         with pytest.raises(GrammarError, match="ordered by precedence"):
             tiny_grammar(interchangeable_groups=((0, 1),))
 
+    @pytest.mark.parametrize("field", ["interchangeable_groups", "ambiguity_groups"])
+    @pytest.mark.parametrize("group", [(-1, 2), (0, 3)])
+    def test_group_member_out_of_range_rejected(self, field, group):
+        with pytest.raises(GrammarError, match=r"names a phase outside 0\.\.2"):
+            tiny_grammar(**{field: (group,)})
+
     def test_nonpositive_duration_rejected(self):
         with pytest.raises(GrammarError):
             tiny_grammar(duration_median_s=np.array([5.0, 0.0, 5.0]))
@@ -232,6 +238,19 @@ class TestDatasetIO:
         meta["taxonomy"] = {"0": "a", "1": "b"}      # drop phase c
         meta_path.write_text(json.dumps(meta))
         with pytest.raises(DataValidationError, match="label out of range at frame"):
+            read_video_dir(tmp_path / "v")
+
+    @pytest.mark.parametrize("row,message", [
+        ("2,-1", r"label out of range at frame 2 \(got -1\)"),
+        (None, "no label for frame 2"),
+    ], ids=["negative", "missing"])
+    def test_labels_csv_row_names_frame(self, tmp_path, row, message):
+        seq = generate_video(tiny_grammar(), substream(0, "generator", 0), video_id="v")
+        write_video_dir(tmp_path / "v", seq, TAX3)
+        path = tmp_path / "v" / "labels.csv"
+        lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("2,")]
+        path.write_text("\n".join(lines + ([row] if row else [])) + "\n")
+        with pytest.raises(DataValidationError, match=message):
             read_video_dir(tmp_path / "v")
 
     def test_split_selection(self, tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import finite_difference_grads, window_pass
+from oracles import finite_difference_grads, textbook_adam_step, window_pass
 from phaseflow import nn
 from phaseflow.core import DataValidationError, NumericError, softmax
 
@@ -233,6 +233,23 @@ class TestAdam:
             v = b2 * v + (1 - b2) * g[0] ** 2
             w -= lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + eps)
         np.testing.assert_allclose(params["w"], [w], rtol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_in_place_step_bit_equal_to_textbook_formula(self, dtype):
+        params = make_params(3, 4, 2, dtype=dtype)
+        ref_params = {k: v.copy() for k, v in params.items()}
+        opt, ref = nn.Adam(params, lr=0.01), nn.Adam(ref_params, lr=0.01)
+        rng = np.random.default_rng(4)
+        for _ in range(5):
+            grads = {k: rng.standard_normal(v.shape).astype(dtype)
+                     for k, v in params.items()}
+            opt.step(params, grads)
+            textbook_adam_step(ref, ref_params, grads)
+            for k in params:
+                assert params[k].dtype == opt.m[k].dtype == opt.v[k].dtype == dtype
+                assert np.array_equal(params[k], ref_params[k]), k
+                assert np.array_equal(opt.m[k], ref.m[k]), k
+                assert np.array_equal(opt.v[k], ref.v[k]), k
 
     def test_nonfinite_gradient_names_block(self):
         params = make_params(2, 2, 2, dtype=np.float32)

@@ -1,10 +1,12 @@
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
+from oracles import feature_stream, per_frame_acausal_stream
 
 from phaseflow.core import DataValidationError, UsageError, softmax
 from phaseflow.ssm import (
+    STREAM_CHUNK,
     CslAccumulator,
     GaborAccumulator,
     GaborBank,
@@ -12,8 +14,8 @@ from phaseflow.ssm import (
     SsmExtractor,
     TransitionMatrix,
     acausal_feature_stream,
+    acausal_feature_streams,
     estimate_transition_matrix,
-    feature_stream,
     gabor_kernel,
     hmm_forward_marginals,
 )
@@ -251,7 +253,7 @@ class TestHmmFilter:
             a = rng.random((n, n)) + 0.05
             tm = TransitionMatrix(a)
             ms = softmax(rng.standard_normal((t, n)) * 1.5)
-            marg = hmm_forward_marginals(tm, ms)
+            (marg,), _ = hmm_forward_marginals(tm, [ms])
             np.testing.assert_allclose(marg[-1], hmm_path_sum(tm.a, ms), atol=1e-9)
 
     def test_identity_reduces_to_cumulative_product(self):
@@ -259,7 +261,7 @@ class TestHmmFilter:
         tm = TransitionMatrix(np.eye(4) + 1e-15)
         for _ in range(10):
             ms = softmax(rng.standard_normal((10, 4)))
-            marg = hmm_forward_marginals(tm, ms)
+            (marg,), _ = hmm_forward_marginals(tm, [ms])
             running = np.ones(4) / 4
             for t in range(10):
                 running = running * ms[t]
@@ -355,6 +357,67 @@ class TestStreamHelpers:
     def test_acausal_requires_complete_stream(self):
         with pytest.raises(UsageError):
             acausal_feature_stream(SsmExtractor(3), np.zeros(3))
+
+
+KINDS = ("csl", "gabor", "hmm")
+
+
+class TestClosedForm:
+    """`acausal_feature_streams` over a batch of complete streams against the
+    frame-by-frame oracle, one fresh extractor per stream, with lengths
+    around the Gabor window width and past one Gabor product. The closed forms
+    and the batched HMM filter sum in another order than the per-frame
+    aggregators, so float64 rows agree to a tolerance fixed beforehand."""
+
+    ATOL = 1e-12                        # float64
+
+    def setup_method(self):
+        rng = np.random.default_rng(13)
+        self.n = 3
+        self.bank = GaborBank.build(3, 3.0, 6.0)
+        self.tm = TransitionMatrix(rng.random((3, 3)) + 0.1)
+        w = self.bank.width
+        self.streams = [softmax(rng.standard_normal((t, self.n)) * 2.0)
+                        for t in (w + 1, 1, 3 * w, w - 1, 2, w, STREAM_CHUNK + 1)]
+
+    def extractor(self, kinds):
+        return SsmExtractor(self.n, kinds, gabor_bank=self.bank, transition=self.tm)
+
+    @pytest.mark.parametrize("kinds", [k for r in range(4) for k in combinations(KINDS, r)],
+                             ids=lambda k: "|".join(k) or "none")
+    def test_batch_matches_per_frame_oracle(self, kinds):
+        rows = acausal_feature_streams(self.extractor(kinds), self.streams)
+        rows32 = acausal_feature_streams(self.extractor(kinds), self.streams, np.float32)
+        for ms, got, got32 in zip(self.streams, rows, rows32):
+            want = per_frame_acausal_stream(self.extractor(kinds), ms)
+            assert got.shape == want.shape == (len(ms), self.extractor(kinds).dim)
+            assert got.dtype == np.float64 and got32.dtype == np.float32
+            np.testing.assert_allclose(got, want, rtol=0, atol=self.ATOL)
+            assert np.array_equal(got32, got.astype(np.float32))
+            np.testing.assert_allclose(acausal_feature_stream(self.extractor(kinds), ms),
+                                       want, rtol=0, atol=self.ATOL)
+
+    def test_batch_underflows_equal_per_stream_sum(self):
+        self.streams[0][[2, 5]] = 0.0           # two underflows in one stream
+        self.streams[2][-1] = 0.0               # one at the start of the reversed stream
+        batch = self.extractor(KINDS)
+        acausal_feature_streams(batch, self.streams)
+        singles = [self.extractor(KINDS) for _ in self.streams]
+        for ex, ms in zip(singles, self.streams):
+            per_frame_acausal_stream(ex, ms)
+        assert batch.underflow_count == sum(s.underflow_count for s in singles) == 3
+        assert hmm_forward_marginals(self.tm, self.streams)[1] == 3
+
+    def test_marginals_of_each_stream_in_input_order(self):
+        marg, underflows = hmm_forward_marginals(self.tm, self.streams)
+        assert underflows == 0
+        for ms, got in zip(self.streams, marg):
+            f = HmmFilterState(self.tm)
+            want = []
+            for m in ms:
+                f.update(m)
+                want.append(f.belief)
+            np.testing.assert_allclose(got, want, rtol=0, atol=self.ATOL)
 
 
 class TestBatched:

@@ -232,7 +232,7 @@ class TestTrainingForwardEqualsInference:
         # the a block's weights are drawn like the others, so pass 2 differs
         ref = infer_video_acausal(model, seq)
         assert np.array_equal(train_probs, ref.pass1_probs)
-        pass2 = training_forward_probs(model, seq, model.acausal_rows(train_probs))
+        pass2 = training_forward_probs(model, seq, model.acausal_rows([train_probs])[0])
         assert np.array_equal(pass2, ref.probs)
         assert not np.array_equal(ref.probs, ref.pass1_probs)
 
