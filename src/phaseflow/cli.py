@@ -345,9 +345,15 @@ def cmd_ablate(args) -> int:
     test_seqs, _ = _load_split(args.data, "test")
     if not test_seqs:
         raise DataValidationError("ablation needs a manifest with a test split")
-    manifest = data_mod.read_manifest(args.data)
-    ambiguity_phases = sorted({p for g in manifest.get("ambiguity_groups", [])
-                               for p in g})
+    groups = data_mod.read_manifest(args.data).get("ambiguity_groups", [])
+    n = taxonomy.n_phases
+    if not isinstance(groups, list) or not all(
+            isinstance(g, list) and all(type(p) is int and 0 <= p < n for p in g)
+            for g in groups):
+        raise DataValidationError(
+            f"{os.path.join(args.data, data_mod.MANIFEST_NAME)}: ambiguity_groups "
+            f"must be lists of phase ids in 0..{n - 1}, got {groups!r}")
+    ambiguity_phases = sorted({p for g in groups for p in g})
     with output_dir(args.out) as out:
         write_config_echo(out, base_config)
         results: dict[str, dict[str, dict]] = {}

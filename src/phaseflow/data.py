@@ -109,7 +109,9 @@ class WorkflowGrammar:
                     raise GrammarError(
                         f"interchangeable group {group}: phase {a} is fully "
                         f"ordered by precedence within the group")
-        for lo, hi in self.occurrences.values():
+        for phase, (lo, hi) in self.occurrences.items():
+            if not 0 <= phase < n:
+                raise GrammarError(f"occurrences name phase {phase} outside 0..{n - 1}")
             if lo < 0 or hi < lo:
                 raise GrammarError("occurrence ranges must satisfy 0 <= min <= max")
         if self.order_weights is None:
@@ -449,11 +451,14 @@ def import_external_features(csv_path, meta: dict) -> FeatureSequence:
     keeping frame floor(k * fps) for each whole second k. `meta` needs
     video_id and fps >= 1; a taxonomy dict enables label validation.
     Non-finite features and non-integer labels are rejected."""
-    fps = float(meta["fps"])
+    try:
+        video_id, fps = str(meta["video_id"]), float(meta["fps"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise DataValidationError(f"{csv_path}: meta needs a 'video_id' and a "
+                                  f"numeric 'fps': {type(e).__name__}: {e}") from None
     if not 1.0 <= fps < np.inf:
         raise DataValidationError(f"{csv_path}: fps must be finite and >= 1, got {fps}")
-    with open(csv_path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = list(csv.reader(io.StringIO(read_text(csv_path), newline="")))
     if not rows:
         raise DataValidationError(f"{csv_path}: empty file")
     label_col = None
@@ -463,8 +468,9 @@ def import_external_features(csv_path, meta: dict) -> FeatureSequence:
         start = 1
         if "label" in first:
             label_col = first.index("label")
-    width = len(rows[start]) if start < len(rows) else 0
-    if width == 0:
+    # a header row has as many cells as the data rows, or `label_col` is off
+    width = len(first)
+    if start == len(rows) or width == 0:
         raise DataValidationError(f"{csv_path}: no data rows")
     feats, labels = [], []
     for r, row in enumerate(rows[start:], start=start):
@@ -493,7 +499,7 @@ def import_external_features(csv_path, meta: dict) -> FeatureSequence:
     keep = keep[keep < len(feats)]
     feats = feats[keep]
     labs = np.asarray(labels, dtype=np.int64)[keep] if label_col is not None else None
-    seq = FeatureSequence(video_id=str(meta["video_id"]), fps=1.0,
+    seq = FeatureSequence(video_id=video_id, fps=1.0,
                           features=feats, labels=labs)
     if "taxonomy" in meta:
         return validate_sequence(seq, PhaseTaxonomy.from_dict(meta["taxonomy"]))

@@ -23,8 +23,9 @@ calls (`nn._cell`, `nn.head_forward`, `softmax`, the aggregators'
 Acausal rows. Pass 2 reads the acausal statistic of each video's complete
 pass-1 stream. `PhaseModel.acausal_rows` derives it for all videos of a
 refresh, validation or `infer_dataset` call at once
-(`ssm.acausal_feature_streams`: closed forms plus one batched HMM filter)
-and writes each video's rows straight into the model dtype.
+(`ssm.acausal_feature_streams` over each aggregator's offline `streams`)
+and writes each video's rows straight into the model dtype. Post-hoc
+smoothing runs the same offline HMM filter over one stream.
 """
 
 from __future__ import annotations
@@ -307,8 +308,8 @@ def hmm_smooth_posthoc(probs: np.ndarray,
     """Offline smoothing pass over an emitted likelihood stream: forward
     filter under `transition`, then per-frame posterior argmax. Distinct from
     the hmm SSM feature (this never feeds back into the model)."""
-    marg, _ = ssm.hmm_forward_marginals(transition, [np.asarray(probs, np.float64)])
-    return np.argmax(marg[0], axis=1)
+    (marg,) = ssm.HmmFilterState(transition).streams([probs])
+    return np.argmax(marg, axis=1)
 
 
 def save_model(model: PhaseModel, ckpt_path) -> None:

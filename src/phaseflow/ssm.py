@@ -11,12 +11,13 @@ Three feature kinds, concatenated in the fixed order csl | gabor | hmm:
 
 Acausal variants run the same statistic over the time-reversed stream, so
 the value at frame t summarizes frames strictly after t. That stream is
-complete before the statistic is needed, so `acausal_feature_streams` does
-not step the aggregators frame by frame: each aggregator's `stream` gives
-the rows of a whole stream in closed form (CSL a shifted cumulative count,
-Gabor one filter-bank product over sliding windows), and only the HMM
-filter stays sequential, stepped once for all streams together
-(`hmm_forward_marginals`).
+complete before the statistic is needed, so each aggregator also has one
+offline method, `streams`: it takes complete (T_j, N) streams and yields
+one (T_j, dim) array per stream in input order, whose row t is `feature()`
+after the updates m[0..t]. CSL is a cumulative count and Gabor one
+filter-bank product over sliding windows; the HMM filter stays sequential,
+one filter stepping all streams together. `acausal_feature_streams` shifts
+those rows by one frame for every aggregator alike.
 
 Every aggregator also runs B independent streams in lockstep: built with
 `batch=B`, its state gains a leading axis of B rows (the Gabor ring holds
@@ -84,14 +85,12 @@ class CslAccumulator:
     def feature(self) -> np.ndarray:
         return np.log1p(self.counts).reshape(self.counts.shape[:-2] + (-1,))
 
-    def stream(self, ms: np.ndarray) -> np.ndarray:
-        """Rows of a complete (T, N) stream: row t is `feature()` after the
-        updates m[0..t-1], as a cumulative count shifted by one row. The
-        counts are integers held in float64, so the rows are exact."""
-        hits = self._hit_mask(ms, np.empty(np.shape(ms) + self.counts.shape[-1:], bool))
-        counts = np.zeros(hits.shape)
-        np.cumsum(hits[:-1], axis=0, out=counts[1:])
-        return np.log1p(counts).reshape(len(counts), -1)
+    def streams(self, streams):
+        """Offline rows (see the module doc): cumulative counts, integers
+        held in float64, so the rows are exact."""
+        for ms in streams:
+            hits = self._hit_mask(ms, np.empty(np.shape(ms) + self.counts.shape[-1:], bool))
+            yield np.log1p(np.cumsum(hits, axis=0, dtype=np.float64)).reshape(len(hits), -1)
 
     def take(self, rows) -> "CslAccumulator":
         part = copy.copy(self)
@@ -106,7 +105,7 @@ class CslAccumulator:
 # ---------------------------------------------------------------------------
 # Gabor filter bank
 
-# frames per product in GaborAccumulator.stream: bounds the float64
+# frames per product in GaborAccumulator.streams: bounds the float64
 # temporaries of a long stream, and measured faster than one product
 STREAM_CHUNK = 256
 
@@ -207,20 +206,19 @@ class GaborAccumulator:
     def feature(self) -> np.ndarray:
         return self._magnitudes(self.window).reshape(self._lead + (self.dim,))
 
-    def stream(self, ms: np.ndarray) -> np.ndarray:
-        """Rows of a complete (T, N) stream: row t is `feature()` after the
-        updates m[0..t-1], from products of the kernels with the zero-padded
-        windows of the stream, STREAM_CHUNK rows at a time."""
-        w, T = self.bank.width, len(ms)
-        padded = np.zeros((w + T, self.n_phases))
-        padded[w:] = ms
-        # window t holds frames t-w..t-1; the one after the last frame is unused
-        windows = sliding_window_view(padded, w, axis=0)[:T].swapaxes(1, 2)
-        out = np.empty((T, self.dim))
-        for a in range(0, T, STREAM_CHUNK):
-            part = windows[a:a + STREAM_CHUNK]
-            out[a:a + STREAM_CHUNK] = self._magnitudes(part).reshape(-1, self.dim)
-        return out
+    def streams(self, streams):
+        """Offline rows (see the module doc): products of the kernels with
+        the zero-padded windows of a stream, STREAM_CHUNK rows at a time."""
+        w = self.bank.width
+        for ms in streams:
+            padded = np.concatenate([np.zeros((w, self.n_phases)), ms])
+            # window t holds frames t-w+1..t; the all-zero first one is unused
+            windows = sliding_window_view(padded, w, axis=0)[1:].swapaxes(1, 2)
+            out = np.empty((len(ms), self.dim))
+            for a in range(0, len(ms), STREAM_CHUNK):
+                part = windows[a:a + STREAM_CHUNK]
+                out[a:a + STREAM_CHUNK] = self._magnitudes(part).reshape(-1, self.dim)
+            yield out
 
     def _columns(self, rows) -> np.ndarray:
         n = self.n_phases
@@ -366,44 +364,28 @@ class HmmFilterState:
         self.belief[rows] = part.belief
         self.underflow_count = part.underflow_count
 
-
-def hmm_forward_marginals(transition: TransitionMatrix,
-                          streams) -> tuple[list[np.ndarray], int]:
-    """Filtered posterior at every frame of complete (T_j, N) streams, in
-    input order, and the underflow count summed over them. One batched
-    filter steps all streams, longest first, so the streams still running
-    are always a prefix of its rows."""
-    streams = [np.asarray(ms) for ms in streams]
-    if not streams:
-        return [], 0
-    order = sorted(range(len(streams)), key=lambda j: -len(streams[j]))
-    lengths = [len(streams[j]) for j in order]
-    packed = np.zeros((lengths[0], len(order), transition.n_phases),
-                      np.result_type(*streams))
-    for col, j in enumerate(order):
-        packed[:lengths[col], col] = streams[j]
-    marg = np.empty(packed.shape)
-    # one stream runs without the batch axis, as in streaming: it steps faster
-    batched = len(order) > 1
-    f = HmmFilterState(transition, batch=len(order) if batched else None)
-    start = 0
-    for live in range(len(order), 0, -1):
-        # frames [start, stop) run the `live` longest streams
-        stop = lengths[live - 1]
-        if stop > start:
-            if live < len(order):
-                f = f.take(np.arange(live))
-            rows = slice(live) if batched else 0
-            beliefs = []
-            for m in packed[start:stop, rows]:
-                f.update(m)
-                beliefs.append(f.belief)
-            marg[start:stop, rows] = beliefs
-            start = stop
-    out = [None] * len(streams)
-    for col, j in enumerate(order):
-        out[j] = marg[:lengths[col], col]
-    return out, f.underflow_count
+    def streams(self, streams):
+        """Offline rows (see the module doc) from the uniform initial state:
+        one filter steps all streams to the longest one's end, and a stream
+        that has ended feeds the uniform vector, which cannot underflow.
+        Underflows add to this filter's counter; its state is untouched."""
+        streams = [np.asarray(ms) for ms in streams]
+        if not streams:
+            return
+        n, b = self.dim, len(streams)
+        packed = np.full((max(map(len, streams)), b, n), 1.0 / n)
+        for j, ms in enumerate(streams):
+            packed[:len(ms), j] = ms
+        # one stream runs without the batch axis, as in streaming: it steps faster
+        f = HmmFilterState(self.transition, b if b > 1 else None)
+        beliefs = []
+        for m in (packed if b > 1 else packed[:, 0]):
+            f.update(m)
+            beliefs.append(f.belief)
+        self.underflow_count += f.underflow_count
+        marg = np.reshape(beliefs, packed.shape)
+        for j, ms in enumerate(streams):
+            yield marg[:len(ms), j]
 
 
 # ---------------------------------------------------------------------------
@@ -481,18 +463,13 @@ def acausal_feature_streams(extractor: SsmExtractor, streams,
     out = [np.empty((len(r), extractor.dim), dtype) for r in rev]
     col = 0
     for part in extractor._parts:
-        # each stream's block of this aggregator, in reversed time
-        blocks = [o[::-1, col:col + part.dim] for o in out]
+        for o, rows in zip(out, part.streams(rev)):
+            # this aggregator's block in reversed time: row t is the
+            # inclusive row t - 1, row 0 sees no frame
+            block = o[::-1, col:col + part.dim]
+            block[:1] = 0.0
+            block[1:] = rows[:-1]
         col += part.dim
-        if isinstance(part, HmmFilterState):
-            marg, underflows = hmm_forward_marginals(part.transition, rev)
-            part.underflow_count += underflows
-            for block, m in zip(blocks, marg):
-                block[:1] = 0.0
-                block[1:] = m[:-1]
-        else:
-            for block, r in zip(blocks, rev):
-                block[:] = part.stream(r)
     return out
 
 

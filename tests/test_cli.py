@@ -276,7 +276,9 @@ class TestTypedErrors:
         assert main(["train", "--data", str(data), "--out", str(tmp_path / "c")]) == 3
         assert str(bad) in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text", ["{bad", "{}"])
+    @pytest.mark.parametrize("text", ["{bad", "{}", pytest.param(json.dumps(
+        {**tiny_grammar_dict(), "occurrences": {"-1": [2, 3], "99": [0, 0]}}),
+        id="occurrences-out-of-range")])
     def test_malformed_grammar_file_is_data_error(self, tmp_path, capsys, text):
         grammar = tmp_path / "grammar.json"
         grammar.write_text(text)
@@ -302,6 +304,22 @@ class TestTypedErrors:
         err = capsys.readouterr().err
         assert "video_0" in err
         assert "6-d embeddings, but config embed_dim is 4" in err
+
+    @pytest.mark.parametrize("groups", [[[99]], "ab", [[-1, 0]]],
+                             ids=["out-of-range", "not-a-list", "negative"])
+    def test_ablate_bad_ambiguity_groups_is_data_error(self, workspace, tmp_path,
+                                                       capsys, groups):
+        data = shutil.copytree(workspace["data"], tmp_path / "data")
+        path = data / "manifest.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()),
+                                    "ambiguity_groups": groups}))
+        assert main(["ablate", "--data", str(data), "--config", str(workspace["config"]),
+                     "--seeds", "1", "--arms", "baseline",
+                     "--out", str(tmp_path / "a")]) == 3
+        err = capsys.readouterr().err
+        assert str(path) in err
+        assert "ambiguity_groups must be lists of phase ids in 0..2" in err
+        assert not (tmp_path / "a" / "baseline_seed1").exists()
 
     def test_bad_config_value_is_usage_error(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -63,6 +63,11 @@ class TestGrammarValidation:
         with pytest.raises(GrammarError, match=r"names a phase outside 0\.\.2"):
             tiny_grammar(**{field: (group,)})
 
+    @pytest.mark.parametrize("phase", [-1, 3])
+    def test_occurrences_phase_out_of_range_rejected(self, phase):
+        with pytest.raises(GrammarError, match=rf"phase {phase} outside 0\.\.2"):
+            tiny_grammar(occurrences={phase: (0, 1)})
+
     def test_nonpositive_duration_rejected(self):
         with pytest.raises(GrammarError):
             tiny_grammar(duration_median_s=np.array([5.0, 0.0, 5.0]))
@@ -313,6 +318,33 @@ class TestImportExternal:
         path.write_text(f"f0,label\n1,0\n2,{label}\n")
         with pytest.raises(DataValidationError, match=f"label '{label}' at row 2"):
             import_external_features(path, {"video_id": "x", "fps": 1})
+
+    def test_header_wider_than_rows_names_row(self, tmp_path):
+        path = tmp_path / "feats.csv"
+        path.write_text("f0,f1,label\n1,2\n3,4\n")
+        with pytest.raises(DataValidationError, match="ragged row 1 has 2 cells, expected 3"):
+            import_external_features(path, {"video_id": "x", "fps": 1})
+
+    def test_missing_file_is_data_error(self, tmp_path):
+        path = tmp_path / "absent.csv"
+        with pytest.raises(DataValidationError, match=str(path)):
+            import_external_features(path, {"video_id": "x", "fps": 1})
+
+    def test_non_utf8_file_is_data_error(self, tmp_path):
+        path = tmp_path / "feats.csv"
+        path.write_bytes(b"f0,f1\n1,2\n3,\xff\n")
+        with pytest.raises(DataValidationError, match=f"{path}: line 3: not UTF-8"):
+            import_external_features(path, {"video_id": "x", "fps": 1})
+
+    @pytest.mark.parametrize("meta", [{"video_id": "x", "fps": "abc"}, {"fps": 1},
+                                      {"video_id": "x"}, {"video_id": "x", "fps": None}],
+                             ids=["fps-not-a-number", "no-video-id", "no-fps", "fps-null"])
+    def test_bad_meta_names_file_and_key(self, tmp_path, meta):
+        path = tmp_path / "feats.csv"
+        path.write_text("1,2\n3,4\n")
+        key = "fps" if "video_id" in meta else "video_id"
+        with pytest.raises(DataValidationError, match=f"{path}: meta .*'{key}'"):
+            import_external_features(path, meta)
 
     def test_non_numeric_cell_named(self, tmp_path):
         path = tmp_path / "feats.csv"

@@ -17,7 +17,6 @@ from phaseflow.ssm import (
     acausal_feature_streams,
     estimate_transition_matrix,
     gabor_kernel,
-    hmm_forward_marginals,
 )
 
 # ---------------------------------------------------------------------------
@@ -253,7 +252,7 @@ class TestHmmFilter:
             a = rng.random((n, n)) + 0.05
             tm = TransitionMatrix(a)
             ms = softmax(rng.standard_normal((t, n)) * 1.5)
-            (marg,), _ = hmm_forward_marginals(tm, [ms])
+            (marg,) = HmmFilterState(tm).streams([ms])
             np.testing.assert_allclose(marg[-1], hmm_path_sum(tm.a, ms), atol=1e-9)
 
     def test_identity_reduces_to_cumulative_product(self):
@@ -261,7 +260,7 @@ class TestHmmFilter:
         tm = TransitionMatrix(np.eye(4) + 1e-15)
         for _ in range(10):
             ms = softmax(rng.standard_normal((10, 4)))
-            (marg,), _ = hmm_forward_marginals(tm, [ms])
+            (marg,) = HmmFilterState(tm).streams([ms])
             running = np.ones(4) / 4
             for t in range(10):
                 running = running * ms[t]
@@ -406,18 +405,42 @@ class TestClosedForm:
         for ex, ms in zip(singles, self.streams):
             per_frame_acausal_stream(ex, ms)
         assert batch.underflow_count == sum(s.underflow_count for s in singles) == 3
-        assert hmm_forward_marginals(self.tm, self.streams)[1] == 3
+        hmm = HmmFilterState(self.tm)
+        list(hmm.streams(self.streams))
+        assert hmm.underflow_count == 3
+
+    def per_stream_marginals(self, ms):
+        """Filtered posteriors of one stream stepped frame by frame, and
+        its underflow count."""
+        f = HmmFilterState(self.tm)
+        want = []
+        for m in ms:
+            f.update(m)
+            want.append(f.belief)
+        return np.array(want), f.underflow_count
 
     def test_marginals_of_each_stream_in_input_order(self):
-        marg, underflows = hmm_forward_marginals(self.tm, self.streams)
-        assert underflows == 0
+        hmm = HmmFilterState(self.tm)
+        marg = list(hmm.streams(self.streams))
+        assert hmm.underflow_count == 0
         for ms, got in zip(self.streams, marg):
-            f = HmmFilterState(self.tm)
-            want = []
-            for m in ms:
-                f.update(m)
-                want.append(f.belief)
+            want, _ = self.per_stream_marginals(ms)
             np.testing.assert_allclose(got, want, rtol=0, atol=self.ATOL)
+
+    def test_underflow_after_every_other_stream_ended(self):
+        lengths = sorted(map(len, self.streams))
+        longest = max(self.streams, key=len)
+        longest[-3:-1] = 0.0                    # two underflows, both after
+        assert len(longest) - 3 >= lengths[-2]  # every other stream's end
+        hmm = HmmFilterState(self.tm)
+        marg = list(hmm.streams(self.streams))
+        singles = [self.per_stream_marginals(ms) for ms in self.streams]
+        for got, (want, _) in zip(marg, singles):
+            np.testing.assert_allclose(got, want, rtol=0, atol=self.ATOL)
+        assert hmm.underflow_count == sum(n for _, n in singles) == 2
+
+    def test_no_streams_give_no_rows(self):
+        assert acausal_feature_streams(self.extractor(KINDS), []) == []
 
 
 class TestBatched:
