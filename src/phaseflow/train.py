@@ -4,10 +4,10 @@ from different videos, SSM statistics entering as constants, and a lagged
 proximal penalty pulling outputs toward the previous epoch's.
 
 In acausal mode each video trains two parallel sessions sharing one parameter
-set: pass 1 with zeroed acausal channels (whose no-gradient stream refreshes
-the acausal feature cache every epoch) and pass 2 consuming the cached
-acausal features; the window loss sums both passes. Before epoch 1 only
-pass 1 runs, to fill that cache from the initial parameters.
+set: pass 1 with zeroed acausal channels (whose no-gradient stream fills the
+acausal feature cache) and pass 2 consuming the cached acausal features; the
+window loss sums both passes. Each epoch's caches are derived just before it
+(`_refresh_caches`): before epoch 1 from pass 1 alone, none after the last.
 
 Training runs on the lockstep engine of `model`. `train_epoch` steps the
 aligned windows of one Adam step together, with one vectorised loss and one
@@ -52,16 +52,19 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class EpochLog:
-    """One line of training_log.jsonl. Stage times are seconds; the gradient
-    norm is the pre-clip global norm of each Adam step, clipped_frac the
-    share of steps above `grad_clip`, hmm_underflows the HMM filter resets in
-    the epoch's training windows and cache refresh."""
+    """One line of training_log.jsonl. Stage times are seconds, refresh_s the
+    cache step before the epoch; train_fps is training frames per train_s
+    second, val_accuracy None without a validation split; the gradient norm is
+    the pre-clip global norm of each Adam step, clipped_frac the share of
+    steps above `grad_clip`, hmm_underflows the HMM filter resets in the
+    epoch's cache step and training windows."""
 
     epoch: int
     train_loss: float
-    val_accuracy: float
+    val_accuracy: float | None
     wall_time_s: float
     train_s: float
+    train_fps: float
     refresh_s: float
     validate_s: float
     grad_norm_p50: float
@@ -214,12 +217,18 @@ def training_forward_probs(model: PhaseModel, seq: FeatureSequence,
 
 
 def _refresh_caches(run: TrainRun, train_seqs: list[FeatureSequence]) -> None:
-    """No-gradient pass over all training videos with the current parameters:
-    stores the probability stream for the proximal term and, in acausal mode,
-    the acausal feature rows derived from the pass-1 stream."""
-    probs, _, rows, underflows = _offline_probs(run.model, train_seqs)
-    ids = [s.video_id for s in train_seqs]
-    run.prox_cache.update(zip(ids, probs))
+    """The cache step before epoch `run.epoch + 1`, a no-gradient pass over all
+    training videos: the proximal targets and, in acausal mode, the acausal
+    rows of the pass-1 stream; before epoch 1 only pass 1 runs."""
+    model, ids = run.model, [s.video_id for s in train_seqs]
+    if run.epoch > 0:
+        probs, _, rows, underflows = _offline_probs(model, train_seqs)
+        run.prox_cache.update(zip(ids, probs))
+    elif model.config.acausal:
+        pass1, underflows = _lockstep_probs(model, train_seqs)
+        rows = model.acausal_rows(pass1)
+    else:
+        return
     if rows is not None:
         run.acausal_cache.update(zip(ids, rows))
     run.hmm_underflows += underflows
@@ -236,8 +245,8 @@ def dataset_frame_accuracy(model: PhaseModel, seqs: list[FeatureSequence]) -> fl
 def fit(config: ExperimentConfig, taxonomy: PhaseTaxonomy,
         train_seqs: list[FeatureSequence], val_seqs: list[FeatureSequence],
         log_path=None, ckpt_dir=None) -> FitResult:
-    """Run the full training protocol and return the parameters of the best
-    validation-accuracy epoch along with the per-epoch curve."""
+    """Run the training protocol, each epoch after its cache step, and return
+    the best validation-accuracy epoch's parameters and the per-epoch curve."""
     train_ids = {s.video_id for s in train_seqs}
     if train_ids & {s.video_id for s in val_seqs}:
         raise UsageError("train and validation video ids overlap")
@@ -261,12 +270,6 @@ def fit(config: ExperimentConfig, taxonomy: PhaseTaxonomy,
     model = init_model(config, taxonomy, substream(config.rng_seed, "init"),
                        transition)
     run = TrainRun(config, model, nn.Adam(model.params, config.learning_rate))
-    if config.acausal:
-        # epoch-1 acausal rows come from pass 1 under the init params; pass 2
-        # is not run, as there are no proximal targets before epoch 1
-        ids = [s.video_id for s in train_seqs]
-        run.acausal_cache.update(zip(ids, model.acausal_rows(
-            _lockstep_probs(model, train_seqs)[0])))
 
     best_epoch = 0
     best_acc = -1.0
@@ -276,23 +279,23 @@ def fit(config: ExperimentConfig, taxonomy: PhaseTaxonomy,
         for _ in range(config.epochs):
             run.hmm_underflows = 0
             t0 = time.perf_counter()
-            train_epoch(run, train_seqs)
-            t1 = time.perf_counter()
             _refresh_caches(run, train_seqs)
+            t1 = time.perf_counter()
+            train_epoch(run, train_seqs)
             t2 = time.perf_counter()
-            val_acc = (dataset_frame_accuracy(model, val_seqs)
-                       if val_seqs else float("nan"))
+            val_acc = dataset_frame_accuracy(model, val_seqs) if val_seqs else None
             t3 = time.perf_counter()
             norms = np.asarray(run.grad_norms)
             entry = EpochLog(
-                run.epoch, float(run.last_epoch_loss), float(val_acc), t3 - t0,
-                train_s=t1 - t0, refresh_s=t2 - t1, validate_s=t3 - t2,
+                run.epoch, float(run.last_epoch_loss), val_acc, t3 - t0,
+                train_s=t2 - t1, refresh_s=t1 - t0, validate_s=t3 - t2,
+                train_fps=sum(s.n_frames for s in train_seqs) / (t2 - t1),
                 grad_norm_p50=float(np.median(norms)),
                 clipped_frac=float((norms > config.grad_clip).mean()),
                 hmm_underflows=run.hmm_underflows)
             run.curve.append(entry)
             if log_fh:
-                log_fh.write(json.dumps(asdict(entry)) + "\n")
+                log_fh.write(json.dumps(asdict(entry), allow_nan=False) + "\n")
                 log_fh.flush()
             if ckpt_dir is not None:
                 save_model(model, f"{ckpt_dir}/epoch_{run.epoch:03d}.ckpt")

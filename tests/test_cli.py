@@ -119,8 +119,8 @@ class TestTrain:
         lines = (ckpt / "training_log.jsonl").read_text().strip().splitlines()
         assert len(lines) == 2
         assert {"epoch", "train_loss", "val_accuracy", "wall_time_s", "train_s",
-                "refresh_s", "validate_s", "grad_norm_p50", "clipped_frac",
-                "hmm_underflows"} == set(json.loads(lines[0]))
+                "train_fps", "refresh_s", "validate_s", "grad_norm_p50",
+                "clipped_frac", "hmm_underflows"} == set(json.loads(lines[0]))
 
     def test_config_echo_round_trips(self, workspace):
         echoed = parse_config_text((workspace["ckpt"] / "config.txt").read_text())

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import logging
+import time
 
 import numpy as np
 import pytest
@@ -286,8 +288,10 @@ class TestFit:
         assert len(lines) == 2
         entry = json.loads(lines[0])
         assert set(entry) == {"epoch", "train_loss", "val_accuracy", "wall_time_s",
-                              "train_s", "refresh_s", "validate_s", "grad_norm_p50",
-                              "clipped_frac", "hmm_underflows"}
+                              "train_s", "train_fps", "refresh_s", "validate_s",
+                              "grad_norm_p50", "clipped_frac", "hmm_underflows"}
+        frames = sum(s.n_frames for s in train)
+        assert entry["train_fps"] == pytest.approx(frames / entry["train_s"])
         assert (tmp_path / "epoch_001.ckpt").exists()
         assert (tmp_path / "epoch_002.ckpt").exists()
         assert (tmp_path / "best.ckpt").exists()
@@ -302,6 +306,109 @@ class TestFit:
         out = run_inference(result.model, val[0])
         assert out.pass1_probs is not None
         assert out.probs.shape == out.pass1_probs.shape
+
+
+class TestCacheSchedule:
+    """Each epoch's caches are derived just before it: a pass-1 start-up step
+    before epoch 1 (acausal only), a full refresh before each later epoch and
+    none after the last."""
+
+    @staticmethod
+    def count_passes(monkeypatch, train, extra_underflows=0, delay=0.0):
+        """Wrap the offline passes `train` calls; count them by kind and by
+        split, adding `extra_underflows` and `delay` to the start-up pass."""
+        counts = {"startup": 0, "refresh": 0, "validate": 0}
+        real_lockstep, real_offline = train_mod._lockstep_probs, train_mod._offline_probs
+
+        def lockstep(model, seqs):
+            assert seqs is train
+            counts["startup"] += 1
+            time.sleep(delay)
+            probs, underflows = real_lockstep(model, seqs)
+            return probs, underflows + extra_underflows
+
+        def offline(model, seqs):
+            counts["refresh" if seqs is train else "validate"] += 1
+            return real_offline(model, seqs)
+
+        monkeypatch.setattr(train_mod, "_lockstep_probs", lockstep)
+        monkeypatch.setattr(train_mod, "_offline_probs", offline)
+        return counts
+
+    @pytest.mark.parametrize("acausal", [False, True])
+    @pytest.mark.parametrize("epochs", [0, 1, 3])
+    def test_pass_counts(self, epochs, acausal, monkeypatch):
+        train, val = toy_dataset(n_train=3, n_val=1)
+        cfg = toy_config(enabled_ssm_features=("csl", "hmm"), acausal=acausal,
+                         proximal_weight=0.5, epochs=epochs)
+        counts = self.count_passes(monkeypatch, train)
+        fit(cfg, TAX2, train, val)
+        assert counts == {"startup": int(acausal and epochs >= 1),
+                          "refresh": max(epochs - 1, 0), "validate": epochs}
+
+    @pytest.mark.parametrize("acausal", [False, True])
+    def test_caches_equal_refresh_after_previous_epoch(self, acausal, monkeypatch):
+        # the caches epoch e reads, against _refresh_caches run on a copy of
+        # the parameters epoch e - 1 left (the initial ones for e = 1)
+        train, val = toy_dataset(n_train=3, n_val=1)
+        cfg = toy_config(enabled_ssm_features=("csl", "hmm"), acausal=acausal,
+                         proximal_weight=0.5, epochs=3)
+        real_train_epoch = train_mod.train_epoch
+        expected, checked = [], []
+
+        def refresh_on_copy(run):
+            params = {k: v.copy() for k, v in run.model.params.items()}
+            copy = dataclasses.replace(
+                run, model=dataclasses.replace(run.model, params=params),
+                prox_cache={}, acausal_cache={})
+            train_mod._refresh_caches(copy, train)
+            return copy.prox_cache, copy.acausal_cache
+
+        def spy(run, seqs):
+            if run.epoch == 0:
+                expected.append(refresh_on_copy(run))
+            for got, want in zip((run.prox_cache, run.acausal_cache), expected[-1]):
+                assert got.keys() == want.keys()
+                assert all(np.array_equal(got[vid], want[vid]) for vid in want)
+            checked.append((len(run.prox_cache), len(run.acausal_cache)))
+            real_train_epoch(run, seqs)
+            expected.append(refresh_on_copy(run))
+            return run
+
+        monkeypatch.setattr(train_mod, "train_epoch", spy)
+        fit(cfg, TAX2, train, val)
+        n_acausal = 3 if acausal else 0
+        assert checked == [(0, n_acausal), (3, n_acausal), (3, n_acausal)]
+
+    @pytest.mark.parametrize("acausal", [False, True])
+    def test_epoch_log_covers_the_cache_step_before_the_epoch(self, acausal,
+                                                              monkeypatch):
+        # the start-up pass reports 1000 extra underflows and takes >= 50 ms,
+        # and is logged in epoch 1; the refresh before epoch 2 in epoch 2
+        train, val = toy_dataset(n_train=3, n_val=1)
+        cfg = toy_config(enabled_ssm_features=("csl", "hmm"), acausal=acausal,
+                         epochs=2)
+        clean = fit(cfg, TAX2, train, val).curve
+        self.count_passes(monkeypatch, train, extra_underflows=1000, delay=0.05)
+        curve = fit(cfg, TAX2, train, val).curve
+        startup = 1000 if acausal else 0
+        assert [e.hmm_underflows for e in curve] == \
+               [clean[0].hmm_underflows + startup, clean[1].hmm_underflows]
+        assert (curve[0].refresh_s >= 0.05) == acausal
+        assert curve[1].refresh_s < 0.05
+
+    def test_log_without_validation_split_is_strict_json(self, tmp_path):
+        train, _ = toy_dataset(n_train=2)
+        log_path = tmp_path / "log.jsonl"
+        result = fit(toy_config(epochs=2), TAX2, train, [], log_path=log_path)
+
+        def reject(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        entries = [json.loads(line, parse_constant=reject)
+                   for line in log_path.read_text().splitlines()]
+        assert [e["val_accuracy"] for e in entries] == [None, None]
+        assert result.best_epoch == 2
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +524,8 @@ class TestLockstepEngine:
                          grad_clip=1e9, **ALL_SSM)
         seqs = ragged_videos(seed=13)
         run = new_run(cfg, seqs)
-        train_mod._refresh_caches(run, seqs)      # prox targets, acausal rows
+        run.epoch = 1        # past the start-up step: prox targets, acausal rows
+        train_mod._refresh_caches(run, seqs)
         expected, underflows = per_video_step_grads(run, seqs)
         got = lockstep_step_grads(run, seqs, monkeypatch)
         assert len(got) == len(expected)
