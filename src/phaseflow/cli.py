@@ -26,12 +26,15 @@ import numpy as np
 from . import data as data_mod
 from . import eval as eval_mod
 from . import model as model_mod
+from . import ssm
 from . import train as train_mod
 from .core import (
+    CSV_UNREAD,
     DataValidationError,
     ExperimentConfig,
     NumericError,
     UsageError,
+    parse_csv_rows,
     read_text,
 )
 
@@ -41,6 +44,8 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 LOCK_NAME = ".phaseflow.lock"
+# per-video confidence of `infer`; not a .csv, which `eval` would read as predictions
+SUMMARY_NAME = "summary.json"
 
 ABLATION_ARMS = {
     "baseline": ((), False),
@@ -191,35 +196,41 @@ def _prediction_path(outdir: str, video_id: str) -> str:
 
 def write_prediction_csv(path, result: model_mod.InferenceResult,
                          labels: np.ndarray) -> None:
+    """One row per frame: `frame_idx,predicted_id,prob_0,...,prob_{N-1}`
+    under that header, with \\r\\n line ends. Each probability is written
+    `%.9g`: 9 significant digits (FLT_DECIMAL_DIG) name every float32
+    exactly, so read_prediction_csv returns the float32 probabilities bit for
+    bit, and `labels` as int64."""
     n = result.probs.shape[1]
+    row = "%d,%d," + ",".join(["%.9g"] * n) + "\r\n"
+    header = ",".join(["frame_idx", "predicted_id"] + [f"prob_{p}" for p in range(n)])
+    rows = zip(labels.tolist(), result.probs.astype(np.float64).tolist())
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["frame_idx", "predicted_id"] + [f"prob_{p}" for p in range(n)])
-        for t in range(result.probs.shape[0]):
-            w.writerow([t, int(labels[t])]
-                       + [repr(float(v)) for v in result.probs[t]])
+        fh.write(header + "\r\n" + "".join([row % (t, lab, *p)
+                                            for t, (lab, p) in enumerate(rows)]))
 
 
 def read_prediction_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Labels and probabilities written by write_prediction_csv. Text that is
-    not UTF-8, a header without prob_0..prob_{N-1} or a row that does not
-    parse or names no phase 0..N-1 raises DataValidationError naming the line."""
-    rows = list(csv.reader(io.StringIO(read_text(path), newline="")))
-    n = len(rows[0]) - 2 if rows else 0
-    if n < 1 or rows[0] != ["frame_idx", "predicted_id"] + [f"prob_{p}" for p in range(n)]:
+    """Labels (int64) and probabilities (float32) written by
+    write_prediction_csv; `frame_idx` is not read. Text that is not UTF-8,
+    a header without prob_0..prob_{N-1}, rows `core.parse_csv_rows` does not
+    parse (blank, with another number of fields, a predicted_id that is not
+    a decimal integer, a probability that is not a number, ...) or a
+    predicted_id outside 0..N-1 raise DataValidationError naming the line."""
+    text = read_text(path)
+    header = next(csv.reader(io.StringIO(text, newline="")), [])
+    n = len(header) - 2
+    if n < 1 or header != ["frame_idx", "predicted_id"] + [f"prob_{p}" for p in range(n)]:
         raise DataValidationError(
             f"{path}: line 1: expected the header frame_idx,predicted_id,prob_0,...")
-    try:
-        if any(len(r) != n + 2 for r in rows[1:]):
-            raise ValueError
-        labels = np.array([int(r[1]) for r in rows[1:]], dtype=np.int64)
-        probs = np.array([[float(v) for v in r[2:]] for r in rows[1:]],
-                         dtype=np.float32).reshape(len(labels), n)
-        if ((labels < 0) | (labels >= n)).any():
-            raise ValueError
-    except (ValueError, IndexError, OverflowError):
-        raise DataValidationError(f"{path}: {_first_bad_row(rows)}") from None
-    return labels, probs
+    # frame_idx is read as a 1-character string and dropped, so any text
+    # there passes as before, while loadtxt still checks every row's width
+    rows = parse_csv_rows(text, np.dtype([("frame", "U1"), ("id", np.int64),
+                                          ("probs", np.float64, (n,))]))
+    if rows is not None and ((rows["id"] >= 0) & (rows["id"] < n)).all():
+        return rows["id"].copy(), rows["probs"].astype(np.float32)
+    lines = list(csv.reader(io.StringIO(text, newline="")))
+    raise DataValidationError(f"{path}: {_first_bad_row(lines)}")
 
 
 def _first_bad_row(rows: list[list[str]]) -> str:
@@ -239,7 +250,7 @@ def _first_bad_row(rows: list[list[str]]) -> str:
                 float(value)
             except ValueError:
                 return f"line {lineno}: {name} {value!r} is not a number"
-    return "malformed rows"
+    return CSV_UNREAD
 
 
 def cmd_infer(args) -> int:
@@ -261,14 +272,31 @@ def cmd_infer(args) -> int:
         probs, _ = model_mod._lockstep_probs(mdl, seqs)
         results = {s.video_id: model_mod.InferenceResult(s.video_id, p, np.argmax(p, axis=1))
                    for s, p in zip(seqs, probs)}
+    ordered = [results[vid] for vid in sorted(results)]
+    labels = [r.labels for r in ordered]
+    if args.hmm_smooth:     # one forward filter over every video
+        marginals = ssm.HmmFilterState(mdl.transition).streams([r.probs for r in ordered])
+        labels = [np.argmax(m, axis=1) for m in marginals]
     with output_dir(args.out) as out:
-        for vid, result in sorted(results.items()):
-            labels = result.labels
-            if args.hmm_smooth:
-                labels = model_mod.hmm_smooth_posthoc(result.probs, mdl.transition)
-            write_prediction_csv(_prediction_path(out, vid), result, labels)
-        print(f"wrote {len(seqs)} prediction files to {out}")
+        for result, lab in zip(ordered, labels):
+            write_prediction_csv(_prediction_path(out, result.video_id), result, lab)
+        total = _confidence(np.concatenate([r.probs for r in ordered]))
+        summary = {"videos": {r.video_id: _confidence(r.probs) for r in ordered},
+                   "total": total}
+        with open(os.path.join(out, SUMMARY_NAME), "w") as fh:
+            json.dump(summary, fh, indent=1, sort_keys=True)
+        print(f"wrote {len(seqs)} prediction files to {out}: {total['frames']} frames, "
+              f"mean max-probability {total['mean_max_prob']:.4f}, "
+              f"{total['low_confidence_frac']:.1%} below 0.5")
     return EXIT_OK
+
+
+def _confidence(probs: np.ndarray) -> dict:
+    """Frames, mean max-probability and the share of frames whose
+    max-probability is below 0.5 (a video has at least one frame)."""
+    top = probs.max(axis=1)
+    return {"frames": len(top), "mean_max_prob": float(top.mean(dtype=np.float64)),
+            "low_confidence_frac": float((top < 0.5).mean())}
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--acausal", action="store_true")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("infer", help="write per-video prediction csvs")
+    p = sub.add_parser("infer", help="write per-video prediction csvs and summary.json")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)

@@ -8,6 +8,7 @@ Phase ids are 0-based everywhere, including on disk.
 from __future__ import annotations
 
 import contextlib
+import io
 import os
 import threading
 import zlib
@@ -182,6 +183,39 @@ def read_text(path) -> str:
     except UnicodeDecodeError as e:
         line = raw.count(b"\n", 0, e.start) + 1
         raise DataValidationError(f"{path}: line {line}: not UTF-8 text") from None
+
+
+# what a table reader reports when only parse_csv_rows rejects the rows
+CSV_UNREAD = "malformed rows: quotes, digit separators and non-ASCII text are not read"
+
+
+def parse_csv_rows(text: str, dtype: np.dtype, usecols=None) -> np.ndarray | None:
+    """The rows after the header line of CSV `text`, parsed by one
+    `np.loadtxt` call into a 1-d array of the structured `dtype`, one field
+    per column (or per entry of `usecols`; other columns are not read). Line
+    ends may be \\r\\n, \\n or \\r, as for the csv module. Returns None when
+    a field does not parse as its type, a row has another number of columns
+    than the dtype (without `usecols`) or too few (with them), a row is blank
+    (the csv module reads a row without fields, loadtxt would skip it), or
+    the text holds a character loadtxt reads otherwise than the csv module
+    with int() and float(): a quote (unquoted by csv only), the separators
+    \\x1c-\\x1f (blanks to loadtxt only), anything outside ASCII (numpy 2.4
+    parses "2\\u01fe" as the int 482)."""
+    if not text.isascii() or any(c in text for c in '"\x1c\x1d\x1e\x1f'):
+        return None
+    code = np.frombuffer(text.encode(), dtype=np.uint8)
+    cr, lf = code == 13, code == 10
+    ends = np.count_nonzero(cr) + np.count_nonzero(lf) - np.count_nonzero(cr[:-1] & lf[1:])
+    n_rows = ends + (not text.endswith(("\n", "\r"))) - 1
+    head = text.rstrip("\r\n")
+    if "\n" not in head and "\r" not in head:    # no data line: loadtxt would warn
+        return np.zeros(0, dtype) if n_rows == 0 else None
+    try:
+        rows = np.loadtxt(io.StringIO(text, newline=None), dtype=dtype, delimiter=",",
+                          comments=None, skiprows=1, usecols=usecols, ndmin=1)
+    except ValueError:
+        return None
+    return rows if len(rows) == n_rows else None
 
 
 @contextlib.contextmanager

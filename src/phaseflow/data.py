@@ -24,9 +24,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    CSV_UNREAD,
     DataValidationError,
     FeatureSequence,
     PhaseTaxonomy,
+    parse_csv_rows,
     read_bytes,
     read_text,
     substream,
@@ -326,10 +328,8 @@ def write_video_dir(dirpath, seq: FeatureSequence, taxonomy: PhaseTaxonomy) -> N
         json.dump(meta, fh, indent=1, sort_keys=True)
     if seq.labels is not None:
         with open(os.path.join(dirpath, "labels.csv"), "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["frame_idx", "label_id"])
-            for i, lab in enumerate(seq.labels):
-                w.writerow([i, int(lab)])
+            fh.write("frame_idx,label_id\r\n" + "".join(
+                ["%d,%d\r\n" % row for row in enumerate(seq.labels.tolist())]))
 
 
 def read_video_dir(dirpath) -> tuple[FeatureSequence, PhaseTaxonomy]:
@@ -353,26 +353,46 @@ def read_video_dir(dirpath) -> tuple[FeatureSequence, PhaseTaxonomy]:
 
 
 def _read_labels_csv(path, n_frames: int) -> np.ndarray:
-    labels = np.full(n_frames, -1, dtype=np.int64)
-    reader = csv.reader(io.StringIO(read_text(path), newline=""))
-    header = next(reader, None)
-    if header != ["frame_idx", "label_id"]:
+    """Per-frame labels from a `frame_idx,label_id` table: decimal integer
+    rows in any order, fields after the second ignored, and the last row of
+    a repeated frame wins. A row `core.parse_csv_rows` does not parse, a
+    frame outside 0..n_frames-1, a negative label or a frame without a row
+    raises DataValidationError naming the first such row or frame."""
+    text = read_text(path)
+    if next(csv.reader(io.StringIO(text, newline="")), None) != ["frame_idx", "label_id"]:
         raise DataValidationError(f"{path}: expected header frame_idx,label_id")
+    rows = parse_csv_rows(text, np.dtype([("frame", np.int64), ("label", np.int64)]),
+                          usecols=(0, 1))
+    if rows is not None:
+        frame, label = rows["frame"], rows["label"]
+        if ((frame >= 0) & (frame < n_frames) & (label >= 0)).all():
+            # each frame's last row: its first in the reversed table
+            frames, last = np.unique(frame[::-1], return_index=True)
+            if len(frames) == n_frames:     # then frames is 0..n_frames-1
+                return label[::-1][last]
+    raise DataValidationError(f"{path}: {_first_bad_label_row(text, n_frames)}")
+
+
+def _first_bad_label_row(text: str, n_frames: int) -> str:
+    """Describe the first row, or else the first frame, _read_labels_csv rejects."""
+    seen = np.zeros(n_frames, dtype=bool)
+    reader = csv.reader(io.StringIO(text, newline=""))
+    next(reader)
     for row in reader:
         try:
             idx, lab = int(row[0]), int(row[1])
-            if not 0 <= idx < n_frames:
-                raise DataValidationError(f"{path}: frame_idx {idx} out of range")
-            if lab < 0:     # -1 marks a frame without a label row
-                raise DataValidationError(
-                    f"{path}: label out of range at frame {idx} (got {lab})")
-            labels[idx] = lab
-        except (ValueError, IndexError, OverflowError):
-            raise DataValidationError(f"{path}: malformed row {row}") from None
-    if (labels < 0).any():
-        missing = int(np.argwhere(labels < 0)[0][0])
-        raise DataValidationError(f"{path}: no label for frame {missing}")
-    return labels
+        except (ValueError, IndexError):
+            return f"malformed row {row}"
+        if not 0 <= idx < n_frames:
+            return f"frame_idx {idx} out of range"
+        if lab < 0:
+            return f"label out of range at frame {idx} (got {lab})"
+        if lab > np.iinfo(np.int64).max:     # does not fit the int64 labels
+            return f"malformed row {row}"
+        seen[idx] = True
+    if not seen.all():
+        return f"no label for frame {int(np.argmin(seen))}"
+    return CSV_UNREAD
 
 
 def write_dataset(dirpath, sequences, taxonomy: PhaseTaxonomy,

@@ -1,12 +1,17 @@
 """Helpers shared by several test files: one training window composed from
 the package's own pieces, a finite-difference gradient oracle, the
 frame-by-frame statistic streams the closed forms in `ssm` are checked
-against, and the unfused Adam update. No command runs them, so they live
-with the tests."""
+against, the unfused Adam update, and the csv-module table readers and
+writer the one-call `np.loadtxt` readers and `%`-format writers are checked
+against. No command runs them, so they live with the tests."""
+
+import csv
+import io
 
 import numpy as np
 
-from phaseflow import nn
+from phaseflow import cli, nn
+from phaseflow.core import DataValidationError, read_text
 
 
 def window_pass(params, h, c, xs, ys, prox_targets=None, prox_weight=0.0):
@@ -75,3 +80,66 @@ def textbook_adam_step(opt, params, grads) -> None:
         m_hat = opt.m[k] / bc1
         v_hat = opt.v[k] / bc2
         p -= (opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps)).astype(p.dtype)
+
+
+def outcome(read, *args):
+    """What a reader makes of a file: its result, or its error message."""
+    try:
+        return read(*args), None
+    except DataValidationError as e:
+        return None, str(e)
+
+
+def csv_read_prediction_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """The csv-module prediction reader `cli.read_prediction_csv` replaced:
+    the reference for what it accepts and rejects, and with which message."""
+    rows = list(csv.reader(io.StringIO(read_text(path), newline="")))
+    n = len(rows[0]) - 2 if rows else 0
+    if n < 1 or rows[0] != ["frame_idx", "predicted_id"] + [f"prob_{p}" for p in range(n)]:
+        raise DataValidationError(
+            f"{path}: line 1: expected the header frame_idx,predicted_id,prob_0,...")
+    try:
+        if any(len(r) != n + 2 for r in rows[1:]):
+            raise ValueError
+        labels = np.array([int(r[1]) for r in rows[1:]], dtype=np.int64)
+        probs = np.array([[float(v) for v in r[2:]] for r in rows[1:]],
+                         dtype=np.float32).reshape(len(labels), n)
+        if ((labels < 0) | (labels >= n)).any():
+            raise ValueError
+    except (ValueError, IndexError, OverflowError):
+        raise DataValidationError(f"{path}: {cli._first_bad_row(rows)}") from None
+    return labels, probs
+
+
+def csv_read_labels_csv(path, n_frames: int) -> np.ndarray:
+    """The csv-module `labels.csv` reader `data._read_labels_csv` replaced."""
+    labels = np.full(n_frames, -1, dtype=np.int64)
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    header = next(reader, None)
+    if header != ["frame_idx", "label_id"]:
+        raise DataValidationError(f"{path}: expected header frame_idx,label_id")
+    for row in reader:
+        try:
+            idx, lab = int(row[0]), int(row[1])
+            if not 0 <= idx < n_frames:
+                raise DataValidationError(f"{path}: frame_idx {idx} out of range")
+            if lab < 0:     # -1 marks a frame without a label row
+                raise DataValidationError(
+                    f"{path}: label out of range at frame {idx} (got {lab})")
+            labels[idx] = lab
+        except (ValueError, IndexError, OverflowError):
+            raise DataValidationError(f"{path}: malformed row {row}") from None
+    if (labels < 0).any():
+        missing = int(np.argwhere(labels < 0)[0][0])
+        raise DataValidationError(f"{path}: no label for frame {missing}")
+    return labels
+
+
+def csv_labels_bytes(labels) -> bytes:
+    """`labels.csv` as the csv module writes it."""
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(["frame_idx", "label_id"])
+    for i, lab in enumerate(labels):
+        w.writerow([i, int(lab)])
+    return buf.getvalue().encode()

@@ -2,15 +2,26 @@ import json
 import os
 import shutil
 import struct
+import tempfile
 from pathlib import Path
 
 import numpy as np
+import oracles
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from phaseflow import nn
-from phaseflow.cli import main, parse_config_text
-from phaseflow.core import PhaseTaxonomy, UsageError
-from phaseflow.data import WorkflowGrammar
+from phaseflow.cli import (
+    _confidence,
+    main,
+    parse_config_text,
+    read_prediction_csv,
+    write_prediction_csv,
+)
+from phaseflow.core import CSV_UNREAD, DataValidationError, PhaseTaxonomy, UsageError
+from phaseflow.data import WorkflowGrammar, generate_dataset
+from phaseflow.model import InferenceResult, hmm_smooth_posthoc, load_model
 
 CONFIG_TEXT = """\
 # tiny end-to-end configuration
@@ -103,6 +114,12 @@ class TestSynth:
                          "--videos", "4", "--seed", "9", "--out", str(out)]) == 0
         assert tree_bytes(out1) == tree_bytes(out2)
 
+    def test_labels_csv_bytes_match_the_csv_module(self, workspace):
+        grammar = WorkflowGrammar.from_dict(tiny_grammar_dict())
+        for seq in generate_dataset(grammar, 10, 3):
+            written = (workspace["data"] / seq.video_id / "labels.csv").read_bytes()
+            assert written == oracles.csv_labels_bytes(seq.labels)
+
     def test_unknown_grammar_is_usage_error(self, tmp_path):
         assert main(["synth", "--grammar", "nope", "--videos", "2",
                      "--seed", "0", "--out", str(tmp_path / "x")]) == 2
@@ -149,7 +166,45 @@ class TestInfer:
         assert main(["infer", "--ckpt", str(workspace["ckpt"] / "best.ckpt"),
                      "--data", str(workspace["data"]), "--out", str(out),
                      "--hmm-smooth"]) == 0
-        assert sorted(out.glob("*.csv"))
+        files = sorted(p.name for p in out.glob("*.csv"))
+        assert files == sorted(p.name for p in workspace["pred"].glob("*.csv"))
+        transition = load_model(workspace["ckpt"] / "best.ckpt").transition
+        changed = 0
+        for name in files:
+            labels, probs = read_prediction_csv(workspace["pred"] / name)
+            smoothed, smoothed_probs = read_prediction_csv(out / name)
+            # one batched filter over all videos gives, on this fixture, the
+            # labels of one filter per video; the probabilities are untouched
+            assert np.array_equal(smoothed, hmm_smooth_posthoc(probs, transition))
+            assert np.array_equal(smoothed_probs, probs)
+            changed += int((smoothed != labels).sum())
+        assert changed > 0      # the smoothing does act on this fixture
+
+    def test_confidence_summary(self, workspace, capsys, tmp_path):
+        out = tmp_path / "pred"
+        assert main(["infer", "--ckpt", str(workspace["ckpt"] / "best.ckpt"),
+                     "--data", str(workspace["data"]), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        tops = []
+        for path in sorted(out.glob("*.csv")):
+            _, probs = read_prediction_csv(path)
+            top = probs.max(axis=1).astype(np.float64)
+            tops.append(top)
+            assert summary["videos"][path.stem] == pytest.approx({
+                "frames": len(top), "mean_max_prob": top.mean(),
+                "low_confidence_frac": (top < 0.5).mean()}, abs=1e-12)
+        assert len(summary["videos"]) == len(tops)
+        top = np.concatenate(tops)
+        assert summary["total"] == pytest.approx({
+            "frames": len(top), "mean_max_prob": top.mean(),
+            "low_confidence_frac": (top < 0.5).mean()}, abs=1e-12)
+        assert f"{len(top)} frames, mean max-probability {top.mean():.4f}" in \
+            capsys.readouterr().out
+
+    def test_confidence_counts_frames_below_one_half(self):
+        probs = np.array([[0.5, 0.5], [0.25, 0.75], [0.45, 0.3]], dtype=np.float32)
+        assert _confidence(probs) == pytest.approx(
+            {"frames": 3, "mean_max_prob": 0.5666666666, "low_confidence_frac": 1 / 3})
 
     def test_acausal_flag_requires_acausal_model(self, workspace, tmp_path):
         assert main(["infer", "--ckpt", str(workspace["ckpt"] / "best.ckpt"),
@@ -400,3 +455,140 @@ class TestUsage:
 
     def test_bad_flag_is_usage_error(self):
         assert main(["synth", "--bogus"]) == 2
+
+
+def assert_same_outcome(new, oracle):
+    assert new[1] == oracle[1]
+    if oracle[0] is not None:
+        for a, b in zip(new[0], oracle[0]):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+
+PRED_HEADER = "frame_idx,predicted_id,prob_0,prob_1,prob_2\r\n"
+PRED_ROWS = ["0,0,0.5,0.25,0.25", "1,2,0.1,0.2,0.7", "2,1,0.3,0.4,0.3"]
+
+
+def pred_text(rows=PRED_ROWS, end="\r\n", header=PRED_HEADER):
+    return header + "".join(r + end for r in rows)
+
+
+def pred_row(i, **fields):
+    """PRED_ROWS with row i's named fields replaced (f0..f4 by position)."""
+    rows = [r.split(",") for r in PRED_ROWS]
+    for k, v in fields.items():
+        rows[i][int(k[1:])] = v
+    return [",".join(r) for r in rows]
+
+
+class TestPredictionCsv:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text", [
+        pred_text(),
+        PRED_HEADER,
+        PRED_HEADER.rstrip(),
+        pred_text(end="\n"),
+        pred_text(end="\r"),
+        pred_text()[:-2],
+        pred_text(PRED_ROWS[:1] + [""] + PRED_ROWS[1:]),
+        pred_text() + "\r\n",
+        PRED_HEADER + "\r\n",
+        pred_text(PRED_ROWS + ["  "]),
+        pred_text(pred_row(1, f3="0.2#")),
+        pred_text(pred_row(1, f0="#1")),
+        pred_text(pred_row(1, f0="")),
+        pred_text(pred_row(1, f0="x")),
+        pred_text(PRED_ROWS[:1] + ["1,2,0.1,0.2"] + PRED_ROWS[2:]),
+        pred_text(PRED_ROWS[:1] + ["1,2,0.1,0.2,0.7,0.1"] + PRED_ROWS[2:]),
+        pred_text(PRED_ROWS[:1] + ["1"] + PRED_ROWS[2:]),
+        pred_text(pred_row(2, f1="1.0")),
+        pred_text(pred_row(2, f1="1e0")),
+        pred_text(pred_row(2, f1="x")),
+        pred_text(pred_row(2, f1="-1")),
+        pred_text(pred_row(2, f1="3")),
+        pred_text(pred_row(2, f1="")),
+        pred_text(pred_row(2, f1="99999999999999999999")),
+        pred_text(pred_row(2, f1="1\u01fe")),
+        pred_text(pred_row(2, f1="1\x1c")),
+        pred_text(pred_row(0, f3="\x1f0.25")),
+        pred_text(pred_row(0, f4="abc")),
+        pred_text(pred_row(0, f4="")),
+        pred_text(pred_row(0, f4="0x1p-2")),
+        pred_text(pred_row(0, f1=" 0", f2=" 0.5", f3="0.25 ")),
+        pred_text(pred_row(0, f2="nan", f3="inf", f4="-Infinity")),
+        pred_text(pred_row(0, f2="5e-1", f3="+.25", f4="2.5E-1")),
+        pred_text(pred_row(0, f1="+0")),
+        pred_text(pred_row(1, f1="x"), end="\n") + "\n",
+        pred_text(pred_row(0, f1="-1") + ["1,x"]),
+        pred_text(pred_row(0, f0='"0')),
+        pred_text(header="frame_idx,predicted_id\r\n"),
+        pred_text(header="frame_idx,predicted_id,prob_1,prob_0,prob_2\r\n"),
+        "",
+    ], ids=[
+        "valid", "header-only", "header-only-no-eol", "lf", "cr", "no-final-eol",
+        "blank-line-mid", "blank-line-end", "header-then-blank", "spaces-line",
+        "hash-in-prob", "hash-in-frame-idx", "empty-frame-idx", "text-frame-idx",
+        "ragged-short", "ragged-long", "one-field", "id-1.0", "id-1e0", "id-x",
+        "id-minus-1", "id-N", "id-empty", "id-int64-overflow", "id-non-ascii",
+        "id-file-separator", "prob-unit-separator",
+        "prob-abc", "prob-empty", "prob-hex", "leading-trailing-spaces", "prob-nan-inf",
+        "prob-exponent-forms", "id-plus-sign", "lf-first-bad-row-named",
+        "first-of-two-bad-rows", "unclosed-quote-in-frame-idx", "header-no-probs",
+        "header-order", "empty-file",
+    ])
+    def test_accepts_and_rejects_as_the_csv_module_reader(self, tmp_path, text):
+        path = tmp_path / "p.csv"
+        path.write_bytes(text.encode())
+        new = oracles.outcome(read_prediction_csv, path)
+        assert_same_outcome(new, oracles.outcome(oracles.csv_read_prediction_csv, path))
+        if text == PRED_HEADER:
+            assert new[0][0].shape == (0,) and new[0][1].shape == (0, 3)
+
+    @pytest.mark.parametrize("rows", [
+        pred_row(1, f3='"0.2"'), pred_row(1, f0='"1"'), pred_row(1, f3="0_2"),
+        pred_row(1, f1="0_2"), pred_row(1, f1="\u0662"), pred_row(1, f0="\u00e9"),
+    ], ids=["quoted-prob", "quoted-frame-idx", "underscore-prob", "underscore-id",
+            "arabic-indic-digit-id", "non-ascii-frame-idx"])
+    def test_quotes_separators_and_non_ascii_are_rejected(self, tmp_path, rows):
+        # the divergence from the csv-module reader, which accepted these
+        path = tmp_path / "p.csv"
+        path.write_bytes(pred_text(rows).encode())
+        assert oracles.csv_read_prediction_csv(path)
+        with pytest.raises(DataValidationError, match=f"{path}: {CSV_UNREAD}"):
+            read_prediction_csv(path)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(draw=st.data())
+    @example(draw=None)
+    def test_float32_round_trip_is_exact(self, draw):
+        if draw is None:    # the edge values, one per frame, in one video
+            probs = np.array([0.0, 1.0, np.nextafter(np.float32(1), np.float32(0)),
+                              np.finfo(np.float32).smallest_subnormal,
+                              np.finfo(np.float32).tiny / 3, np.exp(np.float32(-87)),
+                              np.exp(np.float32(-103)), 1e-30, 0.1, 1 / 3],
+                             dtype=np.float32)[:, None] * np.ones(2, np.float32)
+        else:
+            t = draw.draw(st.integers(1, 12), label="frames")
+            n = draw.draw(st.integers(2, 6), label="phases")
+            logits = draw.draw(st.lists(st.floats(-120, 40), min_size=t * n,
+                                        max_size=t * n), label="logits")
+            z = np.array(logits).reshape(t, n)
+            probs = np.exp(z - z.max(axis=1, keepdims=True))
+            probs = (probs / probs.sum(axis=1, keepdims=True)).astype(np.float32)
+        labels = np.argmax(probs, axis=1).astype(np.int64)
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "v.csv")
+            write_prediction_csv(path, InferenceResult("v", probs, labels), labels)
+            got_labels, got_probs = read_prediction_csv(path)
+        assert got_labels.dtype == np.int64 and np.array_equal(got_labels, labels)
+        assert got_probs.dtype == np.float32
+        assert got_probs.tobytes() == probs.tobytes()
+
+    def test_one_frame_video_round_trips(self, tmp_path):
+        probs = np.array([[0.25, 0.75]], dtype=np.float32)
+        path = tmp_path / "v.csv"
+        write_prediction_csv(path, InferenceResult("v", probs, np.array([1])), np.array([1]))
+        assert path.read_bytes() == (b"frame_idx,predicted_id,prob_0,prob_1\r\n"
+                                     b"0,1,0.25,0.75\r\n")
+        labels, got = read_prediction_csv(path)
+        assert labels.tolist() == [1] and got.tobytes() == probs.tobytes()

@@ -2,11 +2,13 @@ import json
 import struct
 
 import numpy as np
+import oracles
 import pytest
 
-from phaseflow.core import DataValidationError, PhaseTaxonomy, substream
+from phaseflow.core import CSV_UNREAD, DataValidationError, PhaseTaxonomy, substream
 from phaseflow.data import (
     GrammarError,
+    _read_labels_csv,
     WorkflowGrammar,
     default_grammar_mgh_like,
     default_split,
@@ -269,6 +271,91 @@ class TestDatasetIO:
         test, _ = read_dataset(tmp_path / "ds", split="test")
         assert [s.video_id for s in train] == [s.video_id for s in seqs[:3]]
         assert [s.video_id for s in test] == [seqs[4].video_id]
+
+
+LABEL_HEADER = "frame_idx,label_id\r\n"
+
+
+def labels_text(rows, end="\r\n"):
+    return LABEL_HEADER + "".join(r + end for r in rows)
+
+
+LABEL_ROWS = ["0,0", "1,1", "2,1", "3,2"]
+
+
+class TestLabelsCsv:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text,n_frames", [
+        (labels_text(LABEL_ROWS), 4),
+        (labels_text(LABEL_ROWS, end="\n"), 4),
+        (labels_text(LABEL_ROWS, end="\r"), 4),
+        (labels_text(LABEL_ROWS)[:-2], 4),
+        (labels_text(LABEL_ROWS[::-1]), 4),
+        (labels_text(LABEL_ROWS + ["1,2", "1,0"]), 4),
+        (labels_text(["1,2"] + LABEL_ROWS), 4),
+        (labels_text(LABEL_ROWS[:2] + ["1,2"]), 4),
+        (labels_text(LABEL_ROWS[:2] + LABEL_ROWS[3:]), 4),
+        (labels_text(LABEL_ROWS[:3]), 4),
+        (labels_text(LABEL_ROWS + ["4,0"]), 4),
+        (labels_text(LABEL_ROWS + ["-1,0"]), 4),
+        (labels_text(["99999999999999999999,0"] + LABEL_ROWS), 4),
+        (labels_text(LABEL_ROWS + ["2,-1"]), 4),
+        (labels_text(LABEL_ROWS + ["2,-99999999999999999999"]), 4),
+        (labels_text(LABEL_ROWS + ["2,99999999999999999999"]), 4),
+        (labels_text(LABEL_ROWS + ["4,0", "x,0"]), 4),
+        (labels_text(LABEL_ROWS + ["x,0", "4,0"]), 4),
+        (labels_text(LABEL_ROWS[:2] + [""] + LABEL_ROWS[2:]), 4),
+        (labels_text(LABEL_ROWS) + "\r\n", 4),
+        (labels_text(LABEL_ROWS + ["  "]), 4),
+        (labels_text(LABEL_ROWS + ["2,1#"]), 4),
+        (labels_text(LABEL_ROWS + ["#2,1"]), 4),
+        (labels_text(LABEL_ROWS + ["2"]), 4),
+        (labels_text(LABEL_ROWS + ["2,1,x"]), 4),
+        (labels_text(LABEL_ROWS[:2] + ['2,1,"x'] + LABEL_ROWS[3:]), 4),
+        (labels_text(LABEL_ROWS + ["2,1.0"]), 4),
+        (labels_text(LABEL_ROWS + ["2,1e0"]), 4),
+        (labels_text(LABEL_ROWS + ["2,x"]), 4),
+        (labels_text(LABEL_ROWS + ["2,1\u01fe"]), 4),
+        (labels_text(LABEL_ROWS + ["2,1\x1c"]), 4),
+        (labels_text(LABEL_ROWS + ["2,"]), 4),
+        (labels_text(LABEL_ROWS + [" 2, 1 "]), 4),
+        (labels_text(LABEL_ROWS + ["+2,+1"]), 4),
+        (LABEL_HEADER, 4),
+        (LABEL_HEADER, 0),
+        (LABEL_HEADER + "\r\n", 0),
+        ("frame_idx,label\r\n0,0\r\n", 1),
+        ("", 1),
+    ], ids=[
+        "valid", "lf", "cr", "no-final-eol", "any-order", "duplicate-last-wins",
+        "duplicate-first-row", "duplicate-leaves-frame-missing", "missing-mid",
+        "missing-last", "frame-too-large", "frame-negative", "frame-int64-overflow",
+        "label-negative", "label-below-int64", "label-above-int64",
+        "range-before-parse-error", "parse-before-range-error", "blank-line-mid",
+        "blank-line-end", "spaces-line", "hash-in-label", "hash-in-frame", "ragged-short",
+        "ragged-long", "unclosed-quote-in-extra-field", "label-1.0", "label-1e0",
+        "label-x", "label-non-ascii", "label-file-separator", "label-empty",
+        "leading-trailing-spaces", "plus-signs", "header-only", "header-only-no-frames",
+        "header-then-blank", "bad-header", "empty-file",
+    ])
+    def test_accepts_and_rejects_as_the_csv_module_reader(self, tmp_path, text, n_frames):
+        path = tmp_path / "labels.csv"
+        path.write_bytes(text.encode())
+        new = oracles.outcome(_read_labels_csv, path, n_frames)
+        old = oracles.outcome(oracles.csv_read_labels_csv, path, n_frames)
+        assert new[1] == old[1]
+        if old[0] is not None:
+            assert new[0].dtype == old[0].dtype and np.array_equal(new[0], old[0])
+
+    @pytest.mark.parametrize("row", ['"2",1', "2,0_1", "2,\u0661", "2,1,\u00e9"],
+                             ids=["quoted", "underscore", "arabic-indic-digit",
+                                  "non-ascii-extra-field"])
+    def test_quotes_separators_and_non_ascii_are_rejected(self, tmp_path, row):
+        # the divergence from the csv-module reader, which accepted these
+        path = tmp_path / "labels.csv"
+        path.write_bytes(labels_text(LABEL_ROWS + [row]).encode())
+        assert oracles.csv_read_labels_csv(path, 4).tolist() == [0, 1, 1, 2]
+        with pytest.raises(DataValidationError, match=f"{path}: {CSV_UNREAD}"):
+            _read_labels_csv(path, 4)
 
 
 class TestImportExternal:
