@@ -215,8 +215,9 @@ def read_prediction_csv(path) -> tuple[np.ndarray, np.ndarray]:
     write_prediction_csv; `frame_idx` is not read. Text that is not UTF-8,
     a header without prob_0..prob_{N-1}, rows `core.parse_csv_rows` does not
     parse (blank, with another number of fields, a predicted_id that is not
-    a decimal integer, a probability that is not a number, ...) or a
-    predicted_id outside 0..N-1 raise DataValidationError naming the line."""
+    a decimal integer, a probability that is not a number, ...), a
+    predicted_id outside 0..N-1 or a probability outside [0, 1] (nan too)
+    raise DataValidationError naming the line."""
     text = read_text(path)
     header = next(csv.reader(io.StringIO(text, newline="")), [])
     n = len(header) - 2
@@ -227,7 +228,8 @@ def read_prediction_csv(path) -> tuple[np.ndarray, np.ndarray]:
     # there passes as before, while loadtxt still checks every row's width
     rows = parse_csv_rows(text, np.dtype([("frame", "U1"), ("id", np.int64),
                                           ("probs", np.float64, (n,))]))
-    if rows is not None and ((rows["id"] >= 0) & (rows["id"] < n)).all():
+    ok = rows is not None and ((rows["id"] >= 0) & (rows["id"] < n)).all()
+    if ok and ((rows["probs"] >= 0) & (rows["probs"] <= 1)).all():
         return rows["id"].copy(), rows["probs"].astype(np.float32)
     lines = list(csv.reader(io.StringIO(text, newline="")))
     raise DataValidationError(f"{path}: {_first_bad_row(lines)}")
@@ -247,7 +249,8 @@ def _first_bad_row(rows: list[list[str]]) -> str:
             return f"line {lineno}: predicted_id {row[1]!r} is not an integer"
         for name, value in zip(rows[0][2:], row[2:]):
             try:
-                float(value)
+                if not 0 <= float(value) <= 1:
+                    return f"line {lineno}: {name} {value!r} is not a probability"
             except ValueError:
                 return f"line {lineno}: {name} {value!r} is not a number"
     return CSV_UNREAD
@@ -342,8 +345,8 @@ def cmd_eval(args) -> int:
 def _arm_metrics(report: eval_mod.MetricsReport, ambiguity_phases) -> dict:
     stats = report.frame_stats()
     buckets = report.bucket_accuracy()
-    short = [v for name in ("1-3s", "4-10s", "11-30s")
-             if (v := buckets[name]) is not None]
+    short = [v for name, _, hi in eval_mod.DURATION_BUCKETS
+             if hi <= 30 and (v := buckets[name]) is not None]
     return {
         "accuracy": stats["accuracy"],
         "precision": stats["precision"],

@@ -2,9 +2,16 @@
 duration-bucket accuracy, per-segment transition and midpoint statistics,
 confusion matrices, and report rendering (JSON/CSV/SVG timelines).
 
+One run-length pass over a video's ground truth (`_runs`) gives each
+segment's start and end frame, one `reduceat` its hits (frames predicted
+correctly); duration buckets, midpoints and the accuracy-vs-length curve are
+read from these. The curve's bins are half-open and log-spaced from 1 to the
+longest segment + 1, so each segment lands in exactly one bin.
+
 All metrics are stored as raw counts so dataset-level aggregation is just
 count pooling: frame accuracy is micro (pooled frames), P/R/F1 macro over the
-phases present in the pooled ground truth.
+phases present in the pooled ground truth. A rate over an empty scope (no
+frames, no segments in a bucket, no transitions) is None.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -25,6 +32,7 @@ DURATION_BUCKETS = (
     ("31-60s", 31, 60),
     (">60s", 61, np.inf),
 )
+_BUCKET_LO = np.array([lo for _, lo, _ in DURATION_BUCKETS])
 TRANSITION_WINDOW_S = 10
 METRICS_SCHEMA_VERSION = 1
 
@@ -47,21 +55,24 @@ class Segment:
         return (self.start + self.end) // 2
 
 
-def extract_segments(labels) -> list[Segment]:
-    labels = np.asarray(labels)
+def _runs(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and inclusive end frame of each maximal constant-label run."""
     if labels.shape[0] == 0:
         raise DataValidationError("cannot segment an empty label sequence")
-    boundaries = np.flatnonzero(labels[1:] != labels[:-1]) + 1
-    starts = np.concatenate([[0], boundaries])
-    ends = np.concatenate([boundaries - 1, [labels.shape[0] - 1]])
-    return [Segment(int(labels[s]), int(s), int(e)) for s, e in zip(starts, ends)]
+    starts = np.flatnonzero(np.r_[True, labels[1:] != labels[:-1]])
+    return starts, np.r_[starts[1:] - 1, labels.shape[0] - 1]
 
 
-def bucket_of(length: int) -> int:
-    for i, (_, lo, hi) in enumerate(DURATION_BUCKETS):
-        if lo <= length <= hi:
-            return i
-    raise DataValidationError(f"segment length {length} fits no duration bucket")
+def _rate(hits, total) -> float | None:
+    """hits / total, or None when the scope has nothing to count."""
+    return float(hits / total) if total else None
+
+
+def extract_segments(labels) -> list[Segment]:
+    labels = np.asarray(labels)
+    starts, ends = _runs(labels)
+    return [Segment(p, s, e) for p, s, e in
+            zip(labels[starts].tolist(), starts.tolist(), ends.tolist())]
 
 
 def transitions_of(labels) -> list[tuple[int, int]]:
@@ -72,32 +83,26 @@ def transitions_of(labels) -> list[tuple[int, int]]:
 
 
 def _check_lengths(gt, pred):
-    gt = np.asarray(gt)
-    pred = np.asarray(pred)
+    gt, pred = np.asarray(gt), np.asarray(pred)
     if gt.shape != pred.shape:
         raise DataValidationError(
             f"label length mismatch: gt {gt.shape} vs pred {pred.shape}")
     return gt, pred
 
 
-def confusion_matrix(gt, pred, n_phases: int) -> np.ndarray:
-    gt, pred = _check_lengths(gt, pred)
-    cm = np.zeros((n_phases, n_phases), dtype=np.int64)
-    np.add.at(cm, (gt, pred), 1)
-    return cm
+def _bucket_counts(lengths, hits) -> np.ndarray:
+    counts = np.zeros((len(DURATION_BUCKETS), 2), dtype=np.int64)
+    np.add.at(counts, np.searchsorted(_BUCKET_LO, lengths, side="right") - 1,
+              np.stack([hits, lengths], axis=1))
+    return counts
 
 
 def bucket_counts(gt, pred) -> np.ndarray:
     """(5, 2) [correct, total] frame counts; each frame belongs to the
     duration bucket of its ground-truth segment."""
     gt, pred = _check_lengths(gt, pred)
-    counts = np.zeros((len(DURATION_BUCKETS), 2), dtype=np.int64)
-    for seg in extract_segments(gt):
-        b = bucket_of(seg.length)
-        sl = slice(seg.start, seg.end + 1)
-        counts[b, 0] += int((pred[sl] == seg.phase).sum())
-        counts[b, 1] += seg.length
-    return counts
+    starts, ends = _runs(gt)
+    return _bucket_counts(ends - starts + 1, np.add.reduceat(gt == pred, starts))
 
 
 def match_transitions(gt, pred, window: int = TRANSITION_WINDOW_S) -> dict:
@@ -125,13 +130,6 @@ def match_transitions(gt, pred, window: int = TRANSITION_WINDOW_S) -> dict:
     }
 
 
-def midpoint_counts(gt, pred) -> tuple[int, int]:
-    gt, pred = _check_lengths(gt, pred)
-    segs = extract_segments(gt)
-    correct = sum(1 for s in segs if pred[s.midpoint] == s.phase)
-    return correct, len(segs)
-
-
 # ---------------------------------------------------------------------------
 # Pooled reports
 
@@ -156,8 +154,7 @@ class MetricsReport:
 
     @property
     def frame_accuracy(self) -> float | None:
-        t = self.total_frames
-        return float(np.trace(self.confusion)) / t if t else None
+        return _rate(np.trace(self.confusion), self.total_frames)
 
     def frame_stats(self) -> dict | None:
         """Frame accuracy plus per-phase precision/recall/F1. Macro averages
@@ -193,92 +190,79 @@ class MetricsReport:
 
     @property
     def transition_accuracy(self) -> float | None:
-        if self.transitions_gt_total == 0:
-            return None
-        return self.transitions_matched / self.transitions_gt_total
+        return _rate(self.transitions_matched, self.transitions_gt_total)
 
     @property
     def transition_accuracy_pred_anchored(self) -> float | None:
-        if self.transitions_pred_total == 0:
-            return None
-        return self.transitions_matched / self.transitions_pred_total
+        return _rate(self.transitions_matched, self.transitions_pred_total)
 
     @property
     def midpoint_accuracy(self) -> float | None:
-        if self.midpoint_total == 0:
-            return None
-        return self.midpoint_correct / self.midpoint_total
+        return _rate(self.midpoint_correct, self.midpoint_total)
 
     def bucket_accuracy(self) -> dict[str, float | None]:
-        return {name: (float(c) / t if t > 0 else None)
+        return {name: _rate(c, t)
                 for (name, _, _), (c, t) in zip(DURATION_BUCKETS, self.bucket)}
 
     def phase_subset_accuracy(self, phases) -> float | None:
         """Micro frame accuracy over frames whose gt phase is in `phases`."""
         idx = list(phases)
-        total = int(self.confusion[idx].sum())
-        if total == 0:
-            return None
-        return float(self.confusion[idx, idx].sum()) / total
+        return _rate(self.confusion[idx, idx].sum(), self.confusion[idx].sum())
 
     def to_dict(self, taxonomy: PhaseTaxonomy | None = None) -> dict:
-        stats = self.frame_stats()
-        names = taxonomy.names if taxonomy else None
-        per_phase = None
-        if stats is not None:
-            per_phase = {
-                (names[p] if names else str(p)): v
-                for p, v in stats["per_phase"].items()
-            }
+        """The `metrics.json` entry of this scope: None rates without frames."""
+        stats = self.frame_stats() or {}
+        per_phase = ({(taxonomy.names[p] if taxonomy else str(p)): v
+                      for p, v in stats["per_phase"].items()} if stats else None)
         return {
             "n_videos": self.n_videos,
             "total_frames": self.total_frames,
             "frame_accuracy": self.frame_accuracy,
-            "precision": stats["precision"] if stats else None,
-            "recall": stats["recall"] if stats else None,
-            "f1": stats["f1"] if stats else None,
+            "precision": stats.get("precision"),
+            "recall": stats.get("recall"),
+            "f1": stats.get("f1"),
             "per_phase": per_phase,
             "bucket_accuracy": self.bucket_accuracy(),
             "transition_accuracy": self.transition_accuracy,
             "transition_accuracy_pred_anchored": self.transition_accuracy_pred_anchored,
             "midpoint_accuracy": self.midpoint_accuracy,
-            "confusion": self.confusion.tolist(),
+            "confusion": self.confusion.tolist() if stats else None,
         }
 
 
 def compute_report(gt, pred, n_phases: int) -> MetricsReport:
+    """Counts of one video. Labels outside 0..n_phases-1, a length mismatch
+    or an empty video raise DataValidationError."""
     gt, pred = _check_lengths(gt, pred)
+    for name, labels in (("gt", gt), ("pred", pred)):
+        bad = np.flatnonzero((labels < 0) | (labels >= n_phases))
+        if bad.size:
+            raise DataValidationError(f"{name} label {labels[bad[0]]} at frame "
+                                      f"{bad[0]} is not a phase id 0..{n_phases - 1}")
+    starts, ends = _runs(gt)
     tc = match_transitions(gt, pred)
-    mc, mt = midpoint_counts(gt, pred)
     return MetricsReport(
         n_phases=n_phases,
-        confusion=confusion_matrix(gt, pred, n_phases),
-        bucket=bucket_counts(gt, pred),
+        confusion=np.bincount(gt * n_phases + pred, minlength=n_phases ** 2)
+                    .reshape(n_phases, n_phases),
+        bucket=_bucket_counts(ends - starts + 1, np.add.reduceat(gt == pred, starts)),
         transitions_matched=tc["matched"],
         transitions_gt_total=tc["gt_total"],
         transitions_pred_total=tc["pred_total"],
-        midpoint_correct=mc,
-        midpoint_total=mt,
+        midpoint_correct=int(np.count_nonzero(pred[(starts + ends) // 2] == gt[starts])),
+        midpoint_total=len(starts),
     )
 
 
 def aggregate_reports(reports, n_phases: int) -> MetricsReport:
-    """Pool per-video reports; order-invariant by construction."""
-    agg = MetricsReport(
-        n_phases=n_phases,
-        confusion=np.zeros((n_phases, n_phases), dtype=np.int64),
-        bucket=np.zeros((len(DURATION_BUCKETS), 2), dtype=np.int64),
-        n_videos=0,
-    )
+    """Pool per-video reports by adding every count field; order-invariant
+    by construction."""
+    agg = MetricsReport(n_phases, np.zeros((n_phases, n_phases), dtype=np.int64),
+                        np.zeros((len(DURATION_BUCKETS), 2), dtype=np.int64), n_videos=0)
+    counts = [f.name for f in fields(MetricsReport) if f.name != "n_phases"]
     for r in reports:
-        agg.confusion += r.confusion
-        agg.bucket += r.bucket
-        agg.transitions_matched += r.transitions_matched
-        agg.transitions_gt_total += r.transitions_gt_total
-        agg.transitions_pred_total += r.transitions_pred_total
-        agg.midpoint_correct += r.midpoint_correct
-        agg.midpoint_total += r.midpoint_total
-        agg.n_videos += r.n_videos
+        for name in counts:
+            setattr(agg, name, getattr(agg, name) + getattr(r, name))
     return agg
 
 
@@ -306,50 +290,40 @@ def render_timeline_svg(path, gt, probs, taxonomy: PhaseTaxonomy) -> None:
         f'<text x="0" y="{gap - 3}" font-size="11">ground truth (top) vs '
         f'prediction (bottom), {T} frames</text>',
     ]
-    for seg in extract_segments(gt):
-        lines.append(
-            f'<rect x="{seg.start * sx:.2f}" y="{gap}" '
-            f'width="{seg.length * sx:.2f}" height="{row_h}" '
-            f'fill="{_phase_color(seg.phase, taxonomy.n_phases)}">'
-            f'<title>{taxonomy.names[seg.phase]}</title></rect>')
-    y1 = row_h + 2 * gap
-    for seg in extract_segments(pred):
-        opacity = float(peak[seg.start:seg.end + 1].mean())
-        lines.append(
-            f'<rect x="{seg.start * sx:.2f}" y="{y1}" '
-            f'width="{seg.length * sx:.2f}" height="{row_h}" '
-            f'opacity="{opacity:.3f}" '
-            f'fill="{_phase_color(seg.phase, taxonomy.n_phases)}">'
-            f'<title>{taxonomy.names[seg.phase]}</title></rect>')
+    for y, labels in ((gap, gt), (row_h + 2 * gap, pred)):
+        for seg in extract_segments(labels):
+            opacity = ("" if labels is gt else
+                       f'opacity="{float(peak[seg.start:seg.end + 1].mean()):.3f}" ')
+            lines.append(
+                f'<rect x="{seg.start * sx:.2f}" y="{y}" '
+                f'width="{seg.length * sx:.2f}" height="{row_h}" {opacity}'
+                f'fill="{_phase_color(seg.phase, taxonomy.n_phases)}">'
+                f'<title>{taxonomy.names[seg.phase]}</title></rect>')
     lines.append("</svg>")
     with open(path, "w") as fh:
         fh.write("\n".join(lines))
 
 
 def accuracy_vs_length_rows(video_pairs, n_bins: int = 10) -> list[dict]:
-    """Frame accuracy stratified by gt segment length over log-spaced bins."""
-    seg_stats = []
+    """Frame accuracy stratified by gt segment length: bin b holds the frames
+    of every segment with edges[b] <= length < edges[b + 1], the edges
+    log-spaced from 1 to the longest segment + 1."""
+    lengths, hits = [], []
     for gt, pred in video_pairs:
         gt, pred = _check_lengths(gt, pred)
-        for seg in extract_segments(gt):
-            sl = slice(seg.start, seg.end + 1)
-            seg_stats.append((seg.length, int((pred[sl] == seg.phase).sum()), seg.length))
-    if not seg_stats:
+        starts, ends = _runs(gt)
+        lengths.append(ends - starts + 1)
+        hits.append(np.add.reduceat(gt == pred, starts))
+    if not lengths:
         return []
-    max_len = max(s[0] for s in seg_stats)
-    edges = np.geomspace(1.0, max_len + 1.0, n_bins + 1)
-    rows = []
-    for b in range(n_bins):
-        lo, hi = edges[b], edges[b + 1]
-        correct = total = 0
-        for length, c, t in seg_stats:
-            if lo <= length < hi or (b == n_bins - 1 and length == max_len):
-                correct += c
-                total += t
-        rows.append({"bin_lo": float(lo), "bin_hi": float(hi),
-                     "n_frames": total,
-                     "accuracy": correct / total if total else None})
-    return rows
+    lengths = np.concatenate(lengths)
+    edges = np.geomspace(1.0, lengths.max() + 1.0, n_bins + 1)
+    b = np.searchsorted(edges, lengths, side="right") - 1
+    totals = np.bincount(b, lengths, n_bins).astype(np.int64).tolist()
+    correct = np.bincount(b, np.concatenate(hits), n_bins).astype(np.int64).tolist()
+    return [{"bin_lo": float(lo), "bin_hi": float(hi), "n_frames": t,
+             "accuracy": _rate(c, t)}
+            for lo, hi, c, t in zip(edges[:-1], edges[1:], correct, totals)]
 
 
 def render_report(outdir, dataset_report: MetricsReport,
@@ -362,8 +336,7 @@ def render_report(outdir, dataset_report: MetricsReport,
     os.makedirs(outdir, exist_ok=True)
     payload = {
         "schema_version": METRICS_SCHEMA_VERSION,
-        "dataset": dataset_report.to_dict(taxonomy) if video_results else
-                   _null_dataset_dict(),
+        "dataset": dataset_report.to_dict(taxonomy),
         "per_video": {
             vr["video_id"]: vr["report"].to_dict(taxonomy) for vr in video_results
         },
@@ -389,12 +362,3 @@ def render_report(outdir, dataset_report: MetricsReport,
             w.writerow([f"{r['bin_lo']:.4f}", f"{r['bin_hi']:.4f}", r["n_frames"],
                         "" if r["accuracy"] is None else f"{r['accuracy']:.6f}"])
 
-
-def _null_dataset_dict() -> dict:
-    return {
-        "n_videos": 0, "total_frames": 0, "frame_accuracy": None,
-        "precision": None, "recall": None, "f1": None, "per_phase": None,
-        "bucket_accuracy": {name: None for name, _, _ in DURATION_BUCKETS},
-        "transition_accuracy": None, "transition_accuracy_pred_anchored": None,
-        "midpoint_accuracy": None, "confusion": None,
-    }

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import struct
 import tempfile
@@ -219,7 +220,10 @@ class TestTypedErrors:
                      "--out", str(tmp_path / "p")]) == 2
         assert str(missing) in capsys.readouterr().err
 
-    def test_eval_non_integer_prediction_is_data_error(self, workspace, tmp_path, capsys):
+    @staticmethod
+    def eval_with_field_replaced(workspace, tmp_path, field, value):
+        """Run `eval` on the workspace predictions with one field of line 4
+        of the first CSV replaced; returns the exit code and that CSV."""
         pred = tmp_path / "pred"
         pred.mkdir()
         for src in sorted(workspace["pred"].glob("*.csv")):
@@ -227,14 +231,26 @@ class TestTypedErrors:
         bad = sorted(pred.glob("*.csv"))[0]
         lines = bad.read_text().splitlines()
         fields = lines[3].split(",")
-        fields[1] = "x"
+        fields[field] = value
         lines[3] = ",".join(fields)
         bad.write_text("\n".join(lines) + "\n")
-        assert main(["eval", "--pred", str(pred), "--data", str(workspace["data"]),
-                     "--out", str(tmp_path / "r")]) == 3
+        return main(["eval", "--pred", str(pred), "--data", str(workspace["data"]),
+                     "--out", str(tmp_path / "r")]), bad
+
+    def test_eval_non_integer_prediction_is_data_error(self, workspace, tmp_path, capsys):
+        code, bad = self.eval_with_field_replaced(workspace, tmp_path, 1, "x")
+        assert code == 3
         err = capsys.readouterr().err
         assert str(bad) in err
         assert "line 4: predicted_id 'x' is not an integer" in err
+
+    def test_eval_probability_outside_unit_interval_is_data_error(
+            self, workspace, tmp_path, capsys):
+        code, bad = self.eval_with_field_replaced(workspace, tmp_path, 2, "nan")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert str(bad) in err
+        assert "line 4: prob_0 'nan' is not a probability" in err
 
     @pytest.mark.parametrize("manifest", [
         "{bad", "{}", '{"videos": [{"id": "video_000"}]}',
@@ -515,7 +531,6 @@ class TestPredictionCsv:
         pred_text(pred_row(0, f4="")),
         pred_text(pred_row(0, f4="0x1p-2")),
         pred_text(pred_row(0, f1=" 0", f2=" 0.5", f3="0.25 ")),
-        pred_text(pred_row(0, f2="nan", f3="inf", f4="-Infinity")),
         pred_text(pred_row(0, f2="5e-1", f3="+.25", f4="2.5E-1")),
         pred_text(pred_row(0, f1="+0")),
         pred_text(pred_row(1, f1="x"), end="\n") + "\n",
@@ -531,7 +546,7 @@ class TestPredictionCsv:
         "ragged-short", "ragged-long", "one-field", "id-1.0", "id-1e0", "id-x",
         "id-minus-1", "id-N", "id-empty", "id-int64-overflow", "id-non-ascii",
         "id-file-separator", "prob-unit-separator",
-        "prob-abc", "prob-empty", "prob-hex", "leading-trailing-spaces", "prob-nan-inf",
+        "prob-abc", "prob-empty", "prob-hex", "leading-trailing-spaces",
         "prob-exponent-forms", "id-plus-sign", "lf-first-bad-row-named",
         "first-of-two-bad-rows", "unclosed-quote-in-frame-idx", "header-no-probs",
         "header-order", "empty-file",
@@ -544,17 +559,28 @@ class TestPredictionCsv:
         if text == PRED_HEADER:
             assert new[0][0].shape == (0,) and new[0][1].shape == (0, 3)
 
-    @pytest.mark.parametrize("rows", [
-        pred_row(1, f3='"0.2"'), pred_row(1, f0='"1"'), pred_row(1, f3="0_2"),
-        pred_row(1, f1="0_2"), pred_row(1, f1="\u0662"), pred_row(1, f0="\u00e9"),
+    @pytest.mark.parametrize("rows, message", [
+        (pred_row(1, f3='"0.2"'), CSV_UNREAD), (pred_row(1, f0='"1"'), CSV_UNREAD),
+        # float() reads 0_2 as 2.0, so the row is named as out of range
+        (pred_row(1, f3="0_2"), "line 3: prob_1 '0_2' is not a probability"),
+        (pred_row(1, f1="0_2"), CSV_UNREAD),
+        (pred_row(1, f1="\u0662"), CSV_UNREAD), (pred_row(1, f0="\u00e9"), CSV_UNREAD),
+        (pred_row(0, f2="nan", f3="inf", f4="-Infinity"),
+         "line 2: prob_0 'nan' is not a probability"),
+        (pred_row(1, f3="-0.1"), "line 3: prob_1 '-0.1' is not a probability"),
+        (pred_row(2, f4="1.5"), "line 4: prob_2 '1.5' is not a probability"),
+        (pred_row(0, f2="1e39"), "line 2: prob_0 '1e39' is not a probability"),
     ], ids=["quoted-prob", "quoted-frame-idx", "underscore-prob", "underscore-id",
-            "arabic-indic-digit-id", "non-ascii-frame-idx"])
-    def test_quotes_separators_and_non_ascii_are_rejected(self, tmp_path, rows):
+            "arabic-indic-digit-id", "non-ascii-frame-idx", "prob-nan-inf",
+            "prob-negative", "prob-above-one", "prob-float32-overflow"])
+    def test_quotes_separators_and_non_ascii_are_rejected(self, tmp_path, rows, message):
         # the divergence from the csv-module reader, which accepted these
+        # (and turned 1e39 into a float32 inf with an overflow warning)
         path = tmp_path / "p.csv"
         path.write_bytes(pred_text(rows).encode())
-        assert oracles.csv_read_prediction_csv(path)
-        with pytest.raises(DataValidationError, match=f"{path}: {CSV_UNREAD}"):
+        with np.errstate(over="ignore"):
+            assert oracles.csv_read_prediction_csv(path)
+        with pytest.raises(DataValidationError, match=re.escape(f"{path}: {message}")):
             read_prediction_csv(path)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from phaseflow.eval import (
     DURATION_BUCKETS,
     MetricsReport,
     Segment,
+    accuracy_vs_length_rows,
     aggregate_reports,
     bucket_counts,
     compute_report,
@@ -90,12 +92,26 @@ def naive_midpoint(gt, pred):
     return ok, len(segs)
 
 
-def random_label_pair(rng, n_phases=5, t_max=120):
+def naive_curve(pairs, n_bins=10):
+    """(bin_lo, bin_hi, n_frames, accuracy) per log-spaced length bin, one
+    pass over the segments per bin."""
+    segs = [(e - s + 1, sum(1 for t in range(s, e + 1) if pred[t] == phase))
+            for gt, pred in pairs for phase, s, e in naive_segments(gt)]
+    edges = np.geomspace(1.0, max(n for n, _ in segs) + 1.0, n_bins + 1)
+    rows = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        total = sum(n for n, _ in segs if lo <= n < hi)
+        correct = sum(c for n, c in segs if lo <= n < hi)
+        rows.append((lo, hi, total, correct / total if total else None))
+    return rows
+
+
+def random_label_pair(rng, n_phases=5, t_max=120, max_run=19):
     def stream():
         labels = []
         while len(labels) < t_max:
             labels.extend([int(rng.integers(n_phases))]
-                          * int(rng.integers(1, 20)))
+                          * int(rng.integers(1, max_run + 1)))
         return np.asarray(labels[:t_max])
     return stream(), stream()
 
@@ -131,6 +147,16 @@ class TestExtractSegments:
 
 
 class TestFrameMetrics:
+    @pytest.mark.parametrize("gt, pred, message", [
+        ([0, 1, 1], [0, -1, 1], "pred label -1 at frame 1 is not a phase id 0..1"),
+        ([0, 1, 1], [0, 1, 2], "pred label 2 at frame 2 is not a phase id 0..1"),
+        ([0, 2, 3], [0, 1, 1], "gt label 2 at frame 1 is not a phase id 0..1"),
+        ([-1, 0], [0, 0], "gt label -1 at frame 0 is not a phase id 0..1"),
+    ], ids=["pred-negative", "pred-N", "gt-N", "gt-negative"])
+    def test_label_outside_phase_ids_rejected(self, gt, pred, message):
+        with pytest.raises(DataValidationError, match=re.escape(message)):
+            compute_report(gt, pred, 2)
+
     def test_perfect_prediction(self):
         m = compute_report([0, 1, 2], [0, 1, 2], 3).frame_stats()
         assert m["accuracy"] == 1.0
@@ -223,32 +249,74 @@ class TestMidpoint:
         assert compute_report(gt, pred, 3).midpoint_accuracy == pytest.approx(2 / 3)
 
 
+def assert_report_matches_naive_oracles(gt, pred):
+    rep = compute_report(gt, pred, 5)
+    m = rep.frame_stats()
+    assert m["accuracy"] == naive_accuracy(gt, pred)
+    ref = naive_prf(gt, pred, 5)
+    assert set(m["per_phase"]) == set(ref)
+    for p, (prec, rec, f1, support) in ref.items():
+        assert m["per_phase"][p]["precision"] == prec
+        assert m["per_phase"][p]["recall"] == rec
+        assert m["per_phase"][p]["f1"] == f1
+        assert m["per_phase"][p]["support"] == support
+    present = [v for v in ref.values() if v[3] > 0]
+    for k, name in enumerate(("precision", "recall", "f1")):
+        assert m[name] == np.mean([v[k] for v in present])
+    ref_b = naive_bucket(gt, pred)
+    for k, (name, _, _) in enumerate(DURATION_BUCKETS):
+        assert rep.bucket[k, 0] == ref_b[name][0]
+        assert rep.bucket[k, 1] == ref_b[name][1]
+    assert (rep.transitions_matched, rep.transitions_gt_total,
+            rep.transitions_pred_total) == naive_transition_match(gt, pred)
+    assert (rep.midpoint_correct, rep.midpoint_total) == \
+        naive_midpoint(gt, pred)
+    return rep
+
+
+# label pair shapes beside the default: long runs, so that every duration
+# bucket gets frames, and short runs, so that the longest segment is often
+# 1-5 frames
+LONG_RUNS = {"t_max": 400, "max_run": 99}
+SHORT_RUNS = {"t_max": 12, "max_run": 3}
+
+
 class TestOracleSweep:
     def test_all_metrics_match_naive_oracles_on_100_random_pairs(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
-            gt, pred = random_label_pair(rng)
-            rep = compute_report(gt, pred, 5)
-            m = rep.frame_stats()
-            assert m["accuracy"] == naive_accuracy(gt, pred)
-            ref = naive_prf(gt, pred, 5)
-            assert set(m["per_phase"]) == set(ref)
-            for p, (prec, rec, f1, support) in ref.items():
-                assert m["per_phase"][p]["precision"] == prec
-                assert m["per_phase"][p]["recall"] == rec
-                assert m["per_phase"][p]["f1"] == f1
-                assert m["per_phase"][p]["support"] == support
-            present = [v for v in ref.values() if v[3] > 0]
-            for k, name in enumerate(("precision", "recall", "f1")):
-                assert m[name] == np.mean([v[k] for v in present])
-            ref_b = naive_bucket(gt, pred)
-            for k, (name, _, _) in enumerate(DURATION_BUCKETS):
-                assert rep.bucket[k, 0] == ref_b[name][0]
-                assert rep.bucket[k, 1] == ref_b[name][1]
-            assert (rep.transitions_matched, rep.transitions_gt_total,
-                    rep.transitions_pred_total) == naive_transition_match(gt, pred)
-            assert (rep.midpoint_correct, rep.midpoint_total) == \
-                naive_midpoint(gt, pred)
+            assert_report_matches_naive_oracles(*random_label_pair(rng))
+
+    def test_long_runs_fill_every_bucket(self):
+        rng = np.random.default_rng(11)
+        reports = [assert_report_matches_naive_oracles(*random_label_pair(rng, **LONG_RUNS))
+                   for _ in range(40)]
+        assert (aggregate_reports(reports, 5).bucket[:, 1] > 0).all()
+
+    def test_short_runs(self):
+        rng = np.random.default_rng(13)
+        for _ in range(100):
+            assert_report_matches_naive_oracles(*random_label_pair(rng, **SHORT_RUNS))
+
+    def test_curve_matches_naive_oracle_and_counts_each_frame_once(self):
+        rng = np.random.default_rng(12)
+        longest_by_case = set()
+        for case in range(90):
+            shape = ({}, LONG_RUNS, SHORT_RUNS)[case % 3]
+            pairs = [random_label_pair(rng, **shape) for _ in range(1 + case % 4)]
+            rows = accuracy_vs_length_rows(pairs)
+            assert [(r["bin_lo"], r["bin_hi"], r["n_frames"], r["accuracy"])
+                    for r in rows] == naive_curve(pairs)
+            assert sum(r["n_frames"] for r in rows) == sum(len(g) for g, _ in pairs)
+            longest_by_case.add(max(s.length for g, _ in pairs
+                                    for s in extract_segments(g)))
+        assert longest_by_case & {1, 2, 3, 4, 5}
+
+    def test_curve_longest_segment_counted_once(self):
+        g = np.array([0] * 4 + [1] * 4)
+        rows = accuracy_vs_length_rows([(g, g)])
+        assert sum(r["n_frames"] for r in rows) == 8
+        assert accuracy_vs_length_rows([]) == []
 
 
 class TestAggregation:
@@ -285,7 +353,14 @@ class TestRenderReport:
         report = aggregate_reports([], 2)
         render_report(tmp_path, report, [], tax)
         payload = json.loads((tmp_path / "metrics.json").read_text())
-        assert payload["dataset"]["frame_accuracy"] is None
+        assert payload["dataset"] == {
+            "n_videos": 0, "total_frames": 0, "frame_accuracy": None,
+            "precision": None, "recall": None, "f1": None, "per_phase": None,
+            "bucket_accuracy": {"1-3s": None, "4-10s": None, "11-30s": None,
+                                "31-60s": None, ">60s": None},
+            "transition_accuracy": None, "transition_accuracy_pred_anchored": None,
+            "midpoint_accuracy": None, "confusion": None,
+        }
         assert payload["per_video"] == {}
         assert not (tmp_path / "timelines").exists()
 
