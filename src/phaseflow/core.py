@@ -241,9 +241,9 @@ def atomic_open(path, mode: str = "w", **kwargs):
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Numerically stable softmax over the last axis; always a valid simplex."""
     z = np.asarray(logits)
-    m = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(m)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 SSM_FEATURE_KINDS = ("csl", "gabor", "hmm")

@@ -3,9 +3,18 @@ frame at a time (`InferenceSession`), and offline, many videos in lockstep
 (the engine behind `infer_dataset`, training, the cache refresh and
 validation); plus the two-pass acausal variant and post-hoc HMM smoothing.
 
-Per-frame step order (strict causality): the statistic consumed at frame t
-was aggregated from frames < t only; the new likelihood m_t updates the
-aggregators after the head fires.
+Per-frame step (strict causality): the statistic consumed at frame t was
+aggregated from frames < t only; the new likelihood m_t updates the
+aggregators after the head fires. `StepKernel` is the one implementation of
+this step, and every path runs it: `InferenceSession` (one stream, no batch
+axis, no tape), the loss-free lockstep forward and the taped training
+window. It binds once the input rows it runs on, each aggregator's slot in
+them (`ssm.SsmExtractor.bind`) and the LSTM cell (`nn.LstmCell`). Each frame
+the aggregators write their statistic straight into their slots of the
+float32 row, the cell and the head read the row, and m_t updates the
+aggregators in place. Untaped, the LSTM state and gate buffers are
+overwritten in place; taped, `nn.WindowRecorder` runs the same cell on fresh
+arrays and keeps them for the backward pass.
 
 Lockstep engine. The frames of a video run in order, but videos are
 independent, so the engine steps B videos side by side, one frame of each
@@ -15,10 +24,8 @@ longest first, so the live streams shrink to a prefix as videos end; rows
 past the end of a shorter window see zero embeddings and feed the uniform
 vector to the statistics. Rows are summed in another order than one video
 at a time, so the engine matches `infer_video` to float rounding. At B=1 it
-is bit-equal to streaming inference by construction: it writes each input
-through the same `PhaseModel.blocks` and `acausal_rows` and runs the same
-calls (`nn._cell`, `nn.head_forward`, `softmax`, the aggregators'
-`feature`/`update`) on the same values.
+is bit-equal to streaming inference by construction: the same kernel runs
+the same operations on the same values, with a batch axis of one.
 
 Acausal rows. Pass 2 reads the acausal statistic of each video's complete
 pass-1 stream. `PhaseModel.acausal_rows` derives it for all videos of a
@@ -78,6 +85,18 @@ class PhaseModel:
         end = E + S * (2 if self.config.acausal else 1)
         return slice(0, E), slice(E, E + S), slice(E + S, end)
 
+    @cached_property
+    def stat_groups(self) -> dict[str, slice]:
+        """Input columns of each statistic group: each enabled aggregator's
+        block of s (csl, gabor, hmm) and, in acausal configs, all of a
+        ("acausal")."""
+        start = self.blocks[1].start
+        groups = {kind: slice(start + cols.start, start + cols.stop)
+                  for kind, cols in self.new_extractor().columns.items()}
+        if self.config.acausal:
+            groups["acausal"] = self.blocks[2]
+        return groups
+
     @property
     def input_dim(self) -> int:
         return self.blocks[2].stop
@@ -88,6 +107,13 @@ class PhaseModel:
         written straight into an array of the model dtype."""
         return ssm.acausal_feature_streams(self.new_extractor(), pass1_probs,
                                            MODEL_DTYPE)
+
+    def zero_state(self, batch: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Zero LSTM state (h, c), `batch` rows or none, in the dtype of the
+        step's arithmetic: float32 inputs with this model's parameters."""
+        dtype = nn.cell_dtype(self.params, MODEL_DTYPE)
+        shape = (() if batch is None else (batch,)) + (self.config.hidden_dim,)
+        return np.zeros(shape, dtype), np.zeros(shape, dtype)
 
     def new_extractor(self, batch: int | None = None) -> ssm.SsmExtractor:
         """Aggregators of this model's statistic stream; `batch=B` runs B
@@ -115,10 +141,67 @@ def init_model(config: ExperimentConfig, taxonomy: PhaseTaxonomy,
     return model
 
 
+class StepKernel:
+    """The per-frame step (see the module doc), bound once to the input
+    rows `xs` it runs on: (frames, D) for one stream without a batch axis,
+    (frames, B, D) for B streams in lockstep. The embedding and acausal
+    blocks of row k are the caller's; `step(k)` writes the statistic into
+    row k through the extractor's bound slots, runs the forward pass on the
+    row and updates the extractor with the likelihoods, which it returns.
+
+    Untaped, the LSTM state `h`, `c` (from `PhaseModel.zero_state`, or the
+    state a previous kernel left) and the gate buffers are overwritten in
+    place, so a step allocates only the logits and m. Taped, the kernel's
+    `recorder`, a `nn.WindowRecorder` starting from `h`, `c`, runs the same
+    cell on fresh arrays and keeps them for the backward pass. In lockstep, a row past
+    its window's `lengths` feeds the uniform vector to the aggregators,
+    which cannot underflow the HMM filter."""
+
+    def __init__(self, model: PhaseModel, extractor: ssm.SsmExtractor,
+                 xs: np.ndarray, h: np.ndarray, c: np.ndarray,
+                 lengths: np.ndarray | None = None, taped: bool = False):
+        self.extractor = extractor
+        writes = extractor.bind(xs[..., model.blocks[1]])
+        self._frames = [(x, [(write, slot[k]) for write, slot in writes])
+                        for k, x in enumerate(xs)]
+        self._lengths = lengths
+        self._ended_from = (int(lengths.min()) if writes and lengths is not None
+                            else len(xs))
+        self._uniform = MODEL_DTYPE(1.0 / model.n_phases)
+        if taped:
+            self.recorder = nn.WindowRecorder(model.params, h, c)
+            self._forward = self.recorder.step
+            return
+        self._params = model.params
+        self.h, self.c = h, c
+        self._cell = nn.LstmCell(model.params, h.shape[:-1], h.dtype)
+        act, g, _, tanh_c, _ = self._cell.outputs()
+        self._scratch = act, g, tanh_c
+        self._forward = self._untaped
+
+    def _untaped(self, x: np.ndarray) -> np.ndarray:
+        h, c = self.h, self.c
+        act, g, tanh_c = self._scratch
+        self._cell(h, c, x, act, g, c, tanh_c, h)
+        return softmax(nn.head_forward(self._params, h))
+
+    def step(self, k: int = 0) -> np.ndarray:
+        x, writes = self._frames[k]
+        for write, slot in writes:
+            write(slot)
+        m = self._forward(x)
+        if k < self._ended_from:
+            self.extractor.update(m)
+        else:
+            self.extractor.update(np.where((self._lengths <= k)[:, None], self._uniform, m))
+        return m
+
+
 class InferenceSession:
     """Single-video streaming state: LSTM state (zeroed), SSM aggregators
     (zero history), the input row [v | s | a] and the likelihood stream
-    emitted so far; frame t is the next one, t = len(probs).
+    emitted so far; frame t is the next one, t = len(probs). Each step runs
+    the `StepKernel` bound to the input row.
 
     In acausal configs row t of `acausal_features` fills the a block; a
     session created without them keeps it zero (the role of pass 1 of the
@@ -130,31 +213,35 @@ class InferenceSession:
         if acausal_features is not None and not model.config.acausal:
             raise UsageError("acausal features supplied to a causal-config session")
         self.model = model
-        self.h, self.c = nn.zero_state(model.config.hidden_dim)
-        self.extractor = model.new_extractor()
-        self._blocks = model.blocks
-        width = self._blocks[2].stop - self._blocks[2].start
+        vb, _, ab = model.blocks
+        width = ab.stop - ab.start
         if acausal_features is not None and acausal_features.shape[1:] != (width,):
             raise DataValidationError(f"acausal features must be (T, {width}), "
                                       f"got {acausal_features.shape}")
         self.acausal_features = acausal_features
         self._x = np.zeros(model.input_dim, MODEL_DTYPE)
+        self._v, self._a = self._x[vb], self._x[ab]
+        self._v_shape = (model.config.embed_dim,)
+        self.extractor = model.new_extractor()
+        self.h, self.c = model.zero_state()     # the kernel updates them in place
+        self._kernel = StepKernel(model, self.extractor, self._x[None], self.h, self.c)
         self.probs: list[np.ndarray] = []
 
     def step(self, v: np.ndarray) -> np.ndarray:
         """Advance one frame: returns the phase likelihood vector m_t."""
-        if v.shape != (self.model.config.embed_dim,):
+        t = len(self.probs)
+        if v.shape != self._v_shape:
             raise DataValidationError(
-                f"embedding dimension mismatch at frame {len(self.probs)}: "
-                f"got {v.shape}, expected ({self.model.config.embed_dim},)")
-        x, (vb, sb, ab) = self._x, self._blocks
-        x[vb] = v
-        x[sb] = self.extractor.feature()
+                f"embedding dimension mismatch at frame {t}: "
+                f"got {v.shape}, expected {self._v_shape}")
+        self._v[:] = v
         if self.acausal_features is not None:
-            x[ab] = self.acausal_features[len(self.probs)]
-        self.h, self.c = nn.lstm_step(self.model.params, self.h, self.c, x)
-        m = softmax(nn.head_forward(self.model.params, self.h))
-        self.extractor.update(m)
+            if t >= len(self.acausal_features):
+                raise DataValidationError(
+                    f"no acausal features for frame {t}: the session has "
+                    f"{len(self.acausal_features)} rows")
+            self._a[:] = self.acausal_features[t]
+        m = self._kernel.step()
         self.probs.append(m)
         return m
 
@@ -224,57 +311,46 @@ def _inputs(model: PhaseModel, windows, width: int) -> np.ndarray:
 def _run_window(model: PhaseModel, h, c, extractor: ssm.SsmExtractor,
                 xs: np.ndarray, lengths: np.ndarray) -> nn.WindowRecorder:
     """Taped lockstep forward of B aligned windows (`xs` from _inputs, one
-    row per stream): each frame's statistic comes from the live extractor
-    (detached), and each output updates it. Rows past their window's length
-    feed the uniform vector, which cannot underflow the HMM filter."""
-    sb = model.blocks[1]
-    has_stats = sb.stop > sb.start
-    uniform = np.float32(1.0 / model.n_phases)
-    ended_from = int(lengths.min())
-    rec = nn.WindowRecorder(model.params, h, c)
-    for k, x in enumerate(xs):
-        if has_stats:
-            x[:, sb] = extractor.feature()
-        m = rec.step(x)
-        if has_stats:
-            if k >= ended_from:
-                m = np.where((lengths <= k)[:, None], uniform, m)
-            extractor.update(m)
-    return rec
+    row per stream) through the `StepKernel`: each frame's statistic comes
+    from the live extractor (detached), and each output updates it."""
+    kernel = StepKernel(model, extractor, xs, h, c, lengths, taped=True)
+    for k in range(len(xs)):
+        kernel.step(k)
+    return kernel.recorder
 
 
 def _lockstep_probs(model: PhaseModel, seqs: list[FeatureSequence],
                     acausal: list | None = None) -> tuple[list[np.ndarray], int]:
-    """Loss-free training-mode forward over whole videos in lockstep, one
-    `seq_len_bptt` window at a time with state carried across windows.
-    Returns the (T, N) probabilities of each sequence, in input order, and
-    the HMM underflow count. `acausal` holds each sequence's acausal rows
-    (pass 2); without it an acausal model sees zeros there (pass 1)."""
+    """Loss-free lockstep forward over whole videos, one `seq_len_bptt`
+    window at a time with state carried across windows: the untaped
+    `StepKernel`, whose arithmetic is the training forward's. Returns the
+    (T, N) probabilities of each sequence, in input order, and the HMM
+    underflow count. `acausal` holds each sequence's acausal rows (pass 2);
+    without it an acausal model sees zeros there (pass 1)."""
     if not seqs:
         return [], 0
-    H = model.config.hidden_dim
     width = model.config.seq_len_bptt
     # longest first, so the streams still running are always a prefix
     order = sorted(range(len(seqs)), key=lambda j: -seqs[j].n_frames)
     dtype = model.params["head_b"].dtype
     probs = [np.empty((s.n_frames, model.n_phases), dtype) for s in seqs]
     live = len(order)
-    h, c = np.zeros((live, H), MODEL_DTYPE), np.zeros((live, H), MODEL_DTYPE)
+    h, c = model.zero_state(live)
     extractor = model.new_extractor(batch=live)
     for start in range(0, seqs[order[0]].n_frames, width):
         n = sum(1 for j in order[:live] if seqs[j].n_frames > start)
         if n < live:
             live = n
+            # leading rows: views the kernel keeps updating in place
             h, c, extractor = h[:n], c[:n], extractor.take(np.arange(n))
         windows = [(seqs[j], start, min(start + width, seqs[j].n_frames),
                     None if acausal is None else acausal[j]) for j in order[:n]]
         lengths = np.array([stop - start for _, _, stop, _ in windows])
-        rec = _run_window(model, h, c, extractor,
-                          _inputs(model, windows, int(lengths.max())), lengths)
-        ms = rec.ms
+        xs = _inputs(model, windows, int(lengths.max()))
+        kernel = StepKernel(model, extractor, xs, h, c, lengths)
+        ms = np.stack([kernel.step(k) for k in range(len(xs))])
         for col, (j, n_k) in enumerate(zip(order, lengths)):
             probs[j][start:start + n_k] = ms[:n_k, col]
-        h, c = rec.h, rec.c
     return probs, extractor.underflow_count
 
 

@@ -6,6 +6,11 @@ Gate layout inside the fused (4H) axis is [input | forget | candidate |
 output]. Model math runs in float32; passing float64 parameters switches the
 whole path to 64-bit (what the finite-difference gradient checks use).
 
+`LstmCell` holds the one implementation of the cell's arithmetic. It writes
+into arrays its caller passes: `lstm_step` and the taped `WindowRecorder`
+pass fresh ones, and the step kernel of `model` passes its own state, so
+streaming updates h and c in place with the same floats.
+
 Every per-frame array may carry leading batch axes: the cell, the taped
 step, the window loss and the backward pass index with `...`, so B streams
 stepped in lockstep are one (B, D) @ (D, 4H) matmul per frame and one
@@ -66,23 +71,64 @@ def zero_state(hidden_dim: int, dtype=np.float32) -> tuple[np.ndarray, np.ndarra
     return np.zeros(hidden_dim, dtype), np.zeros(hidden_dim, dtype)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-z))
+class LstmCell:
+    """The LSTM cell, bound to one parameter set, batch shape `lead` and
+    dtype: the one implementation of its arithmetic, shared by `lstm_step`,
+    the taped `WindowRecorder` and the streaming step kernel of `model`.
+
+    A call writes the gate activations, c', tanh(c') and h' into arrays the
+    caller passes, so the caller decides what is fresh (a taped frame) and
+    what is overwritten in place (streaming passes its own h and c as h'
+    and c'); the pre-activation and the input-gate product live in scratch
+    bound here. Each operation is the one the textbook expression
+    `z = x @ wx + h @ wh + b`, `c' = f * c + i * g`, `h' = o * tanh(c')`
+    performs, in the same order, so the floats are the expression's."""
+
+    def __init__(self, params: dict, lead: tuple, dtype):
+        self.hidden_dim = H = hidden_dim_of(params)
+        self.wx, self.wh, self.b = params["lstm_wx"], params["lstm_wh"], params["lstm_b"]
+        self.dtype = dtype
+        self.lead = lead
+        self._z = np.empty(lead + (4 * H,), dtype)
+        self._z_cand = self._z[..., 2 * H:3 * H]
+        self._zh = np.empty_like(self._z)
+        self._ig = np.empty(lead + (H,), dtype)
+        self._one = np.dtype(dtype).type(1.0)
+
+    def outputs(self) -> tuple[np.ndarray, ...]:
+        """New (act, g, c', tanh(c'), h') arrays for one call."""
+        H, lead, dtype = self.hidden_dim, self.lead, self.dtype
+        return (np.empty(lead + (4 * H,), dtype),
+                *(np.empty(lead + (H,), dtype) for _ in range(4)))
+
+    def __call__(self, h, c, x, act, g, c_new, tanh_c, h_new):
+        """One update of state (h, c) on input x. `act` receives the
+        sigmoid of all four gate blocks and `g` the candidate's tanh;
+        returns the views (i, f, o) of `act`."""
+        H = self.hidden_dim
+        z = self._z
+        np.matmul(x, self.wx, out=z)
+        np.matmul(h, self.wh, out=self._zh)
+        z += self._zh
+        z += self.b
+        np.tanh(self._z_cand, out=g)
+        np.negative(z, out=act)             # act = 1 / (1 + exp(-z))
+        np.exp(act, out=act)
+        act += self._one
+        np.divide(self._one, act, out=act)
+        i, f, o = act[..., :H], act[..., H:2 * H], act[..., 3 * H:]
+        np.multiply(i, g, out=self._ig)
+        np.multiply(f, c, out=c_new)
+        c_new += self._ig
+        np.tanh(c_new, out=tanh_c)
+        np.multiply(o, tanh_c, out=h_new)
+        return i, f, o
 
 
-def _cell(params: dict, h: np.ndarray, c: np.ndarray, x: np.ndarray):
-    """The LSTM cell shared by streaming and training: returns the gate
-    activations (i, f, g, o), c', tanh(c') and h'."""
-    H = hidden_dim_of(params)
-    z = x @ params["lstm_wx"] + h @ params["lstm_wh"] + params["lstm_b"]
-    act = _sigmoid(z)
-    i = act[..., :H]
-    f = act[..., H:2 * H]
-    g = np.tanh(z[..., 2 * H:3 * H])
-    o = act[..., 3 * H:]
-    c_new = f * c + i * g
-    tanh_c = np.tanh(c_new)
-    return (i, f, g, o), c_new, tanh_c, o * tanh_c
+def cell_dtype(params: dict, *inputs) -> np.dtype:
+    """The dtype of the cell's arithmetic on these inputs (arrays or
+    dtypes) and parameters."""
+    return np.result_type(*inputs, *(params[k] for k in ("lstm_wx", "lstm_wh", "lstm_b")))
 
 
 def lstm_step(params: dict, h: np.ndarray, c: np.ndarray,
@@ -92,17 +138,23 @@ def lstm_step(params: dict, h: np.ndarray, c: np.ndarray,
         raise DataValidationError(
             f"lstm input dimension mismatch: got {x.shape}, "
             f"expected ({input_dim_of(params)},)")
-    _, c_new, _, h_new = _cell(params, h, c, x)
+    cell = LstmCell(params, np.broadcast_shapes(x.shape[:-1], h.shape[:-1]),
+                    cell_dtype(params, x, h, c))
+    act, g, c_new, tanh_c, h_new = cell.outputs()
+    cell(h, c, x, act, g, c_new, tanh_c, h_new)
     return h_new, c_new
 
 
 def head_forward(params: dict, h: np.ndarray) -> np.ndarray:
     """Affine map hidden -> phase logits."""
-    if h.shape[-1:] != (hidden_dim_of(params),):
+    w = params["head_w"]
+    if h.shape[-1:] != w.shape[:1]:
         raise DataValidationError(
             f"head input dimension mismatch: got {h.shape}, "
             f"expected ({hidden_dim_of(params)},)")
-    return h @ params["head_w"] + params["head_b"]
+    logits = h @ w
+    logits += params["head_b"]
+    return logits
 
 
 @dataclass
@@ -131,12 +183,12 @@ class WindowTape:
 class WindowRecorder:
     """Taped forward pass over one window, one frame at a time.
 
-    Each step runs `_cell` (the cell of lstm_step), then head_forward and
-    softmax: the calls streaming inference makes, so a loss-free training
-    forward of one stream is bit-equal to it. Inputs may be produced
-    incrementally (the SSM statistic for frame t depends on the recorded m of
-    earlier frames). With (B, H) states and (B, D) inputs it tapes B streams
-    in lockstep.
+    Each step runs the `LstmCell` on fresh arrays, then head_forward and
+    softmax, and tapes them: the arithmetic of the streaming step, so a
+    loss-free training forward of one stream is bit-equal to it. Inputs may
+    be produced incrementally (the SSM statistic for frame t depends on the
+    recorded m of earlier frames). With (B, H) states and (B, D) inputs it
+    tapes B streams in lockstep.
     """
 
     def __init__(self, params: dict, h: np.ndarray, c: np.ndarray):
@@ -144,17 +196,22 @@ class WindowRecorder:
         self.h = h
         self.c = c
         self.tape = WindowTape([], [], [], [], [], [], [], [])
+        self._cell = None
 
     def step(self, x: np.ndarray) -> np.ndarray:
         params = self.params
         h, c = self.h, self.c
-        gates, c_new, tanh_c, h_new = _cell(params, h, c, x)
+        cell = self._cell
+        if cell is None:    # bound on the first frame, which fixes shape and dtype
+            cell = self._cell = LstmCell(params, x.shape[:-1], cell_dtype(params, x, h, c))
+        act, g, c_new, tanh_c, h_new = cell.outputs()
+        i, f, o = cell(h, c, x, act, g, c_new, tanh_c, h_new)
         m = softmax(head_forward(params, h_new))
         t = self.tape
         t.xs.append(x)
         t.h_prevs.append(h)
         t.c_prevs.append(c)
-        t.gates.append(gates)
+        t.gates.append((i, f, g, o))
         t.c_news.append(c_new)
         t.tanh_cs.append(tanh_c)
         t.h_news.append(h_new)

@@ -19,6 +19,15 @@ filter-bank product over sliding windows; the HMM filter stays sequential,
 one filter stepping all streams together. `acausal_feature_streams` shifts
 those rows by one frame for every aggregator alike.
 
+Online, the statistic goes straight into the model's input row. Each
+aggregator has `slot(block)`, the view of its columns of a (..., dim) row
+block in the shape it writes (CSL (..., N, L+1), Gabor (..., N, K), HMM
+(..., N)), and `write(out)`, which writes the statistic into such a view,
+casting on the way; `SsmExtractor.bind` pairs each aggregator's `write`
+with its slot. The step kernel of `model` binds its rows once and calls
+the pairs every frame; `feature()` is the caller that binds a fresh float64
+row, so each statistic has one formula.
+
 Every aggregator also runs B independent streams in lockstep: built with
 `batch=B`, its state gains a leading axis of B rows (the Gabor ring holds
 them as B column blocks), `update` takes (B, N) likelihoods and `feature`
@@ -26,8 +35,8 @@ returns (B, dim). `take(rows)` copies some rows out into a new aggregator and
 `put(rows, part)` writes them back. `batch=None` is the single stream without
 that axis.
 
-Aggregator internals are float64; the model casts to float32 when it writes
-the statistic into its input row.
+Aggregator internals are float64; `write` casts to the dtype of its slot
+(float32 in the model's input row).
 """
 
 from __future__ import annotations
@@ -66,36 +75,51 @@ class CslAccumulator:
         self.n_phases = n_phases
         self.levels = np.asarray(levels, dtype=np.float64)
         self.counts = np.zeros(_lead(batch) + (n_phases, len(levels) + 1))
-        self._hits = np.empty(self.counts.shape, dtype=bool)
         self._phase_ids = np.arange(n_phases)
+        self._new_hits()
+
+    def _new_hits(self) -> None:
+        # the hits of one update, held as float64 so `counts +=` needs no cast
+        self._hits = np.empty(self.counts.shape)
+        self._levels_out, self._argmax_out = self._hits[..., :-1], self._hits[..., -1]
 
     @property
     def dim(self) -> int:
         return self.n_phases * (len(self.levels) + 1)
 
-    def _hit_mask(self, m: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def _hit_mask(self, m: np.ndarray, levels_out: np.ndarray,
+                  argmax_out: np.ndarray) -> None:
         m = np.asarray(m)
-        np.greater_equal(m[..., None], self.levels, out=out[..., :-1])
-        np.equal(self._phase_ids, np.argmax(m, axis=-1)[..., None], out=out[..., -1])
-        return out
+        np.greater_equal(m[..., None], self.levels, out=levels_out)
+        np.equal(self._phase_ids, m.argmax(axis=-1)[..., None], out=argmax_out)
 
     def update(self, m: np.ndarray) -> None:
-        self.counts += self._hit_mask(m, self._hits)
+        self._hit_mask(m, self._levels_out, self._argmax_out)
+        self.counts += self._hits
+
+    def slot(self, block: np.ndarray) -> np.ndarray:
+        return block.reshape(block.shape[:-1] + self.counts.shape[-2:], copy=False)
+
+    def write(self, out: np.ndarray) -> None:
+        np.log1p(self.counts, out=out)
 
     def feature(self) -> np.ndarray:
-        return np.log1p(self.counts).reshape(self.counts.shape[:-2] + (-1,))
+        out = np.empty(self.counts.shape[:-2] + (self.dim,))
+        self.write(self.slot(out))
+        return out
 
     def streams(self, streams):
         """Offline rows (see the module doc): cumulative counts, integers
         held in float64, so the rows are exact."""
         for ms in streams:
-            hits = self._hit_mask(ms, np.empty(np.shape(ms) + self.counts.shape[-1:], bool))
-            yield np.log1p(np.cumsum(hits, axis=0, dtype=np.float64)).reshape(len(hits), -1)
+            hits = np.empty(np.shape(ms) + self.counts.shape[-1:])
+            self._hit_mask(ms, hits[..., :-1], hits[..., -1])
+            yield np.log1p(np.cumsum(hits, axis=0)).reshape(len(hits), -1)
 
     def take(self, rows) -> "CslAccumulator":
         part = copy.copy(self)
         part.counts = self.counts[rows]
-        part._hits = np.empty(part.counts.shape, dtype=bool)
+        part._new_hits()
         return part
 
     def put(self, rows, part: "CslAccumulator") -> None:
@@ -165,15 +189,32 @@ class GaborAccumulator:
     The ring is a (width, B*N) window sliding down a buffer of twice that
     height, so an update writes one row and the window stays contiguous; the
     live rows move back to the top once every width + 1 updates. The real and
-    imaginary kernels are stacked into one (2K, width) matrix."""
+    imaginary kernels are stacked into one (2K, width) matrix; `write` keeps
+    its (2K, B*N) product and (K, B*N) magnitudes in scratch of its own."""
 
     def __init__(self, n_phases: int, bank: GaborBank, batch: int | None = None):
         self.n_phases = n_phases
         self.bank = bank
         self._lead = _lead(batch)
         self._kernels = np.concatenate([bank.kernels_real, bank.kernels_imag])
-        self.buf = np.zeros((2 * bank.width, n_phases * (batch or 1)))
+        self._width = bank.width
+        self._set_buf(np.zeros((2 * bank.width, n_phases * (batch or 1))))
         self.pos = 0
+
+    def _set_buf(self, buf: np.ndarray) -> None:
+        self.buf = buf
+        self._scratch = self._product_scratch((), buf.shape[1], self._lead)
+
+    def _product_scratch(self, lead: tuple, columns: int, out_lead: tuple) -> tuple:
+        """Scratch of `_magnitudes` for windows (*lead, width, columns) and
+        an out of shape (*out_lead, N, K): the (..., 2K, C) responses, views
+        of their real and imaginary halves, the (..., K, C) magnitudes and
+        their view in the shape of out."""
+        k = self.bank.num_scales
+        prod = np.empty(lead + (2 * k, columns))
+        mag = np.empty(lead + (k, columns))
+        mag_out = mag.swapaxes(-1, -2).reshape(out_lead + (self.n_phases, k), copy=False)
+        return prod, prod[..., :k, :], prod[..., k:, :], mag, mag_out
 
     @property
     def dim(self) -> int:
@@ -183,10 +224,10 @@ class GaborAccumulator:
     def window(self) -> np.ndarray:
         """The last `width` frames, oldest first: (width, B*N), row-major
         over (stream, phase)."""
-        return self.buf[self.pos:self.pos + self.bank.width]
+        return self.buf[self.pos:self.pos + self._width]
 
     def update(self, m: np.ndarray) -> None:
-        w = self.bank.width
+        w = self._width
         p = self.pos + 1
         if p + w > self.buf.shape[0]:
             self.buf[:w - 1] = self.buf[p:p + w - 1]
@@ -194,30 +235,41 @@ class GaborAccumulator:
         self.buf[p + w - 1] = np.asarray(m).reshape(-1)
         self.pos = p
 
-    def _magnitudes(self, windows: np.ndarray) -> np.ndarray:
+    def _magnitudes(self, windows: np.ndarray, scratch: tuple, out: np.ndarray) -> None:
         """Response magnitudes of windows (..., width, C), oldest frame
-        first: (..., C, K)."""
-        k = self.bank.num_scales
-        r = self._kernels @ windows                      # (..., 2K, C)
-        r *= r
-        mag = r[..., :k, :] + r[..., k:, :]
-        return np.sqrt(mag, out=mag).swapaxes(-1, -2)
+        first, written into `out` (..., N, K) through `scratch` from
+        `_product_scratch`."""
+        prod, re, im, mag, mag_out = scratch
+        np.matmul(self._kernels, windows, out=prod)
+        prod *= prod
+        np.add(re, im, out=mag)
+        np.sqrt(mag_out, out=out)
+
+    def slot(self, block: np.ndarray) -> np.ndarray:
+        return block.reshape(block.shape[:-1] + (self.n_phases, self.bank.num_scales),
+                             copy=False)
+
+    def write(self, out: np.ndarray) -> None:
+        self._magnitudes(self.window, self._scratch, out)
 
     def feature(self) -> np.ndarray:
-        return self._magnitudes(self.window).reshape(self._lead + (self.dim,))
+        out = np.empty(self._lead + (self.dim,))
+        self.write(self.slot(out))
+        return out
 
     def streams(self, streams):
         """Offline rows (see the module doc): products of the kernels with
         the zero-padded windows of a stream, STREAM_CHUNK rows at a time."""
-        w = self.bank.width
+        w, n = self.bank.width, self.n_phases
         for ms in streams:
-            padded = np.concatenate([np.zeros((w, self.n_phases)), ms])
+            padded = np.concatenate([np.zeros((w, n)), ms])
             # window t holds frames t-w+1..t; the all-zero first one is unused
             windows = sliding_window_view(padded, w, axis=0)[1:].swapaxes(1, 2)
             out = np.empty((len(ms), self.dim))
             for a in range(0, len(ms), STREAM_CHUNK):
                 part = windows[a:a + STREAM_CHUNK]
-                out[a:a + STREAM_CHUNK] = self._magnitudes(part).reshape(-1, self.dim)
+                self._magnitudes(part, self._product_scratch(part.shape[:1], n, part.shape[:1]),
+                                 self.slot(out[a:a + STREAM_CHUNK]))
             yield out
 
     def _columns(self, rows) -> np.ndarray:
@@ -228,7 +280,7 @@ class GaborAccumulator:
         part = copy.copy(self)
         cols = self._columns(rows)
         part._lead = (len(cols) // self.n_phases,)
-        part.buf = np.zeros((self.buf.shape[0], cols.shape[0]))
+        part._set_buf(np.zeros((self.buf.shape[0], cols.shape[0])))
         part.buf[:self.bank.width] = self.window[:, cols]
         part.pos = 0
         return part
@@ -323,6 +375,7 @@ class HmmFilterState:
 
     def __init__(self, transition: TransitionMatrix, batch: int | None = None):
         self.transition = transition
+        self._a = transition.a
         n = transition.n_phases
         self.prior = np.full(_lead(batch) + (n,), 1.0 / n)
         self.belief = np.zeros_like(self.prior)
@@ -333,20 +386,29 @@ class HmmFilterState:
         return self.transition.n_phases
 
     def update(self, m: np.ndarray) -> None:
-        post = (self.prior @ self.transition.a) * m
+        # each update makes a new belief array; `streams` keeps them all
+        post = self.prior @ self._a
+        post *= m
         s = post.sum(axis=-1, keepdims=True)
         if s.size == 1:     # one stream: a Python float test is cheapest
             ok = 0.0 < s.item() < np.inf
         else:
             ok = s.min() > 0.0 and s.max() < np.inf
         if ok:
-            self.belief = post / s
+            post /= s
+            self.belief = post
         else:
             ok = (s > 0.0) & np.isfinite(s)
             self.underflow_count += int((~ok).sum())
             with np.errstate(divide="ignore", invalid="ignore"):
                 self.belief = np.where(ok, post / s, 1.0 / self.dim)
         self.prior = self.belief
+
+    def slot(self, block: np.ndarray) -> np.ndarray:
+        return block
+
+    def write(self, out: np.ndarray) -> None:
+        np.copyto(out, self.belief)
 
     def feature(self) -> np.ndarray:
         return self.belief.copy()
@@ -420,7 +482,9 @@ class SsmExtractor:
             if transition is None:
                 transition = TransitionMatrix.uniform(n_phases)
             self._parts.append(HmmFilterState(transition, batch))
-        self.dim = sum(p.dim for p in self._parts)
+        ends = np.cumsum([0] + [p.dim for p in self._parts])
+        self._columns = [slice(int(a), int(b)) for a, b in zip(ends[:-1], ends[1:])]
+        self.dim = int(ends[-1])
 
     @property
     def underflow_count(self) -> int:
@@ -432,10 +496,24 @@ class SsmExtractor:
         for p in self._parts:
             p.update(m)
 
+    @property
+    def columns(self) -> dict[str, slice]:
+        """The columns of each enabled kind within the statistic."""
+        return dict(zip(self.enabled, self._columns))
+
+    def bind(self, block: np.ndarray) -> list:
+        """(write, slot) per aggregator, in csl | gabor | hmm order: its
+        `write` method and its slot of `block`, a (..., dim) view of the
+        statistic columns (see the module doc). `write(slot)` puts that
+        aggregator's current statistic into the block."""
+        return [(p.write, p.slot(block[..., cols]))
+                for p, cols in zip(self._parts, self._columns)]
+
     def feature(self) -> np.ndarray:
-        if not self._parts:
-            return np.zeros(self._lead + (0,))
-        return np.concatenate([p.feature() for p in self._parts], axis=-1)
+        out = np.empty(self._lead + (self.dim,))
+        for write, slot in self.bind(out):
+            write(slot)
+        return out
 
     def take(self, rows) -> "SsmExtractor":
         """A new extractor holding copies of the state of streams `rows`."""
@@ -461,15 +539,13 @@ def acausal_feature_streams(extractor: SsmExtractor, streams,
     if any(r.ndim != 2 for r in rev):
         raise UsageError("acausal aggregation needs complete (T, N) streams")
     out = [np.empty((len(r), extractor.dim), dtype) for r in rev]
-    col = 0
-    for part in extractor._parts:
+    for part, cols in zip(extractor._parts, extractor._columns):
         for o, rows in zip(out, part.streams(rev)):
             # this aggregator's block in reversed time: row t is the
             # inclusive row t - 1, row 0 sees no frame
-            block = o[::-1, col:col + part.dim]
+            block = o[::-1, cols]
             block[:1] = 0.0
             block[1:] = rows[:-1]
-        col += part.dim
     return out
 
 

@@ -50,6 +50,47 @@ from .model import (PhaseModel, _inputs, _lockstep_probs, _offline_probs,  # noq
 log = logging.getLogger(__name__)
 
 
+STAT_GROUPS = ("csl", "gabor", "hmm", "acausal")
+
+
+class StatRanges:
+    """Running min, max and mean of each statistic group (`PhaseModel.
+    stat_groups`) over the training input rows of an epoch: the real frames
+    of every window, the acausal group on the pass that reads it. `add`
+    reduces once per window."""
+
+    def __init__(self, model: PhaseModel):
+        self._groups = model.stat_groups
+        self._acc = {g: [np.inf, -np.inf, 0.0, 0] for g in self._groups}
+
+    def add(self, xs: np.ndarray, valid: np.ndarray, pass2_from: int) -> None:
+        """`xs` (width, rows, D) inputs of one window, `valid` its real
+        frames (width, rows); rows from `pass2_from` on are pass 2."""
+        masks = {}
+        for rows in (slice(None), slice(pass2_from, None)):
+            mask = valid[:, rows]
+            # a masked reduction is slower; most windows have no padded frame
+            masks[rows.start] = (True if mask.all() else mask[..., None], int(mask.sum()))
+        for group, cols in self._groups.items():
+            start = pass2_from if group == "acausal" else None
+            where, frames = masks[start]
+            block = xs[:, start:, cols]
+            acc = self._acc[group]
+            acc[0] = min(acc[0], float(block.min(initial=np.inf, where=where)))
+            acc[1] = max(acc[1], float(block.max(initial=-np.inf, where=where)))
+            acc[2] += float(block.sum(where=where, dtype=np.float64))
+            acc[3] += frames * block.shape[-1]
+
+    def summary(self) -> dict:
+        """{group: {"min", "max", "mean"}} for every group in STAT_GROUPS;
+        None for a group the model does not have or no frame fed."""
+        out = dict.fromkeys(STAT_GROUPS)
+        for group, (lo, hi, total, n) in self._acc.items():
+            if n:
+                out[group] = {"min": lo, "max": hi, "mean": total / n}
+        return out
+
+
 @dataclass
 class EpochLog:
     """One line of training_log.jsonl. Stage times are seconds, refresh_s the
@@ -57,7 +98,8 @@ class EpochLog:
     second, val_accuracy None without a validation split; the gradient norm is
     the pre-clip global norm of each Adam step, clipped_frac the share of
     steps above `grad_clip`, hmm_underflows the HMM filter resets in the
-    epoch's cache step and training windows."""
+    epoch's cache step and training windows; stat_ranges the value range of
+    each statistic group in the epoch's training inputs (`StatRanges`)."""
 
     epoch: int
     train_loss: float
@@ -70,6 +112,7 @@ class EpochLog:
     grad_norm_p50: float
     clipped_frac: float
     hmm_underflows: int
+    stat_ranges: dict
 
 
 @dataclass
@@ -86,6 +129,7 @@ class TrainRun:
     last_epoch_loss: float = float("nan")
     grad_norms: list[float] = field(default_factory=list)   # last epoch's
     hmm_underflows: int = 0                                  # this epoch's
+    stat_ranges: StatRanges | None = None                    # last epoch's
 
 
 @dataclass
@@ -162,6 +206,7 @@ def train_epoch(run: TrainRun, train_seqs: list[FeatureSequence]) -> TrainRun:
     total_loss = 0.0
     total_frames = 0
     run.grad_norms = []
+    run.stat_ranges = StatRanges(model)
     for batch in batches:
         B = len(batch)
         windows = [(by_id[vid], start, stop,
@@ -172,8 +217,8 @@ def train_epoch(run: TrainRun, train_seqs: list[FeatureSequence]) -> TrainRun:
         lengths = np.array([stop - start for _, start, stop, _ in windows])
         width = int(lengths.max())
         extractor = states.take(rows)
-        rec = _run_window(model, h_all[rows], c_all[rows], extractor,
-                          _inputs(model, windows, width), lengths)
+        xs = _inputs(model, windows, width)
+        rec = _run_window(model, h_all[rows], c_all[rows], extractor, xs, lengths)
         ms = rec.ms                                   # (width, n_pass * B, N)
         valid = np.arange(width)[:, None] < lengths
         ys = np.zeros(valid.shape, np.int64)
@@ -193,6 +238,7 @@ def train_epoch(run: TrainRun, train_seqs: list[FeatureSequence]) -> TrainRun:
             vid, start, stop = batch[j]
             raise NumericError(
                 f"non-finite loss in video {vid} frames [{start}, {stop})")
+        run.stat_ranges.add(xs, valid, (n_pass - 1) * B)
         grads = nn.window_backward(model.params, rec.tape, dlogits)
         h_all[rows], c_all[rows] = rec.h, rec.c
         states.put(rows, extractor)
@@ -292,7 +338,8 @@ def fit(config: ExperimentConfig, taxonomy: PhaseTaxonomy,
                 train_fps=sum(s.n_frames for s in train_seqs) / (t2 - t1),
                 grad_norm_p50=float(np.median(norms)),
                 clipped_frac=float((norms > config.grad_clip).mean()),
-                hmm_underflows=run.hmm_underflows)
+                hmm_underflows=run.hmm_underflows,
+                stat_ranges=run.stat_ranges.summary())
             run.curve.append(entry)
             if log_fh:
                 log_fh.write(json.dumps(asdict(entry), allow_nan=False) + "\n")

@@ -1,9 +1,11 @@
 """Helpers shared by several test files: one training window composed from
-the package's own pieces, a finite-difference gradient oracle, the
-frame-by-frame statistic streams the closed forms in `ssm` are checked
-against, the unfused Adam update, and the csv-module table readers and
-writer the one-call `np.loadtxt` readers and `%`-format writers are checked
-against. No command runs them, so they live with the tests."""
+the package's own pieces, the streaming step composed of one allocating
+call per quantity (the oracle of the step kernel), a finite-difference
+gradient oracle, the frame-by-frame statistic streams the closed forms in
+`ssm` are checked against, the unfused Adam update, and the csv-module
+table readers and writer the one-call `np.loadtxt` readers and `%`-format
+writers are checked against. No command runs them, so they live with the
+tests."""
 
 import csv
 import io
@@ -12,6 +14,7 @@ import numpy as np
 
 from phaseflow import cli, nn
 from phaseflow.core import DataValidationError, read_text
+from phaseflow.ssm import GaborBank
 
 
 def window_pass(params, h, c, xs, ys, prox_targets=None, prox_weight=0.0):
@@ -22,6 +25,92 @@ def window_pass(params, h, c, xs, ys, prox_targets=None, prox_weight=0.0):
         rec.step(x)
     loss, dlogits = nn.window_loss_and_dlogits(rec.ms, ys, prox_targets, prox_weight)
     return loss, nn.window_backward(params, rec.tape, dlogits)
+
+
+def composed_cell(params, h, c, x):
+    """The LSTM cell as the textbook expressions, each quantity a new array;
+    returns (h', c')."""
+    H = params["lstm_wh"].shape[0]
+    z = x @ params["lstm_wx"] + h @ params["lstm_wh"] + params["lstm_b"]
+    act = 1.0 / (1.0 + np.exp(-z))
+    i, f, o = act[..., :H], act[..., H:2 * H], act[..., 3 * H:]
+    c_new = f * c + i * np.tanh(z[..., 2 * H:3 * H])
+    return o * np.tanh(c_new), c_new
+
+
+class ComposedStatistics:
+    """The csl | gabor | hmm statistic of one stream with its own state:
+    the counters, the last `width` frames and the filter belief. `feature`
+    is one new float64 array per enabled aggregator, concatenated."""
+
+    def __init__(self, model):
+        cfg, n = model.config, model.n_phases
+        self.kinds = [k for k in ("csl", "gabor", "hmm") if k in cfg.enabled_ssm_features]
+        self.levels = np.asarray(cfg.csl_levels, dtype=np.float64)
+        self.counts = np.zeros((n, len(self.levels) + 1))
+        bank = GaborBank.build(cfg.gabor_num_scales, cfg.gabor_scale_min,
+                               cfg.gabor_scale_max)
+        self.kernels = np.concatenate([bank.kernels_real, bank.kernels_imag])
+        self.history = np.zeros((bank.width, n))     # oldest frame first
+        self.a = model.transition.a if model.transition is not None else None
+        self.prior = np.full(n, 1.0 / n)
+        self.belief = np.zeros(n)
+        self.underflows = 0
+
+    def feature(self) -> np.ndarray:
+        parts = []
+        if "csl" in self.kinds:
+            parts.append(np.log1p(self.counts).reshape(-1))
+        if "gabor" in self.kinds:
+            k = self.kernels.shape[0] // 2
+            r = self.kernels @ self.history
+            r = r * r
+            parts.append(np.sqrt(r[:k] + r[k:]).T.reshape(-1))
+        if "hmm" in self.kinds:
+            parts.append(self.belief.copy())
+        return np.concatenate(parts) if parts else np.zeros(0)
+
+    def update(self, m) -> None:
+        m = np.asarray(m)
+        if "csl" in self.kinds:
+            self.counts[:, :-1] += m[:, None] >= self.levels
+            self.counts[np.argmax(m), -1] += 1.0
+        if "gabor" in self.kinds:
+            self.history = np.concatenate([self.history[1:], m[None].astype(np.float64)])
+        if "hmm" in self.kinds:
+            post = (self.prior @ self.a) * m
+            s = post.sum()
+            if 0.0 < s < np.inf:
+                self.belief = post / s
+            else:
+                self.belief = np.full(len(m), 1.0 / len(m))
+                self.underflows += 1
+            self.prior = self.belief
+
+
+def composed_stream(model, features, acausal_rows=None):
+    """Streaming inference over one video as separate allocating calls:
+    the statistic concatenated and cast into the input row, the cell, the
+    head, the softmax, then the statistic's update. Returns the (T, N)
+    likelihoods, the final (h, c) and the `ComposedStatistics`."""
+    params = model.params
+    vb, sb, ab = model.blocks
+    h, c = nn.zero_state(model.config.hidden_dim)
+    stats = ComposedStatistics(model)
+    x = np.zeros(model.input_dim, np.float32)
+    probs = []
+    for t, v in enumerate(features):
+        x[vb] = v
+        x[sb] = stats.feature()
+        if acausal_rows is not None:
+            x[ab] = acausal_rows[t]
+        h, c = composed_cell(params, h, c, x)
+        logits = h @ params["head_w"] + params["head_b"]
+        e = np.exp(logits - logits.max())
+        m = e / e.sum()
+        stats.update(m)
+        probs.append(m)
+    return np.stack(probs), h, c, stats
 
 
 def feature_stream(extractor, ms) -> np.ndarray:

@@ -136,9 +136,16 @@ class TestTrain:
         assert (ckpt / "config.txt").exists()
         lines = (ckpt / "training_log.jsonl").read_text().strip().splitlines()
         assert len(lines) == 2
+        entry = json.loads(lines[0])
         assert {"epoch", "train_loss", "val_accuracy", "wall_time_s", "train_s",
                 "train_fps", "refresh_s", "validate_s", "grad_norm_p50",
-                "clipped_frac", "hmm_underflows"} == set(json.loads(lines[0]))
+                "clipped_frac", "hmm_underflows", "stat_ranges"} == set(entry)
+        # the workspace trains the csl|hmm arm, causal
+        ranges = entry["stat_ranges"]
+        assert ranges["gabor"] is None and ranges["acausal"] is None
+        for group in ("csl", "hmm"):
+            assert 0.0 <= ranges[group]["min"] <= ranges[group]["mean"] \
+                <= ranges[group]["max"]
 
     def test_config_echo_round_trips(self, workspace):
         echoed = parse_config_text((workspace["ckpt"] / "config.txt").read_text())

@@ -59,13 +59,13 @@ class TestForwardStep:
         mdl = init_model(small_config(), TAX2)
         sess = InferenceSession(mdl)
         inputs = []
-        step = nn.lstm_step
+        cell = nn.LstmCell.__call__
 
-        def recording_step(params, h, c, x):
+        def recording_cell(self, h, c, x, *out):
             inputs.append(x.copy())
-            return step(params, h, c, x)
+            return cell(self, h, c, x, *out)
 
-        monkeypatch.setattr(nn, "lstm_step", recording_step)
+        monkeypatch.setattr(nn.LstmCell, "__call__", recording_cell)
         sess.step(np.ones(3, np.float32))
         expected = np.zeros(mdl.input_dim, np.float32)
         expected[:3] = 1.0
@@ -232,6 +232,16 @@ class TestAcausal:
             infer_video_acausal(mdl, random_seq(rng, 5, 3, 2))
         with pytest.raises(UsageError):
             InferenceSession(mdl, acausal_features=np.zeros((5, 4)))
+
+    def test_step_past_the_last_acausal_row_is_a_data_error(self):
+        mdl = self.acausal_model()
+        width = mdl.new_extractor().dim
+        sess = InferenceSession(mdl, acausal_features=np.zeros((2, width), np.float32))
+        for _ in range(2):
+            sess.step(np.zeros(3, np.float32))
+        with pytest.raises(DataValidationError, match="frame 2: .* has 2 rows"):
+            sess.step(np.zeros(3, np.float32))
+        assert len(sess.probs) == 2
 
     def test_acausal_feature_width_checked(self):
         mdl = self.acausal_model()

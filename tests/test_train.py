@@ -289,7 +289,9 @@ class TestFit:
         entry = json.loads(lines[0])
         assert set(entry) == {"epoch", "train_loss", "val_accuracy", "wall_time_s",
                               "train_s", "train_fps", "refresh_s", "validate_s",
-                              "grad_norm_p50", "clipped_frac", "hmm_underflows"}
+                              "grad_norm_p50", "clipped_frac", "hmm_underflows",
+                              "stat_ranges"}
+        assert entry["stat_ranges"] == dict.fromkeys(("csl", "gabor", "hmm", "acausal"))
         frames = sum(s.n_frames for s in train)
         assert entry["train_fps"] == pytest.approx(frames / entry["train_s"])
         assert (tmp_path / "epoch_001.ckpt").exists()
@@ -396,6 +398,38 @@ class TestCacheSchedule:
                [clean[0].hmm_underflows + startup, clean[1].hmm_underflows]
         assert (curve[0].refresh_s >= 0.05) == acausal
         assert curve[1].refresh_s < 0.05
+
+    @pytest.mark.parametrize("acausal", [False, True], ids=["causal", "acausal"])
+    def test_stat_ranges_cover_the_real_frames_of_the_training_inputs(
+            self, acausal, monkeypatch):
+        cfg = toy_config(batch_size=2, acausal=acausal, **ALL_SSM)
+        seqs = ragged_videos(seed=14)
+        run = new_run(cfg, seqs)
+        train_mod._refresh_caches(run, seqs)
+        windows = []
+        run_window = train_mod._run_window
+
+        def capture(model, h, c, extractor, xs, lengths):
+            rec = run_window(model, h, c, extractor, xs, lengths)
+            windows.append((xs.copy(), lengths))
+            return rec
+
+        monkeypatch.setattr(train_mod, "_run_window", capture)
+        train_epoch(run, seqs)
+        got = run.stat_ranges.summary()
+        groups = run.model.stat_groups
+        assert set(groups) == {"csl", "gabor", "hmm"} | ({"acausal"} if acausal else set())
+        for group, cols in groups.items():
+            vals = np.concatenate([
+                xs[:n, j, cols].ravel() for xs, lengths in windows
+                for j, n in enumerate(lengths)
+                # the acausal channels are read by pass 2, the second half
+                if group != "acausal" or j >= len(lengths) // 2])
+            assert got[group]["min"] == vals.min()
+            assert got[group]["max"] == vals.max()
+            assert got[group]["mean"] == pytest.approx(vals.mean(dtype=np.float64),
+                                                       rel=1e-12)
+        assert (got["acausal"] is None) != acausal
 
     def test_log_without_validation_split_is_strict_json(self, tmp_path):
         train, _ = toy_dataset(n_train=2)
