@@ -56,6 +56,11 @@ ABLATION_ARMS = {
     "acausal": (("csl", "gabor", "hmm"), True),
 }
 DEFAULT_ARMS = "baseline,gabor,csl,ssm,acausal"
+# the scalar metrics of an ablation run: with `bucket_accuracy` the keys of
+# each result in ablation.json, and the columns of ablation.csv before the
+# acc_<bucket> ones
+ABLATION_METRICS = ("accuracy", "precision", "recall", "f1", "short_bucket_mean",
+                    "transition_accuracy", "midpoint_accuracy", "ambiguity_accuracy")
 
 
 # ---------------------------------------------------------------------------
@@ -162,10 +167,14 @@ def cmd_synth(args) -> int:
 # train
 
 def _load_split(datadir: str, split: str):
-    """A manifest split; without a manifest every video is training data."""
-    if data_mod.read_manifest(datadir) is not None:
-        return data_mod.read_dataset(datadir, split=split)
-    return data_mod.read_dataset(datadir) if split == "train" else ([], None)
+    """A manifest split; without a manifest every video is training data.
+    An empty val or test split is no videos, an empty train split an error."""
+    manifest = data_mod.read_manifest(datadir)
+    if manifest is None:
+        return data_mod.read_dataset(datadir) if split == "train" else ([], None)
+    if split != "train" and all(v["split"] != split for v in manifest["videos"]):
+        return [], None
+    return data_mod.read_dataset(datadir, split=split)
 
 
 def cmd_train(args) -> int:
@@ -343,22 +352,18 @@ def cmd_eval(args) -> int:
 # ablate
 
 def _arm_metrics(report: eval_mod.MetricsReport, ambiguity_phases) -> dict:
-    stats = report.frame_stats()
     buckets = report.bucket_accuracy()
     short = [v for name, _, hi in eval_mod.DURATION_BUCKETS
              if hi <= 30 and (v := buckets[name]) is not None]
-    return {
-        "accuracy": stats["accuracy"],
-        "precision": stats["precision"],
-        "recall": stats["recall"],
-        "f1": stats["f1"],
-        "bucket_accuracy": buckets,
+    values = {
+        **report.frame_stats(),
         "short_bucket_mean": float(np.mean(short)) if short else None,
         "transition_accuracy": report.transition_accuracy,
         "midpoint_accuracy": report.midpoint_accuracy,
         "ambiguity_accuracy": (report.phase_subset_accuracy(ambiguity_phases)
                                if ambiguity_phases else None),
     }
+    return {**{k: values[k] for k in ABLATION_METRICS}, "bucket_accuracy": buckets}
 
 
 def cmd_ablate(args) -> int:
@@ -429,31 +434,22 @@ def cmd_ablate(args) -> int:
 
 
 def _mean_metrics(per_seed: list[dict]) -> dict:
-    out = {}
-    flat_keys = ("accuracy", "precision", "recall", "f1", "short_bucket_mean",
-                 "transition_accuracy", "midpoint_accuracy", "ambiguity_accuracy")
-    for key in flat_keys:
-        vals = [m[key] for m in per_seed if m[key] is not None]
-        out[key] = float(np.mean(vals)) if vals else None
-    out["bucket_accuracy"] = {}
-    for name, _, _ in eval_mod.DURATION_BUCKETS:
-        vals = [m["bucket_accuracy"][name] for m in per_seed
-                if m["bucket_accuracy"][name] is not None]
-        out["bucket_accuracy"][name] = float(np.mean(vals)) if vals else None
+    def mean(values):
+        values = [v for v in values if v is not None]
+        return float(np.mean(values)) if values else None
+
+    out = {key: mean(m[key] for m in per_seed) for key in ABLATION_METRICS}
+    out["bucket_accuracy"] = {name: mean(m["bucket_accuracy"][name] for m in per_seed)
+                              for name, _, _ in eval_mod.DURATION_BUCKETS}
     return out
 
 
 def _write_ablation_csv(path, payload: dict) -> None:
     bucket_names = [name for name, _, _ in eval_mod.DURATION_BUCKETS]
-    header = (["arm", "seed", "accuracy", "precision", "recall", "f1"]
-              + [f"acc_{b}" for b in bucket_names]
-              + ["transition_accuracy", "midpoint_accuracy", "ambiguity_accuracy"])
+    header = ["arm", "seed", *ABLATION_METRICS] + [f"acc_{b}" for b in bucket_names]
 
     def row_of(arm, seed, m):
-        vals = [m["accuracy"], m["precision"], m["recall"], m["f1"]]
-        vals += [m["bucket_accuracy"][b] for b in bucket_names]
-        vals += [m["transition_accuracy"], m["midpoint_accuracy"],
-                 m["ambiguity_accuracy"]]
+        vals = [m[k] for k in ABLATION_METRICS] + [m["bucket_accuracy"][b] for b in bucket_names]
         return [arm, seed] + ["" if v is None else f"{v:.6f}" for v in vals]
 
     with open(path, "w", newline="") as fh:

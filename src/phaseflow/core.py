@@ -1,7 +1,8 @@
 """Shared domain types: phase taxonomies, feature sequences, probability
 vectors and the experiment configuration.
 
-All types are immutable after validation and safe to share across threads.
+Configurations and taxonomies are immutable; a validated sequence's arrays
+are read-only.
 Phase ids are 0-based everywhere, including on disk.
 """
 
@@ -238,10 +239,11 @@ def atomic_open(path, mode: str = "w", **kwargs):
         raise
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax over the last axis; always a valid simplex."""
+def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Numerically stable softmax over the last axis; always a valid simplex.
+    Written into `out` when given (the same floats as a new array)."""
     z = np.asarray(logits)
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    e = np.exp(np.subtract(z, z.max(axis=-1, keepdims=True), out=out), out=out)
     e /= e.sum(axis=-1, keepdims=True)
     return e
 
@@ -277,6 +279,10 @@ class ExperimentConfig:
             self, "enabled_ssm_features", tuple(self.enabled_ssm_features)
         )
         object.__setattr__(self, "csl_levels", tuple(float(v) for v in self.csl_levels))
+        for f in fields(self):
+            if ((isinstance(f.default, float) or f.name == "csl_levels")
+                    and not np.isfinite(getattr(self, f.name)).all()):
+                raise UsageError(f"config field {f.name} must be finite")
         for name in (
             "hidden_dim", "seq_len_bptt", "batch_size", "learning_rate",
             "epochs", "embed_dim", "gabor_num_scales", "gabor_scale_min",

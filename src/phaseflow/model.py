@@ -9,12 +9,14 @@ aggregators after the head fires. `StepKernel` is the one implementation of
 this step, and every path runs it: `InferenceSession` (one stream, no batch
 axis, no tape), the loss-free lockstep forward and the taped training
 window. It binds once the input rows it runs on, each aggregator's slot in
-them (`ssm.SsmExtractor.bind`) and the LSTM cell (`nn.LstmCell`). Each frame
-the aggregators write their statistic straight into their slots of the
-float32 row, the cell and the head read the row, and m_t updates the
-aggregators in place. Untaped, the LSTM state and gate buffers are
-overwritten in place; taped, `nn.WindowRecorder` runs the same cell on fresh
-arrays and keeps them for the backward pass.
+them (`ssm.SsmExtractor.bind`), an `nn.WindowRecorder` over the rows and
+the (W, ..., N) likelihood array `ms`. Each frame the aggregators write
+their statistic straight into their slots of the float32 row, the
+recorder runs the cell and the head on the row, the softmax writes m_t into
+`ms`, and m_t updates the aggregators in place. Taped and untaped differ
+only in the arrays the cell writes to: untaped, the LSTM state and one set
+of gate buffers are overwritten in place; taped, every frame keeps its own
+for the backward pass.
 
 Lockstep engine. The frames of a video run in order, but videos are
 independent, so the engine steps B videos side by side, one frame of each
@@ -143,53 +145,40 @@ def init_model(config: ExperimentConfig, taxonomy: PhaseTaxonomy,
 
 class StepKernel:
     """The per-frame step (see the module doc), bound once to the input
-    rows `xs` it runs on: (frames, D) for one stream without a batch axis,
-    (frames, B, D) for B streams in lockstep. The embedding and acausal
-    blocks of row k are the caller's; `step(k)` writes the statistic into
-    row k through the extractor's bound slots, runs the forward pass on the
-    row and updates the extractor with the likelihoods, which it returns.
+    rows `xs` it runs on: (W, D) for one stream without a batch axis,
+    (W, B, D) for B streams in lockstep. The embedding and acausal blocks
+    of row k are the caller's. `step(k)` writes the statistic into row k
+    through the extractor's bound slots, runs `recorder.step(k)` (the LSTM
+    cell and the head), writes the softmax into `ms[k]` (W, ..., N) and
+    updates the extractor with it, and returns `ms[k]`.
 
-    Untaped, the LSTM state `h`, `c` (from `PhaseModel.zero_state`, or the
-    state a previous kernel left) and the gate buffers are overwritten in
-    place, so a step allocates only the logits and m. Taped, the kernel's
-    `recorder`, a `nn.WindowRecorder` starting from `h`, `c`, runs the same
-    cell on fresh arrays and keeps them for the backward pass. In lockstep, a row past
-    its window's `lengths` feeds the uniform vector to the aggregators,
-    which cannot underflow the HMM filter."""
+    The `recorder` (an `nn.WindowRecorder`) starts from the state `h`, `c`
+    (from `PhaseModel.zero_state`, or the state a previous kernel left).
+    Untaped, it updates `h`, `c` and one set of gate buffers in place;
+    taped, it keeps every frame's arrays for `nn.window_backward`. Nothing
+    else differs. In lockstep, a row past its window's `lengths` feeds the
+    uniform vector to the aggregators, which cannot underflow the HMM
+    filter."""
 
     def __init__(self, model: PhaseModel, extractor: ssm.SsmExtractor,
                  xs: np.ndarray, h: np.ndarray, c: np.ndarray,
                  lengths: np.ndarray | None = None, taped: bool = False):
         self.extractor = extractor
+        self.recorder = nn.WindowRecorder(model.params, xs, h, c, taped)
+        self.ms = np.empty(xs.shape[:-1] + (model.n_phases,), self.recorder.cell.dtype)
         writes = extractor.bind(xs[..., model.blocks[1]])
-        self._frames = [(x, [(write, slot[k]) for write, slot in writes])
-                        for k, x in enumerate(xs)]
+        self._frames = [(m, [(write, slot[k]) for write, slot in writes])
+                        for k, m in enumerate(self.ms)]
         self._lengths = lengths
         self._ended_from = (int(lengths.min()) if writes and lengths is not None
                             else len(xs))
         self._uniform = MODEL_DTYPE(1.0 / model.n_phases)
-        if taped:
-            self.recorder = nn.WindowRecorder(model.params, h, c)
-            self._forward = self.recorder.step
-            return
-        self._params = model.params
-        self.h, self.c = h, c
-        self._cell = nn.LstmCell(model.params, h.shape[:-1], h.dtype)
-        act, g, _, tanh_c, _ = self._cell.outputs()
-        self._scratch = act, g, tanh_c
-        self._forward = self._untaped
-
-    def _untaped(self, x: np.ndarray) -> np.ndarray:
-        h, c = self.h, self.c
-        act, g, tanh_c = self._scratch
-        self._cell(h, c, x, act, g, c, tanh_c, h)
-        return softmax(nn.head_forward(self._params, h))
 
     def step(self, k: int = 0) -> np.ndarray:
-        x, writes = self._frames[k]
+        m, writes = self._frames[k]
         for write, slot in writes:
             write(slot)
-        m = self._forward(x)
+        softmax(self.recorder.step(k), out=m)
         if k < self._ended_from:
             self.extractor.update(m)
         else:
@@ -241,7 +230,7 @@ class InferenceSession:
                     f"no acausal features for frame {t}: the session has "
                     f"{len(self.acausal_features)} rows")
             self._a[:] = self.acausal_features[t]
-        m = self._kernel.step()
+        m = self._kernel.step().copy()
         self.probs.append(m)
         return m
 
@@ -309,14 +298,14 @@ def _inputs(model: PhaseModel, windows, width: int) -> np.ndarray:
 
 
 def _run_window(model: PhaseModel, h, c, extractor: ssm.SsmExtractor,
-                xs: np.ndarray, lengths: np.ndarray) -> nn.WindowRecorder:
+                xs: np.ndarray, lengths: np.ndarray) -> StepKernel:
     """Taped lockstep forward of B aligned windows (`xs` from _inputs, one
     row per stream) through the `StepKernel`: each frame's statistic comes
     from the live extractor (detached), and each output updates it."""
     kernel = StepKernel(model, extractor, xs, h, c, lengths, taped=True)
     for k in range(len(xs)):
         kernel.step(k)
-    return kernel.recorder
+    return kernel
 
 
 def _lockstep_probs(model: PhaseModel, seqs: list[FeatureSequence],
@@ -348,9 +337,10 @@ def _lockstep_probs(model: PhaseModel, seqs: list[FeatureSequence],
         lengths = np.array([stop - start for _, _, stop, _ in windows])
         xs = _inputs(model, windows, int(lengths.max()))
         kernel = StepKernel(model, extractor, xs, h, c, lengths)
-        ms = np.stack([kernel.step(k) for k in range(len(xs))])
+        for k in range(len(xs)):
+            kernel.step(k)
         for col, (j, n_k) in enumerate(zip(order, lengths)):
-            probs[j][start:start + n_k] = ms[:n_k, col]
+            probs[j][start:start + n_k] = kernel.ms[:n_k, col]
     return probs, extractor.underflow_count
 
 

@@ -6,13 +6,15 @@ Gate layout inside the fused (4H) axis is [input | forget | candidate |
 output]. Model math runs in float32; passing float64 parameters switches the
 whole path to 64-bit (what the finite-difference gradient checks use).
 
-`LstmCell` holds the one implementation of the cell's arithmetic. It writes
-into arrays its caller passes: `lstm_step` and the taped `WindowRecorder`
-pass fresh ones, and the step kernel of `model` passes its own state, so
-streaming updates h and c in place with the same floats.
+`LstmCell` holds the one implementation of the cell's arithmetic, and
+`WindowRecorder.step` is the one forward step (cell, then head) that
+streaming inference, the loss-free lockstep forward and the taped training
+window all run. The recorder's frame arrays are the tape `window_backward`
+reads; untaped, every frame points at the caller's h and c and one set of
+gate buffers, which the cell overwrites in place with the same floats.
 
-Every per-frame array may carry leading batch axes: the cell, the taped
-step, the window loss and the backward pass index with `...`, so B streams
+Every per-frame array may carry leading batch axes: the cell, the
+recorder, the window loss and the backward pass index with `...`, so B streams
 stepped in lockstep are one (B, D) @ (D, 4H) matmul per frame and one
 backward pass per window. A single stream is the case without batch axes.
 BLAS sums a product with B > 1 rows in another order than a single row, so
@@ -25,11 +27,10 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataValidationError, NumericError, atomic_open, read_bytes, softmax
+from .core import DataValidationError, NumericError, atomic_open, read_bytes
 
 PROB_FLOOR = 1e-12
 CHECKPOINT_MAGIC = b"PHCK"
@@ -73,12 +74,12 @@ def zero_state(hidden_dim: int, dtype=np.float32) -> tuple[np.ndarray, np.ndarra
 
 class LstmCell:
     """The LSTM cell, bound to one parameter set, batch shape `lead` and
-    dtype: the one implementation of its arithmetic, shared by `lstm_step`,
-    the taped `WindowRecorder` and the streaming step kernel of `model`.
+    dtype: the one implementation of its arithmetic, shared by `lstm_step`
+    and `WindowRecorder`.
 
     A call writes the gate activations, c', tanh(c') and h' into arrays the
     caller passes, so the caller decides what is fresh (a taped frame) and
-    what is overwritten in place (streaming passes its own h and c as h'
+    what is overwritten in place (an untaped recorder passes h and c as h'
     and c'); the pre-activation and the input-gate product live in scratch
     bound here. Each operation is the one the textbook expression
     `z = x @ wx + h @ wh + b`, `c' = f * c + i * g`, `h' = o * tanh(c')`
@@ -88,23 +89,15 @@ class LstmCell:
         self.hidden_dim = H = hidden_dim_of(params)
         self.wx, self.wh, self.b = params["lstm_wx"], params["lstm_wh"], params["lstm_b"]
         self.dtype = dtype
-        self.lead = lead
         self._z = np.empty(lead + (4 * H,), dtype)
         self._z_cand = self._z[..., 2 * H:3 * H]
         self._zh = np.empty_like(self._z)
         self._ig = np.empty(lead + (H,), dtype)
         self._one = np.dtype(dtype).type(1.0)
 
-    def outputs(self) -> tuple[np.ndarray, ...]:
-        """New (act, g, c', tanh(c'), h') arrays for one call."""
-        H, lead, dtype = self.hidden_dim, self.lead, self.dtype
-        return (np.empty(lead + (4 * H,), dtype),
-                *(np.empty(lead + (H,), dtype) for _ in range(4)))
-
     def __call__(self, h, c, x, act, g, c_new, tanh_c, h_new):
         """One update of state (h, c) on input x. `act` receives the
-        sigmoid of all four gate blocks and `g` the candidate's tanh;
-        returns the views (i, f, o) of `act`."""
+        sigmoid of all four gate blocks and `g` the candidate's tanh."""
         H = self.hidden_dim
         z = self._z
         np.matmul(x, self.wx, out=z)
@@ -122,7 +115,6 @@ class LstmCell:
         c_new += self._ig
         np.tanh(c_new, out=tanh_c)
         np.multiply(o, tanh_c, out=h_new)
-        return i, f, o
 
 
 def cell_dtype(params: dict, *inputs) -> np.dtype:
@@ -138,10 +130,11 @@ def lstm_step(params: dict, h: np.ndarray, c: np.ndarray,
         raise DataValidationError(
             f"lstm input dimension mismatch: got {x.shape}, "
             f"expected ({input_dim_of(params)},)")
-    cell = LstmCell(params, np.broadcast_shapes(x.shape[:-1], h.shape[:-1]),
-                    cell_dtype(params, x, h, c))
-    act, g, c_new, tanh_c, h_new = cell.outputs()
-    cell(h, c, x, act, g, c_new, tanh_c, h_new)
+    lead = np.broadcast_shapes(x.shape[:-1], h.shape[:-1])
+    dtype, H = cell_dtype(params, x, h, c), hidden_dim_of(params)
+    act = np.empty(lead + (4 * H,), dtype)
+    g, c_new, tanh_c, h_new = (np.empty(lead + (H,), dtype) for _ in range(4))
+    LstmCell(params, lead, dtype)(h, c, x, act, g, c_new, tanh_c, h_new)
     return h_new, c_new
 
 
@@ -157,71 +150,50 @@ def head_forward(params: dict, h: np.ndarray) -> np.ndarray:
     return logits
 
 
-@dataclass
-class WindowTape:
-    """Forward cache for one truncated-BPTT window.
+class WindowRecorder:
+    """The LSTM forward over one window of input rows `xs` (W, ..., D),
+    frame by frame, and the frame arrays it writes, which are the tape of
+    `window_backward`: the states `hs`, `cs` (W + 1, ..., H) from the
+    caller's `h`, `c`, the gate activations `act` (W, ..., 4H), the
+    candidate `g` and `tanh_c` (W, ..., H). `step(k)` runs the `LstmCell`
+    on row k, which the caller may fill just before (the SSM statistic of
+    frame k depends on the outputs of earlier frames), and returns the
+    logits of h'. With (B, H) states it runs B streams in lockstep.
 
-    Inputs (`xs`) and the initial state are constants of the window: the SSM
-    statistics inside `xs` are detached by construction, and gradients stop at
-    the window boundary.
+    Untaped, the frame arrays are lists whose every frame is the caller's
+    `h` and `c` and one set of gate buffers, so the state is updated in
+    place and a step allocates only the logits; taped, every frame has its
+    own arrays. The arithmetic is the same either way, so a taped forward is
+    bit-equal to streaming.
     """
 
-    xs: list
-    h_prevs: list
-    c_prevs: list
-    gates: list      # (i, f, g, o) per frame
-    c_news: list
-    tanh_cs: list
-    h_news: list
-    ms: list         # softmax outputs per frame
+    def __init__(self, params: dict, xs: np.ndarray, h: np.ndarray, c: np.ndarray,
+                 taped: bool = True):
+        self.params = params
+        self.xs = xs
+        W, lead = len(xs), h.shape[:-1]
+        self.cell = cell = LstmCell(params, lead, cell_dtype(params, xs, h, c))
+        H, dtype = cell.hidden_dim, cell.dtype
+        if taped:
+            hs = np.empty((W + 1,) + lead + (H,), dtype)
+            cs = np.empty_like(hs)
+            hs[0], cs[0] = h, c
+            act, g, tanh_c = (np.empty((W,) + lead + (n,), dtype) for n in (4 * H, H, H))
+        else:
+            hs, cs = [h] * (W + 1), [c] * (W + 1)
+            act, g, tanh_c = ([np.empty(lead + (n,), dtype)] * W for n in (4 * H, H, H))
+        self.hs, self.cs, self.act, self.g, self.tanh_c = hs, cs, act, g, tanh_c
+        self._frames = [(hs[k], cs[k], xs[k], act[k], g[k], cs[k + 1], tanh_c[k], hs[k + 1])
+                        for k in range(W)]
 
     @property
     def n_frames(self) -> int:
         return len(self.xs)
 
-
-class WindowRecorder:
-    """Taped forward pass over one window, one frame at a time.
-
-    Each step runs the `LstmCell` on fresh arrays, then head_forward and
-    softmax, and tapes them: the arithmetic of the streaming step, so a
-    loss-free training forward of one stream is bit-equal to it. Inputs may
-    be produced incrementally (the SSM statistic for frame t depends on the
-    recorded m of earlier frames). With (B, H) states and (B, D) inputs it
-    tapes B streams in lockstep.
-    """
-
-    def __init__(self, params: dict, h: np.ndarray, c: np.ndarray):
-        self.params = params
-        self.h = h
-        self.c = c
-        self.tape = WindowTape([], [], [], [], [], [], [], [])
-        self._cell = None
-
-    def step(self, x: np.ndarray) -> np.ndarray:
-        params = self.params
-        h, c = self.h, self.c
-        cell = self._cell
-        if cell is None:    # bound on the first frame, which fixes shape and dtype
-            cell = self._cell = LstmCell(params, x.shape[:-1], cell_dtype(params, x, h, c))
-        act, g, c_new, tanh_c, h_new = cell.outputs()
-        i, f, o = cell(h, c, x, act, g, c_new, tanh_c, h_new)
-        m = softmax(head_forward(params, h_new))
-        t = self.tape
-        t.xs.append(x)
-        t.h_prevs.append(h)
-        t.c_prevs.append(c)
-        t.gates.append((i, f, g, o))
-        t.c_news.append(c_new)
-        t.tanh_cs.append(tanh_c)
-        t.h_news.append(h_new)
-        t.ms.append(m)
-        self.h, self.c = h_new, c_new
-        return m
-
-    @property
-    def ms(self) -> np.ndarray:
-        return np.stack(self.tape.ms)
+    def step(self, k: int) -> np.ndarray:
+        frame = self._frames[k]
+        self.cell(*frame)
+        return head_forward(self.params, frame[-1])
 
 
 def window_loss_and_dlogits(ms: np.ndarray, ys, prox_targets=None,
@@ -257,50 +229,46 @@ def window_loss_and_dlogits(ms: np.ndarray, ys, prox_targets=None,
     return loss, dlogits
 
 
-def window_backward(params: dict, tape: WindowTape,
+def window_backward(params: dict, rec: WindowRecorder,
                     dlogits: np.ndarray) -> dict[str, np.ndarray]:
     """Analytic gradients of the window loss w.r.t. all parameter blocks,
-    summed over the window's frames and over its batch rows.
+    summed over the window's frames and over its batch rows, from the frame
+    arrays of a taped `WindowRecorder`.
 
     Gradients do not flow into the inputs (SSM statistics are constants) or
     past the window's initial state. A frame whose dlogits are zero from the
     end of its row onward adds exactly zero, which is how rows whose window
     ended early are masked.
     """
-    W = tape.n_frames
-    dz_rows = [None] * W
-    dh_next = np.zeros_like(tape.h_news[0])
-    dc_next = np.zeros_like(tape.c_news[0])
+    H, N = hidden_dim_of(params), n_phases_of(params)
+    dz = np.empty_like(rec.act)
+    dh_next = np.zeros_like(rec.hs[0])
+    dc_next = np.zeros_like(rec.cs[0])
     wh_t = params["lstm_wh"].T
     whead_t = params["head_w"].T
-    for t in reversed(range(W)):
-        i, f, g, o = tape.gates[t]
-        tanh_c = tape.tanh_cs[t]
+    for t in reversed(range(rec.n_frames)):
+        act, g, tanh_c = rec.act[t], rec.g[t], rec.tanh_c[t]
+        i, f, o = act[..., :H], act[..., H:2 * H], act[..., 3 * H:]
         dh = dh_next + dlogits[t] @ whead_t
         do = dh * tanh_c
         dc = dc_next + dh * o * (1.0 - tanh_c * tanh_c)
         di = dc * g
-        df = dc * tape.c_prevs[t]
+        df = dc * rec.cs[t]
         dg = dc * i
-        dz_rows[t] = np.concatenate([
-            di * i * (1.0 - i),
-            df * f * (1.0 - f),
-            dg * (1.0 - g * g),
-            do * o * (1.0 - o),
-        ], axis=-1)
-        dh_next = dz_rows[t] @ wh_t
+        dz_t = dz[t]
+        dz_t[..., :H] = di * i * (1.0 - i)
+        dz_t[..., H:2 * H] = df * f * (1.0 - f)
+        dz_t[..., 2 * H:3 * H] = dg * (1.0 - g * g)
+        dz_t[..., 3 * H:] = do * o * (1.0 - o)
+        dh_next = dz_t @ wh_t
         dc_next = dc * f
-
-    def rows(arrays, width):
-        return np.stack(arrays).reshape(-1, width)
-
-    dz = rows(dz_rows, 4 * hidden_dim_of(params))
-    dl = np.asarray(dlogits).reshape(-1, n_phases_of(params))
+    dz = dz.reshape(-1, 4 * H)
+    dl = np.asarray(dlogits).reshape(-1, N)
     return {
-        "lstm_wx": rows(tape.xs, input_dim_of(params)).T @ dz,
-        "lstm_wh": rows(tape.h_prevs, hidden_dim_of(params)).T @ dz,
+        "lstm_wx": rec.xs.reshape(-1, input_dim_of(params)).T @ dz,
+        "lstm_wh": rec.hs[:-1].reshape(-1, H).T @ dz,
         "lstm_b": dz.sum(axis=0),
-        "head_w": rows(tape.h_news, hidden_dim_of(params)).T @ dl,
+        "head_w": rec.hs[1:].reshape(-1, H).T @ dl,
         "head_b": dl.sum(axis=0),
     }
 

@@ -218,8 +218,8 @@ def train_epoch(run: TrainRun, train_seqs: list[FeatureSequence]) -> TrainRun:
         width = int(lengths.max())
         extractor = states.take(rows)
         xs = _inputs(model, windows, width)
-        rec = _run_window(model, h_all[rows], c_all[rows], extractor, xs, lengths)
-        ms = rec.ms                                   # (width, n_pass * B, N)
+        kernel = _run_window(model, h_all[rows], c_all[rows], extractor, xs, lengths)
+        ms, rec = kernel.ms, kernel.recorder          # ms: (width, n_pass * B, N)
         valid = np.arange(width)[:, None] < lengths
         ys = np.zeros(valid.shape, np.int64)
         # the proximal tie applies to the evaluated (last) pass only; other
@@ -239,8 +239,8 @@ def train_epoch(run: TrainRun, train_seqs: list[FeatureSequence]) -> TrainRun:
             raise NumericError(
                 f"non-finite loss in video {vid} frames [{start}, {stop})")
         run.stat_ranges.add(xs, valid, (n_pass - 1) * B)
-        grads = nn.window_backward(model.params, rec.tape, dlogits)
-        h_all[rows], c_all[rows] = rec.h, rec.c
+        grads = nn.window_backward(model.params, rec, dlogits)
+        h_all[rows], c_all[rows] = rec.hs[-1], rec.cs[-1]
         states.put(rows, extractor)
         for g in grads.values():
             g /= B

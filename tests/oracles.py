@@ -13,18 +13,17 @@ import io
 import numpy as np
 
 from phaseflow import cli, nn
-from phaseflow.core import DataValidationError, read_text
+from phaseflow.core import DataValidationError, read_text, softmax
 from phaseflow.ssm import GaborBank
 
 
 def window_pass(params, h, c, xs, ys, prox_targets=None, prox_weight=0.0):
     """Taped forward, loss and backward over one window of precomputed
     inputs; returns (loss, grads)."""
-    rec = nn.WindowRecorder(params, h, c)
-    for x in xs:
-        rec.step(x)
-    loss, dlogits = nn.window_loss_and_dlogits(rec.ms, ys, prox_targets, prox_weight)
-    return loss, nn.window_backward(params, rec.tape, dlogits)
+    rec = nn.WindowRecorder(params, np.asarray(xs), h, c)
+    ms = softmax(np.stack([rec.step(k) for k in range(rec.n_frames)]))
+    loss, dlogits = nn.window_loss_and_dlogits(ms, ys, prox_targets, prox_weight)
+    return loss, nn.window_backward(params, rec, dlogits)
 
 
 def composed_cell(params, h, c, x):

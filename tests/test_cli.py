@@ -1,3 +1,6 @@
+import csv
+import dataclasses
+import io
 import json
 import os
 import re
@@ -14,13 +17,20 @@ from hypothesis import strategies as st
 
 from phaseflow import nn
 from phaseflow.cli import (
+    ABLATION_METRICS,
     _confidence,
     main,
     parse_config_text,
     read_prediction_csv,
     write_prediction_csv,
 )
-from phaseflow.core import CSV_UNREAD, DataValidationError, PhaseTaxonomy, UsageError
+from phaseflow.core import (
+    CSV_UNREAD,
+    DataValidationError,
+    ExperimentConfig,
+    PhaseTaxonomy,
+    UsageError,
+)
 from phaseflow.data import WorkflowGrammar, generate_dataset
 from phaseflow.model import InferenceResult, hmm_smooth_posthoc, load_model
 
@@ -38,6 +48,10 @@ gabor_scale_min = 3
 gabor_scale_max = 5
 rng_seed = 0
 """
+
+# every float-valued config key, csl_levels (a list of floats) included
+FLOAT_KEYS = ("learning_rate", "proximal_weight", "gabor_scale_min", "gabor_scale_max",
+              "hmm_smoothing", "grad_clip", "csl_levels")
 
 
 def tiny_grammar_dict():
@@ -151,6 +165,25 @@ class TestTrain:
         echoed = parse_config_text((workspace["ckpt"] / "config.txt").read_text())
         assert echoed.hidden_dim == 4
         assert echoed.enabled_ssm_features == ("csl", "hmm")
+
+    def test_empty_validation_split_trains_without_validation(self, workspace, tmp_path):
+        # two videos split into train and test: the manifest has no val video
+        data, out = tmp_path / "data", tmp_path / "ckpt"
+        assert main(["synth", "--grammar", str(workspace["grammar"]), "--videos", "2",
+                     "--seed", "4", "--out", str(data)]) == 0
+        splits = [v["split"] for v in json.loads((data / "manifest.json").read_text())["videos"]]
+        assert sorted(splits) == ["test", "train"]
+        assert main(["train", "--data", str(data), "--config", str(workspace["config"]),
+                     "--out", str(out)]) == 0
+        lines = (out / "training_log.jsonl").read_text().splitlines()
+        assert [json.loads(line)["val_accuracy"] for line in lines] == [None, None]
+        # an empty train split is still an error
+        manifest = json.loads((data / "manifest.json").read_text())
+        for v in manifest["videos"]:
+            v["split"] = "test"
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["train", "--data", str(data), "--config", str(workspace["config"]),
+                     "--out", str(tmp_path / "none")]) == 3
 
     def test_missing_data_dir_is_data_error(self, workspace, tmp_path):
         assert main(["train", "--data", str(tmp_path / "missing"),
@@ -406,6 +439,17 @@ class TestTypedErrors:
                      "--out", str(tmp_path / "c")]) == 2
         assert "hidden_dim" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_non_finite_float_config_value_is_usage_error(self, workspace, tmp_path,
+                                                          capsys, key, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        assert main(["train", "--data", str(workspace["data"]), "--config", str(cfg),
+                     "--out", str(tmp_path / "c")]) == 2
+        assert f"config field {key} must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
+
     def test_unreadable_config_is_usage_error(self, workspace, tmp_path, capsys):
         assert main(["train", "--data", str(workspace["data"]), "--config", str(tmp_path),
                      "--out", str(tmp_path / "c")]) == 2
@@ -447,6 +491,11 @@ class TestConfigParsing:
         with pytest.raises(UsageError):
             parse_config_text("hidden = 3\n")
 
+    def test_float_keys_table_names_every_float_field(self):
+        floats = {f.name for f in dataclasses.fields(ExperimentConfig)
+                  if isinstance(f.default, float)}
+        assert set(FLOAT_KEYS) == floats | {"csl_levels"}
+
     def test_malformed_line_rejected(self):
         with pytest.raises(UsageError, match="line 1"):
             parse_config_text("epochs 1\n")
@@ -462,9 +511,23 @@ class TestAblate:
             assert main(args + ["--out", str(out)]) == 0
         for name in ("ablation.json", "ablation.csv", "config.txt"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
-        res = json.loads((outs[0] / "ablation.json").read_text())["results"]
+        payload = json.loads((outs[0] / "ablation.json").read_text())
+        res = payload["results"]
         assert set(res) == {"baseline", "csl"}
         assert 0.0 <= res["csl"]["1"]["accuracy"] <= 1.0
+        # ablation.csv: one row per run and arm mean, one column per metric
+
+        def cell(v):
+            return "" if v is None else f"{v:.6f}"
+
+        rows = list(csv.DictReader(io.StringIO((outs[0] / "ablation.csv").read_text())))
+        runs = [(arm, seed, payload["means"][arm] if seed == "mean" else res[arm][seed])
+                for arm in ("baseline", "csl") for seed in ("1", "mean")]
+        assert len(rows) == len(runs) and "short_bucket_mean" in rows[0]
+        for row, (arm, seed, m) in zip(rows, runs):
+            assert row == {"arm": arm, "seed": seed,
+                           **{k: cell(m[k]) for k in ABLATION_METRICS},
+                           **{f"acc_{b}": cell(v) for b, v in m["bucket_accuracy"].items()}}
 
     def test_unknown_arm_rejected(self, workspace, tmp_path):
         assert main(["ablate", "--data", str(workspace["data"]),

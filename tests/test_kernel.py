@@ -172,6 +172,34 @@ def test_rows_past_their_window_feed_the_uniform_vector():
     assert argmax_counts[0] >= 5
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+def test_taped_and_untaped_steps_are_bit_equal(dtype):
+    # B = 3 in lockstep, the last row padded past its fifth frame; the two
+    # modes differ only in the arrays the cell writes to
+    mdl = build_model(KINDS, True, dtype, seed=6)
+    seqs = videos((8, 8, 5), seed=7)
+    rng = np.random.default_rng(8)
+    width = mdl.blocks[2].stop - mdl.blocks[2].start
+    windows = [(s, 0, s.n_frames, rng.random((s.n_frames, width)).astype(np.float32))
+               for s in seqs]
+    h0, c0 = (rng.standard_normal((3, 4)).astype(dtype) for _ in range(2))
+    runs = []
+    for taped in (True, False):
+        h, c = h0.copy(), c0.copy()
+        extractor = mdl.new_extractor(batch=3)
+        kernel = model_mod.StepKernel(mdl, extractor, model_mod._inputs(mdl, windows, 8),
+                                      h, c, np.array([8, 8, 5]), taped)
+        for k in range(8):
+            kernel.step(k)
+        rec = kernel.recorder
+        # taped, the caller's state is only read; untaped, it is the state
+        assert np.array_equal(h, h0 if taped else rec.hs[-1])
+        assert np.array_equal(c, c0 if taped else rec.cs[-1])
+        runs.append((kernel.ms, rec.hs[-1], rec.cs[-1], extractor.feature()))
+    for got_taped, got_untaped in zip(*runs):
+        assert np.array_equal(got_taped, got_untaped)
+
+
 def test_gabor_bank_longer_than_the_stream():
     mdl = build_model(("gabor",), False, np.float32, scale_max=16.0)
     assert GaborBank.build(3, 2.0, 16.0).width > 6

@@ -173,17 +173,15 @@ class TestDetachment:
         seq = separable_video(rng, "v0", t=8)
 
         ext = model.new_extractor()
-        h, c = nn.zero_state(3, np.float64)
-        rec = nn.WindowRecorder(params64, h, c)
-        xs = []
+        xs = np.zeros((8, model.input_dim))
+        rec = nn.WindowRecorder(params64, xs, *nn.zero_state(3, np.float64))
+        ms = np.zeros((8, model.n_phases))
         for t in range(8):
-            x = np.concatenate([seq.features[t].astype(np.float64),
-                                ext.feature()])
-            xs.append(x)
-            m = rec.step(x)
-            ext.update(m)
-        _, dlogits = nn.window_loss_and_dlogits(rec.ms, seq.labels[:8])
-        analytic = nn.window_backward(params64, rec.tape, dlogits)
+            xs[t] = np.concatenate([seq.features[t], ext.feature()])
+            softmax(rec.step(t), out=ms[t])
+            ext.update(ms[t])
+        _, dlogits = nn.window_loss_and_dlogits(ms, seq.labels[:8])
+        analytic = nn.window_backward(params64, rec, dlogits)
 
         def frozen_loss(params):
             loss, _ = window_pass(params, *nn.zero_state(3, np.float64), xs,
@@ -481,21 +479,24 @@ def per_video_step_grads(run, train_seqs):
             seq = by_id[vid]
             for idx, sess in enumerate(sessions[vid]):
                 h, c, ext, rows = sess
-                rec = nn.WindowRecorder(model.params, h, c)
-                for k in range(start, stop):
+                xs = np.zeros((stop - start, model.input_dim), MODEL_DTYPE)
+                rec = nn.WindowRecorder(model.params, xs, h, c)
+                ms = np.zeros((stop - start, model.n_phases), MODEL_DTYPE)
+                for t, k in enumerate(range(start, stop)):
                     parts = [seq.features[k], ext.feature().astype(MODEL_DTYPE)]
                     if zero_a is not None:
                         parts.append(zero_a if rows is None else rows[k])
-                    ext.update(rec.step(np.concatenate(parts)))
+                    xs[t] = np.concatenate(parts)
+                    ext.update(softmax(rec.step(t), out=ms[t]))
                 final = idx == n_pass - 1
                 prox = run.prox_cache.get(vid) if final else None
                 _, dl = nn.window_loss_and_dlogits(
-                    rec.ms, seq.labels[start:stop],
+                    ms, seq.labels[start:stop],
                     None if prox is None else prox[start:stop],
                     cfg.proximal_weight if final else 0.0)
-                for k, g in nn.window_backward(model.params, rec.tape, dl).items():
+                for k, g in nn.window_backward(model.params, rec, dl).items():
                     total[k] += g
-                sess[0], sess[1] = rec.h, rec.c
+                sess[0], sess[1] = rec.hs[-1], rec.cs[-1]
         for k in total:
             total[k] /= len(batch)
         steps.append(total)
