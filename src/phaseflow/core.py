@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import io
 import os
+import re
 import threading
 import zlib
 from dataclasses import dataclass, fields, replace
@@ -309,26 +310,48 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        """A config from JSON values (a checkpoint header) or the strings of
+        a text config. Each value must be of its field's kind
+        (`_config_value`): a bool written as "false" is refused, not cast."""
         known = {f.name for f in fields(cls)}
         unknown = set(d) - known
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
         kwargs = {}
         for f in fields(cls):
-            if f.name not in d:
-                continue
-            v = d[f.name]
-            try:   # each value takes the type of the field's default
-                v = type(f.default)(v)
-                if f.name == "csl_levels":
-                    v = tuple(float(x) for x in v)
-            except (TypeError, ValueError, OverflowError):
-                raise UsageError(f"config key {f.name}: invalid value {v!r}") from None
-            kwargs[f.name] = v
+            if f.name in d:
+                try:
+                    kwargs[f.name] = _config_value(f.default, d[f.name])
+                except (TypeError, ValueError, OverflowError) as e:
+                    raise UsageError(f"config key {f.name}: invalid value "
+                                     f"{d[f.name]!r} ({e})") from None
         return cls(**kwargs)
 
     def with_overrides(self, **kwargs) -> "ExperimentConfig":
         return replace(self, **kwargs)
+
+
+def _config_value(default, v):
+    """`v` as a value of the config field whose default is `default`: a bool
+    field takes only a bool and a str only a str; an int field an int or a
+    decimal string; a float field an int, a float or a numeric string; a
+    tuple field a list or a tuple of values of its first member's kind."""
+    if isinstance(default, tuple):
+        if not isinstance(v, (list, tuple)):
+            raise TypeError(f"expected list, got {type(v).__name__}")
+        return tuple(_config_value(default[0], x) for x in v)
+    kind = type(default)
+    if kind in (bool, str) or isinstance(v, bool):
+        if type(v) is not kind:
+            raise TypeError(f"expected {kind.__name__}, got {type(v).__name__}")
+        return v
+    if isinstance(v, str):
+        if kind is int and not re.fullmatch(r"[+-]?[0-9]+", v):
+            raise ValueError("expected int, got a str that is not decimal")
+        return kind(v)
+    if isinstance(v, int) or (isinstance(v, float) and kind is float):
+        return kind(v)
+    raise TypeError(f"expected {kind.__name__}, got {type(v).__name__}")
 
 
 def substream(seed: int, name: str, *extra: int) -> np.random.Generator:

@@ -91,18 +91,13 @@ def _check_lengths(gt, pred):
 
 
 def _bucket_counts(lengths, hits) -> np.ndarray:
+    """(5, 2) [correct, total] frame counts of ground-truth segments of
+    `lengths` frames with `hits` correct frames each; each frame belongs to
+    the duration bucket of its segment."""
     counts = np.zeros((len(DURATION_BUCKETS), 2), dtype=np.int64)
     np.add.at(counts, np.searchsorted(_BUCKET_LO, lengths, side="right") - 1,
               np.stack([hits, lengths], axis=1))
     return counts
-
-
-def bucket_counts(gt, pred) -> np.ndarray:
-    """(5, 2) [correct, total] frame counts; each frame belongs to the
-    duration bucket of its ground-truth segment."""
-    gt, pred = _check_lengths(gt, pred)
-    starts, ends = _runs(gt)
-    return _bucket_counts(ends - starts + 1, np.add.reduceat(gt == pred, starts))
 
 
 def match_transitions(gt, pred, window: int = TRANSITION_WINDOW_S) -> dict:

@@ -21,13 +21,14 @@ for the backward pass.
 Lockstep engine. The frames of a video run in order, but videos are
 independent, so the engine steps B videos side by side, one frame of each
 per step: one (B, D) @ (D, 4H) cell matmul and batched statistics with one
-row per stream. `_lockstep_probs` runs whole videos window by window,
-longest first, so the live streams shrink to a prefix as videos end; rows
-past the end of a shorter window see zero embeddings and feed the uniform
-vector to the statistics. Rows are summed in another order than one video
-at a time, so the engine matches `infer_video` to float rounding. At B=1 it
-is bit-equal to streaming inference by construction: the same kernel runs
-the same operations on the same values, with a batch axis of one.
+row per stream, and one window runner, `_run_windows`, for training and
+`_lockstep_probs`. The latter runs whole videos longest first, so the live
+streams shrink to a prefix as videos end; rows past the end of a shorter
+window see zero embeddings and feed the uniform vector to the statistics.
+Rows are summed in another order than one video at a time, so the engine
+matches `infer_video` to float rounding. At B=1 it is bit-equal to
+streaming inference by construction: the same kernel runs the same
+operations on the same values, with a batch axis of one.
 
 Acausal rows. Pass 2 reads the acausal statistic of each video's complete
 pass-1 stream. `PhaseModel.acausal_rows` derives it for all videos of a
@@ -146,19 +147,19 @@ def init_model(config: ExperimentConfig, taxonomy: PhaseTaxonomy,
 class StepKernel:
     """The per-frame step (see the module doc), bound once to the input
     rows `xs` it runs on: (W, D) for one stream without a batch axis,
-    (W, B, D) for B streams in lockstep. The embedding and acausal blocks
-    of row k are the caller's. `step(k)` writes the statistic into row k
-    through the extractor's bound slots, runs `recorder.step(k)` (the LSTM
-    cell and the head), writes the softmax into `ms[k]` (W, ..., N) and
-    updates the extractor with it, and returns `ms[k]`.
+    (W, B, D) for B streams in lockstep (built by `_run_windows`). The
+    embedding and acausal blocks of row k are the caller's. `step(k)` writes
+    the statistic into row k through the extractor's bound slots, runs
+    `recorder.step(k)` (the LSTM cell and the head), writes the softmax into
+    `ms[k]` (W, ..., N), updates the extractor with it and returns `ms[k]`.
 
     The `recorder` (an `nn.WindowRecorder`) starts from the state `h`, `c`
     (from `PhaseModel.zero_state`, or the state a previous kernel left).
     Untaped, it updates `h`, `c` and one set of gate buffers in place;
     taped, it keeps every frame's arrays for `nn.window_backward`. Nothing
-    else differs. In lockstep, a row past its window's `lengths` feeds the
-    uniform vector to the aggregators, which cannot underflow the HMM
-    filter."""
+    else differs. In lockstep, a row past its window length in `lengths`
+    feeds the uniform vector to the aggregators, which cannot underflow the
+    HMM filter."""
 
     def __init__(self, model: PhaseModel, extractor: ssm.SsmExtractor,
                  xs: np.ndarray, h: np.ndarray, c: np.ndarray,
@@ -169,7 +170,7 @@ class StepKernel:
         writes = extractor.bind(xs[..., model.blocks[1]])
         self._frames = [(m, [(write, slot[k]) for write, slot in writes])
                         for k, m in enumerate(self.ms)]
-        self._lengths = lengths
+        self.lengths = lengths
         self._ended_from = (int(lengths.min()) if writes and lengths is not None
                             else len(xs))
         self._uniform = MODEL_DTYPE(1.0 / model.n_phases)
@@ -182,7 +183,7 @@ class StepKernel:
         if k < self._ended_from:
             self.extractor.update(m)
         else:
-            self.extractor.update(np.where((self._lengths <= k)[:, None], self._uniform, m))
+            self.extractor.update(np.where((self.lengths <= k)[:, None], self._uniform, m))
         return m
 
 
@@ -281,28 +282,22 @@ def worker_thread_count() -> int:
     return os.cpu_count() or 1
 
 
-def _inputs(model: PhaseModel, windows, width: int) -> np.ndarray:
-    """Inputs [v | s | a] of aligned windows as (width, B, input_dim): the
-    embeddings and acausal rows filled in, the statistic block left for the
-    engine to fill frame by frame, frames past a window's end zero.
-
-    `windows` holds (seq, start, stop, acausal_rows or None) per row; None
-    feeds zeros to the acausal channels (pass 1)."""
+def _run_windows(model: PhaseModel, extractor: ssm.SsmExtractor, h, c, windows,
+                 taped: bool = False) -> StepKernel:
+    """Lockstep forward of aligned windows, one row per stream, from the
+    state `h`, `c` and the extractor's streams: builds their inputs
+    [v | s | a] (width, B, input_dim), width the longest window and frames
+    past a window's end zero, and steps a `StepKernel` over them, which it
+    returns. `windows` holds (seq, start, stop, acausal_rows or None) per
+    row; None feeds zeros to the acausal channels (pass 1)."""
     vb, _, ab = model.blocks
-    xs = np.zeros((width, len(windows), model.input_dim), MODEL_DTYPE)
+    lengths = np.array([stop - start for _, start, stop, _ in windows])
+    xs = np.zeros((int(lengths.max()), len(windows), model.input_dim), MODEL_DTYPE)
     for j, (seq, start, stop, acausal) in enumerate(windows):
         xs[:stop - start, j, vb] = seq.features[start:stop]
         if acausal is not None:
             xs[:stop - start, j, ab] = acausal[start:stop]
-    return xs
-
-
-def _run_window(model: PhaseModel, h, c, extractor: ssm.SsmExtractor,
-                xs: np.ndarray, lengths: np.ndarray) -> StepKernel:
-    """Taped lockstep forward of B aligned windows (`xs` from _inputs, one
-    row per stream) through the `StepKernel`: each frame's statistic comes
-    from the live extractor (detached), and each output updates it."""
-    kernel = StepKernel(model, extractor, xs, h, c, lengths, taped=True)
+    kernel = StepKernel(model, extractor, xs, h, c, lengths, taped)
     for k in range(len(xs)):
         kernel.step(k)
     return kernel
@@ -334,12 +329,8 @@ def _lockstep_probs(model: PhaseModel, seqs: list[FeatureSequence],
             h, c, extractor = h[:n], c[:n], extractor.take(np.arange(n))
         windows = [(seqs[j], start, min(start + width, seqs[j].n_frames),
                     None if acausal is None else acausal[j]) for j in order[:n]]
-        lengths = np.array([stop - start for _, _, stop, _ in windows])
-        xs = _inputs(model, windows, int(lengths.max()))
-        kernel = StepKernel(model, extractor, xs, h, c, lengths)
-        for k in range(len(xs)):
-            kernel.step(k)
-        for col, (j, n_k) in enumerate(zip(order, lengths)):
+        kernel = _run_windows(model, extractor, h, c, windows)
+        for col, (j, n_k) in enumerate(zip(order, kernel.lengths)):
             probs[j][start:start + n_k] = kernel.ms[:n_k, col]
     return probs, extractor.underflow_count
 

@@ -68,10 +68,6 @@ def n_phases_of(params: dict) -> int:
     return params["head_w"].shape[1]
 
 
-def zero_state(hidden_dim: int, dtype=np.float32) -> tuple[np.ndarray, np.ndarray]:
-    return np.zeros(hidden_dim, dtype), np.zeros(hidden_dim, dtype)
-
-
 class LstmCell:
     """The LSTM cell, bound to one parameter set, batch shape `lead` and
     dtype: the one implementation of its arithmetic, shared by `lstm_step`

@@ -31,9 +31,12 @@ row, so each statistic has one formula.
 Every aggregator also runs B independent streams in lockstep: built with
 `batch=B`, its state gains a leading axis of B rows (the Gabor ring holds
 them as B column blocks), `update` takes (B, N) likelihoods and `feature`
-returns (B, dim). `take(rows)` copies some rows out into a new aggregator and
-`put(rows, part)` writes them back. `batch=None` is the single stream without
-that axis.
+returns (B, dim). `batch=None` is the single stream without that axis. Each
+aggregator declares its per-stream state once, as `state`: a tuple of views
+with the stream axis first (CSL the counts, Gabor the live ring window as
+(B, width, N), HMM the prior and the belief). `SsmExtractor.take(rows)`
+builds a new extractor of len(rows) streams and copies those rows of every
+`state` into it; `put(rows, part)` copies them back.
 
 Aggregator internals are float64; `write` casts to the dtype of its slot
 (float32 in the model's input row).
@@ -41,7 +44,6 @@ Aggregator internals are float64; `write` casts to the dtype of its slot
 
 from __future__ import annotations
 
-import copy
 import csv as _csv
 from dataclasses import dataclass, field
 
@@ -70,15 +72,14 @@ class CslAccumulator:
     break to the lowest phase id. Feature is log(count + 1), phase-major.
     Counts are held as float64, exact up to 2**53 frames."""
 
+    underflow_count = 0     # no filter, nothing underflows
+
     def __init__(self, n_phases: int, levels=(0.25, 0.5, 0.75),
                  batch: int | None = None):
         self.n_phases = n_phases
         self.levels = np.asarray(levels, dtype=np.float64)
         self.counts = np.zeros(_lead(batch) + (n_phases, len(levels) + 1))
         self._phase_ids = np.arange(n_phases)
-        self._new_hits()
-
-    def _new_hits(self) -> None:
         # the hits of one update, held as float64 so `counts +=` needs no cast
         self._hits = np.empty(self.counts.shape)
         self._levels_out, self._argmax_out = self._hits[..., :-1], self._hits[..., -1]
@@ -86,6 +87,10 @@ class CslAccumulator:
     @property
     def dim(self) -> int:
         return self.n_phases * (len(self.levels) + 1)
+
+    @property
+    def state(self) -> tuple[np.ndarray, ...]:
+        return (self.counts,)
 
     def _hit_mask(self, m: np.ndarray, levels_out: np.ndarray,
                   argmax_out: np.ndarray) -> None:
@@ -116,15 +121,6 @@ class CslAccumulator:
             self._hit_mask(ms, hits[..., :-1], hits[..., -1])
             yield np.log1p(np.cumsum(hits, axis=0)).reshape(len(hits), -1)
 
-    def take(self, rows) -> "CslAccumulator":
-        part = copy.copy(self)
-        part.counts = self.counts[rows]
-        part._new_hits()
-        return part
-
-    def put(self, rows, part: "CslAccumulator") -> None:
-        self.counts[rows] = part.counts
-
 
 # ---------------------------------------------------------------------------
 # Gabor filter bank
@@ -152,12 +148,12 @@ def gabor_kernel(sigma: float) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class GaborBank:
-    """Fixed causal filter bank over `scales`; kernels padded into (K, width)
-    matrices aligned so the last column is lag 0 (newest frame)."""
+    """Fixed causal filter bank over `scales`: `kernels` stacks the real
+    parts of the K kernels over their imaginary parts, (2K, width), each row
+    padded so the last column is lag 0 (newest frame)."""
 
     scales: np.ndarray
-    kernels_real: np.ndarray = field(repr=False)
-    kernels_imag: np.ndarray = field(repr=False)
+    kernels: np.ndarray = field(repr=False)
 
     @classmethod
     def build(cls, num_scales: int = 10, scale_min: float = 10.0,
@@ -165,12 +161,11 @@ class GaborBank:
         scales = np.linspace(scale_min, scale_max, num_scales)
         kernels = [gabor_kernel(s) for s in scales]
         width = max(len(kr) for kr, _ in kernels)
-        re = np.zeros((num_scales, width))
-        im = np.zeros((num_scales, width))
+        stacked = np.zeros((2 * num_scales, width))
         for k, (kr, ki) in enumerate(kernels):
-            re[k, width - len(kr):] = kr
-            im[k, width - len(ki):] = ki
-        return cls(scales=scales, kernels_real=re, kernels_imag=im)
+            stacked[k, width - len(kr):] = kr
+            stacked[num_scales + k, width - len(ki):] = ki
+        return cls(scales=scales, kernels=stacked)
 
     @property
     def num_scales(self) -> int:
@@ -178,7 +173,7 @@ class GaborBank:
 
     @property
     def width(self) -> int:
-        return self.kernels_real.shape[1]
+        return self.kernels.shape[1]
 
 
 class GaborAccumulator:
@@ -188,22 +183,21 @@ class GaborAccumulator:
 
     The ring is a (width, B*N) window sliding down a buffer of twice that
     height, so an update writes one row and the window stays contiguous; the
-    live rows move back to the top once every width + 1 updates. The real and
-    imaginary kernels are stacked into one (2K, width) matrix; `write` keeps
-    its (2K, B*N) product and (K, B*N) magnitudes in scratch of its own."""
+    live rows move back to the top once every width + 1 updates. `write`
+    multiplies the bank's stacked (2K, width) kernels with the window and
+    keeps its (2K, B*N) product and (K, B*N) magnitudes in scratch of its
+    own."""
+
+    underflow_count = 0     # no filter, nothing underflows
 
     def __init__(self, n_phases: int, bank: GaborBank, batch: int | None = None):
         self.n_phases = n_phases
         self.bank = bank
         self._lead = _lead(batch)
-        self._kernels = np.concatenate([bank.kernels_real, bank.kernels_imag])
         self._width = bank.width
-        self._set_buf(np.zeros((2 * bank.width, n_phases * (batch or 1))))
+        self.buf = np.zeros((2 * bank.width, n_phases * (batch or 1)))
+        self._scratch = self._product_scratch((), self.buf.shape[1], self._lead)
         self.pos = 0
-
-    def _set_buf(self, buf: np.ndarray) -> None:
-        self.buf = buf
-        self._scratch = self._product_scratch((), buf.shape[1], self._lead)
 
     def _product_scratch(self, lead: tuple, columns: int, out_lead: tuple) -> tuple:
         """Scratch of `_magnitudes` for windows (*lead, width, columns) and
@@ -226,6 +220,11 @@ class GaborAccumulator:
         over (stream, phase)."""
         return self.buf[self.pos:self.pos + self._width]
 
+    @property
+    def state(self) -> tuple[np.ndarray, ...]:
+        # the window's rows are contiguous, so the reshape is a view
+        return (self.window.reshape(self._width, -1, self.n_phases).swapaxes(0, 1),)
+
     def update(self, m: np.ndarray) -> None:
         w = self._width
         p = self.pos + 1
@@ -240,7 +239,7 @@ class GaborAccumulator:
         first, written into `out` (..., N, K) through `scratch` from
         `_product_scratch`."""
         prod, re, im, mag, mag_out = scratch
-        np.matmul(self._kernels, windows, out=prod)
+        np.matmul(self.bank.kernels, windows, out=prod)
         prod *= prod
         np.add(re, im, out=mag)
         np.sqrt(mag_out, out=out)
@@ -271,22 +270,6 @@ class GaborAccumulator:
                 self._magnitudes(part, self._product_scratch(part.shape[:1], n, part.shape[:1]),
                                  self.slot(out[a:a + STREAM_CHUNK]))
             yield out
-
-    def _columns(self, rows) -> np.ndarray:
-        n = self.n_phases
-        return (np.asarray(rows)[:, None] * n + np.arange(n)).reshape(-1)
-
-    def take(self, rows) -> "GaborAccumulator":
-        part = copy.copy(self)
-        cols = self._columns(rows)
-        part._lead = (len(cols) // self.n_phases,)
-        part._set_buf(np.zeros((self.buf.shape[0], cols.shape[0])))
-        part.buf[:self.bank.width] = self.window[:, cols]
-        part.pos = 0
-        return part
-
-    def put(self, rows, part: "GaborAccumulator") -> None:
-        self.window[:, self._columns(rows)] = part.window
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +368,10 @@ class HmmFilterState:
     def dim(self) -> int:
         return self.transition.n_phases
 
+    @property
+    def state(self) -> tuple[np.ndarray, ...]:
+        return (self.prior, self.belief)
+
     def update(self, m: np.ndarray) -> None:
         # each update makes a new belief array; `streams` keeps them all
         post = self.prior @ self._a
@@ -412,19 +399,6 @@ class HmmFilterState:
 
     def feature(self) -> np.ndarray:
         return self.belief.copy()
-
-    def take(self, rows) -> "HmmFilterState":
-        part = copy.copy(self)
-        part.prior = self.prior[rows]
-        part.belief = self.belief[rows]
-        return part
-
-    def put(self, rows, part: "HmmFilterState") -> None:
-        # the counter travels with the part: take() copied the total in,
-        # so the part's count is the new total
-        self.prior[rows] = part.prior
-        self.belief[rows] = part.belief
-        self.underflow_count = part.underflow_count
 
     def streams(self, streams):
         """Offline rows (see the module doc) from the uniform initial state:
@@ -476,12 +450,13 @@ class SsmExtractor:
         if "csl" in self.enabled:
             self._parts.append(CslAccumulator(n_phases, csl_levels, batch))
         if "gabor" in self.enabled:
-            bank = gabor_bank if gabor_bank is not None else GaborBank.build()
-            self._parts.append(GaborAccumulator(n_phases, bank, batch))
+            gabor_bank = gabor_bank if gabor_bank is not None else GaborBank.build()
+            self._parts.append(GaborAccumulator(n_phases, gabor_bank, batch))
         if "hmm" in self.enabled:
             if transition is None:
                 transition = TransitionMatrix.uniform(n_phases)
             self._parts.append(HmmFilterState(transition, batch))
+        self._settings = (n_phases, self.enabled, csl_levels, gabor_bank, transition)
         ends = np.cumsum([0] + [p.dim for p in self._parts])
         self._columns = [slice(int(a), int(b)) for a, b in zip(ends[:-1], ends[1:])]
         self.dim = int(ends[-1])
@@ -489,8 +464,7 @@ class SsmExtractor:
     @property
     def underflow_count(self) -> int:
         """HMM normalization underflows so far (0 without the hmm feature)."""
-        return sum(p.underflow_count for p in self._parts
-                   if isinstance(p, HmmFilterState))
+        return sum(p.underflow_count for p in self._parts)
 
     def update(self, m: np.ndarray) -> None:
         for p in self._parts:
@@ -516,16 +490,23 @@ class SsmExtractor:
         return out
 
     def take(self, rows) -> "SsmExtractor":
-        """A new extractor holding copies of the state of streams `rows`."""
-        part = copy.copy(self)
-        part._lead = (len(rows),)
-        part._parts = [p.take(rows) for p in self._parts]
+        """A new extractor of len(rows) streams, with this one's settings,
+        holding copies of the state of streams `rows`. Its underflow count
+        starts at this extractor's total."""
+        part = SsmExtractor(*self._settings, batch=len(rows))
+        for mine, theirs in zip(self._parts, part._parts):
+            for src, dst in zip(mine.state, theirs.state):
+                dst[...] = src[rows]
+            theirs.underflow_count = mine.underflow_count
         return part
 
     def put(self, rows, part: "SsmExtractor") -> None:
-        """Write the state of `part` (made by `take(rows)`) back to `rows`."""
+        """Write the state of `part` (made by `take(rows)`) back to `rows`;
+        the part's underflow count is the new total."""
         for mine, theirs in zip(self._parts, part._parts):
-            mine.put(rows, theirs)
+            for dst, src in zip(mine.state, theirs.state):
+                dst[rows] = src
+            mine.underflow_count = theirs.underflow_count
 
 
 def acausal_feature_streams(extractor: SsmExtractor, streams,

@@ -9,10 +9,10 @@ acausal feature cache) and pass 2 consuming the cached acausal features; the
 window loss sums both passes. Each epoch's caches are derived just before it
 (`_refresh_caches`): before epoch 1 from pass 1 alone, none after the last.
 
-Training runs on the lockstep engine of `model`. `train_epoch` steps the
-aligned windows of one Adam step together, with one vectorised loss and one
-batched backward pass per window; each batch gathers its streams' state rows
-at the start of its window and scatters them back at the end, and the padded
+Training runs on the lockstep engine of `model`. Each Adam step gathers
+the state rows of its videos (`SsmExtractor.take`), runs its aligned
+windows taped through `model._run_windows`, takes one vectorised loss and
+one batched backward pass, and scatters the rows back (`put`); the padded
 rows of a short window are masked out of the loss (exactly zero gradient).
 The cache refresh and validation run all their videos through
 `_offline_probs`, as `infer_dataset` does, which derives the acausal rows
@@ -44,8 +44,8 @@ from .core import (
 )
 # run_inference is not called here; it stays importable from train because
 # the perfbench tracer wraps `train.run_inference`
-from .model import (PhaseModel, _inputs, _lockstep_probs, _offline_probs,  # noqa: F401
-                    _run_window, init_model, run_inference, save_model)
+from .model import (PhaseModel, _lockstep_probs, _offline_probs,  # noqa: F401
+                    _run_windows, init_model, run_inference, save_model)
 
 log = logging.getLogger(__name__)
 
@@ -214,13 +214,10 @@ def train_epoch(run: TrainRun, train_seqs: list[FeatureSequence]) -> TrainRun:
                    for p in range(n_pass) for vid, start, stop in batch]
         rows = np.array([p * V + row_of[vid]
                          for p in range(n_pass) for vid, _, _ in batch])
-        lengths = np.array([stop - start for _, start, stop, _ in windows])
-        width = int(lengths.max())
-        extractor = states.take(rows)
-        xs = _inputs(model, windows, width)
-        kernel = _run_window(model, h_all[rows], c_all[rows], extractor, xs, lengths)
-        ms, rec = kernel.ms, kernel.recorder          # ms: (width, n_pass * B, N)
-        valid = np.arange(width)[:, None] < lengths
+        kernel = _run_windows(model, states.take(rows), h_all[rows], c_all[rows],
+                              windows, taped=True)
+        ms, rec, lengths = kernel.ms, kernel.recorder, kernel.lengths  # ms: (width, rows, N)
+        valid = np.arange(len(ms))[:, None] < lengths
         ys = np.zeros(valid.shape, np.int64)
         # the proximal tie applies to the evaluated (last) pass only; other
         # rows, and videos without a cached stream, are tied to their own
@@ -238,10 +235,10 @@ def train_epoch(run: TrainRun, train_seqs: list[FeatureSequence]) -> TrainRun:
             vid, start, stop = batch[j]
             raise NumericError(
                 f"non-finite loss in video {vid} frames [{start}, {stop})")
-        run.stat_ranges.add(xs, valid, (n_pass - 1) * B)
+        run.stat_ranges.add(rec.xs, valid, (n_pass - 1) * B)
         grads = nn.window_backward(model.params, rec, dlogits)
         h_all[rows], c_all[rows] = rec.hs[-1], rec.cs[-1]
-        states.put(rows, extractor)
+        states.put(rows, kernel.extractor)
         for g in grads.values():
             g /= B
         run.grad_norms.append(nn.clip_global_norm(grads, cfg.grad_clip))

@@ -49,7 +49,7 @@ class ComposedStatistics:
         self.counts = np.zeros((n, len(self.levels) + 1))
         bank = GaborBank.build(cfg.gabor_num_scales, cfg.gabor_scale_min,
                                cfg.gabor_scale_max)
-        self.kernels = np.concatenate([bank.kernels_real, bank.kernels_imag])
+        self.kernels = bank.kernels
         self.history = np.zeros((bank.width, n))     # oldest frame first
         self.a = model.transition.a if model.transition is not None else None
         self.prior = np.full(n, 1.0 / n)
@@ -94,7 +94,7 @@ def composed_stream(model, features, acausal_rows=None):
     likelihoods, the final (h, c) and the `ComposedStatistics`."""
     params = model.params
     vb, sb, ab = model.blocks
-    h, c = nn.zero_state(model.config.hidden_dim)
+    h, c = np.zeros((2, model.config.hidden_dim), np.float32)
     stats = ComposedStatistics(model)
     x = np.zeros(model.input_dim, np.float32)
     probs = []

@@ -339,6 +339,20 @@ class TestTypedErrors:
                      "--data", str(workspace["data"]), "--out", str(tmp_path / "p")]) == 3
         assert str(bad) in capsys.readouterr().err
 
+    def test_checkpoint_with_a_string_bool_is_data_error(self, workspace, tmp_path, capsys):
+        # "false" is a true value to bool(); the header must not load an
+        # acausal model
+        bad = tmp_path / "best.ckpt"
+        params, extra = nn.load_checkpoint(workspace["ckpt"] / "best.ckpt")
+        extra["config"]["acausal"] = "false"
+        nn.save_checkpoint(bad, params, extra)
+        shutil.copy(workspace["ckpt"] / "transition.csv", tmp_path)
+        assert main(["infer", "--ckpt", str(bad), "--data", str(workspace["data"]),
+                     "--out", str(tmp_path / "p")]) == 3
+        err = capsys.readouterr().err
+        assert str(bad) in err
+        assert "config key acausal: invalid value 'false'" in err
+
     @pytest.mark.parametrize("broken", ["id -1", "id 99", "no-probs", "bytes"])
     def test_malformed_prediction_is_data_error(self, workspace, tmp_path, capsys, broken):
         pred = shutil.copytree(workspace["pred"], tmp_path / "pred")
@@ -653,7 +667,7 @@ class TestPredictionCsv:
         with pytest.raises(DataValidationError, match=re.escape(f"{path}: {message}")):
             read_prediction_csv(path)
 
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=60)
     @given(draw=st.data())
     @example(draw=None)
     def test_float32_round_trip_is_exact(self, draw):

@@ -96,7 +96,7 @@ class TestValidateSequence:
 
 
 class TestProbVector:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(st.lists(st.floats(min_value=-50, max_value=50), min_size=1, max_size=16))
     def test_softmax_always_simplex(self, logits):
         p = softmax(np.asarray(logits, dtype=np.float64))
@@ -153,6 +153,42 @@ class TestConfig:
     def test_from_dict_rejects_unknown_key(self):
         with pytest.raises(UsageError):
             ExperimentConfig.from_dict({"hidden": 3})
+
+    @pytest.mark.parametrize("key, value, want", [
+        # JSON values of the field's kind, and the strings of a text config
+        ("acausal", True, True),
+        ("hidden_dim", 16, 16),
+        ("hidden_dim", "16", 16),
+        ("rng_seed", "-3", -3),
+        ("learning_rate", 1, 1.0),
+        ("learning_rate", 0.5, 0.5),
+        ("learning_rate", "1e-3", 1e-3),
+        ("enabled_ssm_features", ["csl", "hmm"], ("csl", "hmm")),
+        ("enabled_ssm_features", [], ()),
+        ("csl_levels", ("0.5", 0.75, 1), (0.5, 0.75, 1.0)),
+        # a value of another kind is refused, never converted
+        ("acausal", "false", None),
+        ("acausal", 0, None),
+        ("hidden_dim", 4.7, None),
+        ("hidden_dim", 8.0, None),
+        ("hidden_dim", "4.0", None),
+        ("hidden_dim", "1_000", None),
+        ("epochs", True, None),
+        ("learning_rate", False, None),
+        ("learning_rate", "fast", None),
+        ("learning_rate", None, None),
+        ("enabled_ssm_features", "csl", None),
+        ("enabled_ssm_features", ["csl", 1], None),
+        ("csl_levels", 0.5, None),
+        ("csl_levels", [True], None),
+    ])
+    def test_from_dict_takes_only_values_of_the_field_kind(self, key, value, want):
+        if want is None:
+            with pytest.raises(UsageError, match=f"config key {key}: invalid value"):
+                ExperimentConfig.from_dict({key: value})
+        else:
+            got = getattr(ExperimentConfig.from_dict({key: value}), key)
+            assert got == want and type(got) is type(want)
 
 
 class TestSubstream:

@@ -11,7 +11,6 @@ from phaseflow.eval import (
     Segment,
     accuracy_vs_length_rows,
     aggregate_reports,
-    bucket_counts,
     compute_report,
     extract_segments,
     match_transitions,
@@ -202,7 +201,7 @@ class TestBuckets:
     def test_bucket_populations_partition_frames(self):
         rng = np.random.default_rng(2)
         gt, pred = random_label_pair(rng)
-        counts = bucket_counts(gt, pred)
+        counts = compute_report(gt, pred, 5).bucket
         assert counts[:, 1].sum() == len(gt)
 
 

@@ -111,7 +111,7 @@ def files(tmp_path_factory):
     "features.bin", "best.ckpt", "transition.csv", "labels.csv", "meta.json",
     "manifest.json", "prediction csv", "config.txt", "grammar.json",
     "external features csv"])
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@settings(max_examples=30)
 @given(draw=st.data())
 def test_mutated_input_raises_only_typed_errors(files, target, draw):
     path, parse = files[target]

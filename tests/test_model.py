@@ -38,7 +38,7 @@ def small_config(**kw):
 def plain_lstm_infer(params, features):
     """Plain-LSTM baseline: embeddings straight into the LSTM, no statistic
     side channel. The ssm-disabled PhaseModel must match this bit-for-bit."""
-    h, c = nn.zero_state(nn.hidden_dim_of(params))
+    h, c = np.zeros((2, nn.hidden_dim_of(params)), np.float32)
     probs = []
     for v in features:
         h, c = nn.lstm_step(params, h, c, v)

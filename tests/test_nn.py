@@ -69,7 +69,7 @@ class TestLstmStep:
             "head_w": np.zeros((H, 2), np.float32),
             "head_b": np.zeros(2, np.float32),
         }
-        h, c = nn.zero_state(H)
+        h, c = np.zeros((2, H), np.float32)
         for x in (np.zeros(3, np.float32), np.ones(3, np.float32) * 9.0):
             h2, c2 = nn.lstm_step(params, h, c, x)
             assert np.array_equal(h2, np.zeros(H))
@@ -104,7 +104,7 @@ class TestLstmStep:
 
     def test_dimension_mismatch(self):
         params = make_params(3, 2, 2)
-        h, c = nn.zero_state(2, np.float64)
+        h, c = np.zeros((2, 2))
         with pytest.raises(DataValidationError, match="dimension mismatch"):
             nn.lstm_step(params, h, c, np.zeros(4))
 
@@ -165,7 +165,7 @@ class TestCrossEntropy:
 def window_loss_fn(xs, ys, prox, lam):
     def fn(params):
         H = params["lstm_wh"].shape[0]
-        h, c = nn.zero_state(H, np.float64)
+        h, c = np.zeros((2, H))
         loss, _ = window_pass(params, h, c, xs, ys, prox, lam)
         return loss
     return fn
@@ -177,7 +177,7 @@ def run_gradient_check(H, D, N, T, seed, lam=0.0):
     xs = [rng.standard_normal(D) for _ in range(T)]
     ys = rng.integers(0, N, T)
     prox = softmax(rng.standard_normal((T, N))) if lam > 0 else None
-    h, c = nn.zero_state(H, np.float64)
+    h, c = np.zeros((2, H))
     _, analytic = window_pass(params, h, c, xs, ys, prox, lam)
     fd = finite_difference_grads(window_loss_fn(xs, ys, prox, lam), params,
                                  step=1e-5)
@@ -273,7 +273,7 @@ class TestTrainingDynamics:
         loss_sum = 0.0
         H = params["lstm_wh"].shape[0]
         for x, y in zip(xs, ys):
-            h, c = nn.zero_state(H, np.float64)
+            h, c = np.zeros((2, H))
             loss, grads = window_pass(params, h, c, [x], [y])
             loss_sum += loss
             for k in total:
@@ -301,7 +301,7 @@ class TestTrainingDynamics:
             opt = nn.Adam(params, lr=0.01)
             data_rng = np.random.default_rng(7)
             for _ in range(10):
-                h, c = nn.zero_state(4)
+                h, c = np.zeros((2, 4), np.float32)
                 xs = [data_rng.standard_normal(3).astype(np.float32) for _ in range(4)]
                 ys = data_rng.integers(0, 2, 4)
                 _, grads = window_pass(params, h, c, xs, ys)

@@ -134,10 +134,12 @@ class TestGaborBank:
             assert np.hypot(re, im).sum() == pytest.approx(1.0, abs=1e-9)
             # the bank holds each kernel right-aligned on lag 0, zero-padded
             pad = bank.width - re.shape[0]
-            np.testing.assert_array_equal(bank.kernels_real[k, pad:], re)
-            np.testing.assert_array_equal(bank.kernels_imag[k, pad:], im)
-            assert not bank.kernels_real[k, :pad].any()
-            assert not bank.kernels_imag[k, :pad].any()
+            # real parts in rows 0..K-1, imaginary parts in rows K..2K-1
+            real, imag = bank.kernels[k], bank.kernels[bank.num_scales + k]
+            np.testing.assert_array_equal(real[pad:], re)
+            np.testing.assert_array_equal(imag[pad:], im)
+            assert not real[:pad].any()
+            assert not imag[:pad].any()
 
     def test_ten_scales_linear_between_10_and_30(self):
         bank = GaborBank.build()
@@ -493,3 +495,44 @@ class TestBatched:
                     singles[r].update(m[i])
             store.put(np.array(rows), part)
         assert store.underflow_count == sum(s.underflow_count for s in singles) == 5
+
+    def step_alongside(self, batched, rows, singles, n_frames):
+        """Step `batched`, whose row i is stream rows[i], and those singles
+        over the same frames, comparing every row before each frame and
+        after the last."""
+        for m in self.frames(n_frames, len(rows)):
+            self.assert_rows_match(batched, rows, singles)
+            batched.update(m)
+            for i, r in enumerate(rows):
+                singles[r].update(m[i])
+        self.assert_rows_match(batched, rows, singles)
+
+    def assert_rows_match(self, batched, rows, singles):
+        feat = batched.feature()
+        for i, r in enumerate(rows):
+            np.testing.assert_allclose(feat[i], singles[r].feature(), atol=1e-12)
+
+    def test_put_after_the_gabor_ring_relocated(self):
+        # each part steps past width + 1 frames, so its ring window has
+        # moved back to the top of its buffer when `put` reads it
+        store = self.extractor(4)
+        singles = [self.extractor() for _ in range(4)]
+        n_frames = 2 * self.bank.width + 5
+        for rows in ([2, 0], [0, 1, 3], [3, 2]):
+            part = store.take(np.array(rows))
+            self.step_alongside(part, rows, singles, n_frames)
+            assert part._parts[1].pos < n_frames
+            store.put(np.array(rows), part)
+        self.assert_rows_match(store, range(4), singles)
+        self.step_alongside(store, range(4), singles, 3)
+
+    def test_take_after_the_gabor_ring_relocated(self):
+        # the shrink of the lockstep engine: rows taken out of an extractor
+        # whose ring window sits partway down its buffer
+        store = self.extractor(4)
+        singles = [self.extractor() for _ in range(4)]
+        n_frames = self.bank.width + 8
+        self.step_alongside(store, range(4), singles, n_frames)
+        assert 0 < store._parts[1].pos < n_frames
+        for rows in ([0, 1, 2], [3]):
+            self.step_alongside(store.take(np.array(rows)), rows, singles, 5)

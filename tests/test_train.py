@@ -174,7 +174,7 @@ class TestDetachment:
 
         ext = model.new_extractor()
         xs = np.zeros((8, model.input_dim))
-        rec = nn.WindowRecorder(params64, xs, *nn.zero_state(3, np.float64))
+        rec = nn.WindowRecorder(params64, xs, *np.zeros((2, 3)))
         ms = np.zeros((8, model.n_phases))
         for t in range(8):
             xs[t] = np.concatenate([seq.features[t], ext.feature()])
@@ -184,7 +184,7 @@ class TestDetachment:
         analytic = nn.window_backward(params64, rec, dlogits)
 
         def frozen_loss(params):
-            loss, _ = window_pass(params, *nn.zero_state(3, np.float64), xs,
+            loss, _ = window_pass(params, *np.zeros((2, 3)), xs,
                                   seq.labels[:8])
             return loss
 
@@ -405,14 +405,14 @@ class TestCacheSchedule:
         run = new_run(cfg, seqs)
         train_mod._refresh_caches(run, seqs)
         windows = []
-        run_window = train_mod._run_window
+        run_windows = train_mod._run_windows
 
-        def capture(model, h, c, extractor, xs, lengths):
-            rec = run_window(model, h, c, extractor, xs, lengths)
-            windows.append((xs.copy(), lengths))
-            return rec
+        def capture(*args, **kwargs):
+            kernel = run_windows(*args, **kwargs)
+            windows.append((kernel.recorder.xs.copy(), kernel.lengths))
+            return kernel
 
-        monkeypatch.setattr(train_mod, "_run_window", capture)
+        monkeypatch.setattr(train_mod, "_run_windows", capture)
         train_epoch(run, seqs)
         got = run.stat_ranges.summary()
         groups = run.model.stat_groups
@@ -468,7 +468,7 @@ def per_video_step_grads(run, train_seqs):
     zero_a = np.zeros(model.new_extractor().dim, MODEL_DTYPE) if cfg.acausal else None
     n_pass = 2 if cfg.acausal else 1
     # per video and pass: [h, c, extractor, acausal rows (pass 2 only)]
-    sessions = {vid: [[*nn.zero_state(cfg.hidden_dim), model.new_extractor(),
+    sessions = {vid: [[*model.zero_state(), model.new_extractor(),
                        run.acausal_cache.get(vid) if p == 1 else None]
                       for p in range(n_pass)]
                 for vid in by_id}
