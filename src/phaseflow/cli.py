@@ -285,6 +285,11 @@ def cmd_infer(args) -> int:
         results = {s.video_id: model_mod.InferenceResult(s.video_id, p, np.argmax(p, axis=1))
                    for s, p in zip(seqs, probs)}
     ordered = [results[vid] for vid in sorted(results)]
+    # finite weights can still overflow; nothing is written from NaN rows
+    bad = [r.video_id for r in ordered if not np.isfinite(r.probs).all()]
+    if bad:
+        raise NumericError(f"probabilities that are not finite in {len(bad)} video(s), "
+                           f"first {bad[0]}")
     labels = [r.labels for r in ordered]
     if args.hmm_smooth:     # one forward filter over every video
         marginals = ssm.HmmFilterState(mdl.transition).streams([r.probs for r in ordered])
@@ -296,7 +301,7 @@ def cmd_infer(args) -> int:
         summary = {"videos": {r.video_id: _confidence(r.probs) for r in ordered},
                    "total": total}
         with open(os.path.join(out, SUMMARY_NAME), "w") as fh:
-            json.dump(summary, fh, indent=1, sort_keys=True)
+            json.dump(summary, fh, indent=1, sort_keys=True, allow_nan=False)
         print(f"wrote {len(seqs)} prediction files to {out}: {total['frames']} frames, "
               f"mean max-probability {total['mean_max_prob']:.4f}, "
               f"{total['low_confidence_frac']:.1%} below 0.5")

@@ -34,7 +34,9 @@ Acausal rows. Pass 2 reads the acausal statistic of each video's complete
 pass-1 stream. `PhaseModel.acausal_rows` derives it for all videos of a
 refresh, validation or `infer_dataset` call at once
 (`ssm.acausal_feature_streams` over each aggregator's offline `streams`)
-and writes each video's rows straight into the model dtype. Post-hoc
+and writes each video's rows straight into the model dtype. Streaming is
+causal and leaves the a block zero: only `_run_windows` fills it, so pass 2
+always runs in lockstep (at B=1 in `infer_video_acausal`). Post-hoc
 smoothing runs the same offline HMM filter over one stream.
 """
 
@@ -147,11 +149,12 @@ def init_model(config: ExperimentConfig, taxonomy: PhaseTaxonomy,
 class StepKernel:
     """The per-frame step (see the module doc), bound once to the input
     rows `xs` it runs on: (W, D) for one stream without a batch axis,
-    (W, B, D) for B streams in lockstep (built by `_run_windows`). The
-    embedding and acausal blocks of row k are the caller's. `step(k)` writes
-    the statistic into row k through the extractor's bound slots, runs
-    `recorder.step(k)` (the LSTM cell and the head), writes the softmax into
-    `ms[k]` (W, ..., N), updates the extractor with it and returns `ms[k]`.
+    (W, B, D) for B streams in lockstep (built by `_run_windows`, the only
+    writer of the acausal block). The embedding and acausal blocks of row k
+    are the caller's. `step(k)` writes the statistic into row k through the
+    extractor's bound slots, runs `recorder.step(k)` (the LSTM cell and the
+    head), writes the softmax into `ms[k]` (W, ..., N), updates the
+    extractor with it and returns `ms[k]`.
 
     The `recorder` (an `nn.WindowRecorder`) starts from the state `h`, `c`
     (from `PhaseModel.zero_state`, or the state a previous kernel left).
@@ -193,24 +196,14 @@ class InferenceSession:
     emitted so far; frame t is the next one, t = len(probs). Each step runs
     the `StepKernel` bound to the input row.
 
-    In acausal configs row t of `acausal_features` fills the a block; a
-    session created without them keeps it zero (the role of pass 1 of the
-    offline two-pass scheme).
+    Streaming is causal: in acausal configs the a block stays zero, the
+    role of pass 1 of the offline two-pass scheme.
     """
 
-    def __init__(self, model: PhaseModel,
-                 acausal_features: np.ndarray | None = None):
-        if acausal_features is not None and not model.config.acausal:
-            raise UsageError("acausal features supplied to a causal-config session")
+    def __init__(self, model: PhaseModel):
         self.model = model
-        vb, _, ab = model.blocks
-        width = ab.stop - ab.start
-        if acausal_features is not None and acausal_features.shape[1:] != (width,):
-            raise DataValidationError(f"acausal features must be (T, {width}), "
-                                      f"got {acausal_features.shape}")
-        self.acausal_features = acausal_features
         self._x = np.zeros(model.input_dim, MODEL_DTYPE)
-        self._v, self._a = self._x[vb], self._x[ab]
+        self._v = self._x[model.blocks[0]]
         self._v_shape = (model.config.embed_dim,)
         self.extractor = model.new_extractor()
         self.h, self.c = model.zero_state()     # the kernel updates them in place
@@ -219,18 +212,11 @@ class InferenceSession:
 
     def step(self, v: np.ndarray) -> np.ndarray:
         """Advance one frame: returns the phase likelihood vector m_t."""
-        t = len(self.probs)
         if v.shape != self._v_shape:
             raise DataValidationError(
-                f"embedding dimension mismatch at frame {t}: "
+                f"embedding dimension mismatch at frame {len(self.probs)}: "
                 f"got {v.shape}, expected {self._v_shape}")
         self._v[:] = v
-        if self.acausal_features is not None:
-            if t >= len(self.acausal_features):
-                raise DataValidationError(
-                    f"no acausal features for frame {t}: the session has "
-                    f"{len(self.acausal_features)} rows")
-            self._a[:] = self.acausal_features[t]
         m = self._kernel.step().copy()
         self.probs.append(m)
         return m
@@ -255,17 +241,14 @@ def infer_video(model: PhaseModel, seq: FeatureSequence) -> InferenceResult:
 
 def infer_video_acausal(model: PhaseModel, seq: FeatureSequence) -> InferenceResult:
     """Offline two-pass inference: pass 1 streams causally (acausal channels
-    zero), pass 2 reruns the model with acausal statistics computed from the
-    pass-1 likelihood stream."""
+    zero), pass 2 reruns the model in lockstep at B=1 (bit-equal to
+    streaming) on the acausal statistics of the pass-1 likelihood stream."""
     if not model.config.acausal:
         raise UsageError("model config is causal; acausal inference unavailable")
     pass1 = infer_video(model, seq)
     # the one-stream case of `PhaseModel.acausal_rows`
     rows = ssm.acausal_feature_stream(model.new_extractor(), pass1.probs)
-    session = InferenceSession(model, acausal_features=rows.astype(MODEL_DTYPE))
-    for v in seq.features:
-        session.step(v)
-    probs = np.stack(session.probs)
+    (probs,), _ = _lockstep_probs(model, [seq], [rows])
     return InferenceResult(seq.video_id, probs, np.argmax(probs, axis=1),
                            pass1_probs=pass1.probs)
 
@@ -398,13 +381,14 @@ def load_model(ckpt_path) -> PhaseModel:
                 f"checkpoint expects a transition matrix but {tpath} is missing")
         transition = ssm.TransitionMatrix.load_csv(tpath)
     model = PhaseModel(config, taxonomy, params, transition)
-    missing = set(nn.PARAM_BLOCKS) - set(params)
-    if missing:
-        raise DataValidationError(f"checkpoint missing parameter blocks: {sorted(missing)}")
-    H, N = config.hidden_dim, taxonomy.n_phases
-    for name, shape in (("lstm_wx", (model.input_dim, 4 * H)), ("lstm_wh", (H, 4 * H)),
-                        ("lstm_b", (4 * H,)), ("head_w", (H, N)), ("head_b", (N,))):
+    for name, shape in nn.param_shapes(model.input_dim, config.hidden_dim,
+                                       taxonomy.n_phases).items():
+        if name not in params:
+            raise DataValidationError(f"checkpoint {ckpt_path}: missing block {name}")
         if params[name].shape != shape:
             raise DataValidationError(f"checkpoint {ckpt_path}: block {name} has shape "
                                       f"{params[name].shape}, config implies {shape}")
+        if not np.isfinite(params[name]).all():
+            raise DataValidationError(f"checkpoint {ckpt_path}: block {name} holds a "
+                                      "value that is not finite")
     return model

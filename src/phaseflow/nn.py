@@ -36,23 +36,26 @@ PROB_FLOOR = 1e-12
 CHECKPOINT_MAGIC = b"PHCK"
 CHECKPOINT_VERSION = 1
 
-PARAM_BLOCKS = ("lstm_wx", "lstm_wh", "lstm_b", "head_w", "head_b")
+
+def param_shapes(input_dim: int, hidden_dim: int, n_phases: int) -> dict[str, tuple]:
+    """The parameter layout: the shape of each block, in checkpoint order."""
+    h = hidden_dim
+    return {"lstm_wx": (input_dim, 4 * h), "lstm_wh": (h, 4 * h), "lstm_b": (4 * h,),
+            "head_w": (h, n_phases), "head_b": (n_phases,)}
 
 
 def init_params(input_dim: int, hidden_dim: int, n_phases: int,
                 rng: np.random.Generator, dtype=np.float32) -> dict[str, np.ndarray]:
-    """Uniform [-1/sqrt(fan_in), 1/sqrt(fan_in)] init; forget-gate bias 1.0."""
-    h = hidden_dim
-    sx = 1.0 / np.sqrt(input_dim)
-    sh = 1.0 / np.sqrt(h)
-    params = {
-        "lstm_wx": rng.uniform(-sx, sx, (input_dim, 4 * h)).astype(dtype),
-        "lstm_wh": rng.uniform(-sh, sh, (h, 4 * h)).astype(dtype),
-        "lstm_b": np.zeros(4 * h, dtype),
-        "head_w": rng.uniform(-sh, sh, (h, n_phases)).astype(dtype),
-        "head_b": np.zeros(n_phases, dtype),
-    }
-    params["lstm_b"][h:2 * h] = 1.0
+    """Weight matrices uniform in [-1/sqrt(fan_in), 1/sqrt(fan_in)], drawn
+    in layout order; zero biases but the forget gate's, 1.0."""
+    params = {}
+    for name, shape in param_shapes(input_dim, hidden_dim, n_phases).items():
+        if len(shape) == 1:
+            params[name] = np.zeros(shape, dtype)
+        else:
+            bound = 1.0 / np.sqrt(shape[0])     # fan_in: the rows
+            params[name] = rng.uniform(-bound, bound, shape).astype(dtype)
+    params["lstm_b"][hidden_dim:2 * hidden_dim] = 1.0
     return params
 
 

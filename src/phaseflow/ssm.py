@@ -19,24 +19,26 @@ filter-bank product over sliding windows; the HMM filter stays sequential,
 one filter stepping all streams together. `acausal_feature_streams` shifts
 those rows by one frame for every aggregator alike.
 
-Online, the statistic goes straight into the model's input row. Each
-aggregator has `slot(block)`, the view of its columns of a (..., dim) row
-block in the shape it writes (CSL (..., N, L+1), Gabor (..., N, K), HMM
-(..., N)), and `write(out)`, which writes the statistic into such a view,
-casting on the way; `SsmExtractor.bind` pairs each aggregator's `write`
-with its slot. The step kernel of `model` binds its rows once and calls
-the pairs every frame; `feature()` is the caller that binds a fresh float64
-row, so each statistic has one formula.
+Online, every aggregator follows one protocol, `_Aggregator`. It sets
+`lead`, () for one stream and (B,) for B streams in lockstep, and `shape`,
+the per-stream shape that `write(out)` fills with its statistic, casting on
+the way (CSL (N, L+1), Gabor (N, K), HMM (N,)). The base class derives the
+rest once: `dim`, the product of `shape`; `slot(block)`, the view of a
+(..., dim) row block in that shape; `feature()`, a new float64
+(*lead, dim) row written through `write(slot(row))`; and an
+`underflow_count` of 0. `SsmExtractor` is an aggregator of shape (dim,):
+`bind` pairs each part's `write` with its slot of the statistic columns,
+which the step kernel of `model` binds once and calls every frame, so each
+statistic has one formula.
 
-Every aggregator also runs B independent streams in lockstep: built with
-`batch=B`, its state gains a leading axis of B rows (the Gabor ring holds
-them as B column blocks), `update` takes (B, N) likelihoods and `feature`
-returns (B, dim). `batch=None` is the single stream without that axis. Each
-aggregator declares its per-stream state once, as `state`: a tuple of views
-with the stream axis first (CSL the counts, Gabor the live ring window as
-(B, width, N), HMM the prior and the belief). `SsmExtractor.take(rows)`
-builds a new extractor of len(rows) streams and copies those rows of every
-`state` into it; `put(rows, part)` copies them back.
+Built with `batch=B`, an aggregator's state gains a leading axis of B rows
+(the Gabor ring holds them as B column blocks) and `update` takes (B, N)
+likelihoods. Each aggregator declares its per-stream state once, as
+`state`: a tuple of views with the stream axis first (CSL the counts, Gabor
+the live ring window as (B, width, N), HMM the prior and the belief).
+`SsmExtractor.take(rows)` builds a new extractor of len(rows) streams and
+copies those rows of every `state` into it; `put(rows, part)` copies them
+back.
 
 Aggregator internals are float64; `write` casts to the dtype of its slot
 (float32 in the model's input row).
@@ -45,6 +47,7 @@ Aggregator internals are float64; `write` casts to the dtype of its slot
 from __future__ import annotations
 
 import csv as _csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,30 +66,47 @@ def _lead(batch: int | None) -> tuple[int, ...]:
     return () if batch is None else (batch,)
 
 
+class _Aggregator:
+    """The protocol of every statistic (see the module doc). A subclass sets
+    `lead` and `shape` and defines `write(out)` for an out of shape
+    (*lead, *shape); the rest is derived here."""
+
+    lead: tuple[int, ...]
+    shape: tuple[int, ...]
+    underflow_count = 0     # only the HMM filter can underflow
+
+    @property
+    def dim(self) -> int:
+        return math.prod(self.shape)
+
+    def slot(self, block: np.ndarray) -> np.ndarray:
+        return block.reshape(block.shape[:-1] + self.shape, copy=False)
+
+    def feature(self) -> np.ndarray:
+        out = np.empty(self.lead + (self.dim,))
+        self.write(self.slot(out))
+        return out
+
+
 # ---------------------------------------------------------------------------
 # CSL
 
-class CslAccumulator:
+class CslAccumulator(_Aggregator):
     """Cumulative sum likelihood counters: counts[n][l] of frames with
     m[n] >= level l, plus a trailing is-argmax counter per phase. Argmax ties
     break to the lowest phase id. Feature is log(count + 1), phase-major.
     Counts are held as float64, exact up to 2**53 frames."""
 
-    underflow_count = 0     # no filter, nothing underflows
-
     def __init__(self, n_phases: int, levels=(0.25, 0.5, 0.75),
                  batch: int | None = None):
         self.n_phases = n_phases
         self.levels = np.asarray(levels, dtype=np.float64)
-        self.counts = np.zeros(_lead(batch) + (n_phases, len(levels) + 1))
+        self.lead, self.shape = _lead(batch), (n_phases, len(levels) + 1)
+        self.counts = np.zeros(self.lead + self.shape)
         self._phase_ids = np.arange(n_phases)
         # the hits of one update, held as float64 so `counts +=` needs no cast
         self._hits = np.empty(self.counts.shape)
         self._levels_out, self._argmax_out = self._hits[..., :-1], self._hits[..., -1]
-
-    @property
-    def dim(self) -> int:
-        return self.n_phases * (len(self.levels) + 1)
 
     @property
     def state(self) -> tuple[np.ndarray, ...]:
@@ -102,22 +122,14 @@ class CslAccumulator:
         self._hit_mask(m, self._levels_out, self._argmax_out)
         self.counts += self._hits
 
-    def slot(self, block: np.ndarray) -> np.ndarray:
-        return block.reshape(block.shape[:-1] + self.counts.shape[-2:], copy=False)
-
     def write(self, out: np.ndarray) -> None:
         np.log1p(self.counts, out=out)
-
-    def feature(self) -> np.ndarray:
-        out = np.empty(self.counts.shape[:-2] + (self.dim,))
-        self.write(self.slot(out))
-        return out
 
     def streams(self, streams):
         """Offline rows (see the module doc): cumulative counts, integers
         held in float64, so the rows are exact."""
         for ms in streams:
-            hits = np.empty(np.shape(ms) + self.counts.shape[-1:])
+            hits = np.empty(np.shape(ms) + self.shape[-1:])
             self._hit_mask(ms, hits[..., :-1], hits[..., -1])
             yield np.log1p(np.cumsum(hits, axis=0)).reshape(len(hits), -1)
 
@@ -176,7 +188,7 @@ class GaborBank:
         return self.kernels.shape[1]
 
 
-class GaborAccumulator:
+class GaborAccumulator(_Aggregator):
     """Streaming causal filtering through a ring buffer of the last `width`
     likelihood frames (zero history before the stream starts). Feature is the
     response magnitude per (phase, scale), phase-major.
@@ -188,15 +200,13 @@ class GaborAccumulator:
     keeps its (2K, B*N) product and (K, B*N) magnitudes in scratch of its
     own."""
 
-    underflow_count = 0     # no filter, nothing underflows
-
     def __init__(self, n_phases: int, bank: GaborBank, batch: int | None = None):
         self.n_phases = n_phases
         self.bank = bank
-        self._lead = _lead(batch)
+        self.lead, self.shape = _lead(batch), (n_phases, bank.num_scales)
         self._width = bank.width
         self.buf = np.zeros((2 * bank.width, n_phases * (batch or 1)))
-        self._scratch = self._product_scratch((), self.buf.shape[1], self._lead)
+        self._scratch = self._product_scratch((), self.buf.shape[1], self.lead)
         self.pos = 0
 
     def _product_scratch(self, lead: tuple, columns: int, out_lead: tuple) -> tuple:
@@ -207,12 +217,8 @@ class GaborAccumulator:
         k = self.bank.num_scales
         prod = np.empty(lead + (2 * k, columns))
         mag = np.empty(lead + (k, columns))
-        mag_out = mag.swapaxes(-1, -2).reshape(out_lead + (self.n_phases, k), copy=False)
+        mag_out = mag.swapaxes(-1, -2).reshape(out_lead + self.shape, copy=False)
         return prod, prod[..., :k, :], prod[..., k:, :], mag, mag_out
-
-    @property
-    def dim(self) -> int:
-        return self.n_phases * self.bank.num_scales
 
     @property
     def window(self) -> np.ndarray:
@@ -244,17 +250,8 @@ class GaborAccumulator:
         np.add(re, im, out=mag)
         np.sqrt(mag_out, out=out)
 
-    def slot(self, block: np.ndarray) -> np.ndarray:
-        return block.reshape(block.shape[:-1] + (self.n_phases, self.bank.num_scales),
-                             copy=False)
-
     def write(self, out: np.ndarray) -> None:
         self._magnitudes(self.window, self._scratch, out)
-
-    def feature(self) -> np.ndarray:
-        out = np.empty(self._lead + (self.dim,))
-        self.write(self.slot(out))
-        return out
 
     def streams(self, streams):
         """Offline rows (see the module doc): products of the kernels with
@@ -345,7 +342,7 @@ def estimate_transition_matrix(label_sequences, n_phases: int,
     return TransitionMatrix(a)
 
 
-class HmmFilterState:
+class HmmFilterState(_Aggregator):
     """Streaming forward filter: belief' ~ (A^T prior) * m, renormalized.
 
     `prior` is the state distribution the next update carries through A: the
@@ -360,13 +357,9 @@ class HmmFilterState:
         self.transition = transition
         self._a = transition.a
         n = transition.n_phases
-        self.prior = np.full(_lead(batch) + (n,), 1.0 / n)
+        self.lead, self.shape = _lead(batch), (n,)
+        self.prior = np.full(self.lead + self.shape, 1.0 / n)
         self.belief = np.zeros_like(self.prior)
-        self.underflow_count = 0
-
-    @property
-    def dim(self) -> int:
-        return self.transition.n_phases
 
     @property
     def state(self) -> tuple[np.ndarray, ...]:
@@ -391,14 +384,8 @@ class HmmFilterState:
                 self.belief = np.where(ok, post / s, 1.0 / self.dim)
         self.prior = self.belief
 
-    def slot(self, block: np.ndarray) -> np.ndarray:
-        return block
-
     def write(self, out: np.ndarray) -> None:
         np.copyto(out, self.belief)
-
-    def feature(self) -> np.ndarray:
-        return self.belief.copy()
 
     def streams(self, streams):
         """Offline rows (see the module doc) from the uniform initial state:
@@ -427,13 +414,14 @@ class HmmFilterState:
 # ---------------------------------------------------------------------------
 # Composite extractor and stream helpers
 
-class SsmExtractor:
+class SsmExtractor(_Aggregator):
     """Concatenation of the enabled aggregators in the order csl | gabor | hmm.
 
     `feature()` returns the statistic for the history consumed so far; it is
     the zero vector before the first update ("history memory initialized with
     zeros"). Total dimension is fixed for the life of the extractor. With
-    `batch=B` it runs B streams in lockstep (see the module doc).
+    `batch=B` it runs B streams in lockstep (see the module doc). Its
+    `write` fills the columns of every part.
     """
 
     def __init__(self, n_phases: int, enabled=("csl", "gabor", "hmm"),
@@ -445,7 +433,7 @@ class SsmExtractor:
             raise UsageError(f"unknown ssm features: {sorted(unknown)}")
         self.n_phases = n_phases
         self.enabled = tuple(k for k in SSM_FEATURE_KINDS if k in enabled)
-        self._lead = _lead(batch)
+        self.lead = _lead(batch)
         self._parts = []
         if "csl" in self.enabled:
             self._parts.append(CslAccumulator(n_phases, csl_levels, batch))
@@ -459,7 +447,7 @@ class SsmExtractor:
         self._settings = (n_phases, self.enabled, csl_levels, gabor_bank, transition)
         ends = np.cumsum([0] + [p.dim for p in self._parts])
         self._columns = [slice(int(a), int(b)) for a, b in zip(ends[:-1], ends[1:])]
-        self.dim = int(ends[-1])
+        self.shape = (int(ends[-1]),)
 
     @property
     def underflow_count(self) -> int:
@@ -483,11 +471,9 @@ class SsmExtractor:
         return [(p.write, p.slot(block[..., cols]))
                 for p, cols in zip(self._parts, self._columns)]
 
-    def feature(self) -> np.ndarray:
-        out = np.empty(self._lead + (self.dim,))
+    def write(self, out: np.ndarray) -> None:
         for write, slot in self.bind(out):
             write(slot)
-        return out
 
     def take(self, rows) -> "SsmExtractor":
         """A new extractor of len(rows) streams, with this one's settings,

@@ -305,7 +305,7 @@ class TestTypedErrors:
 
     @pytest.mark.parametrize("broken", [
         "header {bad", "header {}", "transition non-numeric", "transition ragged",
-        "block head_w", "name head_b",
+        "block head_w", "name head_b", "value nan", "value inf", "value -inf",
     ])
     def test_malformed_checkpoint_is_data_error(self, workspace, tmp_path, capsys,
                                                 broken):
@@ -325,6 +325,11 @@ class TestTypedErrors:
         elif kind == "name":     # a block name that is not UTF-8
             bad = ckpt / "best.ckpt"
             bad.write_bytes(bad.read_bytes().replace(what.encode(), b"head_\xff"))
+        elif kind == "value":    # a weight that is not finite
+            bad = ckpt / "best.ckpt"
+            params, extra = nn.load_checkpoint(bad)
+            params["head_b"][0] = float(what)
+            nn.save_checkpoint(bad, params, extra)
         else:
             bad = ckpt / "transition.csv"
             lines = bad.read_text().splitlines()
@@ -337,7 +342,30 @@ class TestTypedErrors:
             bad.write_text("\n".join(lines) + "\n")
         assert main(["infer", "--ckpt", str(ckpt / "best.ckpt"),
                      "--data", str(workspace["data"]), "--out", str(tmp_path / "p")]) == 3
-        assert str(bad) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert str(bad) in err
+        if kind == "value":
+            assert "block head_b" in err and "not finite" in err
+            assert not (tmp_path / "p").exists()
+
+    def test_overflowing_finite_weights_are_numeric_error(self, workspace, tmp_path,
+                                                          capsys):
+        # finite weights whose logits overflow give NaN probabilities, and
+        # no prediction file or summary.json is written from them: gates
+        # saturated open drive h towards 1, and h @ head_w exceeds the
+        # float32 range
+        shutil.copy(workspace["ckpt"] / "transition.csv", tmp_path)
+        bad = tmp_path / "best.ckpt"
+        params, extra = nn.load_checkpoint(workspace["ckpt"] / "best.ckpt")
+        params["lstm_b"][:] = 1e30
+        params["head_w"][:] = 3e38
+        nn.save_checkpoint(bad, params, extra)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["infer", "--ckpt", str(bad), "--data", str(workspace["data"]),
+                         "--out", str(tmp_path / "p")])
+        assert code == 4
+        assert "not finite" in capsys.readouterr().err
+        assert not (tmp_path / "p").exists()
 
     def test_checkpoint_with_a_string_bool_is_data_error(self, workspace, tmp_path, capsys):
         # "false" is a true value to bool(); the header must not load an

@@ -1,8 +1,9 @@
 """The per-frame step kernel (`model.StepKernel`) against the composed
-oracle (`oracles.composed_stream`): streaming is bit-equal to it in every
-configuration, lockstep agrees to float rounding at B > 1 and is bit-equal
-to streaming at B = 1. Examples are derandomized, so the suite runs the same
-inputs every time."""
+oracle (`oracles.composed_stream`): streaming, which is causal, is
+bit-equal to it in every configuration; lockstep at B = 1 is bit-equal to
+it on supplied acausal rows and to streaming without them, and agrees to
+float rounding at B > 1. Examples are derandomized, so the suite runs the
+same inputs every time."""
 
 import itertools
 
@@ -41,16 +42,24 @@ def build_model(kinds, acausal, dtype, n_phases=3, levels=LEVELS[0], scale_max=4
     return mdl
 
 
-def stream(mdl, features, rows=None):
-    sess = InferenceSession(mdl, acausal_features=rows)
+def stream(mdl, features):
+    sess = InferenceSession(mdl)
     for v in features:
         sess.step(v)
     return sess
 
 
 def assert_matches_oracle(mdl, features, rows=None):
-    sess = stream(mdl, features, rows)
+    """Streaming, or with acausal `rows` the only engine that reads them,
+    lockstep at B = 1, is bit-equal to the oracle."""
     probs, h, c, stats = composed_stream(mdl, features, rows)
+    if rows is not None:
+        seq = FeatureSequence("v", 1.0, features)
+        (alone,), underflows = model_mod._lockstep_probs(mdl, [seq], [rows])
+        assert np.array_equal(alone, probs)
+        assert underflows == stats.underflows
+        return
+    sess = stream(mdl, features)
     assert np.array_equal(np.stack(sess.probs), probs)
     assert np.array_equal(sess.h, h) and np.array_equal(sess.c, c)
     assert sess.h.dtype == h.dtype == mdl.params["lstm_wx"].dtype
@@ -103,10 +112,13 @@ def test_lockstep_agrees_with_the_oracle(acausal, dtype, lengths, kinds, seed):
     for j, (seq, p) in enumerate(zip(seqs, probs)):
         ref, *_ = composed_stream(mdl, seq.features, rows[j] if acausal else None)
         np.testing.assert_allclose(p, ref, rtol=0, atol=ATOL[dtype])
-        # B = 1: the same arithmetic at the same shapes as streaming
+        # B = 1: the same arithmetic at the same shapes as streaming, which
+        # reads no acausal rows
         (alone,), _ = model_mod._lockstep_probs(mdl, [seq], [rows[j]] if acausal else None)
-        streamed = stream(mdl, seq.features, rows[j] if acausal else None).probs
-        assert np.array_equal(alone, np.stack(streamed))
+        if acausal:
+            assert np.array_equal(alone, ref)
+        else:
+            assert np.array_equal(alone, np.stack(stream(mdl, seq.features).probs))
 
 
 def underflow_model(dtype=np.float32):

@@ -230,25 +230,6 @@ class TestAcausal:
         rng = np.random.default_rng(9)
         with pytest.raises(UsageError):
             infer_video_acausal(mdl, random_seq(rng, 5, 3, 2))
-        with pytest.raises(UsageError):
-            InferenceSession(mdl, acausal_features=np.zeros((5, 4)))
-
-    def test_step_past_the_last_acausal_row_is_a_data_error(self):
-        mdl = self.acausal_model()
-        width = mdl.new_extractor().dim
-        sess = InferenceSession(mdl, acausal_features=np.zeros((2, width), np.float32))
-        for _ in range(2):
-            sess.step(np.zeros(3, np.float32))
-        with pytest.raises(DataValidationError, match="frame 2: .* has 2 rows"):
-            sess.step(np.zeros(3, np.float32))
-        assert len(sess.probs) == 2
-
-    def test_acausal_feature_width_checked(self):
-        mdl = self.acausal_model()
-        width = mdl.new_extractor().dim
-        InferenceSession(mdl, acausal_features=np.zeros((5, width)))
-        with pytest.raises(DataValidationError, match=f"must be \\(T, {width}\\)"):
-            InferenceSession(mdl, acausal_features=np.zeros((5, width + 1)))
 
 
 class TestHmmSmoothing:

@@ -1,3 +1,4 @@
+import math
 from itertools import combinations, product
 
 import numpy as np
@@ -536,3 +537,48 @@ class TestBatched:
         assert 0 < store._parts[1].pos < n_frames
         for rows in ([0, 1, 2], [3]):
             self.step_alongside(store.take(np.array(rows)), rows, singles, 5)
+
+
+class TestProtocol:
+    """The members every aggregator shares (`lead`, `shape`, `dim`, `slot`,
+    `feature`) and the bound writes of the step kernel, for each aggregator
+    and the extractor, one stream and three."""
+
+    N = 3
+    BANK = GaborBank.build(3, 3.0, 6.0)
+
+    def aggregator(self, kind, batch):
+        tm = TransitionMatrix(np.random.default_rng(13).random((3, 3)) + 0.1)
+        if kind == "csl":
+            return CslAccumulator(self.N, (0.3, 0.6), batch)
+        if kind == "gabor":
+            return GaborAccumulator(self.N, self.BANK, batch)
+        if kind == "hmm":
+            return HmmFilterState(tm, batch)
+        return SsmExtractor(self.N, csl_levels=(0.3, 0.6), gabor_bank=self.BANK,
+                            transition=tm, batch=batch)
+
+    @pytest.mark.parametrize("batch", [None, 3], ids=["one", "three"])
+    @pytest.mark.parametrize("kind", ["csl", "gabor", "hmm", "extractor"])
+    def test_bound_writes_fill_the_statistic_columns(self, kind, batch):
+        lead = () if batch is None else (batch,)
+        agg = self.aggregator(kind, batch)
+        rng = np.random.default_rng(14)
+        for m in softmax(rng.standard_normal((5,) + lead + (self.N,)) * 2.0):
+            agg.update(m)
+        assert agg.lead == lead
+        assert agg.dim == math.prod(agg.shape)
+        feat = agg.feature()
+        assert feat.dtype == np.float64 and feat.shape == lead + (agg.dim,)
+        # the statistic columns of a float32 (W, B, D) row block sit between
+        # other columns, so every view of them is strided
+        block = np.zeros((4,) + lead + (agg.dim + 5,), np.float32)
+        cols = slice(2, 2 + agg.dim)
+        pairs = (agg.bind(block[..., cols]) if kind == "extractor"
+                 else [(agg.write, agg.slot(block[..., cols]))])
+        for write, slot in pairs:
+            assert np.shares_memory(slot, block)
+            write(slot[1])
+        assert np.array_equal(block[1, ..., cols], feat.astype(np.float32))
+        block[1, ..., cols] = 0.0
+        assert not block.any()
