@@ -6,9 +6,22 @@
     phaseflow eval   --pred pred/ --data data/ --out report/
     phaseflow ablate --data data/ --config run.cfg --seeds 1,2,3 --out ablation/
 
+What each command writes into its --out directory:
+
+    synth   manifest.json; per video a directory of features.bin,
+            labels.csv and meta.json
+    train   config.txt, training_log.jsonl, epoch_NNN.ckpt per epoch and
+            best.ckpt; a checkpoint is one file, the transition matrix
+            included
+    infer   <video_id>.csv per test video and summary.json
+    eval    metrics.json, confusion.csv, accuracy_vs_length.csv and
+            timelines/<video_id>.svg
+    ablate  config.txt, ablation.json, ablation.csv and per run
+            <arm>_seed<n>/training_log.jsonl
+
 Exit codes: 0 success, 2 usage error, 3 data validation error, 4 numeric
-failure. Config files are flat `key = value` text; the resolved config is
-echoed into every output directory.
+failure. Config files are flat `key = value` text; `train` and `ablate`
+write the resolved config to config.txt.
 """
 
 from __future__ import annotations
@@ -144,6 +157,8 @@ def cmd_synth(args) -> int:
             f"({', '.join(sorted(data_mod.GRAMMAR_PRESETS))}) or a file")
     if args.videos < 1:
         raise UsageError("--videos must be >= 1")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     with output_dir(args.out) as out:
         seqs = data_mod.generate_dataset(grammar, args.videos, args.seed)
         splits = data_mod.default_split(args.videos)
@@ -276,7 +291,7 @@ def cmd_infer(args) -> int:
     if tax.names != mdl.taxonomy.names:
         raise DataValidationError("dataset taxonomy differs from the checkpoint's")
     if args.hmm_smooth and mdl.transition is None:
-        raise UsageError("--hmm-smooth needs a transition matrix next to the checkpoint")
+        raise UsageError("--hmm-smooth needs a checkpoint with a transition matrix")
     if args.acausal or not mdl.config.acausal:
         results = model_mod.infer_dataset(mdl, seqs)
     else:
@@ -373,9 +388,13 @@ def _arm_metrics(report: eval_mod.MetricsReport, ambiguity_phases) -> dict:
 
 def cmd_ablate(args) -> int:
     base_config = load_config(args.config)
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-    if not seeds:
+    items = [s.strip() for s in args.seeds.split(",") if s.strip()]
+    if not items:
         raise UsageError("--seeds must list at least one integer")
+    bad = [s for s in items if not (s.isascii() and s.isdigit())]
+    if bad:
+        raise UsageError(f"--seeds item {bad[0]!r} is not a non-negative integer")
+    seeds = [int(s) for s in items]
     arm_names = [a.strip() for a in args.arms.split(",") if a.strip()]
     unknown = [a for a in arm_names if a not in ABLATION_ARMS]
     if unknown:

@@ -80,10 +80,6 @@ class PhaseTaxonomy:
     def n_phases(self) -> int:
         return len(self.names)
 
-    @property
-    def phases(self) -> tuple[tuple[int, str], ...]:
-        return tuple(enumerate(self.names))
-
     @classmethod
     def mgh100(cls) -> "PhaseTaxonomy":
         return cls(MGH100_PHASES)
@@ -293,6 +289,8 @@ class ExperimentConfig:
                 raise UsageError(f"config field {name} must be positive")
         if self.proximal_weight < 0:
             raise UsageError("proximal_weight must be >= 0")
+        if self.rng_seed < 0:
+            raise UsageError(f"config field rng_seed must be >= 0, got {self.rng_seed}")
         unknown = set(self.enabled_ssm_features) - set(SSM_FEATURE_KINDS)
         if unknown:
             raise UsageError(f"unknown ssm features: {sorted(unknown)}")

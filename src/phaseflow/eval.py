@@ -50,10 +50,6 @@ class Segment:
     def length(self) -> int:
         return self.end - self.start + 1
 
-    @property
-    def midpoint(self) -> int:
-        return (self.start + self.end) // 2
-
 
 def _runs(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Start and inclusive end frame of each maximal constant-label run."""

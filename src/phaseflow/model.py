@@ -60,15 +60,14 @@ from .core import (
     substream,
 )
 
-TRANSITION_FILENAME = "transition.csv"
-
 
 @dataclass
 class PhaseModel:
     """Parameter bundle: config, taxonomy, LSTM/head weights and the
-    transition matrix (estimated from training labels when hmm is enabled),
-    plus the one definition of the LSTM input [v | s | a] (`blocks`,
-    `acausal_rows`) that streaming and training both write through."""
+    transition matrix (`fit` estimates it from the training labels for every
+    arm; the hmm statistic and `infer --hmm-smooth` read it), plus the one
+    definition of the LSTM input [v | s | a] (`blocks`, `acausal_rows`) that
+    streaming and training both write through."""
 
     config: ExperimentConfig
     taxonomy: PhaseTaxonomy
@@ -286,6 +285,16 @@ def _run_windows(model: PhaseModel, extractor: ssm.SsmExtractor, h, c, windows,
     return kernel
 
 
+def check_embed_dim(config: ExperimentConfig, seqs) -> None:
+    """Refuse a video whose embeddings are not `config.embed_dim` wide
+    (checked by `train.fit` and at the top of every offline pass)."""
+    for s in seqs:
+        if s.features.shape[-1] != config.embed_dim:
+            raise DataValidationError(
+                f"video {s.video_id} has {s.features.shape[-1]}-d embeddings, "
+                f"but config embed_dim is {config.embed_dim}")
+
+
 def _lockstep_probs(model: PhaseModel, seqs: list[FeatureSequence],
                     acausal: list | None = None) -> tuple[list[np.ndarray], int]:
     """Loss-free lockstep forward over whole videos, one `seq_len_bptt`
@@ -294,6 +303,7 @@ def _lockstep_probs(model: PhaseModel, seqs: list[FeatureSequence],
     (T, N) probabilities of each sequence, in input order, and the HMM
     underflow count. `acausal` holds each sequence's acausal rows (pass 2);
     without it an acausal model sees zeros there (pass 1)."""
+    check_embed_dim(model.config, seqs)
     if not seqs:
         return [], 0
     width = model.config.seq_len_bptt
@@ -353,33 +363,34 @@ def hmm_smooth_posthoc(probs: np.ndarray,
 
 
 def save_model(model: PhaseModel, ckpt_path) -> None:
+    """One PHCK file: the parameters, and in the JSON header the config, the
+    taxonomy and the transition matrix as float64 rows (null without one)."""
     extra = {
         "config": model.config.to_dict(),
         "taxonomy": model.taxonomy.to_dict(),
-        "has_transition": model.transition is not None,
+        "transition": None if model.transition is None else model.transition.a.tolist(),
     }
     nn.save_checkpoint(ckpt_path, model.params, extra)
-    if model.transition is not None:
-        model.transition.save_csv(
-            os.path.join(os.path.dirname(os.path.abspath(ckpt_path)), TRANSITION_FILENAME),
-            model.taxonomy)
 
 
 def load_model(ckpt_path) -> PhaseModel:
+    """The model of a `save_model` file. A header or parameter block that does
+    not describe one model raises DataValidationError naming the file."""
     params, extra = nn.load_checkpoint(ckpt_path)
     try:
         config = ExperimentConfig.from_dict(extra["config"])
         taxonomy = PhaseTaxonomy.from_dict(extra["taxonomy"])
-    except (KeyError, TypeError, UsageError) as e:
+        rows, n = extra["transition"], taxonomy.n_phases
+        if rows is None and "hmm" in config.enabled_ssm_features:
+            raise ValueError("transition is null, but the hmm feature needs a matrix")
+        if rows is not None and not (type(rows) is list and len(rows) == n and all(
+                type(r) is list and len(r) == n and all(type(v) is float for v in r)
+                for r in rows)):
+            raise ValueError(f"transition must be {n} rows of {n} floats")
+        transition = None if rows is None else ssm.TransitionMatrix(np.array(rows))
+    except (KeyError, TypeError, ValueError, UsageError, DataValidationError) as e:
         raise DataValidationError(
             f"bad checkpoint header in {ckpt_path}: {type(e).__name__}: {e}") from None
-    transition = None
-    if extra.get("has_transition"):
-        tpath = os.path.join(os.path.dirname(os.path.abspath(ckpt_path)), TRANSITION_FILENAME)
-        if not os.path.exists(tpath):
-            raise DataValidationError(
-                f"checkpoint expects a transition matrix but {tpath} is missing")
-        transition = ssm.TransitionMatrix.load_csv(tpath)
     model = PhaseModel(config, taxonomy, params, transition)
     for name, shape in nn.param_shapes(model.input_dim, config.hidden_dim,
                                        taxonomy.n_phases).items():

@@ -34,7 +34,7 @@ from .core import DataValidationError, NumericError, atomic_open, read_bytes
 
 PROB_FLOOR = 1e-12
 CHECKPOINT_MAGIC = b"PHCK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def param_shapes(input_dim: int, hidden_dim: int, n_phases: int) -> dict[str, tuple]:
@@ -369,7 +369,7 @@ def load_checkpoint(path) -> tuple[dict, dict]:
         raise DataValidationError(f"bad checkpoint magic in {path}")
     version = u32()
     if version != CHECKPOINT_VERSION:
-        raise DataValidationError(f"unsupported checkpoint version {version}")
+        raise DataValidationError(f"unsupported checkpoint version {version} in {path}")
     try:
         extra = json.loads(take(u32()).decode("utf-8"))
         if not isinstance(extra, dict):

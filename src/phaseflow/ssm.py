@@ -46,20 +46,13 @@ Aggregator internals are float64; `write` casts to the dtype of its slot
 
 from __future__ import annotations
 
-import csv as _csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import (
-    SSM_FEATURE_KINDS,
-    DataValidationError,
-    PhaseTaxonomy,
-    UsageError,
-    atomic_open,
-)
+from .core import SSM_FEATURE_KINDS, DataValidationError, UsageError
 
 
 def _lead(batch: int | None) -> tuple[int, ...]:
@@ -295,29 +288,6 @@ class TransitionMatrix:
     @classmethod
     def uniform(cls, n_phases: int) -> "TransitionMatrix":
         return cls(np.full((n_phases, n_phases), 1.0 / n_phases))
-
-    def save_csv(self, path, taxonomy: PhaseTaxonomy | None = None) -> None:
-        # repr round-trips float64 exactly and stays human-readable
-        names = taxonomy.names if taxonomy else [f"phase_{i}" for i in range(self.n_phases)]
-        with atomic_open(path, "w", newline="") as fh:
-            w = _csv.writer(fh)
-            w.writerow(names)
-            for row in self.a:
-                w.writerow([repr(float(v)) for v in row])
-
-    @classmethod
-    def load_csv(cls, path) -> "TransitionMatrix":
-        """Read a file written by save_csv; malformed content raises
-        DataValidationError naming the file."""
-        try:
-            with open(path, newline="") as fh:
-                rows = list(_csv.reader(fh))
-            if not rows or any(len(row) != len(rows) - 1 for row in rows):
-                raise ValueError("expected a header of N phase names and N rows "
-                                 "of N cells")
-            return cls(np.array([[float(v) for v in row] for row in rows[1:]]))
-        except (ValueError, DataValidationError) as e:
-            raise DataValidationError(f"transition matrix file {path}: {e}") from None
 
 
 def estimate_transition_matrix(label_sequences, n_phases: int,

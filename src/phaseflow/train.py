@@ -34,7 +34,6 @@ import numpy as np
 from . import nn, ssm
 from .core import (
     MODEL_DTYPE,
-    DataValidationError,
     ExperimentConfig,
     FeatureSequence,
     NumericError,
@@ -45,7 +44,8 @@ from .core import (
 # run_inference is not called here; it stays importable from train because
 # the perfbench tracer wraps `train.run_inference`
 from .model import (PhaseModel, _lockstep_probs, _offline_probs,  # noqa: F401
-                    _run_windows, init_model, run_inference, save_model)
+                    _run_windows, check_embed_dim, init_model, run_inference,
+                    save_model)
 
 log = logging.getLogger(__name__)
 
@@ -295,13 +295,11 @@ def fit(config: ExperimentConfig, taxonomy: PhaseTaxonomy,
         raise UsageError("train and validation video ids overlap")
     if not train_seqs:
         raise UsageError("training set is empty")
-    for s in list(train_seqs) + list(val_seqs):
+    labelled = list(train_seqs) + list(val_seqs)
+    for s in labelled:
         if s.labels is None:
             raise UsageError(f"video {s.video_id} has no labels")
-        if s.features.shape[-1] != config.embed_dim:
-            raise DataValidationError(
-                f"video {s.video_id} has {s.features.shape[-1]}-d embeddings, "
-                f"but config embed_dim is {config.embed_dim}")
+    check_embed_dim(config, labelled)
 
     if len(train_seqs) < config.batch_size:
         log.warning("only %d video(s) for batch size %d; effective batch is smaller",

@@ -143,11 +143,13 @@ class TestSynth:
 class TestTrain:
     def test_outputs(self, workspace):
         ckpt = workspace["ckpt"]
-        assert (ckpt / "best.ckpt").exists()
-        assert (ckpt / "epoch_001.ckpt").exists()
-        assert (ckpt / "epoch_002.ckpt").exists()
-        assert (ckpt / "transition.csv").exists()
-        assert (ckpt / "config.txt").exists()
+        # one file per checkpoint: the transition matrix is in its header
+        assert sorted(p.name for p in ckpt.iterdir()) == [
+            "best.ckpt", "config.txt", "epoch_001.ckpt", "epoch_002.ckpt",
+            "training_log.jsonl"]
+        _, extra = nn.load_checkpoint(ckpt / "best.ckpt")
+        np.testing.assert_allclose(load_model(ckpt / "best.ckpt").transition.a,
+                                   extra["transition"], rtol=1e-15)
         lines = (ckpt / "training_log.jsonl").read_text().strip().splitlines()
         assert len(lines) == 2
         entry = json.loads(lines[0])
@@ -305,48 +307,53 @@ class TestTypedErrors:
 
     @pytest.mark.parametrize("broken", [
         "header {bad", "header {}", "transition non-numeric", "transition ragged",
+        "transition size", "transition missing",
         "block head_w", "name head_b", "value nan", "value inf", "value -inf",
     ])
     def test_malformed_checkpoint_is_data_error(self, workspace, tmp_path, capsys,
                                                 broken):
-        ckpt = tmp_path / "ckpt"
-        ckpt.mkdir()
-        for name in ("best.ckpt", "transition.csv"):
-            (ckpt / name).write_bytes((workspace["ckpt"] / name).read_bytes())
+        bad = tmp_path / "best.ckpt"
+        params, extra = nn.load_checkpoint(workspace["ckpt"] / "best.ckpt")
+        rows = extra["transition"]
         kind, what = broken.split(" ")
         if kind == "header":
-            bad = ckpt / "best.ckpt"
-            bad.write_bytes(with_header(bad.read_bytes(), what.encode()))
-        elif kind == "block":
-            bad = ckpt / "best.ckpt"
-            params, extra = nn.load_checkpoint(bad)
-            params[what] = np.zeros((params[what].shape[0], 1), np.float32)
-            nn.save_checkpoint(bad, params, extra)
+            bad.write_bytes(with_header((workspace["ckpt"] / "best.ckpt").read_bytes(),
+                                        what.encode()))
         elif kind == "name":     # a block name that is not UTF-8
-            bad = ckpt / "best.ckpt"
-            bad.write_bytes(bad.read_bytes().replace(what.encode(), b"head_\xff"))
-        elif kind == "value":    # a weight that is not finite
-            bad = ckpt / "best.ckpt"
-            params, extra = nn.load_checkpoint(bad)
-            params["head_b"][0] = float(what)
-            nn.save_checkpoint(bad, params, extra)
+            bad.write_bytes((workspace["ckpt"] / "best.ckpt").read_bytes()
+                            .replace(what.encode(), b"head_\xff"))
         else:
-            bad = ckpt / "transition.csv"
-            lines = bad.read_text().splitlines()
-            cells = lines[2].split(",")
-            if what == "non-numeric":
-                cells[1] = "x"
+            if kind == "block":
+                params[what] = np.zeros((params[what].shape[0], 1), np.float32)
+            elif kind == "value":    # a weight that is not finite
+                params["head_b"][0] = float(what)
+            elif what == "non-numeric":
+                rows[1][0] = "x"
+            elif what == "ragged":
+                rows[1].append(0.5)
+            elif what == "size":     # the matrix of one phase fewer
+                extra["transition"] = [row[:-1] for row in rows[:-1]]
             else:
-                cells.append("0.5")
-            lines[2] = ",".join(cells)
-            bad.write_text("\n".join(lines) + "\n")
-        assert main(["infer", "--ckpt", str(ckpt / "best.ckpt"),
+                del extra["transition"]
+            nn.save_checkpoint(bad, params, extra)
+        assert main(["infer", "--ckpt", str(bad),
                      "--data", str(workspace["data"]), "--out", str(tmp_path / "p")]) == 3
         err = capsys.readouterr().err
         assert str(bad) in err
         if kind == "value":
             assert "block head_b" in err and "not finite" in err
-            assert not (tmp_path / "p").exists()
+        if kind == "transition":
+            assert "transition" in err
+        assert not (tmp_path / "p").exists()
+
+    def test_version_1_checkpoint_is_data_error(self, workspace, tmp_path, capsys):
+        # version 1 kept the transition matrix in a transition.csv beside it
+        bad = tmp_path / "best.ckpt"
+        raw = (workspace["ckpt"] / "best.ckpt").read_bytes()
+        bad.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:])
+        assert main(["infer", "--ckpt", str(bad), "--data", str(workspace["data"]),
+                     "--out", str(tmp_path / "p")]) == 3
+        assert f"unsupported checkpoint version 1 in {bad}" in capsys.readouterr().err
 
     def test_overflowing_finite_weights_are_numeric_error(self, workspace, tmp_path,
                                                           capsys):
@@ -354,7 +361,6 @@ class TestTypedErrors:
         # no prediction file or summary.json is written from them: gates
         # saturated open drive h towards 1, and h @ head_w exceeds the
         # float32 range
-        shutil.copy(workspace["ckpt"] / "transition.csv", tmp_path)
         bad = tmp_path / "best.ckpt"
         params, extra = nn.load_checkpoint(workspace["ckpt"] / "best.ckpt")
         params["lstm_b"][:] = 1e30
@@ -374,7 +380,6 @@ class TestTypedErrors:
         params, extra = nn.load_checkpoint(workspace["ckpt"] / "best.ckpt")
         extra["config"]["acausal"] = "false"
         nn.save_checkpoint(bad, params, extra)
-        shutil.copy(workspace["ckpt"] / "transition.csv", tmp_path)
         assert main(["infer", "--ckpt", str(bad), "--data", str(workspace["data"]),
                      "--out", str(tmp_path / "p")]) == 3
         err = capsys.readouterr().err
@@ -448,6 +453,36 @@ class TestTypedErrors:
         err = capsys.readouterr().err
         assert str(grammar) in err
         assert "(-1, 2) names a phase outside 0..2" in err
+
+    def test_infer_embedding_width_mismatch_is_data_error(self, workspace, tmp_path,
+                                                          capsys):
+        # the workspace model reads 6-d embeddings; this dataset has 4-d ones
+        grammar = tiny_grammar_dict()
+        grammar["emission_means"] = [row[:4] for row in grammar["emission_means"]]
+        (tmp_path / "grammar.json").write_text(json.dumps(grammar))
+        data = tmp_path / "data"
+        assert main(["synth", "--grammar", str(tmp_path / "grammar.json"), "--videos",
+                     "10", "--seed", "3", "--out", str(data)]) == 0
+        assert main(["infer", "--ckpt", str(workspace["ckpt"] / "best.ckpt"),
+                     "--data", str(data), "--out", str(tmp_path / "p")]) == 3
+        assert "4-d embeddings, but config embed_dim is 6" in capsys.readouterr().err
+        assert not (tmp_path / "p").exists()
+
+    @pytest.mark.parametrize("args, named", [
+        ("synth --videos 3 --seed -1", "-1"),
+        ("train --config run.cfg", "rng_seed must be >= 0, got -2"),
+        ("ablate --arms baseline --seeds=-3", "'-3'"),
+        ("ablate --arms baseline --seeds 1,x", "'x'"),
+    ], ids=["synth", "train", "ablate-negative", "ablate-not-an-integer"])
+    def test_bad_seed_is_usage_error(self, workspace, tmp_path, capsys, args, named):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIG_TEXT.replace("rng_seed = 0", "rng_seed = -2"))
+        argv = args.replace("run.cfg", str(cfg)).split()
+        source = (["--grammar", str(workspace["grammar"])] if argv[0] == "synth"
+                  else ["--data", str(workspace["data"])])
+        assert main(argv + source + ["--out", str(tmp_path / "out")]) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_embedding_width_mismatch_is_data_error(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -1,8 +1,9 @@
 """Byte-level fuzzing of every parser of outside input: a valid file has a
 few bytes replaced, inserted or deleted, or is cut short, and the parser
 must either accept it or raise a PhaseflowError subclass; any other
-exception fails. Examples are derandomized, so the suite runs the same
-inputs every time."""
+exception fails. The transition matrix of a checkpoint header is fuzzed at
+the level of JSON values as well. Examples are derandomized, so the suite
+runs the same inputs every time."""
 
 import contextlib
 import io
@@ -11,10 +12,11 @@ import shutil
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from phaseflow import cli, data, model
-from phaseflow.core import ExperimentConfig, PhaseflowError, PhaseTaxonomy
+from phaseflow import cli, data, model, nn
+from phaseflow.core import (DataValidationError, ExperimentConfig, PhaseflowError,
+                            PhaseTaxonomy)
 from phaseflow.ssm import TransitionMatrix
 
 # bytes that make structure: digits, signs, separators, quotes, brackets,
@@ -95,7 +97,6 @@ def files(tmp_path_factory):
     return {
         "features.bin": (video / "features.bin", lambda: data.read_video_dir(video)),
         "best.ckpt": (ckpt, lambda: model.load_model(ckpt)),
-        "transition.csv": (ckdir / "transition.csv", lambda: model.load_model(ckpt)),
         "labels.csv": (video / "labels.csv", lambda: data.read_video_dir(video)),
         "meta.json": (video / "meta.json", lambda: data.read_video_dir(video)),
         "manifest.json": (ds / "manifest.json", lambda: data.read_dataset(ds, split="train")),
@@ -108,7 +109,7 @@ def files(tmp_path_factory):
 
 
 @pytest.mark.parametrize("target", [
-    "features.bin", "best.ckpt", "transition.csv", "labels.csv", "meta.json",
+    "features.bin", "best.ckpt", "labels.csv", "meta.json",
     "manifest.json", "prediction csv", "config.txt", "grammar.json",
     "external features csv"])
 @settings(max_examples=30)
@@ -123,3 +124,46 @@ def test_mutated_input_raises_only_typed_errors(files, target, draw):
         pass
     finally:
         path.write_bytes(valid)
+
+
+# header values of the transition matrix: matrices of every size up to 4 x 4
+# with any float in them (valid entries drawn more often), ragged rows, and
+# every other kind of JSON value
+FLOATS = (st.floats(1e-3, 10.0) | st.floats()
+          | st.sampled_from([0.0, -1.0, float("nan"), float("inf"), -float("inf")]))
+LEAVES = st.none() | st.booleans() | st.integers() | FLOATS | st.text(max_size=3)
+MATRICES = st.integers(0, 4).flatmap(lambda n: st.lists(
+    st.lists(st.floats(1e-3, 10.0) | FLOATS, min_size=n, max_size=n),
+    min_size=n, max_size=n))
+RAGGED = st.lists(st.lists(FLOATS | LEAVES, max_size=4), max_size=4)
+JSON_VALUES = st.recursive(LEAVES, lambda kids: st.lists(kids, max_size=3)
+                           | st.dictionaries(st.text(max_size=3), kids, max_size=3),
+                           max_leaves=8)
+NO_KEY = "no transition key"
+
+
+@settings(max_examples=200)
+@given(value=MATRICES | RAGGED | JSON_VALUES | st.just(NO_KEY))
+@example(value=[[8.0, 1.0, 1.0], [1.0, 8.0, 1.0], [1.0, 1.0, 8.0]])
+@example(value=[[1.0, 1.0], [1.0, 1.0]])
+@example(value=[[True, True, True]] * 3)
+@example(value=None)
+@example(value=NO_KEY)
+def test_header_transition_loads_or_raises_a_data_error(files, value):
+    """The csl|hmm model of `files` has 3 phases: load_model returns a 3 x 3
+    matrix or raises a DataValidationError naming the file and the
+    transition matrix, nothing else."""
+    ckpt = files["best.ckpt"][0]
+    params, extra = nn.load_checkpoint(ckpt)
+    if value == NO_KEY:
+        del extra["transition"]
+    else:
+        extra["transition"] = value
+    path = ckpt.with_name("header.ckpt")
+    nn.save_checkpoint(path, params, extra)
+    try:
+        loaded = model.load_model(path)
+    except DataValidationError as e:
+        assert str(path) in str(e) and "transition" in str(e)
+    else:
+        assert loaded.transition.a.shape == (3, 3)

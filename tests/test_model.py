@@ -194,6 +194,15 @@ class TestInferVideo:
             if acausal:
                 assert np.array_equal(shuffled[vid].pass1_probs, r.pass1_probs)
 
+    @pytest.mark.parametrize("acausal", [False, True], ids=["causal", "acausal"])
+    def test_infer_dataset_rejects_another_embedding_width(self, acausal):
+        mdl = init_model(small_config(acausal=acausal), TAX2)
+        rng = np.random.default_rng(2)
+        seqs = [random_seq(rng, 5, 3, 2), random_seq(rng, 4, 5, 2, video_id="wide")]
+        with pytest.raises(DataValidationError,
+                           match="video wide has 5-d embeddings, but config embed_dim is 3"):
+            infer_dataset(mdl, seqs)
+
 
 class TestAcausal:
     def acausal_model(self, seed=1):
@@ -282,9 +291,33 @@ class TestSaveLoad:
                                       infer_video(mdl, seq).probs)
 
     def test_missing_transition_file_rejected(self, tmp_path):
+        # the transition matrix is part of the checkpoint file's header
         mdl = init_model(small_config(), TAX2)
         path = tmp_path / "best.ckpt"
         save_model(mdl, path)
-        (tmp_path / "transition.csv").unlink()
-        with pytest.raises(DataValidationError, match="transition"):
+        params, extra = nn.load_checkpoint(path)
+        del extra["transition"]
+        nn.save_checkpoint(path, params, extra)
+        with pytest.raises(DataValidationError, match="transition") as err:
             load_model(path)
+        assert str(path) in str(err.value)
+
+    def test_model_without_transition_round_trips(self, tmp_path):
+        mdl = init_model(small_config(enabled_ssm_features=("csl",)), TAX2)
+        save_model(mdl, tmp_path / "best.ckpt")
+        assert nn.load_checkpoint(tmp_path / "best.ckpt")[1]["transition"] is None
+        assert load_model(tmp_path / "best.ckpt").transition is None
+
+    def test_moved_checkpoint_keeps_its_own_matrix(self, tmp_path):
+        # a checkpoint copied into another run's directory is the same model
+        tms = [TransitionMatrix(np.array([[9.0, 1.0], [1.0, 9.0]])),
+               TransitionMatrix(np.array([[1.0, 3.0], [3.0, 1.0]]))]
+        for run, tm in zip("ab", tms):
+            (tmp_path / run).mkdir()
+            save_model(init_model(small_config(), TAX2, transition=tm),
+                       tmp_path / run / "best.ckpt")
+        moved = tmp_path / "a" / "moved.ckpt"
+        moved.write_bytes((tmp_path / "b" / "best.ckpt").read_bytes())
+        np.testing.assert_array_equal(load_model(moved).transition.a, tms[1].a)
+        np.testing.assert_array_equal(load_model(tmp_path / "a" / "best.ckpt").transition.a,
+                                      tms[0].a)

@@ -219,17 +219,6 @@ class TestTransitionMatrix:
         with pytest.raises(UsageError):
             estimate_transition_matrix([[0, 1]], 2, smoothing=0.0)
 
-    def test_csv_round_trip_exact(self, tmp_path):
-        rng = np.random.default_rng(4)
-        seqs = [rng.integers(0, 4, 100)]
-        tm = estimate_transition_matrix(seqs, 4)
-        path = tmp_path / "transition.csv"
-        tm.save_csv(path)
-        loaded = TransitionMatrix.load_csv(path)
-        np.testing.assert_array_equal(loaded.a, tm.a)
-        header = path.read_text().splitlines()[0]
-        assert header == "phase_0,phase_1,phase_2,phase_3"
-
 
 class TestHmmFilter:
     def test_identity_transition_absorbs_one_hot(self):

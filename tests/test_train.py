@@ -295,7 +295,7 @@ class TestFit:
         assert (tmp_path / "epoch_001.ckpt").exists()
         assert (tmp_path / "epoch_002.ckpt").exists()
         assert (tmp_path / "best.ckpt").exists()
-        assert (tmp_path / "transition.csv").exists()
+        assert not (tmp_path / "transition.csv").exists()
 
     def test_acausal_fit_runs_and_carries_pass1(self):
         train, val = toy_dataset(seed=2, n_train=3, n_val=1, t=24)
