@@ -24,7 +24,6 @@ from .data import (
     default_grammar_mgh_like,
     generate_dataset,
     generate_video,
-    import_external_features,
     read_dataset,
     write_dataset,
 )

@@ -13,7 +13,9 @@ What each command writes into its --out directory:
     train   config.txt, training_log.jsonl, epoch_NNN.ckpt per epoch and
             best.ckpt; a checkpoint is one file, the transition matrix
             included
-    infer   <video_id>.csv per test video and summary.json
+    infer   <video_id>.csv per test video and summary.json; the checkpoint
+            decides the passes (an acausal model writes pass 2; its causal
+            pass 1 runs online in `model.InferenceSession`)
     eval    metrics.json, confusion.csv, accuracy_vs_length.csv and
             timelines/<video_id>.svg
     ablate  config.txt, ablation.json, ablation.csv and per run
@@ -284,21 +286,13 @@ def cmd_infer(args) -> int:
     if not os.path.isfile(args.ckpt):
         raise UsageError(f"no checkpoint file at {args.ckpt}")
     mdl = model_mod.load_model(args.ckpt)
-    if args.acausal and not mdl.config.acausal:
-        raise UsageError("--acausal requires a model trained with acausal features")
     has_split = data_mod.read_manifest(args.data) is not None
     seqs, tax = data_mod.read_dataset(args.data, split="test" if has_split else None)
     if tax.names != mdl.taxonomy.names:
         raise DataValidationError("dataset taxonomy differs from the checkpoint's")
     if args.hmm_smooth and mdl.transition is None:
         raise UsageError("--hmm-smooth needs a checkpoint with a transition matrix")
-    if args.acausal or not mdl.config.acausal:
-        results = model_mod.infer_dataset(mdl, seqs)
-    else:
-        # without --acausal an acausal-capable model runs its causal pass only
-        probs, _ = model_mod._lockstep_probs(mdl, seqs)
-        results = {s.video_id: model_mod.InferenceResult(s.video_id, p, np.argmax(p, axis=1))
-                   for s, p in zip(seqs, probs)}
+    results = model_mod.infer_dataset(mdl, seqs)
     ordered = [results[vid] for vid in sorted(results)]
     # finite weights can still overflow; nothing is written from NaN rows
     bad = [r.video_id for r in ordered if not np.isfinite(r.probs).all()]
@@ -344,7 +338,10 @@ def cmd_eval(args) -> int:
     taxonomy = None
     for fname in pred_files:
         vid = fname[:-4]
-        seq, taxonomy = data_mod.read_video_dir(os.path.join(args.data, vid))
+        seq, tax = data_mod.read_video_dir(os.path.join(args.data, vid))
+        if taxonomy is not None and tax.names != taxonomy.names:
+            raise DataValidationError(f"{vid}: taxonomy differs from other videos")
+        taxonomy = tax
         if seq.labels is None:
             raise DataValidationError(f"{vid}: dataset has no ground-truth labels")
         path = os.path.join(args.pred, fname)
@@ -400,6 +397,9 @@ def cmd_ablate(args) -> int:
     if unknown:
         raise UsageError(f"unknown ablation arms: {unknown}; "
                          f"choose from {sorted(ABLATION_ARMS)}")
+    for flag, values in (("--seeds", seeds), ("--arms", arm_names)):
+        if repeated := [v for i, v in enumerate(values) if v in values[:i]]:
+            raise UsageError(f"{flag} lists {repeated[0]} more than once")
     train_seqs, taxonomy = _load_split(args.data, "train")
     val_seqs, _ = _load_split(args.data, "val")
     test_seqs, _ = _load_split(args.data, "test")
@@ -510,11 +510,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--acausal", action="store_true")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("infer", help="write per-video prediction csvs and summary.json")
+    p = sub.add_parser("infer", help="write per-video prediction csvs and summary.json; "
+                       "an acausal checkpoint runs both passes and writes pass 2")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--acausal", action="store_true")
     p.add_argument("--hmm-smooth", action="store_true", dest="hmm_smooth")
     p.set_defaults(func=cmd_infer)
 

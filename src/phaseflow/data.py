@@ -9,7 +9,8 @@ indistinguishable frame-by-frame and only workflow history can separate them.
 
 On-disk layout: one subdirectory per video holding features.bin (PHFT binary
 format), labels.csv and meta.json, plus an optional dataset manifest.json
-carrying the split and generator metadata.
+carrying the split and generator metadata. Real embeddings enter the package
+in this layout too: write them with write_dataset.
 """
 
 from __future__ import annotations
@@ -461,74 +462,3 @@ def default_split(n_videos: int) -> list[str]:
     n_val = int(round(n_videos * 0.2))
     return ["train"] * n_train + ["val"] * n_val + ["test"] * (n_videos - n_train - n_val)
 
-
-# ---------------------------------------------------------------------------
-# External feature import
-
-def import_external_features(csv_path, meta: dict) -> FeatureSequence:
-    """Load precomputed per-frame embeddings from CSV (rows = frames, columns
-    = features plus an optional 'label' column), downsampled to 1 fps by
-    keeping frame floor(k * fps) for each whole second k. `meta` needs
-    video_id and fps >= 1; a taxonomy dict enables label validation.
-    Non-finite features and non-integer labels are rejected."""
-    try:
-        video_id, fps = str(meta["video_id"]), float(meta["fps"])
-    except (KeyError, TypeError, ValueError) as e:
-        raise DataValidationError(f"{csv_path}: meta needs a 'video_id' and a "
-                                  f"numeric 'fps': {type(e).__name__}: {e}") from None
-    if not 1.0 <= fps < np.inf:
-        raise DataValidationError(f"{csv_path}: fps must be finite and >= 1, got {fps}")
-    rows = list(csv.reader(io.StringIO(read_text(csv_path), newline="")))
-    if not rows:
-        raise DataValidationError(f"{csv_path}: empty file")
-    label_col = None
-    start = 0
-    first = rows[0]
-    if any(not _is_number(cell) for cell in first):
-        start = 1
-        if "label" in first:
-            label_col = first.index("label")
-    # a header row has as many cells as the data rows, or `label_col` is off
-    width = len(first)
-    if start == len(rows) or width == 0:
-        raise DataValidationError(f"{csv_path}: no data rows")
-    feats, labels = [], []
-    for r, row in enumerate(rows[start:], start=start):
-        if len(row) != width:
-            raise DataValidationError(
-                f"{csv_path}: ragged row {r} has {len(row)} cells, expected {width}")
-        try:
-            values = [float(c) for c in row]
-        except ValueError:
-            bad = next(i for i, c in enumerate(row) if not _is_number(c))
-            raise DataValidationError(
-                f"{csv_path}: non-numeric cell at row {r}, column {bad}") from None
-        if label_col is not None:
-            label = values.pop(label_col)
-            if not label.is_integer():
-                raise DataValidationError(
-                    f"{csv_path}: label {row[label_col]!r} at row {r} is not an integer")
-            labels.append(int(label))
-        feats.append(values)
-    feats = np.asarray(feats, dtype=np.float32)
-    bad = ~np.isfinite(feats)
-    if bad.any():
-        raise DataValidationError(
-            f"{csv_path}: non-finite feature at row {start + int(np.argwhere(bad)[0][0])}")
-    keep = np.floor(np.arange(len(feats)) * fps).astype(np.int64)
-    keep = keep[keep < len(feats)]
-    feats = feats[keep]
-    labs = np.asarray(labels, dtype=np.int64)[keep] if label_col is not None else None
-    seq = FeatureSequence(video_id=video_id, fps=1.0,
-                          features=feats, labels=labs)
-    if "taxonomy" in meta:
-        return validate_sequence(seq, PhaseTaxonomy.from_dict(meta["taxonomy"]))
-    return seq
-
-
-def _is_number(cell: str) -> bool:
-    try:
-        float(cell)
-        return True
-    except ValueError:
-        return False

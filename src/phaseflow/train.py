@@ -34,6 +34,7 @@ import numpy as np
 from . import nn, ssm
 from .core import (
     MODEL_DTYPE,
+    SSM_FEATURE_KINDS,
     ExperimentConfig,
     FeatureSequence,
     NumericError,
@@ -50,7 +51,7 @@ from .model import (PhaseModel, _lockstep_probs, _offline_probs,  # noqa: F401
 log = logging.getLogger(__name__)
 
 
-STAT_GROUPS = ("csl", "gabor", "hmm", "acausal")
+STAT_GROUPS = SSM_FEATURE_KINDS + ("acausal",)
 
 
 class StatRanges:

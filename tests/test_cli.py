@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from phaseflow import eval as eval_mod
 from phaseflow import nn
 from phaseflow.cli import (
     ABLATION_METRICS,
@@ -28,11 +29,12 @@ from phaseflow.core import (
     CSV_UNREAD,
     DataValidationError,
     ExperimentConfig,
+    FeatureSequence,
     PhaseTaxonomy,
     UsageError,
 )
-from phaseflow.data import WorkflowGrammar, generate_dataset
-from phaseflow.model import InferenceResult, hmm_smooth_posthoc, load_model
+from phaseflow.data import WorkflowGrammar, generate_dataset, read_dataset, write_video_dir
+from phaseflow.model import InferenceResult, hmm_smooth_posthoc, infer_dataset, load_model
 
 CONFIG_TEXT = """\
 # tiny end-to-end configuration
@@ -249,10 +251,34 @@ class TestInfer:
         assert _confidence(probs) == pytest.approx(
             {"frames": 3, "mean_max_prob": 0.5666666666, "low_confidence_frac": 1 / 3})
 
-    def test_acausal_flag_requires_acausal_model(self, workspace, tmp_path):
-        assert main(["infer", "--ckpt", str(workspace["ckpt"] / "best.ckpt"),
-                     "--data", str(workspace["data"]),
+    def test_acausal_checkpoint_writes_pass_2(self, workspace, tmp_path):
+        # the checkpoint decides the passes: `infer` writes what infer_dataset
+        # returns for an acausal model, and `eval` scores those labels
+        data, ckpt, pred = workspace["data"], tmp_path / "ckpt", tmp_path / "pred"
+        assert main(["train", "--data", str(data), "--config", str(workspace["config"]),
+                     "--out", str(ckpt), "--acausal"]) == 0
+        assert main(["infer", "--ckpt", str(ckpt / "best.ckpt"), "--data", str(data),
+                     "--out", str(pred)]) == 0
+        assert main(["eval", "--pred", str(pred), "--data", str(data),
+                     "--out", str(tmp_path / "report")]) == 0
+        seqs, _ = read_dataset(data, split="test")
+        expected = infer_dataset(load_model(ckpt / "best.ckpt"), seqs)
+        assert sorted(p.stem for p in pred.glob("*.csv")) == sorted(expected)
+        reports = []
+        for seq in sorted(seqs, key=lambda s: s.video_id):
+            labels, probs = read_prediction_csv(pred / f"{seq.video_id}.csv")
+            result = expected[seq.video_id]
+            assert result.pass1_probs is not None
+            assert np.array_equal(labels, result.labels)
+            assert probs.dtype == np.float32 and np.array_equal(probs, result.probs)
+            reports.append(eval_mod.compute_report(seq.labels, labels, 3))
+        metrics = json.loads((tmp_path / "report" / "metrics.json").read_text())
+        assert metrics["dataset"]["frame_accuracy"] == \
+            eval_mod.aggregate_reports(reports, 3).frame_accuracy
+        # the flag is gone: argparse refuses it
+        assert main(["infer", "--ckpt", str(ckpt / "best.ckpt"), "--data", str(data),
                      "--out", str(tmp_path / "p"), "--acausal"]) == 2
+        assert not (tmp_path / "p").exists()
 
 
 class TestTypedErrors:
@@ -545,6 +571,24 @@ class TestEval:
         svgs = list((report / "timelines").glob("*.svg"))
         assert len(svgs) == 2
 
+    @pytest.mark.parametrize("names", [("a", "b"), ("a", "b", "d")],
+                             ids=["phase-count", "phase-names"])
+    def test_mixed_taxonomies_are_data_error(self, tmp_path, capsys, names):
+        # eval reads each video directory on its own; all must share one taxonomy
+        data, pred = tmp_path / "data", tmp_path / "pred"
+        pred.mkdir()
+        labels = np.array([0, 0, 1, 1])
+        for vid, tax in (("v1", PhaseTaxonomy(("a", "b", "c"))), ("v2", PhaseTaxonomy(names))):
+            write_video_dir(data / vid, FeatureSequence(
+                vid, 1.0, np.zeros((4, 2), np.float32), labels), tax)
+            probs = np.eye(tax.n_phases, dtype=np.float32)[labels]
+            write_prediction_csv(pred / f"{vid}.csv",
+                                 InferenceResult(vid, probs, labels), labels)
+        assert main(["eval", "--pred", str(pred), "--data", str(data),
+                     "--out", str(tmp_path / "report")]) == 3
+        assert "v2: taxonomy differs from other videos" in capsys.readouterr().err
+        assert not (tmp_path / "report").exists()
+
 
 class TestLocking:
     def test_locked_output_dir_refused(self, workspace, tmp_path):
@@ -610,6 +654,19 @@ class TestAblate:
         assert main(["ablate", "--data", str(workspace["data"]),
                      "--seeds", "1", "--arms", "warp",
                      "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("seeds, arms, named", [
+        ("1,1", "baseline", "--seeds lists 1 more than once"),
+        ("1,01", "baseline", "--seeds lists 1 more than once"),
+        ("1", "csl,csl", "--arms lists csl more than once"),
+    ], ids=["seed", "seed-leading-zero", "arm"])
+    def test_repeated_item_is_usage_error(self, workspace, tmp_path, capsys,
+                                          seeds, arms, named):
+        assert main(["ablate", "--data", str(workspace["data"]),
+                     "--config", str(workspace["config"]), "--seeds", seeds,
+                     "--arms", arms, "--out", str(tmp_path / "x")]) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
 
 class TestUsage:

@@ -14,7 +14,6 @@ from phaseflow.data import (
     default_split,
     generate_dataset,
     generate_video,
-    import_external_features,
     read_dataset,
     read_features_bin,
     read_video_dir,
@@ -357,84 +356,3 @@ class TestLabelsCsv:
         with pytest.raises(DataValidationError, match=f"{path}: {CSV_UNREAD}"):
             _read_labels_csv(path, 4)
 
-
-class TestImportExternal:
-    def test_downsamples_25fps_by_striding(self, tmp_path):
-        path = tmp_path / "feats.csv"
-        rows = ["f0,f1,label"] + [f"{i},{i * 2},0" for i in range(50)]
-        path.write_text("\n".join(rows))
-        seq = import_external_features(path, {"video_id": "x", "fps": 25})
-        assert seq.n_frames == 2
-        assert seq.fps == 1.0
-        np.testing.assert_array_equal(seq.features[:, 0], [0.0, 25.0])
-
-    def test_one_fps_is_identity(self, tmp_path):
-        path = tmp_path / "feats.csv"
-        path.write_text("f0,f1\n1,2\n3,4\n5,6\n")
-        seq = import_external_features(path, {"video_id": "x", "fps": 1})
-        assert seq.n_frames == 3
-
-    def test_fractional_fps_keeps_one_frame_per_second(self, tmp_path):
-        path = tmp_path / "feats.csv"
-        path.write_text("\n".join(f"{i},0" for i in range(5)))
-        seq = import_external_features(path, {"video_id": "x", "fps": 2.5})
-        # 5 frames at 2.5 fps span 2 s: frames floor(0 * 2.5) and floor(1 * 2.5)
-        np.testing.assert_array_equal(seq.features[:, 0], [0.0, 2.0])
-
-    def test_fps_below_one_rejected(self, tmp_path):
-        path = tmp_path / "feats.csv"
-        path.write_text("1,2\n3,4\n")
-        with pytest.raises(DataValidationError, match="fps"):
-            import_external_features(path, {"video_id": "x", "fps": 0.5})
-
-    def test_nonfinite_feature_rejected_without_taxonomy(self, tmp_path):
-        path = tmp_path / "feats.csv"
-        path.write_text("f0,f1\n1,2\nnan,4\n")
-        with pytest.raises(DataValidationError, match="non-finite feature at row 2"):
-            import_external_features(path, {"video_id": "x", "fps": 1})
-
-    def test_ragged_row_names_row(self, tmp_path):
-        path = tmp_path / "feats.csv"
-        path.write_text("f0,f1\n1,2\n3\n")
-        with pytest.raises(DataValidationError, match="row 2"):
-            import_external_features(path, {"video_id": "x", "fps": 1})
-
-    @pytest.mark.parametrize("label", ["nan", "1.5", "inf"])
-    def test_non_integer_label_names_row(self, tmp_path, label):
-        path = tmp_path / "feats.csv"
-        path.write_text(f"f0,label\n1,0\n2,{label}\n")
-        with pytest.raises(DataValidationError, match=f"label '{label}' at row 2"):
-            import_external_features(path, {"video_id": "x", "fps": 1})
-
-    def test_header_wider_than_rows_names_row(self, tmp_path):
-        path = tmp_path / "feats.csv"
-        path.write_text("f0,f1,label\n1,2\n3,4\n")
-        with pytest.raises(DataValidationError, match="ragged row 1 has 2 cells, expected 3"):
-            import_external_features(path, {"video_id": "x", "fps": 1})
-
-    def test_missing_file_is_data_error(self, tmp_path):
-        path = tmp_path / "absent.csv"
-        with pytest.raises(DataValidationError, match=str(path)):
-            import_external_features(path, {"video_id": "x", "fps": 1})
-
-    def test_non_utf8_file_is_data_error(self, tmp_path):
-        path = tmp_path / "feats.csv"
-        path.write_bytes(b"f0,f1\n1,2\n3,\xff\n")
-        with pytest.raises(DataValidationError, match=f"{path}: line 3: not UTF-8"):
-            import_external_features(path, {"video_id": "x", "fps": 1})
-
-    @pytest.mark.parametrize("meta", [{"video_id": "x", "fps": "abc"}, {"fps": 1},
-                                      {"video_id": "x"}, {"video_id": "x", "fps": None}],
-                             ids=["fps-not-a-number", "no-video-id", "no-fps", "fps-null"])
-    def test_bad_meta_names_file_and_key(self, tmp_path, meta):
-        path = tmp_path / "feats.csv"
-        path.write_text("1,2\n3,4\n")
-        key = "fps" if "video_id" in meta else "video_id"
-        with pytest.raises(DataValidationError, match=f"{path}: meta .*'{key}'"):
-            import_external_features(path, meta)
-
-    def test_non_numeric_cell_named(self, tmp_path):
-        path = tmp_path / "feats.csv"
-        path.write_text("f0,f1\n1,2\n3,oops\n")
-        with pytest.raises(DataValidationError, match="non-numeric"):
-            import_external_features(path, {"video_id": "x", "fps": 1})

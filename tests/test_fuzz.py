@@ -90,10 +90,6 @@ def files(tmp_path_factory):
 
     ckpt, config = ckdir / "best.ckpt", root / "config.txt"
     grammar_file = root / "grammar.json"
-    external = root / "external.csv"
-    external.write_text("f0,f1,label\n" + "".join(
-        f"{v[0]},{v[1]},{y}\n" for v, y in zip(seqs[0].features, seqs[0].labels)))
-    external_meta = {"video_id": "ext", "fps": 2, "taxonomy": grammar.taxonomy.to_dict()}
     return {
         "features.bin": (video / "features.bin", lambda: data.read_video_dir(video)),
         "best.ckpt": (ckpt, lambda: model.load_model(ckpt)),
@@ -103,15 +99,12 @@ def files(tmp_path_factory):
         "prediction csv": (pred / f"{seqs[0].video_id}.csv", run_eval),
         "config.txt": (config, lambda: cli.load_config(str(config))),
         "grammar.json": (grammar_file, lambda: data.load_grammar(grammar_file)),
-        "external features csv": (
-            external, lambda: data.import_external_features(external, external_meta)),
     }
 
 
 @pytest.mark.parametrize("target", [
     "features.bin", "best.ckpt", "labels.csv", "meta.json",
-    "manifest.json", "prediction csv", "config.txt", "grammar.json",
-    "external features csv"])
+    "manifest.json", "prediction csv", "config.txt", "grammar.json"])
 @settings(max_examples=30)
 @given(draw=st.data())
 def test_mutated_input_raises_only_typed_errors(files, target, draw):
