@@ -21,21 +21,25 @@ for the backward pass.
 Lockstep engine. The frames of a video run in order, but videos are
 independent, so the engine steps B videos side by side, one frame of each
 per step: one (B, D) @ (D, 4H) cell matmul and batched statistics with one
-row per stream, and one window runner, `_run_windows`, for training and
-`_lockstep_probs`. The latter runs whole videos longest first, so the live
-streams shrink to a prefix as videos end; rows past the end of a shorter
-window see zero embeddings and feed the uniform vector to the statistics.
-Rows are summed in another order than one video at a time, so the engine
-matches `infer_video` to float rounding. At B=1 it is bit-equal to
-streaming inference by construction: the same kernel runs the same
-operations on the same values, with a batch axis of one.
+row per stream. One runner, `LockstepRunner`, serves training and
+`_lockstep_probs`. It holds the state of every stream (an extractor, h and
+c) and gathers the rows of a stream set once, when the set changes; it
+then binds one input buffer and one `StepKernel` to that set and keeps
+them while the set and the window width stay the same, so a window only
+refills the v and a blocks and steps. `_lockstep_probs` runs whole videos
+longest first, so the live streams shrink to a prefix as videos end; rows
+past the end of a shorter window see zero embeddings and feed the uniform
+vector to the statistics. Rows are summed in another order than one video
+at a time, so the engine matches `infer_video` to float rounding. At B=1
+it is bit-equal to streaming inference by construction: the same kernel
+runs the same operations on the same values, with a batch axis of one.
 
 Acausal rows. Pass 2 reads the acausal statistic of each video's complete
 pass-1 stream. `PhaseModel.acausal_rows` derives it for all videos of a
 refresh, validation or `infer_dataset` call at once
 (`ssm.acausal_feature_streams` over each aggregator's offline `streams`)
 and writes each video's rows straight into the model dtype. Streaming is
-causal and leaves the a block zero: only `_run_windows` fills it, so pass 2
+causal and leaves the a block zero: only `LockstepRunner` fills it, so pass 2
 always runs in lockstep (at B=1 in `infer_video_acausal`). Post-hoc
 smoothing runs the same offline HMM filter over one stream.
 """
@@ -119,17 +123,23 @@ class PhaseModel:
         shape = (() if batch is None else (batch,)) + (self.config.hidden_dim,)
         return np.zeros(shape, dtype), np.zeros(shape, dtype)
 
+    @cached_property
+    def gabor_bank(self) -> ssm.GaborBank | None:
+        """The Gabor filter bank of the config (None without the gabor
+        feature), built once: every extractor of this model shares it."""
+        cfg = self.config
+        if "gabor" not in cfg.enabled_ssm_features:
+            return None
+        return ssm.GaborBank.build(cfg.gabor_num_scales, cfg.gabor_scale_min,
+                                   cfg.gabor_scale_max)
+
     def new_extractor(self, batch: int | None = None) -> ssm.SsmExtractor:
         """Aggregators of this model's statistic stream; `batch=B` runs B
         streams in lockstep."""
         cfg = self.config
-        bank = None
-        if "gabor" in cfg.enabled_ssm_features:
-            bank = ssm.GaborBank.build(cfg.gabor_num_scales, cfg.gabor_scale_min,
-                                       cfg.gabor_scale_max)
         return ssm.SsmExtractor(
             self.n_phases, cfg.enabled_ssm_features, cfg.csl_levels,
-            gabor_bank=bank, transition=self.transition, batch=batch)
+            gabor_bank=self.gabor_bank, transition=self.transition, batch=batch)
 
 
 def init_model(config: ExperimentConfig, taxonomy: PhaseTaxonomy,
@@ -148,34 +158,36 @@ def init_model(config: ExperimentConfig, taxonomy: PhaseTaxonomy,
 class StepKernel:
     """The per-frame step (see the module doc), bound once to the input
     rows `xs` it runs on: (W, D) for one stream without a batch axis,
-    (W, B, D) for B streams in lockstep (built by `_run_windows`, the only
-    writer of the acausal block). The embedding and acausal blocks of row k
-    are the caller's. `step(k)` writes the statistic into row k through the
-    extractor's bound slots, runs `recorder.step(k)` (the LSTM cell and the
-    head), writes the softmax into `ms[k]` (W, ..., N), updates the
-    extractor with it and returns `ms[k]`.
+    (W, B, D) for B streams in lockstep (bound by `LockstepRunner`, the
+    only writer of the acausal block). The embedding and acausal blocks of
+    row k are the caller's. `step(k)` writes the statistic into row k
+    through the extractor's bound slots, runs `recorder.step(k)` (the LSTM
+    cell and the head), writes the softmax into `ms[k]` (W, ..., N), updates
+    the extractor with it and returns `ms[k]`.
 
     The `recorder` (an `nn.WindowRecorder`) starts from the state `h`, `c`
-    (from `PhaseModel.zero_state`, or the state a previous kernel left).
+    (from `PhaseModel.zero_state`, or the state a previous window left).
     Untaped, it updates `h`, `c` and one set of gate buffers in place;
     taped, it keeps every frame's arrays for `nn.window_backward`. Nothing
-    else differs. In lockstep, a row past its window length in `lengths`
+    else differs. In lockstep, a row past its window length (`set_lengths`)
     feeds the uniform vector to the aggregators, which cannot underflow the
     HMM filter."""
 
     def __init__(self, model: PhaseModel, extractor: ssm.SsmExtractor,
-                 xs: np.ndarray, h: np.ndarray, c: np.ndarray,
-                 lengths: np.ndarray | None = None, taped: bool = False):
+                 xs: np.ndarray, h: np.ndarray, c: np.ndarray, taped: bool = False):
         self.extractor = extractor
         self.recorder = nn.WindowRecorder(model.params, xs, h, c, taped)
         self.ms = np.empty(xs.shape[:-1] + (model.n_phases,), self.recorder.cell.dtype)
         writes = extractor.bind(xs[..., model.blocks[1]])
         self._frames = [(m, [(write, slot[k]) for write, slot in writes])
                         for k, m in enumerate(self.ms)]
-        self.lengths = lengths
-        self._ended_from = (int(lengths.min()) if writes and lengths is not None
-                            else len(xs))
+        self.lengths = None
+        self._ended_from = len(xs)
         self._uniform = MODEL_DTYPE(1.0 / model.n_phases)
+
+    def set_lengths(self, lengths: np.ndarray) -> None:
+        """The number of real frames of each row in the next window."""
+        self.lengths, self._ended_from = lengths, int(lengths.min())
 
     def step(self, k: int = 0) -> np.ndarray:
         m, writes = self._frames[k]
@@ -264,25 +276,78 @@ def worker_thread_count() -> int:
     return os.cpu_count() or 1
 
 
-def _run_windows(model: PhaseModel, extractor: ssm.SsmExtractor, h, c, windows,
-                 taped: bool = False) -> StepKernel:
-    """Lockstep forward of aligned windows, one row per stream, from the
-    state `h`, `c` and the extractor's streams: builds their inputs
-    [v | s | a] (width, B, input_dim), width the longest window and frames
-    past a window's end zero, and steps a `StepKernel` over them, which it
-    returns. `windows` holds (seq, start, stop, acausal_rows or None) per
-    row; None feeds zeros to the acausal channels (pass 1)."""
-    vb, _, ab = model.blocks
-    lengths = np.array([stop - start for _, start, stop, _ in windows])
-    xs = np.zeros((int(lengths.max()), len(windows), model.input_dim), MODEL_DTYPE)
-    for j, (seq, start, stop, acausal) in enumerate(windows):
-        xs[:stop - start, j, vb] = seq.features[start:stop]
-        if acausal is not None:
-            xs[:stop - start, j, ab] = acausal[start:stop]
-    kernel = StepKernel(model, extractor, xs, h, c, lengths, taped)
-    for k in range(len(xs)):
-        kernel.step(k)
-    return kernel
+class LockstepRunner:
+    """The lockstep forward of aligned windows over a store of S streams:
+    an extractor of S streams and their LSTM state `h`, `c` (S, H).
+    `run(rows, windows)` steps the next window of the store rows `rows`,
+    one per window, and returns the `StepKernel` that ran it.
+
+    It gathers the rows of a stream set (`SsmExtractor.take`, into
+    `extractor`, `h`, `c`) only when `rows` change, scattering the previous
+    set back first (`put`), and binds a new input buffer and kernel only
+    then or when the window width changes. In between, the state carries
+    over in place: untaped, the kernel updates `h`, `c`; taped, the tape's
+    last state becomes its first. A stream reads acausal rows in every
+    window of its set or in none; then its a block keeps the buffer's
+    zeros. Before the first `run`, the set is the store."""
+
+    def __init__(self, model: PhaseModel, extractor: ssm.SsmExtractor,
+                 h: np.ndarray, c: np.ndarray, taped: bool = False):
+        self.model, self.taped = model, taped
+        self._store = extractor, h, c
+        self.extractor, self.h, self.c = extractor, h, c
+        self._rows = None
+        self._kernel: StepKernel | None = None
+
+    @property
+    def underflow_count(self) -> int:
+        """HMM underflows of all streams so far (`take` and `put` carry the
+        total with the set)."""
+        return self.extractor.underflow_count
+
+    def _state(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._kernel is None:
+            return self.h, self.c
+        rec = self._kernel.recorder     # untaped, hs[-1] and cs[-1] are h and c
+        return rec.hs[-1], rec.cs[-1]
+
+    def _gather(self, rows: np.ndarray) -> None:
+        store, h_all, c_all = self._store
+        if self._rows is not None:
+            h_all[self._rows], c_all[self._rows] = self._state()
+            store.put(self._rows, self.extractor)
+        self.extractor, self.h, self.c = store.take(rows), h_all[rows], c_all[rows]
+        self._rows, self._kernel = rows, None
+
+    def run(self, rows: np.ndarray, windows) -> StepKernel:
+        """Step one window per stream of `rows`: `windows` holds (seq,
+        start, stop, acausal_rows or None) per row, the width is the longest
+        window's and frames past a window's end are zero."""
+        if not np.array_equal(rows, self._rows):
+            self._gather(rows)
+        lengths = np.array([stop - start for _, start, stop, _ in windows])
+        width = int(lengths.max())
+        kernel = self._kernel
+        if kernel is None or len(kernel.ms) != width:
+            xs = np.zeros((width, len(rows), self.model.input_dim), MODEL_DTYPE)
+            kernel = self._kernel = StepKernel(self.model, self.extractor, xs,
+                                               *self._state(), taped=self.taped)
+        elif self.taped:
+            rec = kernel.recorder
+            rec.hs[0], rec.cs[0] = rec.hs[-1], rec.cs[-1]
+        xs = kernel.recorder.xs
+        vb, _, ab = self.model.blocks
+        for j, (seq, start, stop, acausal) in enumerate(windows):
+            n = stop - start
+            xs[:n, j, vb] = seq.features[start:stop]
+            if acausal is not None:
+                xs[:n, j, ab] = acausal[start:stop]
+            if n < width:
+                xs[n:, j] = 0.0
+        kernel.set_lengths(lengths)
+        for k in range(width):
+            kernel.step(k)
+        return kernel
 
 
 def check_embed_dim(config: ExperimentConfig, seqs) -> None:
@@ -311,21 +376,18 @@ def _lockstep_probs(model: PhaseModel, seqs: list[FeatureSequence],
     order = sorted(range(len(seqs)), key=lambda j: -seqs[j].n_frames)
     dtype = model.params["head_b"].dtype
     probs = [np.empty((s.n_frames, model.n_phases), dtype) for s in seqs]
-    live = len(order)
-    h, c = model.zero_state(live)
-    extractor = model.new_extractor(batch=live)
+    # store row i is the i-th longest video
+    runner = LockstepRunner(model, model.new_extractor(batch=len(seqs)),
+                            *model.zero_state(len(seqs)))
+    live = np.arange(len(seqs))
     for start in range(0, seqs[order[0]].n_frames, width):
-        n = sum(1 for j in order[:live] if seqs[j].n_frames > start)
-        if n < live:
-            live = n
-            # leading rows: views the kernel keeps updating in place
-            h, c, extractor = h[:n], c[:n], extractor.take(np.arange(n))
+        n = sum(seqs[j].n_frames > start for j in order)
         windows = [(seqs[j], start, min(start + width, seqs[j].n_frames),
                     None if acausal is None else acausal[j]) for j in order[:n]]
-        kernel = _run_windows(model, extractor, h, c, windows)
+        kernel = runner.run(live[:n], windows)
         for col, (j, n_k) in enumerate(zip(order, kernel.lengths)):
             probs[j][start:start + n_k] = kernel.ms[:n_k, col]
-    return probs, extractor.underflow_count
+    return probs, runner.underflow_count
 
 
 def _offline_probs(model: PhaseModel, seqs: list[FeatureSequence]):

@@ -38,7 +38,8 @@ likelihoods. Each aggregator declares its per-stream state once, as
 the live ring window as (B, width, N), HMM the prior and the belief).
 `SsmExtractor.take(rows)` builds a new extractor of len(rows) streams and
 copies those rows of every `state` into it; `put(rows, part)` copies them
-back.
+back. The lockstep runner of `model` does so only when its stream set
+changes, and steps the gathered part across windows in between.
 
 Aggregator internals are float64; `write` casts to the dtype of its slot
 (float32 in the model's input row).

@@ -9,11 +9,14 @@ acausal feature cache) and pass 2 consuming the cached acausal features; the
 window loss sums both passes. Each epoch's caches are derived just before it
 (`_refresh_caches`): before epoch 1 from pass 1 alone, none after the last.
 
-Training runs on the lockstep engine of `model`. Each Adam step gathers
-the state rows of its videos (`SsmExtractor.take`), runs its aligned
-windows taped through `model._run_windows`, takes one vectorised loss and
-one batched backward pass, and scatters the rows back (`put`); the padded
-rows of a short window are masked out of the loss (exactly zero gradient).
+Training runs on the lockstep engine of `model`, a taped
+`model.LockstepRunner` over one stream per video and pass. Each Adam step
+runs its aligned windows through it, takes one vectorised loss and one
+batched backward pass; the padded rows of a short window are masked out of
+the loss (exactly zero gradient). The runner gathers the state rows of a
+batch's videos (`SsmExtractor.take`) and scatters the previous batch's back
+(`put`) only when the batch's streams differ from the previous batch's;
+with no more videos than `batch_size` that is only when a video ends.
 The cache refresh and validation run all their videos through
 `_offline_probs`, as `infer_dataset` does, which derives the acausal rows
 of every video in one closed-form call (`PhaseModel.acausal_rows`). At B=1
@@ -33,7 +36,6 @@ import numpy as np
 
 from . import nn, ssm
 from .core import (
-    MODEL_DTYPE,
     SSM_FEATURE_KINDS,
     ExperimentConfig,
     FeatureSequence,
@@ -44,8 +46,8 @@ from .core import (
 )
 # run_inference is not called here; it stays importable from train because
 # the perfbench tracer wraps `train.run_inference`
-from .model import (PhaseModel, _lockstep_probs, _offline_probs,  # noqa: F401
-                    _run_windows, check_embed_dim, init_model, run_inference,
+from .model import (LockstepRunner, PhaseModel, _lockstep_probs,  # noqa: F401
+                    _offline_probs, check_embed_dim, init_model, run_inference,
                     save_model)
 
 log = logging.getLogger(__name__)
@@ -200,9 +202,8 @@ def train_epoch(run: TrainRun, train_seqs: list[FeatureSequence]) -> TrainRun:
     n_pass = 2 if cfg.acausal else 1
     V = len(ids)
     row_of = {vid: j for j, vid in enumerate(ids)}
-    h_all = np.zeros((n_pass * V, cfg.hidden_dim), MODEL_DTYPE)
-    c_all = np.zeros_like(h_all)
-    states = model.new_extractor(batch=n_pass * V)
+    runner = LockstepRunner(model, model.new_extractor(batch=n_pass * V),
+                            *model.zero_state(n_pass * V), taped=True)
     use_prox = cfg.proximal_weight > 0.0 and bool(run.prox_cache)
     total_loss = 0.0
     total_frames = 0
@@ -215,8 +216,7 @@ def train_epoch(run: TrainRun, train_seqs: list[FeatureSequence]) -> TrainRun:
                    for p in range(n_pass) for vid, start, stop in batch]
         rows = np.array([p * V + row_of[vid]
                          for p in range(n_pass) for vid, _, _ in batch])
-        kernel = _run_windows(model, states.take(rows), h_all[rows], c_all[rows],
-                              windows, taped=True)
+        kernel = runner.run(rows, windows)
         ms, rec, lengths = kernel.ms, kernel.recorder, kernel.lengths  # ms: (width, rows, N)
         valid = np.arange(len(ms))[:, None] < lengths
         ys = np.zeros(valid.shape, np.int64)
@@ -238,8 +238,6 @@ def train_epoch(run: TrainRun, train_seqs: list[FeatureSequence]) -> TrainRun:
                 f"non-finite loss in video {vid} frames [{start}, {stop})")
         run.stat_ranges.add(rec.xs, valid, (n_pass - 1) * B)
         grads = nn.window_backward(model.params, rec, dlogits)
-        h_all[rows], c_all[rows] = rec.hs[-1], rec.cs[-1]
-        states.put(rows, kernel.extractor)
         for g in grads.values():
             g /= B
         run.grad_norms.append(nn.clip_global_norm(grads, cfg.grad_clip))
@@ -247,7 +245,7 @@ def train_epoch(run: TrainRun, train_seqs: list[FeatureSequence]) -> TrainRun:
         total_loss += loss
         total_frames += int(lengths[:B].sum())
     run.last_epoch_loss = total_loss / max(1, total_frames)
-    run.hmm_underflows += states.underflow_count
+    run.hmm_underflows += runner.underflow_count
     return run
 
 

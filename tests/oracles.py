@@ -1,11 +1,12 @@
 """Helpers shared by several test files: one training window composed from
 the package's own pieces, the streaming step composed of one allocating
-call per quantity (the oracle of the step kernel), a finite-difference
-gradient oracle, the frame-by-frame statistic streams the closed forms in
-`ssm` are checked against, the unfused Adam update, and the csv-module
-table readers and writer the one-call `np.loadtxt` readers and `%`-format
-writers are checked against. No command runs them, so they live with the
-tests."""
+call per quantity (the oracle of the step kernel), the lockstep engine
+that binds a new kernel per window (the oracle of the lockstep runner), a
+finite-difference gradient oracle, the frame-by-frame statistic streams
+the closed forms in `ssm` are checked against, the unfused Adam update,
+and the csv-module table readers and writer the one-call `np.loadtxt`
+readers and `%`-format writers are checked against. No command runs them,
+so they live with the tests."""
 
 import csv
 import io
@@ -13,7 +14,8 @@ import io
 import numpy as np
 
 from phaseflow import cli, nn
-from phaseflow.core import DataValidationError, read_text, softmax
+from phaseflow.core import MODEL_DTYPE, DataValidationError, read_text, softmax
+from phaseflow.model import StepKernel
 from phaseflow.ssm import GaborBank
 
 
@@ -110,6 +112,41 @@ def composed_stream(model, features, acausal_rows=None):
         stats.update(m)
         probs.append(m)
     return np.stack(probs), h, c, stats
+
+
+class PerWindowRunner:
+    """`model.LockstepRunner` as one window at a time: every `run` gathers
+    the rows of its streams from the store (`SsmExtractor.take`, and h, c),
+    builds a new zeroed input buffer and a new `StepKernel` over them,
+    steps the window and scatters the rows back (`put`). The same interface
+    and the same arithmetic at the same shapes, so the runner's outputs
+    must equal its outputs bit for bit."""
+
+    def __init__(self, model, extractor, h, c, taped=False):
+        self.model, self.taped = model, taped
+        self.store, self.h_all, self.c_all = extractor, h, c
+
+    @property
+    def underflow_count(self) -> int:
+        return self.store.underflow_count
+
+    def run(self, rows, windows) -> StepKernel:
+        model = self.model
+        vb, _, ab = model.blocks
+        lengths = np.array([stop - start for _, start, stop, _ in windows])
+        xs = np.zeros((int(lengths.max()), len(windows), model.input_dim), MODEL_DTYPE)
+        for j, (seq, start, stop, acausal) in enumerate(windows):
+            xs[:stop - start, j, vb] = seq.features[start:stop]
+            if acausal is not None:
+                xs[:stop - start, j, ab] = acausal[start:stop]
+        part = self.store.take(rows)
+        kernel = StepKernel(model, part, xs, self.h_all[rows], self.c_all[rows], self.taped)
+        kernel.set_lengths(lengths)
+        for k in range(len(xs)):
+            kernel.step(k)
+        self.h_all[rows], self.c_all[rows] = kernel.recorder.hs[-1], kernel.recorder.cs[-1]
+        self.store.put(rows, part)
+        return kernel
 
 
 def feature_stream(extractor, ms) -> np.ndarray:

@@ -167,8 +167,10 @@ def test_rows_past_their_window_feed_the_uniform_vector():
     mdl = build_model(KINDS, False, np.float64, seed=4)
     seqs = videos((3, 8), seed=5)
     windows = [(s, 0, s.n_frames, None) for s in seqs]
-    extractor = mdl.new_extractor(batch=2)
-    kernel = model_mod._run_windows(mdl, extractor, *mdl.zero_state(2), windows, taped=True)
+    runner = model_mod.LockstepRunner(mdl, mdl.new_extractor(batch=2), *mdl.zero_state(2),
+                                      taped=True)
+    kernel = runner.run(np.arange(2), windows)
+    extractor = runner.extractor
     assert kernel.lengths.tolist() == [3, 8]
     ref = ComposedStatistics(mdl)
     for m in kernel.ms[:3, 0]:
@@ -196,9 +198,11 @@ def test_taped_and_untaped_steps_are_bit_equal(dtype):
     h0, c0 = (rng.standard_normal((3, 4)).astype(dtype) for _ in range(2))
     runs = []
     for taped in (True, False):
-        h, c = h0.copy(), c0.copy()
-        extractor = mdl.new_extractor(batch=3)
-        kernel = model_mod._run_windows(mdl, extractor, h, c, windows, taped)
+        runner = model_mod.LockstepRunner(mdl, mdl.new_extractor(batch=3), h0.copy(),
+                                          c0.copy(), taped)
+        kernel = runner.run(np.arange(3), windows)
+        # the state of the gathered rows, which the kernel starts from
+        extractor, h, c = runner.extractor, runner.h, runner.c
         rec = kernel.recorder
         # taped, the caller's state is only read; untaped, it is the state
         assert np.array_equal(h, h0 if taped else rec.hs[-1])

@@ -6,8 +6,8 @@ import time
 import numpy as np
 import pytest
 
-from oracles import finite_difference_grads, window_pass
-from phaseflow import model as model_mod, nn, train as train_mod
+from oracles import PerWindowRunner, finite_difference_grads, window_pass
+from phaseflow import model as model_mod, nn, ssm, train as train_mod
 from phaseflow.core import (
     MODEL_DTYPE,
     ExperimentConfig,
@@ -405,14 +405,14 @@ class TestCacheSchedule:
         run = new_run(cfg, seqs)
         train_mod._refresh_caches(run, seqs)
         windows = []
-        run_windows = train_mod._run_windows
+        run_windows = model_mod.LockstepRunner.run
 
         def capture(*args, **kwargs):
             kernel = run_windows(*args, **kwargs)
             windows.append((kernel.recorder.xs.copy(), kernel.lengths))
             return kernel
 
-        monkeypatch.setattr(train_mod, "_run_windows", capture)
+        monkeypatch.setattr(model_mod.LockstepRunner, "run", capture)
         train_epoch(run, seqs)
         got = run.stat_ranges.summary()
         groups = run.model.stat_groups
@@ -584,3 +584,128 @@ class TestLockstepEngine:
                     sess.step(v)
                 expected += sess.extractor.underflow_count
         assert underflows == expected == sum(RAGGED)
+
+
+# ---------------------------------------------------------------------------
+# the lockstep runner, bound once per stream set, against the engine that
+# binds a new kernel per window (test oracle)
+
+def per_window_engine(monkeypatch):
+    """Run training and `_lockstep_probs` on `oracles.PerWindowRunner`."""
+    monkeypatch.setattr(model_mod, "LockstepRunner", PerWindowRunner)
+    monkeypatch.setattr(train_mod, "LockstepRunner", PerWindowRunner)
+
+
+def steering_model(cfg, seed=3):
+    """A model with weights on every input column, so the statistics and
+    the acausal rows steer the outputs."""
+    model = init_model(cfg, TAX2)
+    rng = np.random.default_rng(seed)
+    model.params["lstm_wx"][:] = rng.uniform(
+        -0.3, 0.3, model.params["lstm_wx"].shape).astype(np.float32)
+    return model
+
+
+class TestRunnerBindsOncePerStreamSet:
+    @pytest.mark.parametrize("acausal", [False, True], ids=["causal", "acausal"])
+    @pytest.mark.parametrize("batch_size", [2, 8], ids=["rotate", "shrink"])
+    def test_train_epoch_is_bit_equal_to_the_per_window_engine(self, acausal, batch_size,
+                                                                monkeypatch):
+        # 5 ragged videos: a batch of 2 rotates through them, a batch of 8
+        # holds them all and shrinks as they end; each video's last window
+        # is shorter than seq_len_bptt but for the one of 8 frames
+        cfg = toy_config(batch_size=batch_size, acausal=acausal, proximal_weight=0.5,
+                         **ALL_SSM)
+        seqs = ragged_videos(seed=13)
+        runs, tapes = [], {}
+        backward = nn.window_backward
+
+        def recorded(params, rec, dlogits):
+            # padded frames included: the runner zeroes them as the oracle does
+            tapes[engine].append((rec.xs.copy(), rec.hs.copy(), rec.cs.copy()))
+            return backward(params, rec, dlogits)
+
+        monkeypatch.setattr(nn, "window_backward", recorded)
+        for engine in ("runner", "per-window"):
+            tapes[engine] = []
+            if engine == "per-window":
+                per_window_engine(monkeypatch)
+            model = steering_model(cfg)
+            run = TrainRun(cfg, model, nn.Adam(model.params, cfg.learning_rate))
+            for _ in range(2):
+                train_mod._refresh_caches(run, seqs)
+                train_epoch(run, seqs)
+            runs.append(run)
+        got, ref = runs
+        for k in ref.model.params:
+            assert np.array_equal(got.model.params[k], ref.model.params[k]), k
+            assert np.array_equal(got.adam.m[k], ref.adam.m[k]), k
+            assert np.array_equal(got.adam.v[k], ref.adam.v[k]), k
+        assert got.last_epoch_loss == ref.last_epoch_loss
+        assert got.grad_norms == ref.grad_norms
+        assert got.stat_ranges.summary() == ref.stat_ranges.summary()
+        assert got.hmm_underflows == ref.hmm_underflows
+        assert len(tapes["runner"]) == len(tapes["per-window"])
+        for mine, theirs in zip(tapes["runner"], tapes["per-window"]):
+            assert all(np.array_equal(a, b) for a, b in zip(mine, theirs))
+
+    @pytest.mark.parametrize("nonfinite", [False, True], ids=["finite", "underflowing"])
+    @pytest.mark.parametrize("acausal", [False, True], ids=["causal", "acausal"])
+    def test_lockstep_probs_are_bit_equal_to_the_per_window_engine(self, acausal,
+                                                                    nonfinite, monkeypatch):
+        # the videos of 8 and 16 frames end at a window start, so the live
+        # set shrinks there with no padded frame; acausal runs pass 2 too
+        model = steering_model(toy_config(acausal=acausal, **ALL_SSM))
+        if nonfinite:       # every real frame underflows the HMM filter
+            model.params["head_w"][:] = np.inf
+        seqs = ragged_videos(seed=12, lengths=RAGGED + (16,))
+        with np.errstate(invalid="ignore"):
+            got = model_mod._offline_probs(model, seqs)
+            per_window_engine(monkeypatch)
+            ref = model_mod._offline_probs(model, seqs)
+
+        def arrays(out):        # probs, pass-1 probs, acausal rows or None
+            return out[0] + out[1] + (out[2] or [])
+
+        assert (got[2] is None) == (ref[2] is None) == (not acausal)
+        assert len(arrays(got)) == len(arrays(ref))
+        for a, b in zip(arrays(got), arrays(ref)):
+            assert np.array_equal(a, b, equal_nan=True)
+        assert got[3] == ref[3]
+        assert (got[3] > 0) == nonfinite
+
+    @pytest.mark.parametrize("acausal", [False, True], ids=["causal", "acausal"])
+    def test_train_epoch_gathers_once_per_batch_video_set(self, acausal, monkeypatch):
+        cfg = toy_config(batch_size=8, acausal=acausal, **ALL_SSM)
+        seqs = ragged_videos(seed=13)
+        run = new_run(cfg, seqs)
+        train_mod._refresh_caches(run, seqs)
+        takes = []
+        take = ssm.SsmExtractor.take
+
+        def counted(self, rows):
+            takes.append(rows)
+            return take(self, rows)
+
+        monkeypatch.setattr(ssm.SsmExtractor, "take", counted)
+        train_epoch(run, seqs)
+        batches = batch_scheduler({s.video_id: s.n_frames for s in seqs}, cfg.batch_size,
+                                  cfg.seq_len_bptt, substream(cfg.rng_seed, "batching", 1))
+        sets = {tuple(vid for vid, _, _ in batch) for batch in batches}
+        # 5 videos of (1, 7, 8, 9, 37) frames: 5 batches over 3 video sets
+        assert len(takes) <= len(sets) < len(batches)
+
+    def test_lockstep_probs_bind_one_kernel_per_live_set(self, monkeypatch):
+        kernels = []
+
+        class Counted(model_mod.StepKernel):
+            def __init__(self, *args, **kwargs):
+                kernels.append(args[2].shape)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(model_mod, "StepKernel", Counted)
+        model = init_model(toy_config(**ALL_SSM), TAX2)
+        # 8 windows of 8 frames; 4 videos live in the first, 3 up to frame
+        # 40 and 2 after it
+        model_mod._lockstep_probs(model, ragged_videos(lengths=(64, 64, 40, 8)))
+        assert [shape[1] for shape in kernels] == [4, 3, 2]
