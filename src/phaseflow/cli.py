@@ -1,16 +1,16 @@
 """Command-line entry point:
 
     phaseflow synth  --grammar mgh-like --videos 100 --seed 1 --out data/
-    phaseflow train  --data data/ --config run.cfg --out ckpt/
+    phaseflow train  --data data/ --config run.json --out ckpt/
     phaseflow infer  --ckpt ckpt/best.ckpt --data data/ --out pred/
     phaseflow eval   --pred pred/ --data data/ --out report/
-    phaseflow ablate --data data/ --config run.cfg --seeds 1,2,3 --out ablation/
+    phaseflow ablate --data data/ --config run.json --seeds 1,2,3 --out ablation/
 
 What each command writes into its --out directory:
 
     synth   manifest.json; per video a directory of features.bin,
             labels.csv and meta.json
-    train   config.txt, training_log.jsonl, epoch_NNN.ckpt per epoch and
+    train   config.json, training_log.jsonl, epoch_NNN.ckpt per epoch and
             best.ckpt; a checkpoint is one file, the transition matrix
             included
     infer   <video_id>.csv per test video and summary.json; the checkpoint
@@ -18,12 +18,13 @@ What each command writes into its --out directory:
             pass 1 runs online in `model.InferenceSession`)
     eval    metrics.json, confusion.csv, accuracy_vs_length.csv and
             timelines/<video_id>.svg
-    ablate  config.txt, ablation.json, ablation.csv and per run
+    ablate  config.json, ablation.json, ablation.csv and per run
             <arm>_seed<n>/training_log.jsonl
 
 Exit codes: 0 success, 2 usage error, 3 data validation error, 4 numeric
-failure. Config files are flat `key = value` text; `train` and `ablate`
-write the resolved config to config.txt.
+failure. A config file is a JSON object of `ExperimentConfig` fields, such as
+{"epochs": 3, "enabled_ssm_features": ["csl"]}; a field left out keeps its
+default. config.json holds every field: the "config" of a checkpoint header.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -76,55 +78,29 @@ DEFAULT_ARMS = "baseline,gabor,csl,ssm,acausal"
 # acc_<bucket> ones
 ABLATION_METRICS = ("accuracy", "precision", "recall", "f1", "short_bucket_mean",
                     "transition_accuracy", "midpoint_accuracy", "ambiguity_accuracy")
+CONFIG_HELP = 'JSON object of config fields, e.g. {"epochs": 3, "acausal": true}'
 
 
 # ---------------------------------------------------------------------------
-# Config file handling (flat key = value lines, '#' comments)
-
-def _list_value(text: str) -> tuple[str, ...]:
-    """A comma list; 'none' is the empty list."""
-    items = tuple(v.strip() for v in text.split(",") if v.strip())
-    return () if items == ("none",) else items
-
-
-def parse_config_text(text: str) -> ExperimentConfig:
-    d: dict[str, object] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise UsageError(f"config line {lineno}: expected 'key = value'")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key in ("enabled_ssm_features", "csl_levels"):
-            d[key] = _list_value(value)
-        elif key == "acausal":
-            if value.lower() not in ("true", "false", "0", "1"):
-                raise UsageError(f"config key acausal must be true/false, got {value!r}")
-            d[key] = value.lower() in ("true", "1")
-        else:
-            d[key] = value
-    return ExperimentConfig.from_dict(d)
-
+# Config files
 
 def load_config(path: str | None) -> ExperimentConfig:
+    """The config in JSON file `path` (the defaults without one); any fault of
+    the file is a UsageError naming it: the config is an argument, exit 2."""
     if path is None:
         return ExperimentConfig()
     try:
-        text = read_text(path)
-    except DataValidationError as e:    # the config is an argument: exit 2
-        raise UsageError(f"config file: {e}") from None
-    return parse_config_text(text)
+        d = json.loads(read_text(path))
+        if not isinstance(d, dict):
+            raise UsageError(f"expected a JSON object, got {type(d).__name__}")
+        return ExperimentConfig.from_dict(d)
+    except (DataValidationError, UsageError, ValueError, RecursionError) as e:
+        raise UsageError(f"config file {path}: {e}") from None
 
 
 def write_config_echo(outdir: str, config: ExperimentConfig) -> None:
-    lines = []
-    for key, value in config.to_dict().items():
-        if isinstance(value, list):
-            value = ",".join(str(v) for v in value) or "none"
-        lines.append(f"{key} = {value}")
-    with open(os.path.join(outdir, "config.txt"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with open(os.path.join(outdir, "config.json"), "w") as fh:
+        json.dump(config.to_dict(), fh, indent=1)
 
 
 @contextlib.contextmanager
@@ -183,25 +159,26 @@ def cmd_synth(args) -> int:
 # ---------------------------------------------------------------------------
 # train
 
-def _load_split(datadir: str, split: str):
+def _load_split(datadir: str, split: str, taxonomy=None):
     """A manifest split; without a manifest every video is training data.
-    An empty val or test split is no videos, an empty train split an error."""
+    An empty val or test split is no videos, an empty train split an error,
+    and a split whose taxonomy is not `taxonomy` (the train split's) too."""
     manifest = data_mod.read_manifest(datadir)
     if manifest is None:
         return data_mod.read_dataset(datadir) if split == "train" else ([], None)
     if split != "train" and all(v["split"] != split for v in manifest["videos"]):
         return [], None
-    return data_mod.read_dataset(datadir, split=split)
+    seqs, tax = data_mod.read_dataset(datadir, split=split)
+    if taxonomy is not None and tax.names != taxonomy.names:
+        raise DataValidationError(
+            f"{datadir}: the {split} split's taxonomy differs from the train split's")
+    return seqs, tax
 
 
 def cmd_train(args) -> int:
     config = load_config(args.config)
-    if args.features is not None:
-        config = config.with_overrides(enabled_ssm_features=_list_value(args.features))
-    if args.acausal:
-        config = config.with_overrides(acausal=True)
     train_seqs, taxonomy = _load_split(args.data, "train")
-    val_seqs, _ = _load_split(args.data, "val")
+    val_seqs, _ = _load_split(args.data, "val", taxonomy)
     with output_dir(args.out) as out:
         write_config_echo(out, config)
         result = train_mod.fit(
@@ -401,8 +378,8 @@ def cmd_ablate(args) -> int:
         if repeated := [v for i, v in enumerate(values) if v in values[:i]]:
             raise UsageError(f"{flag} lists {repeated[0]} more than once")
     train_seqs, taxonomy = _load_split(args.data, "train")
-    val_seqs, _ = _load_split(args.data, "val")
-    test_seqs, _ = _load_split(args.data, "test")
+    val_seqs, _ = _load_split(args.data, "val", taxonomy)
+    test_seqs, _ = _load_split(args.data, "test", taxonomy)
     if not test_seqs:
         raise DataValidationError("ablation needs a manifest with a test split")
     groups = data_mod.read_manifest(args.data).get("ambiguity_groups", [])
@@ -421,8 +398,8 @@ def cmd_ablate(args) -> int:
             feats, acausal = ABLATION_ARMS[arm]
             results[arm] = {}
             for seed in seeds:
-                config = base_config.with_overrides(
-                    enabled_ssm_features=feats, acausal=acausal, rng_seed=seed)
+                config = dataclasses.replace(base_config, rng_seed=seed,
+                                             enabled_ssm_features=feats, acausal=acausal)
                 run_dir = os.path.join(out, f"{arm}_seed{seed}")
                 os.makedirs(run_dir, exist_ok=True)
                 fit_res = train_mod.fit(
@@ -503,11 +480,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model")
     p.add_argument("--data", required=True)
-    p.add_argument("--config", default=None)
+    p.add_argument("--config", default=None, help=CONFIG_HELP)
     p.add_argument("--out", required=True)
-    p.add_argument("--features", default=None,
-                   help="comma list from {csl,gabor,hmm}, or 'none'")
-    p.add_argument("--acausal", action="store_true")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("infer", help="write per-video prediction csvs and summary.json; "
@@ -526,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablate", help="run the feature-subset comparison")
     p.add_argument("--data", required=True)
-    p.add_argument("--config", default=None)
+    p.add_argument("--config", default=None, help=CONFIG_HELP)
     p.add_argument("--seeds", required=True, help='e.g. "1,2,3"')
     p.add_argument("--out", required=True)
     p.add_argument("--arms", default=DEFAULT_ARMS,

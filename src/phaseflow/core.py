@@ -11,10 +11,9 @@ from __future__ import annotations
 import contextlib
 import io
 import os
-import re
 import threading
 import zlib
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -308,9 +307,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        """A config from JSON values (a checkpoint header) or the strings of
-        a text config. Each value must be of its field's kind
-        (`_config_value`): a bool written as "false" is refused, not cast."""
+        """A config from the JSON object of a checkpoint header or a config
+        file. Each value must be of its field's kind (`_config_value`): a bool
+        written as "false" is refused, not cast."""
         known = {f.name for f in fields(cls)}
         unknown = set(d) - known
         if unknown:
@@ -325,15 +324,12 @@ class ExperimentConfig:
                                      f"{d[f.name]!r} ({e})") from None
         return cls(**kwargs)
 
-    def with_overrides(self, **kwargs) -> "ExperimentConfig":
-        return replace(self, **kwargs)
-
 
 def _config_value(default, v):
     """`v` as a value of the config field whose default is `default`: a bool
-    field takes only a bool and a str only a str; an int field an int or a
-    decimal string; a float field an int, a float or a numeric string; a
-    tuple field a list or a tuple of values of its first member's kind."""
+    field takes only a bool and a str only a str; an int field an int; a float
+    field an int or a float; a tuple field a list or a tuple of values of its
+    first member's kind. A number written as a string is refused."""
     if isinstance(default, tuple):
         if not isinstance(v, (list, tuple)):
             raise TypeError(f"expected list, got {type(v).__name__}")
@@ -343,10 +339,6 @@ def _config_value(default, v):
         if type(v) is not kind:
             raise TypeError(f"expected {kind.__name__}, got {type(v).__name__}")
         return v
-    if isinstance(v, str):
-        if kind is int and not re.fullmatch(r"[+-]?[0-9]+", v):
-            raise ValueError("expected int, got a str that is not decimal")
-        return kind(v)
     if isinstance(v, int) or (isinstance(v, float) and kind is float):
         return kind(v)
     raise TypeError(f"expected {kind.__name__}, got {type(v).__name__}")

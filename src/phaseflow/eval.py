@@ -265,13 +265,13 @@ def _phase_color(phase: int, n_phases: int) -> str:
     return f"hsl({hue:.0f},70%,50%)"
 
 
-def render_timeline_svg(path, gt, probs, taxonomy: PhaseTaxonomy) -> None:
-    """Two-row timeline: ground truth on top, prediction runs below with
-    opacity proportional to the run's mean peak probability."""
+def render_timeline_svg(path, gt, pred, probs, taxonomy: PhaseTaxonomy) -> None:
+    """Two-row timeline: ground truth on top, the runs of the predicted
+    labels (those the metrics score) below, each with opacity proportional
+    to its mean peak probability."""
     gt = np.asarray(gt)
-    probs = np.asarray(probs)
-    pred = np.argmax(probs, axis=1)
-    peak = probs.max(axis=1)
+    pred = np.asarray(pred)
+    peak = np.asarray(probs).max(axis=1)
     T = gt.shape[0]
     width, row_h, gap = 1000.0, 40, 14
     sx = width / T
@@ -281,10 +281,10 @@ def render_timeline_svg(path, gt, probs, taxonomy: PhaseTaxonomy) -> None:
         f'<text x="0" y="{gap - 3}" font-size="11">ground truth (top) vs '
         f'prediction (bottom), {T} frames</text>',
     ]
-    for y, labels in ((gap, gt), (row_h + 2 * gap, pred)):
+    for y, labels, shaded in ((gap, gt, False), (row_h + 2 * gap, pred, True)):
         for seg in extract_segments(labels):
-            opacity = ("" if labels is gt else
-                       f'opacity="{float(peak[seg.start:seg.end + 1].mean()):.3f}" ')
+            opacity = (f'opacity="{float(peak[seg.start:seg.end + 1].mean()):.3f}" '
+                       if shaded else "")
             lines.append(
                 f'<rect x="{seg.start * sx:.2f}" y="{y}" '
                 f'width="{seg.length * sx:.2f}" height="{row_h}" {opacity}'
@@ -344,7 +344,7 @@ def render_report(outdir, dataset_report: MetricsReport,
         os.makedirs(tl_dir, exist_ok=True)
     for vr in video_results:
         render_timeline_svg(os.path.join(tl_dir, f"{vr['video_id']}.svg"),
-                            vr["gt"], vr["probs"], taxonomy)
+                            vr["gt"], vr["pred"], vr["probs"], taxonomy)
     rows = accuracy_vs_length_rows([(vr["gt"], vr["pred"]) for vr in video_results])
     with open(os.path.join(outdir, "accuracy_vs_length.csv"), "w", newline="") as fh:
         w = csv.writer(fh)

@@ -20,8 +20,8 @@ from phaseflow import nn
 from phaseflow.cli import (
     ABLATION_METRICS,
     _confidence,
+    load_config,
     main,
-    parse_config_text,
     read_prediction_csv,
     write_prediction_csv,
 )
@@ -36,20 +36,11 @@ from phaseflow.core import (
 from phaseflow.data import WorkflowGrammar, generate_dataset, read_dataset, write_video_dir
 from phaseflow.model import InferenceResult, hmm_smooth_posthoc, infer_dataset, load_model
 
-CONFIG_TEXT = """\
 # tiny end-to-end configuration
-hidden_dim = 4
-embed_dim = 6
-epochs = 2
-batch_size = 4
-learning_rate = 0.01
-enabled_ssm_features = csl,hmm
-csl_levels = 0.5
-gabor_num_scales = 2
-gabor_scale_min = 3
-gabor_scale_max = 5
-rng_seed = 0
-"""
+CONFIG = {"hidden_dim": 4, "embed_dim": 6, "epochs": 2, "batch_size": 4,
+          "learning_rate": 0.01, "enabled_ssm_features": ["csl", "hmm"],
+          "csl_levels": [0.5], "gabor_num_scales": 2, "gabor_scale_min": 3,
+          "gabor_scale_max": 5, "rng_seed": 0}
 
 # every float-valued config key, csl_levels (a list of floats) included
 FLOAT_KEYS = ("learning_rate", "proximal_weight", "gabor_scale_min", "gabor_scale_max",
@@ -78,8 +69,8 @@ def workspace(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
     grammar_path = root / "grammar.json"
     grammar_path.write_text(json.dumps(tiny_grammar_dict()))
-    config_path = root / "run.cfg"
-    config_path.write_text(CONFIG_TEXT)
+    config_path = root / "run.json"
+    config_path.write_text(json.dumps(CONFIG))
     data = root / "data"
     ckpt = root / "ckpt"
     pred = root / "pred"
@@ -147,7 +138,7 @@ class TestTrain:
         ckpt = workspace["ckpt"]
         # one file per checkpoint: the transition matrix is in its header
         assert sorted(p.name for p in ckpt.iterdir()) == [
-            "best.ckpt", "config.txt", "epoch_001.ckpt", "epoch_002.ckpt",
+            "best.ckpt", "config.json", "epoch_001.ckpt", "epoch_002.ckpt",
             "training_log.jsonl"]
         _, extra = nn.load_checkpoint(ckpt / "best.ckpt")
         np.testing.assert_allclose(load_model(ckpt / "best.ckpt").transition.a,
@@ -166,9 +157,15 @@ class TestTrain:
                 <= ranges[group]["max"]
 
     def test_config_echo_round_trips(self, workspace):
-        echoed = parse_config_text((workspace["ckpt"] / "config.txt").read_text())
+        # config.json is the checkpoint header's config object, every field
+        # written, and loads back to the config that was trained
+        echo = workspace["ckpt"] / "config.json"
+        echoed = load_config(str(echo))
+        assert echoed == ExperimentConfig.from_dict(CONFIG)
         assert echoed.hidden_dim == 4
         assert echoed.enabled_ssm_features == ("csl", "hmm")
+        header = nn.load_checkpoint(workspace["ckpt"] / "best.ckpt")[1]["config"]
+        assert json.loads(echo.read_text()) == header == echoed.to_dict()
 
     def test_empty_validation_split_trains_without_validation(self, workspace, tmp_path):
         # two videos split into train and test: the manifest has no val video
@@ -255,8 +252,10 @@ class TestInfer:
         # the checkpoint decides the passes: `infer` writes what infer_dataset
         # returns for an acausal model, and `eval` scores those labels
         data, ckpt, pred = workspace["data"], tmp_path / "ckpt", tmp_path / "pred"
-        assert main(["train", "--data", str(data), "--config", str(workspace["config"]),
-                     "--out", str(ckpt), "--acausal"]) == 0
+        cfg = tmp_path / "acausal.json"
+        cfg.write_text(json.dumps({**CONFIG, "acausal": True}))
+        assert main(["train", "--data", str(data), "--config", str(cfg),
+                     "--out", str(ckpt)]) == 0
         assert main(["infer", "--ckpt", str(ckpt / "best.ckpt"), "--data", str(data),
                      "--out", str(pred)]) == 0
         assert main(["eval", "--pred", str(pred), "--data", str(data),
@@ -275,9 +274,12 @@ class TestInfer:
         metrics = json.loads((tmp_path / "report" / "metrics.json").read_text())
         assert metrics["dataset"]["frame_accuracy"] == \
             eval_mod.aggregate_reports(reports, 3).frame_accuracy
-        # the flag is gone: argparse refuses it
+        # the flags are gone: the config alone decides, and argparse refuses them
         assert main(["infer", "--ckpt", str(ckpt / "best.ckpt"), "--data", str(data),
                      "--out", str(tmp_path / "p"), "--acausal"]) == 2
+        for flag in (["--acausal"], ["--features", "csl"]):
+            assert main(["train", "--data", str(data), "--config", str(cfg),
+                         "--out", str(tmp_path / "p")] + flag) == 2
         assert not (tmp_path / "p").exists()
 
 
@@ -460,6 +462,24 @@ class TestTypedErrors:
         assert main(["train", "--data", str(data), "--out", str(tmp_path / "c")]) == 3
         assert str(bad) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cmd", [["train"], ["ablate", "--seeds", "1", "--arms",
+                                                 "baseline"]], ids=["train", "ablate"])
+    def test_split_with_another_taxonomy_is_data_error(self, workspace, tmp_path,
+                                                       capsys, cmd):
+        # each split is read on its own; validation must not score the model
+        # against phases of another name
+        data = shutil.copytree(workspace["data"], tmp_path / "data")
+        for v in json.loads((data / "manifest.json").read_text())["videos"]:
+            if v["split"] == "val":
+                meta = json.loads((data / v["id"] / "meta.json").read_text())
+                meta["taxonomy"]["0"] = "renamed"
+                (data / v["id"] / "meta.json").write_text(json.dumps(meta))
+        assert main(cmd + ["--data", str(data), "--config", str(workspace["config"]),
+                           "--out", str(tmp_path / "out")]) == 3
+        assert f"{data}: the val split's taxonomy differs from the train split's" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("text", ["{bad", "{}", pytest.param(json.dumps(
         {**tiny_grammar_dict(), "occurrences": {"-1": [2, 3], "99": [0, 0]}}),
         id="occurrences-out-of-range")])
@@ -496,14 +516,14 @@ class TestTypedErrors:
 
     @pytest.mark.parametrize("args, named", [
         ("synth --videos 3 --seed -1", "-1"),
-        ("train --config run.cfg", "rng_seed must be >= 0, got -2"),
+        ("train --config run.json", "rng_seed must be >= 0, got -2"),
         ("ablate --arms baseline --seeds=-3", "'-3'"),
         ("ablate --arms baseline --seeds 1,x", "'x'"),
     ], ids=["synth", "train", "ablate-negative", "ablate-not-an-integer"])
     def test_bad_seed_is_usage_error(self, workspace, tmp_path, capsys, args, named):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(CONFIG_TEXT.replace("rng_seed = 0", "rng_seed = -2"))
-        argv = args.replace("run.cfg", str(cfg)).split()
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({**CONFIG, "rng_seed": -2}))
+        argv = args.replace("run.json", str(cfg)).split()
         source = (["--grammar", str(workspace["grammar"])] if argv[0] == "synth"
                   else ["--data", str(workspace["data"])])
         assert main(argv + source + ["--out", str(tmp_path / "out")]) == 2
@@ -511,8 +531,8 @@ class TestTypedErrors:
         assert not (tmp_path / "out").exists()
 
     def test_embedding_width_mismatch_is_data_error(self, workspace, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(CONFIG_TEXT.replace("embed_dim = 6", "embed_dim = 4"))
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({**CONFIG, "embed_dim": 4}))
         assert main(["train", "--data", str(workspace["data"]), "--config", str(cfg),
                      "--out", str(tmp_path / "c")]) == 3
         err = capsys.readouterr().err
@@ -536,18 +556,39 @@ class TestTypedErrors:
         assert not (tmp_path / "a" / "baseline_seed1").exists()
 
     def test_bad_config_value_is_usage_error(self, workspace, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("hidden_dim = abc\n")
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{"hidden_dim": "abc"}')
         assert main(["train", "--data", str(workspace["data"]), "--config", str(cfg),
                      "--out", str(tmp_path / "c")]) == 2
         assert "hidden_dim" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, named", [
+        ('[{"epochs": 3}]', "expected a JSON object, got list"),
+        ('{"epochs": 3', "Expecting ',' delimiter"),
+        ("epochs = 3\nacausal = true\n", "Expecting value: line 1 column 1"),
+        ('{"epochs": "3"}', "config key epochs: invalid value '3'"),
+        ("[" * 100_000, "maximum recursion depth exceeded"),
+    ], ids=["array", "malformed", "key-value-text", "string-number", "deeply-nested"])
+    def test_config_not_a_json_config_object_is_usage_error(
+            self, workspace, tmp_path, capsys, text, named):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(text)
+        for cmd in (["train"], ["ablate", "--seeds", "1", "--arms", "baseline"]):
+            assert main(cmd + ["--data", str(workspace["data"]), "--config", str(cfg),
+                               "--out", str(tmp_path / "c")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: config file {cfg}: ") and named in err
+            assert "Traceback" not in err
+            assert not (tmp_path / "c").exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("key", FLOAT_KEYS)
     def test_non_finite_float_config_value_is_usage_error(self, workspace, tmp_path,
                                                           capsys, key, value):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"{key} = {value}\n")
+        # json writes and reads these as NaN, Infinity and -Infinity
+        cfg = tmp_path / "run.json"
+        number = float(value)
+        cfg.write_text(json.dumps({key: [number] if key == "csl_levels" else number}))
         assert main(["train", "--data", str(workspace["data"]), "--config", str(cfg),
                      "--out", str(tmp_path / "c")]) == 2
         assert f"config field {key} must be finite" in capsys.readouterr().err
@@ -603,23 +644,21 @@ class TestLocking:
 
 
 class TestConfigParsing:
-    def test_comments_and_none(self):
-        cfg = parse_config_text("epochs = 1\nenabled_ssm_features = none\n# x\n")
-        assert cfg.epochs == 1
-        assert cfg.enabled_ssm_features == ()
+    def test_fields_left_out_keep_their_defaults(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{"epochs": 1, "enabled_ssm_features": []}')
+        assert load_config(str(cfg)) == ExperimentConfig(epochs=1, enabled_ssm_features=())
 
-    def test_unknown_key_rejected(self):
-        with pytest.raises(UsageError):
-            parse_config_text("hidden = 3\n")
+    def test_unknown_key_rejected(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{"hidden": 3}')
+        with pytest.raises(UsageError, match="unknown config keys"):
+            load_config(str(cfg))
 
     def test_float_keys_table_names_every_float_field(self):
         floats = {f.name for f in dataclasses.fields(ExperimentConfig)
                   if isinstance(f.default, float)}
         assert set(FLOAT_KEYS) == floats | {"csl_levels"}
-
-    def test_malformed_line_rejected(self):
-        with pytest.raises(UsageError, match="line 1"):
-            parse_config_text("epochs 1\n")
 
 
 class TestAblate:
@@ -630,7 +669,7 @@ class TestAblate:
         outs = [tmp_path / "a", tmp_path / "b"]
         for out in outs:
             assert main(args + ["--out", str(out)]) == 0
-        for name in ("ablation.json", "ablation.csv", "config.txt"):
+        for name in ("ablation.json", "ablation.csv", "config.json"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
         payload = json.loads((outs[0] / "ablation.json").read_text())
         res = payload["results"]

@@ -151,31 +151,34 @@ class TestConfig:
             ExperimentConfig.from_dict({"hidden": 3})
 
     @pytest.mark.parametrize("key, value, want", [
-        # JSON values of the field's kind, and the strings of a text config
+        # JSON values of the field's kind
         ("acausal", True, True),
         ("hidden_dim", 16, 16),
-        ("hidden_dim", "16", 16),
-        ("rng_seed", "+3", 3),
         ("learning_rate", 1, 1.0),
         ("learning_rate", 0.5, 0.5),
-        ("learning_rate", "1e-3", 1e-3),
         ("enabled_ssm_features", ["csl", "hmm"], ("csl", "hmm")),
         ("enabled_ssm_features", [], ()),
-        ("csl_levels", ("0.5", 0.75, 1), (0.5, 0.75, 1.0)),
-        # a value of another kind is refused, never converted
+        ("csl_levels", (0.5, 0.75, 1), (0.5, 0.75, 1.0)),
+        # a value of another kind is refused, never converted: a number
+        # written as a string too
         ("acausal", "false", None),
         ("acausal", 0, None),
         ("hidden_dim", 4.7, None),
         ("hidden_dim", 8.0, None),
+        ("hidden_dim", "16", None),
         ("hidden_dim", "4.0", None),
         ("hidden_dim", "1_000", None),
+        ("rng_seed", "+3", None),
+        ("rng_seed", "-3", None),
         ("epochs", True, None),
         ("learning_rate", False, None),
+        ("learning_rate", "1e-3", None),
         ("learning_rate", "fast", None),
         ("learning_rate", None, None),
         ("enabled_ssm_features", "csl", None),
         ("enabled_ssm_features", ["csl", 1], None),
         ("csl_levels", 0.5, None),
+        ("csl_levels", ("0.5", 0.75, 1), None),
         ("csl_levels", [True], None),
     ])
     def test_from_dict_takes_only_values_of_the_field_kind(self, key, value, want):
@@ -188,7 +191,7 @@ class TestConfig:
 
     def test_negative_rng_seed_is_refused(self):
         with pytest.raises(UsageError, match="rng_seed must be >= 0, got -3"):
-            ExperimentConfig.from_dict({"rng_seed": "-3"})
+            ExperimentConfig.from_dict({"rng_seed": -3})
 
 
 class TestSubstream:

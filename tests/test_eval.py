@@ -377,6 +377,28 @@ class TestRenderReport:
         n_rects = svg.count("<rect")
         assert n_rects == len(extract_segments(gt)) + len(extract_segments(pred))
 
+    def test_svg_draws_the_scored_labels_not_the_argmax(self, tmp_path):
+        # labels smoothed after inference (infer --hmm-smooth) need not be the
+        # argmax of the probabilities; the prediction row draws the labels
+        # that metrics.json scores, shaded by the probabilities
+        tax = PhaseTaxonomy(("a", "b", "c"))
+        gt = np.array([0, 0, 0, 2, 2, 2])
+        pred = gt.copy()
+        probs = np.tile([0.2, 0.6, 0.2], (len(gt), 1))
+        report = compute_report(gt, pred, 3)
+        assert report.frame_accuracy == 1.0
+        vr = {"video_id": "v0", "gt": gt, "pred": pred, "probs": probs,
+              "report": report}
+        render_report(tmp_path, report, [vr], tax)
+        svg = (tmp_path / "timelines" / "v0.svg").read_text()
+        rows = re.findall(r'<rect x="([0-9.]+)" y="(\d+)" width="([0-9.]+)" '
+                          r'height="40" (?:opacity="([0-9.]+)" )?fill="[^"]+">'
+                          r"<title>(\w)</title>", svg)
+        assert rows == [("0.00", "14", "500.00", "", "a"),
+                        ("500.00", "14", "500.00", "", "c"),
+                        ("0.00", "68", "500.00", "0.600", "a"),
+                        ("500.00", "68", "500.00", "0.600", "c")]
+
     def test_confusion_csv_row_sums(self, tmp_path):
         tax = PhaseTaxonomy(("a", "b", "c"))
         rng = np.random.default_rng(9)

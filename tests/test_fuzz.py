@@ -88,7 +88,7 @@ def files(tmp_path_factory):
                 contextlib.redirect_stderr(io.StringIO()):
             assert cli.main(argv) in (0, 3)
 
-    ckpt, config = ckdir / "best.ckpt", root / "config.txt"
+    ckpt, config = ckdir / "best.ckpt", root / "config.json"
     grammar_file = root / "grammar.json"
     return {
         "features.bin": (video / "features.bin", lambda: data.read_video_dir(video)),
@@ -97,14 +97,14 @@ def files(tmp_path_factory):
         "meta.json": (video / "meta.json", lambda: data.read_video_dir(video)),
         "manifest.json": (ds / "manifest.json", lambda: data.read_dataset(ds, split="train")),
         "prediction csv": (pred / f"{seqs[0].video_id}.csv", run_eval),
-        "config.txt": (config, lambda: cli.load_config(str(config))),
+        "config.json": (config, lambda: cli.load_config(str(config))),
         "grammar.json": (grammar_file, lambda: data.load_grammar(grammar_file)),
     }
 
 
 @pytest.mark.parametrize("target", [
     "features.bin", "best.ckpt", "labels.csv", "meta.json",
-    "manifest.json", "prediction csv", "config.txt", "grammar.json"])
+    "manifest.json", "prediction csv", "config.json", "grammar.json"])
 @settings(max_examples=30)
 @given(draw=st.data())
 def test_mutated_input_raises_only_typed_errors(files, target, draw):
