@@ -14,8 +14,8 @@ What each command writes into its --out directory:
             best.ckpt; a checkpoint is one file, the transition matrix
             included
     infer   <video_id>.csv per test video and summary.json; the checkpoint
-            decides the passes (an acausal model writes pass 2; its causal
-            pass 1 runs online in `model.InferenceSession`)
+            decides the passes (an acausal model writes pass 2: both passes
+            run in lockstep over all videos in `model.infer_dataset`)
     eval    metrics.json, confusion.csv, accuracy_vs_length.csv and
             timelines/<video_id>.svg
     ablate  config.json, ablation.json, ablation.csv and per run
@@ -52,6 +52,7 @@ from .core import (
     NumericError,
     UsageError,
     parse_csv_rows,
+    read_json,
     read_text,
 )
 
@@ -90,12 +91,12 @@ def load_config(path: str | None) -> ExperimentConfig:
     if path is None:
         return ExperimentConfig()
     try:
-        d = json.loads(read_text(path))
+        d = read_json(path)
         if not isinstance(d, dict):
             raise UsageError(f"expected a JSON object, got {type(d).__name__}")
         return ExperimentConfig.from_dict(d)
-    except (DataValidationError, UsageError, ValueError, RecursionError) as e:
-        raise UsageError(f"config file {path}: {e}") from None
+    except (DataValidationError, UsageError) as e:  # read_json names the file too
+        raise UsageError(f"config file {path}: {str(e).removeprefix(f'{path}: ')}") from None
 
 
 def write_config_echo(outdir: str, config: ExperimentConfig) -> None:
@@ -159,26 +160,9 @@ def cmd_synth(args) -> int:
 # ---------------------------------------------------------------------------
 # train
 
-def _load_split(datadir: str, split: str, taxonomy=None):
-    """A manifest split; without a manifest every video is training data.
-    An empty val or test split is no videos, an empty train split an error,
-    and a split whose taxonomy is not `taxonomy` (the train split's) too."""
-    manifest = data_mod.read_manifest(datadir)
-    if manifest is None:
-        return data_mod.read_dataset(datadir) if split == "train" else ([], None)
-    if split != "train" and all(v["split"] != split for v in manifest["videos"]):
-        return [], None
-    seqs, tax = data_mod.read_dataset(datadir, split=split)
-    if taxonomy is not None and tax.names != taxonomy.names:
-        raise DataValidationError(
-            f"{datadir}: the {split} split's taxonomy differs from the train split's")
-    return seqs, tax
-
-
 def cmd_train(args) -> int:
     config = load_config(args.config)
-    train_seqs, taxonomy = _load_split(args.data, "train")
-    val_seqs, _ = _load_split(args.data, "val", taxonomy)
+    (train_seqs, val_seqs), taxonomy, _ = data_mod.read_splits(args.data, ("train", "val"))
     with output_dir(args.out) as out:
         write_config_echo(out, config)
         result = train_mod.fit(
@@ -263,10 +247,7 @@ def cmd_infer(args) -> int:
     if not os.path.isfile(args.ckpt):
         raise UsageError(f"no checkpoint file at {args.ckpt}")
     mdl = model_mod.load_model(args.ckpt)
-    has_split = data_mod.read_manifest(args.data) is not None
-    seqs, tax = data_mod.read_dataset(args.data, split="test" if has_split else None)
-    if tax.names != mdl.taxonomy.names:
-        raise DataValidationError("dataset taxonomy differs from the checkpoint's")
+    (seqs,), _, _ = data_mod.read_splits(args.data, ("test",), mdl.taxonomy)
     if args.hmm_smooth and mdl.transition is None:
         raise UsageError("--hmm-smooth needs a checkpoint with a transition matrix")
     results = model_mod.infer_dataset(mdl, seqs)
@@ -308,20 +289,15 @@ def _confidence(probs: np.ndarray) -> dict:
 def cmd_eval(args) -> int:
     if not os.path.isdir(args.pred):
         raise UsageError(f"no prediction directory at {args.pred}")
-    pred_files = sorted(f for f in os.listdir(args.pred) if f.endswith(".csv"))
-    if not pred_files:
+    ids = sorted(f[:-4] for f in os.listdir(args.pred) if f.endswith(".csv"))
+    if not ids:
         raise DataValidationError(f"no prediction csvs in {args.pred}")
+    seqs, taxonomy = data_mod.read_videos(args.data, ids)
     video_results = []
-    taxonomy = None
-    for fname in pred_files:
-        vid = fname[:-4]
-        seq, tax = data_mod.read_video_dir(os.path.join(args.data, vid))
-        if taxonomy is not None and tax.names != taxonomy.names:
-            raise DataValidationError(f"{vid}: taxonomy differs from other videos")
-        taxonomy = tax
+    for vid, seq in zip(ids, seqs):
         if seq.labels is None:
             raise DataValidationError(f"{vid}: dataset has no ground-truth labels")
-        path = os.path.join(args.pred, fname)
+        path = _prediction_path(args.pred, vid)
         pred, probs = read_prediction_csv(path)
         if probs.shape != (seq.n_frames, taxonomy.n_phases):
             raise DataValidationError(
@@ -377,20 +353,10 @@ def cmd_ablate(args) -> int:
     for flag, values in (("--seeds", seeds), ("--arms", arm_names)):
         if repeated := [v for i, v in enumerate(values) if v in values[:i]]:
             raise UsageError(f"{flag} lists {repeated[0]} more than once")
-    train_seqs, taxonomy = _load_split(args.data, "train")
-    val_seqs, _ = _load_split(args.data, "val", taxonomy)
-    test_seqs, _ = _load_split(args.data, "test", taxonomy)
+    (train_seqs, val_seqs, test_seqs), taxonomy, ambiguity_phases = data_mod.read_splits(
+        args.data, ("train", "val", "test"))
     if not test_seqs:
         raise DataValidationError("ablation needs a manifest with a test split")
-    groups = data_mod.read_manifest(args.data).get("ambiguity_groups", [])
-    n = taxonomy.n_phases
-    if not isinstance(groups, list) or not all(
-            isinstance(g, list) and all(type(p) is int and 0 <= p < n for p in g)
-            for g in groups):
-        raise DataValidationError(
-            f"{os.path.join(args.data, data_mod.MANIFEST_NAME)}: ambiguity_groups "
-            f"must be lists of phase ids in 0..{n - 1}, got {groups!r}")
-    ambiguity_phases = sorted({p for g in groups for p in g})
     with output_dir(args.out) as out:
         write_config_echo(out, base_config)
         results: dict[str, dict[str, dict]] = {}

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import os
 import threading
 import zlib
@@ -180,6 +181,17 @@ def read_text(path) -> str:
     except UnicodeDecodeError as e:
         line = raw.count(b"\n", 0, e.start) + 1
         raise DataValidationError(f"{path}: line {line}: not UTF-8 text") from None
+
+
+def read_json(path):
+    """The JSON document in an input file. A file that is unreadable, not
+    UTF-8, not JSON or nested too deeply for the parser raises
+    DataValidationError naming it."""
+    text = read_text(path)
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as e:
+        raise DataValidationError(f"{path}: {type(e).__name__}: {e}") from None
 
 
 # what a table reader reports when only parse_csv_rows rejects the rows

@@ -10,7 +10,14 @@ indistinguishable frame-by-frame and only workflow history can separate them.
 On-disk layout: one subdirectory per video holding features.bin (PHFT binary
 format), labels.csv and meta.json, plus an optional dataset manifest.json
 carrying the split and generator metadata. Real embeddings enter the package
-in this layout too: write them with write_dataset.
+in this layout too: write them with write_dataset. The commands read it only
+through `read_splits` and `read_videos`; all videos read share one taxonomy.
+
+Manifest rules: a JSON object whose `videos` list has one {"id", "split"}
+entry per video, the id a string naming its subdirectory and listed once,
+the split train, val or test; its optional `ambiguity_groups` are lists of
+phase ids of the taxonomy (phases that look alike frame by frame). Without a
+manifest every video is in the first split a command reads.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from .core import (
     PhaseTaxonomy,
     parse_csv_rows,
     read_bytes,
+    read_json,
     read_text,
     substream,
     validate_sequence,
@@ -176,9 +184,9 @@ class WorkflowGrammar:
 def load_grammar(path) -> WorkflowGrammar:
     """Read a grammar JSON file in the layout of `to_dict`; content that does
     not parse or make a valid grammar raises GrammarError naming the file."""
-    text = read_text(path)
+    d = read_json(path)
     try:
-        return WorkflowGrammar.from_dict(json.loads(text))
+        return WorkflowGrammar.from_dict(d)
     except (ValueError, LookupError, TypeError, AttributeError, ArithmeticError,
             DataValidationError) as e:
         raise GrammarError(f"grammar file {path}: {type(e).__name__}: {e}") from None
@@ -336,9 +344,8 @@ def write_video_dir(dirpath, seq: FeatureSequence, taxonomy: PhaseTaxonomy) -> N
 def read_video_dir(dirpath) -> tuple[FeatureSequence, PhaseTaxonomy]:
     """One video; a missing or malformed file raises DataValidationError naming it."""
     meta_path = os.path.join(dirpath, "meta.json")
-    text = read_text(meta_path)
+    meta = read_json(meta_path)
     try:
-        meta = json.loads(text)
         taxonomy = PhaseTaxonomy.from_dict(meta["taxonomy"])
         video_id, fps = str(meta["video_id"]), float(meta["fps"])
     except (ValueError, KeyError, TypeError, DataValidationError) as e:
@@ -407,53 +414,89 @@ def write_dataset(dirpath, sequences, taxonomy: PhaseTaxonomy,
 
 
 def read_manifest(dirpath) -> dict | None:
-    """The dataset's manifest, or None without one. A manifest that is not
-    JSON or lacks the `videos` list of {id, split} entries raises a
-    DataValidationError naming its path."""
+    """The dataset's manifest, or None without one. A manifest that breaks
+    a rule of the module doc that can be checked without the videos raises
+    a DataValidationError naming its path."""
+    if not os.path.isdir(dirpath):
+        raise DataValidationError(f"dataset directory not found: {dirpath}")
     path = os.path.join(dirpath, MANIFEST_NAME)
     if not os.path.exists(path):
         return None
-    try:
-        with open(path) as fh:
-            manifest = json.load(fh)
-    except (OSError, ValueError) as e:
-        raise DataValidationError(f"{path}: unreadable manifest: {e}") from None
+    manifest = read_json(path)
     videos = manifest.get("videos") if isinstance(manifest, dict) else None
     if not isinstance(videos, list) or not all(
-            isinstance(v, dict) and isinstance(v.get("id"), str) and "split" in v
+            isinstance(v, dict) and isinstance(v.get("id"), str) and v.get("split") in SPLITS
             for v in videos):
+        raise DataValidationError(f"{path}: manifest needs a 'videos' list of entries "
+                                  f"with an 'id' and a 'split' of {', '.join(SPLITS)}")
+    ids = [v["id"] for v in videos]
+    if repeated := [vid for i, vid in enumerate(ids) if vid in ids[:i]]:
+        raise DataValidationError(f"{path}: video id {repeated[0]!r} is listed twice")
+    groups = manifest.get("ambiguity_groups", [])
+    if not isinstance(groups, list) or not all(
+            isinstance(g, list) and all(type(p) is int and p >= 0 for p in g)
+            for g in groups):
         raise DataValidationError(
-            f"{path}: manifest needs a 'videos' list of entries with 'id' and 'split'")
+            f"{path}: ambiguity_groups must be lists of phase ids, got {groups!r}")
     return manifest
 
 
-def read_dataset(dirpath, split: str | None = None):
-    """Load all videos (or one manifest split) sorted by video id.
-
-    Returns (sequences, taxonomy).
-    """
-    if not os.path.isdir(dirpath):
-        raise DataValidationError(f"dataset directory not found: {dirpath}")
-    manifest = read_manifest(dirpath)
-    if split is not None:
-        if manifest is None:
-            raise DataValidationError(
-                f"{dirpath}: split '{split}' requested but there is no manifest")
-        ids = sorted(v["id"] for v in manifest["videos"] if v["split"] == split)
-    else:
-        ids = sorted(d for d in os.listdir(dirpath)
-                     if os.path.isdir(os.path.join(dirpath, d)))
-    if not ids:
-        raise DataValidationError(f"{dirpath}: no videos found")
+def read_videos(dirpath, ids, taxonomy: PhaseTaxonomy | None = None):
+    """The videos `ids` of the dataset at `dirpath`, in that order, and the
+    taxonomy they share (None without ids), which must be a model's
+    `taxonomy` when one is given. A video of another taxonomy raises
+    DataValidationError naming its directory. Returns (sequences, taxonomy)."""
     sequences = []
-    taxonomy = None
+    of = "the model's" if taxonomy else "other videos"
     for vid in ids:
-        seq, tax = read_video_dir(os.path.join(dirpath, vid))
-        if taxonomy is not None and tax.names != taxonomy.names:
-            raise DataValidationError(f"{vid}: taxonomy differs from other videos")
-        taxonomy = tax
+        seq, tax = read_video_dir(path := os.path.join(dirpath, vid))
+        taxonomy = taxonomy or tax
+        if tax.names != taxonomy.names:
+            raise DataValidationError(f"{path}: taxonomy differs from {of}")
         sequences.append(seq)
     return sequences, taxonomy
+
+
+def _video_ids(dirpath, manifest: dict | None, split: str | None) -> list[str]:
+    """Sorted ids of the videos of `split`; without a manifest, of every
+    subdirectory."""
+    if manifest is None:
+        return sorted(d for d in os.listdir(dirpath) if os.path.isdir(os.path.join(dirpath, d)))
+    return sorted(v["id"] for v in manifest["videos"] if v["split"] == split)
+
+
+def read_dataset(dirpath, split: str | None = None):
+    """All videos, or those of the manifest split `split`, sorted by video
+    id. Returns (sequences, taxonomy)."""
+    manifest = read_manifest(dirpath)
+    if split is not None and manifest is None:
+        raise DataValidationError(
+            f"{dirpath}: split '{split}' requested but there is no manifest")
+    ids = _video_ids(dirpath, manifest if split else None, split)
+    if not ids:
+        raise DataValidationError(f"{dirpath}: no videos found")
+    return read_videos(dirpath, ids)
+
+
+def read_splits(dirpath, splits: tuple[str, ...], taxonomy: PhaseTaxonomy | None = None):
+    """The videos of each split of `splits`, each list sorted by video id,
+    from one read of the manifest; their one taxonomy (`read_videos`); and
+    the sorted phase ids of the manifest's ambiguity groups. The first split
+    must hold a video, the others may be empty. Returns (lists, taxonomy,
+    phases)."""
+    manifest = read_manifest(dirpath)
+    ids = [_video_ids(dirpath, manifest, sp) if manifest or sp == splits[0] else []
+           for sp in splits]
+    if not ids[0]:
+        raise DataValidationError(f"{dirpath}: no {splits[0]} videos found")
+    seqs, taxonomy = read_videos(dirpath, [vid for part in ids for vid in part], taxonomy)
+    phases = sorted({p for g in (manifest or {}).get("ambiguity_groups", []) for p in g})
+    if phases and phases[-1] >= taxonomy.n_phases:
+        raise DataValidationError(
+            f"{os.path.join(dirpath, MANIFEST_NAME)}: ambiguity_groups name phase "
+            f"{phases[-1]}, outside the taxonomy's 0..{taxonomy.n_phases - 1}")
+    seqs = iter(seqs)
+    return [[next(seqs) for _ in part] for part in ids], taxonomy, phases
 
 
 def default_split(n_videos: int) -> list[str]:

@@ -37,20 +37,6 @@ TRANSITION_WINDOW_S = 10
 METRICS_SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
-class Segment:
-    """Maximal constant-label run; `end` is inclusive. Length in frames equals
-    seconds at 1 fps."""
-
-    phase: int
-    start: int
-    end: int
-
-    @property
-    def length(self) -> int:
-        return self.end - self.start + 1
-
-
 def _runs(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Start and inclusive end frame of each maximal constant-label run."""
     if labels.shape[0] == 0:
@@ -62,20 +48,6 @@ def _runs(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _rate(hits, total) -> float | None:
     """hits / total, or None when the scope has nothing to count."""
     return float(hits / total) if total else None
-
-
-def extract_segments(labels) -> list[Segment]:
-    labels = np.asarray(labels)
-    starts, ends = _runs(labels)
-    return [Segment(p, s, e) for p, s, e in
-            zip(labels[starts].tolist(), starts.tolist(), ends.tolist())]
-
-
-def transitions_of(labels) -> list[tuple[int, int]]:
-    """(frame, phase) pairs where the label changes into `phase`."""
-    labels = np.asarray(labels)
-    idx = np.flatnonzero(labels[1:] != labels[:-1]) + 1
-    return [(int(t), int(labels[t])) for t in idx]
 
 
 def _check_lengths(gt, pred):
@@ -101,8 +73,9 @@ def match_transitions(gt, pred, window: int = TRANSITION_WINDOW_S) -> dict:
     into the same phase within `window` seconds; each transition matches at
     most once. Returns raw counts."""
     gt, pred = _check_lengths(gt, pred)
-    gt_trans = transitions_of(gt)
-    pred_trans = transitions_of(pred)
+    # (frame, phase) where a transition starts a run: every run but the first
+    gt_trans, pred_trans = ([(t, int(labels[t])) for t in _runs(labels)[0][1:].tolist()]
+                            for labels in (gt, pred))
     pairs = []
     for i, (tg, pg) in enumerate(gt_trans):
         for j, (tp, pp) in enumerate(pred_trans):
@@ -282,14 +255,16 @@ def render_timeline_svg(path, gt, pred, probs, taxonomy: PhaseTaxonomy) -> None:
         f'prediction (bottom), {T} frames</text>',
     ]
     for y, labels, shaded in ((gap, gt, False), (row_h + 2 * gap, pred, True)):
-        for seg in extract_segments(labels):
-            opacity = (f'opacity="{float(peak[seg.start:seg.end + 1].mean()):.3f}" '
+        starts, ends = _runs(labels)
+        for phase, start, end in zip(labels[starts].tolist(), starts.tolist(),
+                                     ends.tolist()):
+            opacity = (f'opacity="{float(peak[start:end + 1].mean()):.3f}" '
                        if shaded else "")
             lines.append(
-                f'<rect x="{seg.start * sx:.2f}" y="{y}" '
-                f'width="{seg.length * sx:.2f}" height="{row_h}" {opacity}'
-                f'fill="{_phase_color(seg.phase, taxonomy.n_phases)}">'
-                f'<title>{taxonomy.names[seg.phase]}</title></rect>')
+                f'<rect x="{start * sx:.2f}" y="{y}" '
+                f'width="{(end - start + 1) * sx:.2f}" height="{row_h}" {opacity}'
+                f'fill="{_phase_color(phase, taxonomy.n_phases)}">'
+                f'<title>{taxonomy.names[phase]}</title></rect>')
     lines.append("</svg>")
     with open(path, "w") as fh:
         fh.write("\n".join(lines))

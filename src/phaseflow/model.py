@@ -109,12 +109,14 @@ class PhaseModel:
     def input_dim(self) -> int:
         return self.blocks[2].stop
 
-    def acausal_rows(self, pass1_probs: list[np.ndarray]) -> list[np.ndarray]:
+    def acausal_rows(self, pass1_probs: list[np.ndarray]) -> tuple[list[np.ndarray], int]:
         """The a block of every frame of each video: the acausal statistic
         rows of its pass-1 likelihoods, all videos in one call, each
-        written straight into an array of the model dtype."""
-        return ssm.acausal_feature_streams(self.new_extractor(), pass1_probs,
-                                           MODEL_DTYPE)
+        written straight into an array of the model dtype; and the HMM
+        underflows over the reversed streams."""
+        extractor = self.new_extractor()
+        rows = ssm.acausal_feature_streams(extractor, pass1_probs, MODEL_DTYPE)
+        return rows, extractor.underflow_count
 
     def zero_state(self, batch: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Zero LSTM state (h, c), `batch` rows or none, in the dtype of the
@@ -397,9 +399,9 @@ def _offline_probs(model: PhaseModel, seqs: list[FeatureSequence]):
     pass1, underflows = _lockstep_probs(model, seqs)
     if not model.config.acausal:
         return pass1, pass1, None, underflows
-    rows = model.acausal_rows(pass1)
+    rows, resets = model.acausal_rows(pass1)
     probs, more = _lockstep_probs(model, seqs, rows)
-    return probs, pass1, rows, underflows + more
+    return probs, pass1, rows, underflows + resets + more
 
 
 def infer_dataset(model: PhaseModel, seqs) -> dict[str, InferenceResult]:

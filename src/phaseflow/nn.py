@@ -380,7 +380,7 @@ def load_checkpoint(path) -> tuple[dict, dict]:
             shape = [u32() for _ in range(u32())]
             params[name] = np.frombuffer(take(4 * math.prod(shape)),
                                          dtype="<f4").reshape(shape).copy()
-    except ValueError as e:
+    except (ValueError, RecursionError) as e:
         raise DataValidationError(f"malformed checkpoint {path}: {e}") from None
     if off != len(data):
         raise DataValidationError(f"trailing bytes in checkpoint file: {path}")

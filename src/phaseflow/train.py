@@ -268,7 +268,8 @@ def _refresh_caches(run: TrainRun, train_seqs: list[FeatureSequence]) -> None:
         run.prox_cache.update(zip(ids, probs))
     elif model.config.acausal:
         pass1, underflows = _lockstep_probs(model, train_seqs)
-        rows = model.acausal_rows(pass1)
+        rows, resets = model.acausal_rows(pass1)
+        underflows += resets
     else:
         return
     if rows is not None:

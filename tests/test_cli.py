@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from phaseflow import data as data_mod
 from phaseflow import eval as eval_mod
 from phaseflow import nn
 from phaseflow.cli import (
@@ -190,6 +191,20 @@ class TestTrain:
         assert main(["train", "--data", str(tmp_path / "missing"),
                      "--config", str(workspace["config"]),
                      "--out", str(tmp_path / "out")]) == 3
+
+
+@pytest.mark.parametrize("cmd", ["train", "infer", "ablate"])
+def test_each_command_reads_the_manifest_once(workspace, tmp_path, monkeypatch, cmd):
+    reads = []
+    real_read_json = data_mod.read_json
+    monkeypatch.setattr(data_mod, "read_json",
+                        lambda path: reads.append(path) or real_read_json(path))
+    config = ["--config", str(workspace["config"])]
+    source = {"train": config, "infer": ["--ckpt", str(workspace["ckpt"] / "best.ckpt")],
+              "ablate": config + ["--seeds", "1", "--arms", "baseline"]}[cmd]
+    assert main([cmd, "--data", str(workspace["data"]), "--out", str(tmp_path / "out")]
+                + source) == 0
+    assert [os.path.basename(p) for p in reads].count("manifest.json") == 1
 
 
 class TestInfer:
@@ -462,23 +477,85 @@ class TestTypedErrors:
         assert main(["train", "--data", str(data), "--out", str(tmp_path / "c")]) == 3
         assert str(bad) in capsys.readouterr().err
 
-    @pytest.mark.parametrize("cmd", [["train"], ["ablate", "--seeds", "1", "--arms",
-                                                 "baseline"]], ids=["train", "ablate"])
+    @pytest.mark.parametrize("cmd, split, other", [
+        (["train"], "val", "other videos"),
+        (["ablate", "--seeds", "1", "--arms", "baseline"], "val", "other videos"),
+        (["infer"], "test", "the model's"),
+    ], ids=["train", "ablate", "infer"])
     def test_split_with_another_taxonomy_is_data_error(self, workspace, tmp_path,
-                                                       capsys, cmd):
-        # each split is read on its own; validation must not score the model
-        # against phases of another name
+                                                       capsys, cmd, split, other):
+        # a model must not be scored against, or run on, phases of another name
         data = shutil.copytree(workspace["data"], tmp_path / "data")
-        for v in json.loads((data / "manifest.json").read_text())["videos"]:
-            if v["split"] == "val":
-                meta = json.loads((data / v["id"] / "meta.json").read_text())
-                meta["taxonomy"]["0"] = "renamed"
-                (data / v["id"] / "meta.json").write_text(json.dumps(meta))
-        assert main(cmd + ["--data", str(data), "--config", str(workspace["config"]),
-                           "--out", str(tmp_path / "out")]) == 3
-        assert f"{data}: the val split's taxonomy differs from the train split's" in \
-            capsys.readouterr().err
+        ids = sorted(v["id"] for v in json.loads((data / "manifest.json").read_text())
+                     ["videos"] if v["split"] == split)
+        for vid in ids:
+            meta = json.loads((data / vid / "meta.json").read_text())
+            meta["taxonomy"]["0"] = "renamed"
+            (data / vid / "meta.json").write_text(json.dumps(meta))
+        source = (["--ckpt", str(workspace["ckpt"] / "best.ckpt")] if cmd == ["infer"]
+                  else ["--config", str(workspace["config"])])
+        assert main(cmd + source + ["--data", str(data),
+                                    "--out", str(tmp_path / "out")]) == 3
+        assert f"{data / ids[0]}: taxonomy differs from {other}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("target, code", [
+        ("config", 2), ("manifest.json", 3), ("meta.json", 3), ("grammar", 3),
+        ("checkpoint header", 3)])
+    def test_deeply_nested_json_is_a_typed_error(self, workspace, tmp_path, capsys,
+                                                 target, code):
+        # 100000 nested arrays exceed the JSON parser's recursion limit
+        deep = "[" * 100_000
+        data = shutil.copytree(workspace["data"], tmp_path / "data")
+        out = tmp_path / "out"
+        train = ["train", "--data", str(data), "--out", str(out)]
+        if target == "config":
+            bad = tmp_path / "run.json"
+            argv = train + ["--config", str(bad)]
+        elif target == "grammar":
+            bad = tmp_path / "grammar.json"
+            argv = ["synth", "--grammar", str(bad), "--videos", "2", "--seed", "1",
+                    "--out", str(out)]
+        elif target == "checkpoint header":
+            bad = tmp_path / "best.ckpt"
+            bad.write_bytes(with_header((workspace["ckpt"] / "best.ckpt").read_bytes(),
+                                        deep.encode()))
+            argv = ["infer", "--ckpt", str(bad), "--data", str(data), "--out", str(out)]
+        else:
+            bad = data / "manifest.json" if target == "manifest.json" else \
+                data / "video_000" / "meta.json"
+            argv = train
+        if target != "checkpoint header":
+            bad.write_text(deep)
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert str(bad) in err and "maximum recursion depth exceeded" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fault, named", [
+        ("split", "manifest needs a 'videos' list of entries with an 'id' and a "
+                  "'split' of train, val, test"),
+        ("repeated id", "video id 'video_001' is listed twice"),
+    ], ids=["split", "repeated-id"])
+    def test_manifest_entry_faults_are_data_errors(self, workspace, tmp_path, capsys,
+                                                   fault, named):
+        # a misspelt split would drop its video from every split, and a
+        # repeated id would read one video into training twice
+        data = shutil.copytree(workspace["data"], tmp_path / "data")
+        path = data / "manifest.json"
+        manifest = json.loads(path.read_text())
+        if fault == "split":
+            manifest["videos"][0]["split"] = "tarin"
+        else:
+            manifest["videos"].append({"id": "video_001", "split": "train"})
+        path.write_text(json.dumps(manifest))
+        config = ["--config", str(workspace["config"])]
+        for cmd in (["train"] + config,
+                    ["infer", "--ckpt", str(workspace["ckpt"] / "best.ckpt")],
+                    ["ablate", "--seeds", "1", "--arms", "baseline"] + config):
+            assert main(cmd + ["--data", str(data), "--out", str(tmp_path / "out")]) == 3
+            assert f"{path}: {named}" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("text", ["{bad", "{}", pytest.param(json.dumps(
         {**tiny_grammar_dict(), "occurrences": {"-1": [2, 3], "99": [0, 0]}}),
@@ -539,10 +616,13 @@ class TestTypedErrors:
         assert "video_0" in err
         assert "6-d embeddings, but config embed_dim is 4" in err
 
-    @pytest.mark.parametrize("groups", [[[99]], "ab", [[-1, 0]]],
-                             ids=["out-of-range", "not-a-list", "negative"])
+    @pytest.mark.parametrize("groups, named", [
+        ([[99]], "ambiguity_groups name phase 99, outside the taxonomy's 0..2"),
+        ("ab", "ambiguity_groups must be lists of phase ids, got 'ab'"),
+        ([[-1, 0]], "ambiguity_groups must be lists of phase ids, got [[-1, 0]]"),
+    ], ids=["out-of-range", "not-a-list", "negative"])
     def test_ablate_bad_ambiguity_groups_is_data_error(self, workspace, tmp_path,
-                                                       capsys, groups):
+                                                       capsys, groups, named):
         data = shutil.copytree(workspace["data"], tmp_path / "data")
         path = data / "manifest.json"
         path.write_text(json.dumps({**json.loads(path.read_text()),
@@ -552,7 +632,7 @@ class TestTypedErrors:
                      "--out", str(tmp_path / "a")]) == 3
         err = capsys.readouterr().err
         assert str(path) in err
-        assert "ambiguity_groups must be lists of phase ids in 0..2" in err
+        assert named in err
         assert not (tmp_path / "a" / "baseline_seed1").exists()
 
     def test_bad_config_value_is_usage_error(self, workspace, tmp_path, capsys):
@@ -578,7 +658,7 @@ class TestTypedErrors:
                                "--out", str(tmp_path / "c")]) == 2
             err = capsys.readouterr().err
             assert err.startswith(f"error: config file {cfg}: ") and named in err
-            assert "Traceback" not in err
+            assert err.count(str(cfg)) == 1 and "Traceback" not in err
             assert not (tmp_path / "c").exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

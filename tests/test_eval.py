@@ -8,11 +8,10 @@ from phaseflow.core import DataValidationError, PhaseTaxonomy
 from phaseflow.eval import (
     DURATION_BUCKETS,
     MetricsReport,
-    Segment,
+    _runs,
     accuracy_vs_length_rows,
     aggregate_reports,
     compute_report,
-    extract_segments,
     match_transitions,
     render_report,
 )
@@ -118,31 +117,36 @@ def random_label_pair(rng, n_phases=5, t_max=120, max_run=19):
 # ---------------------------------------------------------------------------
 
 
-class TestExtractSegments:
+def run_lengths(labels):
+    starts, ends = _runs(np.asarray(labels))
+    return ends - starts + 1
+
+
+class TestRuns:
     def test_run_length(self):
-        segs = extract_segments([0, 0, 1, 1, 1])
-        assert segs == [Segment(0, 0, 1), Segment(1, 2, 4)]
+        starts, ends = _runs(np.array([0, 0, 1, 1, 1]))
+        assert starts.tolist() == [0, 2] and ends.tolist() == [1, 4]
 
     def test_constant(self):
-        assert extract_segments([3] * 7) == [Segment(3, 0, 6)]
+        starts, ends = _runs(np.array([3] * 7))
+        assert starts.tolist() == [0] and ends.tolist() == [6]
 
     def test_alternating(self):
-        segs = extract_segments([0, 1, 0, 1])
-        assert len(segs) == 4
-        assert all(s.length == 1 for s in segs)
+        assert run_lengths([0, 1, 0, 1]).tolist() == [1, 1, 1, 1]
 
     def test_empty_rejected(self):
         with pytest.raises(DataValidationError):
-            extract_segments([])
+            _runs(np.array([]))
 
-    def test_segments_partition_frames(self):
+    def test_runs_partition_frames(self):
         rng = np.random.default_rng(0)
         labels, _ = random_label_pair(rng)
-        segs = extract_segments(labels)
-        assert segs[0].start == 0 and segs[-1].end == len(labels) - 1
-        for a, b in zip(segs, segs[1:]):
-            assert b.start == a.end + 1
-            assert a.phase != b.phase
+        starts, ends = _runs(labels)
+        assert starts[0] == 0 and ends[-1] == len(labels) - 1
+        assert (starts[1:] == ends[:-1] + 1).all()
+        assert (labels[starts[1:]] != labels[starts[:-1]]).all()
+        assert (labels[starts] == labels[ends]).all()
+        assert all(len(set(labels[s:e + 1].tolist())) == 1 for s, e in zip(starts, ends))
 
 
 class TestFrameMetrics:
@@ -307,8 +311,7 @@ class TestOracleSweep:
             assert [(r["bin_lo"], r["bin_hi"], r["n_frames"], r["accuracy"])
                     for r in rows] == naive_curve(pairs)
             assert sum(r["n_frames"] for r in rows) == sum(len(g) for g, _ in pairs)
-            longest_by_case.add(max(s.length for g, _ in pairs
-                                    for s in extract_segments(g)))
+            longest_by_case.add(int(max(run_lengths(g).max() for g, _ in pairs)))
         assert longest_by_case & {1, 2, 3, 4, 5}
 
     def test_curve_longest_segment_counted_once(self):
@@ -375,7 +378,7 @@ class TestRenderReport:
         render_report(tmp_path, aggregate_reports([report], 3), [vr], tax)
         svg = (tmp_path / "timelines" / "v0.svg").read_text()
         n_rects = svg.count("<rect")
-        assert n_rects == len(extract_segments(gt)) + len(extract_segments(pred))
+        assert n_rects == len(_runs(gt)[0]) + len(_runs(pred)[0])
 
     def test_svg_draws_the_scored_labels_not_the_argmax(self, tmp_path):
         # labels smoothed after inference (infer --hmm-smooth) need not be the

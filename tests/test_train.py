@@ -232,7 +232,7 @@ class TestTrainingForwardEqualsInference:
         # the a block's weights are drawn like the others, so pass 2 differs
         ref = infer_video_acausal(model, seq)
         assert np.array_equal(train_probs, ref.pass1_probs)
-        pass2 = training_forward_probs(model, seq, model.acausal_rows([train_probs])[0])
+        pass2 = training_forward_probs(model, seq, model.acausal_rows([train_probs])[0][0])
         assert np.array_equal(pass2, ref.probs)
         assert not np.array_equal(ref.probs, ref.pass1_probs)
 
@@ -396,6 +396,28 @@ class TestCacheSchedule:
                [clean[0].hmm_underflows + startup, clean[1].hmm_underflows]
         assert (curve[0].refresh_s >= 0.05) == acausal
         assert curve[1].refresh_s < 0.05
+
+    @pytest.mark.parametrize("epoch", [0, 1], ids=["startup", "refresh"])
+    def test_underflows_count_the_acausal_filter_over_pass_1(self, epoch, monkeypatch):
+        # every 4th pass-1 row is all zeros, and the forward passes report no
+        # underflows: each reset of the HMM filter over the reversed pass-1
+        # streams, one per zero row, must still reach the count
+        train, _ = toy_dataset(n_train=3, n_val=0)
+        run = new_run(toy_config(enabled_ssm_features=("hmm",), acausal=True), train)
+        run.epoch = epoch
+        real_lockstep = model_mod._lockstep_probs
+
+        def zeroed_pass1(model, seqs, acausal=None):
+            probs, _ = real_lockstep(model, seqs, acausal)
+            if acausal is None:
+                for p in probs:
+                    p[::4] = 0.0
+            return probs, 0
+
+        monkeypatch.setattr(model_mod, "_lockstep_probs", zeroed_pass1)
+        monkeypatch.setattr(train_mod, "_lockstep_probs", zeroed_pass1)
+        train_mod._refresh_caches(run, train)
+        assert run.hmm_underflows == sum(len(range(0, s.n_frames, 4)) for s in train) > 0
 
     @pytest.mark.parametrize("acausal", [False, True], ids=["causal", "acausal"])
     def test_stat_ranges_cover_the_real_frames_of_the_training_inputs(
