@@ -8,8 +8,8 @@
 
 What each command writes into its --out directory:
 
-    synth   manifest.json; per video a directory of features.bin,
-            labels.csv and meta.json
+    synth   manifest.json; per video a directory <video_id>/ holding
+            features.bin, labels.csv and meta.json
     train   config.json, training_log.jsonl, epoch_NNN.ckpt per epoch and
             best.ckpt; a checkpoint is one file, the transition matrix
             included
@@ -145,7 +145,6 @@ def cmd_synth(args) -> int:
             "schema_version": 1,
             "grammar": grammar.name,
             "seed": args.seed,
-            "taxonomy": grammar.taxonomy.to_dict(),
             "ambiguity_groups": [list(g) for g in grammar.ambiguity_groups],
             "videos": [{"id": s.video_id, "split": sp}
                        for s, sp in zip(seqs, splits)],

@@ -113,7 +113,6 @@ class FeatureSequence:
     fps: float
     features: np.ndarray
     labels: np.ndarray | None = None
-    source_seed: int | None = None
 
     @property
     def n_frames(self) -> int:

@@ -7,17 +7,20 @@ log-normal per-phase durations at 1 fps, Gaussian per-phase embeddings.
 Phases in an ambiguity group share the exact same emission mean, so they are
 indistinguishable frame-by-frame and only workflow history can separate them.
 
-On-disk layout: one subdirectory per video holding features.bin (PHFT binary
-format), labels.csv and meta.json, plus an optional dataset manifest.json
-carrying the split and generator metadata. Real embeddings enter the package
+On-disk layout: one subdirectory per video, named by the video's id, holding
+features.bin (PHFT binary format), labels.csv and meta.json (the fps and the
+taxonomy), plus an optional manifest.json. Real embeddings enter the package
 in this layout too: write them with write_dataset. The commands read it only
 through `read_splits` and `read_videos`; all videos read share one taxonomy.
 
 Manifest rules: a JSON object whose `videos` list has one {"id", "split"}
-entry per video, the id a string naming its subdirectory and listed once,
-the split train, val or test; its optional `ambiguity_groups` are lists of
-phase ids of the taxonomy (phases that look alike frame by frame). Without a
-manifest every video is in the first split a command reads.
+entry per video, the id one path component (not empty, `.` or `..`, without
+`/`, NUL or a lone surrogate) listed once, the split train, val or test; its
+optional `ambiguity_groups` are lists of phase ids of the taxonomy (phases
+that look alike frame by frame). Without a manifest every video is in the
+first split a command reads. Other keys (synth's `schema_version`, `grammar`
+and `seed`; an older manifest's `taxonomy` and meta.json's `generator_seed`)
+are not read, but an older meta.json's `video_id` must name its directory.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import csv
 import io
 import json
 import os
+import re
 import struct
 from dataclasses import dataclass, field
 
@@ -138,10 +142,6 @@ class WorkflowGrammar:
                         f"ambiguity group {group}: phases {lead} and {p} must share "
                         f"an identical emission mean")
 
-    @property
-    def embed_dim(self) -> int:
-        return self.emission_means.shape[1]
-
     def occurrence_range(self, phase: int) -> tuple[int, int]:
         return self.occurrences.get(phase, (1, 1))
 
@@ -220,7 +220,7 @@ def sample_phase_order(grammar: WorkflowGrammar, rng: np.random.Generator) -> li
 
 
 def generate_video(grammar: WorkflowGrammar, rng: np.random.Generator,
-                   video_id: str = "synthetic", seed: int | None = None) -> FeatureSequence:
+                   video_id: str = "synthetic") -> FeatureSequence:
     """Sample one video: phase order, per-segment durations, then per-frame
     embeddings mean(phase) + isotropic Gaussian noise."""
     order = sample_phase_order(grammar, rng)
@@ -234,8 +234,7 @@ def generate_video(grammar: WorkflowGrammar, rng: np.random.Generator,
     if grammar.emission_noise > 0:
         feats = feats + grammar.emission_noise * rng.standard_normal(feats.shape)
     seq = FeatureSequence(video_id=video_id, fps=1.0,
-                          features=feats.astype(np.float32), labels=labels,
-                          source_seed=seed)
+                          features=feats.astype(np.float32), labels=labels)
     return validate_sequence(seq, grammar.taxonomy)
 
 
@@ -244,8 +243,7 @@ def generate_dataset(grammar: WorkflowGrammar, n_videos: int, seed: int,
     """Reproducible from (grammar, seed): video i draws from the generator
     sub-stream for index i."""
     return [
-        generate_video(grammar, substream(seed, "generator", i),
-                       video_id=f"{id_prefix}_{i:03d}", seed=seed)
+        generate_video(grammar, substream(seed, "generator", i), f"{id_prefix}_{i:03d}")
         for i in range(n_videos)
     ]
 
@@ -330,9 +328,7 @@ def read_features_bin(path) -> np.ndarray:
 def write_video_dir(dirpath, seq: FeatureSequence, taxonomy: PhaseTaxonomy) -> None:
     os.makedirs(dirpath, exist_ok=True)
     write_features_bin(os.path.join(dirpath, "features.bin"), seq.features)
-    meta = {"video_id": seq.video_id, "fps": seq.fps, "taxonomy": taxonomy.to_dict()}
-    if seq.source_seed is not None:
-        meta["generator_seed"] = seq.source_seed
+    meta = {"fps": seq.fps, "taxonomy": taxonomy.to_dict()}
     with open(os.path.join(dirpath, "meta.json"), "w") as fh:
         json.dump(meta, fh, indent=1, sort_keys=True)
     if seq.labels is not None:
@@ -342,12 +338,15 @@ def write_video_dir(dirpath, seq: FeatureSequence, taxonomy: PhaseTaxonomy) -> N
 
 
 def read_video_dir(dirpath) -> tuple[FeatureSequence, PhaseTaxonomy]:
-    """One video; a missing or malformed file raises DataValidationError naming it."""
+    """One video, its id the directory's name; a missing or malformed file
+    raises DataValidationError naming it."""
     meta_path = os.path.join(dirpath, "meta.json")
     meta = read_json(meta_path)
     try:
         taxonomy = PhaseTaxonomy.from_dict(meta["taxonomy"])
-        video_id, fps = str(meta["video_id"]), float(meta["fps"])
+        video_id, fps = os.path.basename(os.path.normpath(dirpath)), float(meta["fps"])
+        if meta.get("video_id", video_id) != video_id:
+            raise ValueError(f"video_id {meta['video_id']!r} is not the directory's name")
     except (ValueError, KeyError, TypeError, DataValidationError) as e:
         raise DataValidationError(f"{meta_path}: {type(e).__name__}: {e}") from None
     features = read_features_bin(os.path.join(dirpath, "features.bin"))
@@ -355,8 +354,7 @@ def read_video_dir(dirpath) -> tuple[FeatureSequence, PhaseTaxonomy]:
     labels_path = os.path.join(dirpath, "labels.csv")
     if os.path.exists(labels_path):
         labels = _read_labels_csv(labels_path, features.shape[0])
-    seq = FeatureSequence(video_id=video_id, fps=fps, features=features, labels=labels,
-                          source_seed=meta.get("generator_seed"))
+    seq = FeatureSequence(video_id=video_id, fps=fps, features=features, labels=labels)
     return validate_sequence(seq, taxonomy), taxonomy
 
 
@@ -430,6 +428,8 @@ def read_manifest(dirpath) -> dict | None:
         raise DataValidationError(f"{path}: manifest needs a 'videos' list of entries "
                                   f"with an 'id' and a 'split' of {', '.join(SPLITS)}")
     ids = [v["id"] for v in videos]
+    if bad := [v for v in ids if not re.fullmatch(r"(?!\.\.?\Z)[^/\0\ud800-\udfff]+", v)]:
+        raise DataValidationError(f"{path}: video id {bad[0]!r} is not one path component")
     if repeated := [vid for i, vid in enumerate(ids) if vid in ids[:i]]:
         raise DataValidationError(f"{path}: video id {repeated[0]!r} is listed twice")
     groups = manifest.get("ambiguity_groups", [])

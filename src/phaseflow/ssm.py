@@ -268,19 +268,25 @@ class GaborAccumulator(_Aggregator):
 
 @dataclass(frozen=True)
 class TransitionMatrix:
-    """Row-stochastic phase transition matrix."""
+    """Row-stochastic phase transition matrix, held as given: entries finite and
+    positive, each row summing to 1 within 1e-9 (`from_weights` normalises)."""
 
     a: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=np.float64)
+        a = np.array(self.a, dtype=np.float64)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DataValidationError(f"transition matrix must be square, got {a.shape}")
         if not (np.isfinite(a) & (a > 0)).all():
             raise DataValidationError("transition matrix entries must be finite and positive")
-        a = a / a.sum(axis=1, keepdims=True)
+        if (np.abs(a.sum(axis=1) - 1.0) > 1e-9).any():
+            raise DataValidationError("transition matrix rows must sum to 1 within 1e-9")
         a.setflags(write=False)
         object.__setattr__(self, "a", a)
+
+    @classmethod
+    def from_weights(cls, w: np.ndarray) -> "TransitionMatrix":
+        return cls(w / w.sum(axis=1, keepdims=True))
 
     @property
     def n_phases(self) -> int:
@@ -288,7 +294,7 @@ class TransitionMatrix:
 
     @classmethod
     def uniform(cls, n_phases: int) -> "TransitionMatrix":
-        return cls(np.full((n_phases, n_phases), 1.0 / n_phases))
+        return cls.from_weights(np.full((n_phases, n_phases), 1.0 / n_phases))
 
 
 def estimate_transition_matrix(label_sequences, n_phases: int,
@@ -309,8 +315,7 @@ def estimate_transition_matrix(label_sequences, n_phases: int,
         if (seq < 0).any() or (seq >= n_phases).any():
             raise DataValidationError("label out of range in transition estimation")
         np.add.at(counts, (seq[:-1], seq[1:]), 1)
-    a = counts.astype(np.float64) + smoothing
-    return TransitionMatrix(a)
+    return TransitionMatrix.from_weights(counts.astype(np.float64) + smoothing)
 
 
 class HmmFilterState(_Aggregator):

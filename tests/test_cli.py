@@ -499,6 +499,19 @@ class TestTypedErrors:
         assert f"{data / ids[0]}: taxonomy differs from {other}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_meta_json_naming_another_video_is_data_error(self, workspace, tmp_path,
+                                                          capsys):
+        # an older meta.json holds the video's id; one that names another
+        # video would make infer write both videos' predictions to one file
+        data = shutil.copytree(workspace["data"], tmp_path / "data")
+        bad = data / "video_009" / "meta.json"
+        bad.write_text(json.dumps({**json.loads(bad.read_text()), "video_id": "video_008"}))
+        assert main(["infer", "--ckpt", str(workspace["ckpt"] / "best.ckpt"),
+                     "--data", str(data), "--out", str(tmp_path / "out")]) == 3
+        assert (f"{bad}: ValueError: video_id 'video_008' is not the directory's name"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("target, code", [
         ("config", 2), ("manifest.json", 3), ("meta.json", 3), ("grammar", 3),
         ("checkpoint header", 3)])
@@ -536,18 +549,29 @@ class TestTypedErrors:
         ("split", "manifest needs a 'videos' list of entries with an 'id' and a "
                   "'split' of train, val, test"),
         ("repeated id", "video id 'video_001' is listed twice"),
-    ], ids=["split", "repeated-id"])
+        ("outside", "video id '../other/video_004' is not one path component"),
+        ("nul", "video id 'video_000\\x00' is not one path component"),
+    ], ids=["split", "repeated-id", "outside", "nul"])
     def test_manifest_entry_faults_are_data_errors(self, workspace, tmp_path, capsys,
                                                    fault, named):
-        # a misspelt split would drop its video from every split, and a
-        # repeated id would read one video into training twice
+        # a misspelt split would drop its video from every split, a repeated
+        # id would read one video into training twice, and an id that is not
+        # a directory name would read a video from outside the dataset or
+        # fail in the file system
         data = shutil.copytree(workspace["data"], tmp_path / "data")
         path = data / "manifest.json"
         manifest = json.loads(path.read_text())
         if fault == "split":
             manifest["videos"][0]["split"] = "tarin"
-        else:
+        elif fault == "repeated id":
             manifest["videos"].append({"id": "video_001", "split": "train"})
+        elif fault == "outside":
+            (tmp_path / "other").mkdir()
+            (data / "video_004").rename(tmp_path / "other" / "video_004")
+            entry = next(v for v in manifest["videos"] if v["id"] == "video_004")
+            entry["id"] = "../other/video_004"
+        else:
+            manifest["videos"][0]["id"] = "video_000\0"
         path.write_text(json.dumps(manifest))
         config = ["--config", str(workspace["config"])]
         for cmd in (["train"] + config,

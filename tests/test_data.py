@@ -235,6 +235,35 @@ class TestDatasetIO:
             assert np.array_equal(a.features, b.features)
             assert np.array_equal(a.labels, b.labels)
 
+    def test_meta_json_holds_the_fps_and_taxonomy_only(self, tmp_path):
+        # the id is the directory's name: meta.json does not repeat it
+        seq = generate_video(tiny_grammar(), substream(0, "generator", 0), video_id="v")
+        write_video_dir(tmp_path / "v", seq, TAX3)
+        assert json.loads((tmp_path / "v" / "meta.json").read_text()) == {
+            "fps": 1.0, "taxonomy": TAX3.to_dict()}
+        (tmp_path / "v").rename(tmp_path / "w")
+        assert read_video_dir(tmp_path / "w")[0].video_id == "w"
+
+    def test_older_dataset_reads_unchanged(self, tmp_path):
+        # older datasets hold a meta.json video_id and generator_seed and a
+        # manifest taxonomy: readers ignore them while the id matches
+        seqs = generate_dataset(tiny_grammar(), 3, seed=5)
+        manifest = {"videos": [{"id": s.video_id, "split": "train"} for s in seqs]}
+        write_dataset(tmp_path / "new", seqs, TAX3, manifest)
+        write_dataset(tmp_path / "old", seqs, TAX3, {**manifest, "taxonomy": TAX3.to_dict()})
+        for s in seqs:
+            path = tmp_path / "old" / s.video_id / "meta.json"
+            meta = json.loads(path.read_text())
+            path.write_text(json.dumps({**meta, "video_id": s.video_id, "generator_seed": 5}))
+        (old, old_tax), (new, new_tax) = (read_dataset(tmp_path / d, split="train")
+                                          for d in ("old", "new"))
+        assert old_tax == new_tax == TAX3
+        assert [s.video_id for s in old] == [s.video_id for s in new]
+        for a, b in zip(old, new):
+            assert a.fps == b.fps
+            assert np.array_equal(a.features, b.features)
+            assert np.array_equal(a.labels, b.labels)
+
     def test_label_out_of_taxonomy_names_frame(self, tmp_path):
         g = tiny_grammar()
         seq = generate_video(g, substream(0, "generator", 0), video_id="v")

@@ -12,7 +12,7 @@ import shutil
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from phaseflow import cli, data, model, nn
 from phaseflow.core import (DataValidationError, ExperimentConfig, PhaseflowError,
@@ -66,8 +66,8 @@ def files(tmp_path_factory):
     data.write_dataset(ds, seqs, grammar.taxonomy, manifest)
     video = ds / seqs[0].video_id
     cfg = ExperimentConfig(hidden_dim=3, embed_dim=4, enabled_ssm_features=("csl", "hmm"))
-    mdl = model.init_model(cfg, grammar.taxonomy, transition=TransitionMatrix(
-        np.array([[8.0, 1, 1], [1, 8, 1], [1, 1, 8]])))
+    tm = TransitionMatrix.from_weights(np.array([[8.0, 1, 1], [1, 8, 1], [1, 1, 8]]))
+    mdl = model.init_model(cfg, grammar.taxonomy, transition=tm)
     ckdir = root / "ckpt"
     ckdir.mkdir()
     model.save_model(mdl, ckdir / "best.ckpt")
@@ -160,3 +160,55 @@ def test_header_transition_loads_or_raises_a_data_error(files, value):
         assert str(path) in str(e) and "transition" in str(e)
     else:
         assert loaded.transition.a.shape == (3, 3)
+
+
+# manifest ids: short text of any characters, and ids that are not one path
+# component or that the file system cannot name
+IDS = st.text(max_size=12) | st.sampled_from(
+    ["", ".", "..", "/", "\0", "../video_000", "./video_000", "video_000/",
+     "video_000\0", "a/b", "\ud800", "video_\udc80"])
+
+
+def is_directory_name(vid: str) -> bool:
+    """One path component the file system can name: not empty, . or .., and
+    without a separator, NUL or a lone surrogate."""
+    return (vid not in ("", ".", "..") and "/" not in vid and "\0" not in vid
+            and not any(0xD800 <= ord(c) <= 0xDFFF for c in vid))
+
+
+@pytest.fixture(scope="module")
+def id_dataset(tmp_path_factory):
+    """A video to move into the dataset under any name, its features, and
+    the dataset directory; outside it the video is where ../video_000 reaches."""
+    root = tmp_path_factory.mktemp("ids")
+    seqs = data.generate_dataset(tiny_grammar(), 1, seed=2)
+    data.write_dataset(root, seqs, tiny_grammar().taxonomy)
+    (root / "ds").mkdir()
+    return root / "video_000", seqs[0].features, root / "ds"
+
+
+@settings(max_examples=100)
+@given(vid=IDS)
+@example(vid="video_000")
+@example(vid="../video_000")
+@example(vid="video_000\0")
+@example(vid="\ud800")
+def test_manifest_id_reads_its_video_or_is_a_manifest_error(id_dataset, vid):
+    """An id reads the video of that name inside the dataset, or the manifest
+    is refused with a DataValidationError (exit 3) naming manifest.json."""
+    video, features, ds = id_dataset
+    assume(vid != "manifest.json")
+    manifest = ds / "manifest.json"
+    manifest.write_text(json.dumps({"videos": [{"id": vid, "split": "train"}]}))
+    named = is_directory_name(vid)
+    if named:
+        video.rename(ds / vid)
+    try:
+        ([seq],), _, _ = data.read_splits(ds, ("train",))
+    except DataValidationError as e:
+        assert not named and str(manifest) in str(e)
+    else:
+        assert named and seq.video_id == vid and np.array_equal(seq.features, features)
+    finally:
+        if named:
+            (ds / vid).rename(video)

@@ -32,7 +32,8 @@ def build_model(kinds, acausal, dtype, n_phases=3, levels=LEVELS[0], scale_max=4
                            acausal=acausal, csl_levels=levels, gabor_num_scales=3,
                            gabor_scale_min=2.0, gabor_scale_max=scale_max, rng_seed=seed)
     rng = np.random.default_rng(seed)
-    tm = TransitionMatrix(rng.random((n_phases, n_phases)) + np.eye(n_phases) * 3.0)
+    tm = TransitionMatrix.from_weights(
+        rng.random((n_phases, n_phases)) + np.eye(n_phases) * 3.0)
     mdl = init_model(cfg, PhaseTaxonomy(tuple(f"p{i}" for i in range(n_phases))),
                      transition=tm)
     # weights on every input column, so the statistics steer the outputs
@@ -128,7 +129,7 @@ def underflow_model(dtype=np.float32):
     smallest positive float, so a frame whose phases the belief holds at 0
     takes the filter's normaliser to exactly 0."""
     tiny = np.nextafter(0.0, 1.0)
-    tm = TransitionMatrix(np.full((3, 3), tiny) + np.eye(3))
+    tm = TransitionMatrix.from_weights(np.full((3, 3), tiny) + np.eye(3))
     cfg = ExperimentConfig(hidden_dim=1, embed_dim=1, enabled_ssm_features=("hmm",))
     mdl = init_model(cfg, PhaseTaxonomy(("a", "b", "c")), transition=tm)
     p = mdl.params

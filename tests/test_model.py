@@ -22,7 +22,8 @@ from phaseflow.model import (
     load_model,
     save_model,
 )
-from phaseflow.ssm import TransitionMatrix
+from phaseflow.data import default_grammar_mgh_like, generate_dataset
+from phaseflow.ssm import TransitionMatrix, estimate_transition_matrix
 
 TAX2 = PhaseTaxonomy(("arm", "leg"))
 
@@ -243,7 +244,7 @@ class TestAcausal:
 
 class TestHmmSmoothing:
     def test_identity_constant_stream_keeps_argmax(self):
-        tm = TransitionMatrix(np.eye(3) + 1e-12)
+        tm = TransitionMatrix.from_weights(np.eye(3) + 1e-12)
         probs = np.tile([0.2, 0.5, 0.3], (8, 1))
         labels = hmm_smooth_posthoc(probs, tm)
         assert np.array_equal(labels, np.full(8, 1))
@@ -263,7 +264,7 @@ class TestHmmSmoothing:
             [0.010, 0.989, 0.001],
             [0.333, 0.333, 0.334],
         ])
-        tm = TransitionMatrix(a)
+        tm = TransitionMatrix.from_weights(a)
         probs = np.tile([0.9, 0.05, 0.05], (10, 1))
         probs[5] = [0.10, 0.05, 0.85]
         raw = np.argmax(probs, axis=1)
@@ -276,7 +277,7 @@ class TestSaveLoad:
     def test_round_trip_with_transition(self, tmp_path):
         cfg = small_config()
         rng = np.random.default_rng(11)
-        tm = TransitionMatrix(rng.random((2, 2)) + 0.1)
+        tm = TransitionMatrix.from_weights(rng.random((2, 2)) + 0.1)
         mdl = init_model(cfg, TAX2, transition=tm)
         path = tmp_path / "best.ckpt"
         save_model(mdl, path)
@@ -289,6 +290,18 @@ class TestSaveLoad:
         seq = random_seq(np.random.default_rng(1), 15, 3, 2)
         np.testing.assert_array_equal(infer_video(loaded, seq).probs,
                                       infer_video(mdl, seq).probs)
+
+    def test_save_load_save_is_byte_identical(self, tmp_path):
+        # an estimated 13-phase matrix: rescaling rows that already sum to 1
+        # changes their last bits, so a loaded matrix must be taken as saved
+        tax = PhaseTaxonomy.mgh100()
+        videos = generate_dataset(default_grammar_mgh_like(embed_dim=3), 10, seed=3)
+        tm = estimate_transition_matrix([s.labels for s in videos], tax.n_phases)
+        save_model(init_model(small_config(), tax, transition=tm), tmp_path / "a.ckpt")
+        loaded = load_model(tmp_path / "a.ckpt")
+        np.testing.assert_array_equal(loaded.transition.a, tm.a)
+        save_model(loaded, tmp_path / "b.ckpt")
+        assert (tmp_path / "b.ckpt").read_bytes() == (tmp_path / "a.ckpt").read_bytes()
 
     def test_missing_transition_file_rejected(self, tmp_path):
         # the transition matrix is part of the checkpoint file's header
@@ -310,8 +323,8 @@ class TestSaveLoad:
 
     def test_moved_checkpoint_keeps_its_own_matrix(self, tmp_path):
         # a checkpoint copied into another run's directory is the same model
-        tms = [TransitionMatrix(np.array([[9.0, 1.0], [1.0, 9.0]])),
-               TransitionMatrix(np.array([[1.0, 3.0], [3.0, 1.0]]))]
+        tms = [TransitionMatrix.from_weights(np.array([[9.0, 1.0], [1.0, 9.0]])),
+               TransitionMatrix.from_weights(np.array([[1.0, 3.0], [3.0, 1.0]]))]
         for run, tm in zip("ab", tms):
             (tmp_path / run).mkdir()
             save_model(init_model(small_config(), TAX2, transition=tm),

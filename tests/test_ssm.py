@@ -215,6 +215,22 @@ class TestTransitionMatrix:
         with pytest.raises(DataValidationError):
             estimate_transition_matrix([], 3)
 
+    def test_constructor_keeps_a_stochastic_matrix_as_given(self):
+        w = np.random.default_rng(4).random((4, 4)) + 0.1
+        normalised = w / w.sum(axis=1, keepdims=True)
+        assert np.array_equal(TransitionMatrix.from_weights(w).a, normalised)
+        assert np.array_equal(TransitionMatrix(normalised).a, normalised)
+        near = normalised.copy()
+        near[:, 0] += 5e-10
+        assert np.array_equal(TransitionMatrix(near).a, near)
+
+    @pytest.mark.parametrize("shift", [2e-9, -2e-9])
+    def test_rows_off_one_by_more_than_1e_9_rejected(self, shift):
+        a = np.full((3, 3), 1 / 3)
+        a[1, 2] += shift
+        with pytest.raises(DataValidationError, match="rows must sum to 1 within 1e-9"):
+            TransitionMatrix(a)
+
     def test_nonpositive_smoothing_rejected(self):
         with pytest.raises(UsageError):
             estimate_transition_matrix([[0, 1]], 2, smoothing=0.0)
@@ -222,7 +238,7 @@ class TestTransitionMatrix:
 
 class TestHmmFilter:
     def test_identity_transition_absorbs_one_hot(self):
-        tm = TransitionMatrix(np.eye(3) * (1 - 1e-12) + 1e-12 / 3)
+        tm = TransitionMatrix.from_weights(np.eye(3) * (1 - 1e-12) + 1e-12 / 3)
         f = HmmFilterState(tm)
         onehot = np.array([0.0, 1.0, 0.0])
         for _ in range(5):
@@ -242,14 +258,14 @@ class TestHmmFilter:
             n = int(rng.integers(2, 5))
             t = int(rng.integers(1, 7))
             a = rng.random((n, n)) + 0.05
-            tm = TransitionMatrix(a)
+            tm = TransitionMatrix.from_weights(a)
             ms = softmax(rng.standard_normal((t, n)) * 1.5)
             (marg,) = HmmFilterState(tm).streams([ms])
             np.testing.assert_allclose(marg[-1], hmm_path_sum(tm.a, ms), atol=1e-9)
 
     def test_identity_reduces_to_cumulative_product(self):
         rng = np.random.default_rng(6)
-        tm = TransitionMatrix(np.eye(4) + 1e-15)
+        tm = TransitionMatrix.from_weights(np.eye(4) + 1e-15)
         for _ in range(10):
             ms = softmax(rng.standard_normal((10, 4)))
             (marg,) = HmmFilterState(tm).streams([ms])
@@ -366,7 +382,7 @@ class TestClosedForm:
         rng = np.random.default_rng(13)
         self.n = 3
         self.bank = GaborBank.build(3, 3.0, 6.0)
-        self.tm = TransitionMatrix(rng.random((3, 3)) + 0.1)
+        self.tm = TransitionMatrix.from_weights(rng.random((3, 3)) + 0.1)
         w = self.bank.width
         self.streams = [softmax(rng.standard_normal((t, self.n)) * 2.0)
                         for t in (w + 1, 1, 3 * w, w - 1, 2, w, STREAM_CHUNK + 1)]
@@ -443,7 +459,7 @@ class TestBatched:
         rng = np.random.default_rng(12)
         self.n = 3
         self.bank = GaborBank.build(3, 3.0, 6.0)
-        self.tm = TransitionMatrix(rng.random((3, 3)) + 0.1)
+        self.tm = TransitionMatrix.from_weights(rng.random((3, 3)) + 0.1)
         self.rng = rng
 
     def extractor(self, batch=None):
@@ -537,7 +553,7 @@ class TestProtocol:
     BANK = GaborBank.build(3, 3.0, 6.0)
 
     def aggregator(self, kind, batch):
-        tm = TransitionMatrix(np.random.default_rng(13).random((3, 3)) + 0.1)
+        tm = TransitionMatrix.from_weights(np.random.default_rng(13).random((3, 3)) + 0.1)
         if kind == "csl":
             return CslAccumulator(self.N, (0.3, 0.6), batch)
         if kind == "gabor":

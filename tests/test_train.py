@@ -297,6 +297,22 @@ class TestFit:
         assert (tmp_path / "best.ckpt").exists()
         assert not (tmp_path / "transition.csv").exists()
 
+    @pytest.mark.parametrize("acausal", [False, True], ids=["causal", "acausal"])
+    def test_checkpoints_hold_the_fitted_model_exactly(self, tmp_path, acausal):
+        # a loaded checkpoint is the model fit returned, and saving it again
+        # writes the same bytes, the estimated transition matrix included
+        train, val = toy_dataset(seed=2, n_train=4, n_val=2)
+        cfg = toy_config(enabled_ssm_features=("csl", "hmm"), acausal=acausal, epochs=2)
+        result = fit(cfg, TAX2, train, val, ckpt_dir=tmp_path)
+        loaded = model_mod.load_model(tmp_path / "best.ckpt")
+        np.testing.assert_array_equal(loaded.transition.a, result.model.transition.a)
+        ours, theirs = (model_mod.infer_dataset(m, val) for m in (loaded, result.model))
+        for vid in ours:
+            assert np.array_equal(ours[vid].probs, theirs[vid].probs)
+        for name in ("epoch_001.ckpt", "epoch_002.ckpt", "best.ckpt"):
+            model_mod.save_model(model_mod.load_model(tmp_path / name), tmp_path / "again")
+            assert (tmp_path / "again").read_bytes() == (tmp_path / name).read_bytes()
+
     def test_acausal_fit_runs_and_carries_pass1(self):
         train, val = toy_dataset(seed=2, n_train=3, n_val=1, t=24)
         cfg = toy_config(enabled_ssm_features=("csl", "hmm"), acausal=True,
