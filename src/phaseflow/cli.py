@@ -183,17 +183,18 @@ def _prediction_path(outdir: str, video_id: str) -> str:
 def write_prediction_csv(path, result: model_mod.InferenceResult,
                          labels: np.ndarray) -> None:
     """One row per frame: `frame_idx,predicted_id,prob_0,...,prob_{N-1}`
-    under that header, with \\r\\n line ends. Each probability is written
-    `%.9g`: 9 significant digits (FLT_DECIMAL_DIG) name every float32
-    exactly, so read_prediction_csv returns the float32 probabilities bit for
-    bit, and `labels` as int64."""
-    n = result.probs.shape[1]
+    under that header, with \\r\\n line ends, formatted by one `%` over one
+    float64 table (frame index and label exact integers under `%d`). Each
+    probability is written `%.9g`: 9 significant digits (FLT_DECIMAL_DIG)
+    name every float32 exactly, so read_prediction_csv returns the float32
+    probabilities bit for bit, and `labels` as int64."""
+    t, n = result.probs.shape
+    table = np.empty((t, n + 2))
+    table[:, 0], table[:, 1], table[:, 2:] = np.arange(t), labels, result.probs
     row = "%d,%d," + ",".join(["%.9g"] * n) + "\r\n"
     header = ",".join(["frame_idx", "predicted_id"] + [f"prob_{p}" for p in range(n)])
-    rows = zip(labels.tolist(), result.probs.astype(np.float64).tolist())
     with open(path, "w", newline="") as fh:
-        fh.write(header + "\r\n" + "".join([row % (t, lab, *p)
-                                            for t, (lab, p) in enumerate(rows)]))
+        fh.write(header + "\r\n" + row * t % tuple(table.ravel().tolist()))
 
 
 def read_prediction_csv(path) -> tuple[np.ndarray, np.ndarray]:
@@ -291,6 +292,9 @@ def cmd_eval(args) -> int:
     ids = sorted(f[:-4] for f in os.listdir(args.pred) if f.endswith(".csv"))
     if not ids:
         raise DataValidationError(f"no prediction csvs in {args.pred}")
+    if bad := [vid for vid in ids if not data_mod.VIDEO_ID.fullmatch(vid)]:
+        raise DataValidationError(
+            f"{_prediction_path(args.pred, bad[0])}: the name before .csv is not a video id")
     seqs, taxonomy = data_mod.read_videos(args.data, ids)
     video_results = []
     for vid, seq in zip(ids, seqs):

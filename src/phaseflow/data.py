@@ -52,6 +52,7 @@ FEATURES_MAGIC = b"PHFT"
 FEATURES_VERSION = 1
 MANIFEST_NAME = "manifest.json"
 SPLITS = ("train", "val", "test")
+VIDEO_ID = re.compile(r"(?!\.\.?\Z)[^/\0\ud800-\udfff]+")     # one path component
 
 
 class GrammarError(DataValidationError):
@@ -333,8 +334,9 @@ def write_video_dir(dirpath, seq: FeatureSequence, taxonomy: PhaseTaxonomy) -> N
         json.dump(meta, fh, indent=1, sort_keys=True)
     if seq.labels is not None:
         with open(os.path.join(dirpath, "labels.csv"), "w", newline="") as fh:
-            fh.write("frame_idx,label_id\r\n" + "".join(
-                ["%d,%d\r\n" % row for row in enumerate(seq.labels.tolist())]))
+            table = np.column_stack((np.arange(len(seq.labels)), seq.labels))
+            fh.write("frame_idx,label_id\r\n" + "%d,%d\r\n" * len(table)
+                     % tuple(table.ravel().tolist()))
 
 
 def read_video_dir(dirpath) -> tuple[FeatureSequence, PhaseTaxonomy]:
@@ -428,7 +430,7 @@ def read_manifest(dirpath) -> dict | None:
         raise DataValidationError(f"{path}: manifest needs a 'videos' list of entries "
                                   f"with an 'id' and a 'split' of {', '.join(SPLITS)}")
     ids = [v["id"] for v in videos]
-    if bad := [v for v in ids if not re.fullmatch(r"(?!\.\.?\Z)[^/\0\ud800-\udfff]+", v)]:
+    if bad := [v for v in ids if not VIDEO_ID.fullmatch(v)]:
         raise DataValidationError(f"{path}: video id {bad[0]!r} is not one path component")
     if repeated := [vid for i, vid in enumerate(ids) if vid in ids[:i]]:
         raise DataValidationError(f"{path}: video id {repeated[0]!r} is listed twice")

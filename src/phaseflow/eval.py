@@ -308,7 +308,7 @@ def render_report(outdir, dataset_report: MetricsReport,
         },
     }
     with open(os.path.join(outdir, "metrics.json"), "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
+        fh.write(json.dumps(payload, indent=1, sort_keys=True))
     with open(os.path.join(outdir, "confusion.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["gt\\pred"] + list(taxonomy.names))

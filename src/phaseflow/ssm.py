@@ -341,24 +341,24 @@ class HmmFilterState(_Aggregator):
     def state(self) -> tuple[np.ndarray, ...]:
         return (self.prior, self.belief)
 
-    def update(self, m: np.ndarray) -> None:
-        # each update makes a new belief array; `streams` keeps them all
-        post = self.prior @ self._a
+    def update(self, m: np.ndarray, out: np.ndarray | None = None) -> None:
+        # the new belief, also the next prior, is `out` if given, else a new array
+        post = np.matmul(self.prior, self._a, out=out)
         post *= m
-        s = post.sum(axis=-1, keepdims=True)
-        if s.size == 1:     # one stream: a Python float test is cheapest
-            ok = 0.0 < s.item() < np.inf
+        if not self.lead:   # one stream: one reduction to a scalar is cheapest
+            s = np.add.reduce(post)
+            ok = 0.0 < s < np.inf
         else:
+            s = post.sum(axis=-1, keepdims=True)
             ok = s.min() > 0.0 and s.max() < np.inf
         if ok:
             post /= s
-            self.belief = post
         else:
             ok = (s > 0.0) & np.isfinite(s)
             self.underflow_count += int((~ok).sum())
             with np.errstate(divide="ignore", invalid="ignore"):
-                self.belief = np.where(ok, post / s, 1.0 / self.dim)
-        self.prior = self.belief
+                post[...] = np.where(ok, post / s, 1.0 / self.dim)
+        self.prior = self.belief = post
 
     def write(self, out: np.ndarray) -> None:
         np.copyto(out, self.belief)
@@ -372,17 +372,17 @@ class HmmFilterState(_Aggregator):
         if not streams:
             return
         n, b = self.dim, len(streams)
-        packed = np.full((max(map(len, streams)), b, n), 1.0 / n)
-        for j, ms in enumerate(streams):
-            packed[:len(ms), j] = ms
-        # one stream runs without the batch axis, as in streaming: it steps faster
+        marg = np.empty((max(map(len, streams)), b, n))
         f = HmmFilterState(self.transition, b if b > 1 else None)
-        beliefs = []
-        for m in (packed if b > 1 else packed[:, 0]):
-            f.update(m)
-            beliefs.append(f.belief)
+        if b == 1:  # no batch axis, as in streaming; float64 rows are not cast per update
+            packed, rows = np.asarray(streams[0], np.float64), marg[:, 0]
+        else:
+            packed, rows = np.full(marg.shape, 1.0 / n), marg
+            for j, ms in enumerate(streams):
+                packed[:len(ms), j] = ms
+        for m, row in zip(packed, rows):
+            f.update(m, row)
         self.underflow_count += f.underflow_count
-        marg = np.reshape(beliefs, packed.shape)
         for j, ms in enumerate(streams):
             yield marg[:len(ms), j]
 

@@ -3,10 +3,11 @@ the package's own pieces, the streaming step composed of one allocating
 call per quantity (the oracle of the step kernel), the lockstep engine
 that binds a new kernel per window (the oracle of the lockstep runner), a
 finite-difference gradient oracle, the frame-by-frame statistic streams
-the closed forms in `ssm` are checked against, the unfused Adam update,
-and the csv-module table readers and writer the one-call `np.loadtxt`
-readers and `%`-format writers are checked against. No command runs them,
-so they live with the tests."""
+the closed forms in `ssm` are checked against, the list-based HMM filter
+over complete streams, the unfused Adam update, the csv-module table
+readers and writer the one-call `np.loadtxt` readers and `%`-format
+writers are checked against, and the per-row prediction writer. No
+command runs them, so they live with the tests."""
 
 import csv
 import io
@@ -167,6 +168,39 @@ def per_frame_acausal_stream(extractor, ms) -> np.ndarray:
     return feature_stream(extractor, np.asarray(ms)[::-1])[::-1]
 
 
+def list_hmm_streams(transition, streams):
+    """`HmmFilterState.streams` as a list of beliefs: every stream packed
+    into one float64 (T_max, B, N) table that feeds the uniform vector after
+    the stream's end, one new belief array per frame from the allocating
+    update, all of them re-stacked at the end. Returns the marginals of each
+    stream and the underflow count."""
+    streams = [np.asarray(ms) for ms in streams]
+    a, n, b = transition.a, transition.n_phases, len(streams)
+    packed = np.full((max(map(len, streams)), b, n), 1.0 / n)
+    for j, ms in enumerate(streams):
+        packed[:len(ms), j] = ms
+    prior, beliefs, underflows = np.full((b, n) if b > 1 else n, 1.0 / n), [], 0
+    for m in (packed if b > 1 else packed[:, 0]):
+        post = prior @ a
+        post *= m
+        s = post.sum(axis=-1, keepdims=True)
+        if s.size == 1:
+            ok = 0.0 < s.item() < np.inf
+        else:
+            ok = s.min() > 0.0 and s.max() < np.inf
+        if ok:
+            post /= s
+            prior = post
+        else:
+            ok = (s > 0.0) & np.isfinite(s)
+            underflows += int((~ok).sum())
+            with np.errstate(divide="ignore", invalid="ignore"):
+                prior = np.where(ok, post / s, 1.0 / n)
+        beliefs.append(prior)
+    marg = np.reshape(beliefs, packed.shape)
+    return [marg[:len(ms), j] for j, ms in enumerate(streams)], underflows
+
+
 def finite_difference_grads(loss_fn, params, step=1e-5):
     """Central finite differences of loss_fn w.r.t. every parameter entry.
 
@@ -268,3 +302,14 @@ def csv_labels_bytes(labels) -> bytes:
     for i, lab in enumerate(labels):
         w.writerow([i, int(lab)])
     return buf.getvalue().encode()
+
+
+def per_row_write_prediction_csv(path, result, labels) -> None:
+    """`cli.write_prediction_csv` formatting one row per `%` operation."""
+    n = result.probs.shape[1]
+    row = "%d,%d," + ",".join(["%.9g"] * n) + "\r\n"
+    header = ",".join(["frame_idx", "predicted_id"] + [f"prob_{p}" for p in range(n)])
+    rows = zip(labels.tolist(), result.probs.astype(np.float64).tolist())
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\r\n" + "".join([row % (t, lab, *p)
+                                            for t, (lab, p) in enumerate(rows)]))

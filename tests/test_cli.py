@@ -512,6 +512,23 @@ class TestTypedErrors:
                 in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("name", ["...csv", "..csv", ".csv"])
+    def test_eval_prediction_name_that_is_not_a_video_id_is_data_error(
+            self, workspace, tmp_path, capsys, name):
+        # `...csv` names the video `..`: eval would score the video whose
+        # files lie beside --data, and `..csv` and `.csv` --data itself
+        data = shutil.copytree(workspace["data"], tmp_path / "data")
+        pred = shutil.copytree(workspace["pred"], tmp_path / "pred")
+        test_csv = sorted(pred.glob("video_*.csv"))[0]
+        for part in ("features.bin", "labels.csv", "meta.json"):
+            shutil.copy(data / test_csv.stem / part, tmp_path / part)
+        shutil.copy(test_csv, pred / name)
+        assert main(["eval", "--pred", str(pred), "--data", str(data),
+                     "--out", str(tmp_path / "out")]) == 3
+        assert (f"{pred / name}: the name before .csv is not a video id"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("target, code", [
         ("config", 2), ("manifest.json", 3), ("meta.json", 3), ("grammar", 3),
         ("checkpoint header", 3)])
@@ -956,6 +973,32 @@ class TestPredictionCsv:
         assert got_labels.dtype == np.int64 and np.array_equal(got_labels, labels)
         assert got_probs.dtype == np.float32
         assert got_probs.tobytes() == probs.tobytes()
+
+    EDGES = [0.0, 1.0, float(np.nextafter(np.float32(1), np.float32(0))),
+             float(np.finfo(np.float32).smallest_subnormal), float(np.finfo(np.float32).tiny),
+             float(np.finfo(np.float32).tiny / 3), 1e-30, 0.1, 1 / 3]
+
+    @settings(max_examples=60)
+    @given(draw=st.data())
+    @example(draw=None)
+    def test_bytes_match_the_per_row_writer(self, draw):
+        if draw is None:    # one frame holding every edge value, labelled N - 1
+            probs = np.array([self.EDGES], dtype=np.float32)
+            labels = np.array([len(self.EDGES) - 1])
+        else:
+            t = draw.draw(st.integers(1, 12), label="frames")
+            n = draw.draw(st.integers(1, 6), label="phases")
+            value = st.one_of(st.sampled_from(self.EDGES), st.floats(0, 1, width=32))
+            probs = np.array(draw.draw(st.lists(value, min_size=t * n, max_size=t * n),
+                                       label="probs"), dtype=np.float32).reshape(t, n)
+            labels = np.array(draw.draw(st.lists(st.integers(0, n - 1), min_size=t,
+                                                 max_size=t), label="labels"))
+        result = InferenceResult("v", probs, labels)
+        with tempfile.TemporaryDirectory() as d:
+            new, old = os.path.join(d, "new.csv"), os.path.join(d, "old.csv")
+            write_prediction_csv(new, result, labels)
+            oracles.per_row_write_prediction_csv(old, result, labels)
+            assert Path(new).read_bytes() == Path(old).read_bytes()
 
     def test_one_frame_video_round_trips(self, tmp_path):
         probs = np.array([[0.25, 0.75]], dtype=np.float32)

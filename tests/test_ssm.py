@@ -3,9 +3,10 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
-from oracles import feature_stream, per_frame_acausal_stream
+from oracles import feature_stream, list_hmm_streams, per_frame_acausal_stream
 
 from phaseflow.core import DataValidationError, UsageError, softmax
+from phaseflow.model import hmm_smooth_posthoc
 from phaseflow.ssm import (
     STREAM_CHUNK,
     CslAccumulator,
@@ -281,6 +282,28 @@ class TestHmmFilter:
         f.update(np.zeros(2))
         assert f.underflow_count == 1
         np.testing.assert_array_equal(f.belief, [0.5, 0.5])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lengths, zero_rows", [
+        ((40,), {}), ((1, 7, 20, 3), {}), ((25,), {0: (4, 5, 24)}),
+        ((3, 25, 9), {0: (0,), 1: (20, 21)})],
+        ids=["one-stream", "ragged", "one-stream-underflows", "ragged-underflows"])
+    def test_streams_are_bit_equal_to_the_list_based_filter(self, lengths, zero_rows,
+                                                             dtype):
+        rng = np.random.default_rng(8)
+        tm = TransitionMatrix.from_weights(rng.random((4, 4)) + 0.05)
+        streams = [softmax(rng.standard_normal((t, 4)) * 3.0).astype(dtype) for t in lengths]
+        for j, rows in zero_rows.items():
+            streams[j][list(rows)] = 0.0        # an all-zero row underflows
+        want, underflows = list_hmm_streams(tm, streams)
+        hmm = HmmFilterState(tm)
+        got = list(hmm.streams(streams))
+        assert hmm.underflow_count == underflows == sum(map(len, zero_rows.values()))
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+        if len(streams) == 1:
+            assert np.array_equal(hmm_smooth_posthoc(streams[0], tm), np.argmax(want[0], axis=1))
 
     def test_feature_zero_before_first_update(self):
         f = HmmFilterState(TransitionMatrix.uniform(3))
