@@ -19,7 +19,8 @@ What each command writes into its --out directory:
     eval    metrics.json, confusion.csv, accuracy_vs_length.csv and
             timelines/<video_id>.svg
     ablate  config.json, ablation.json, ablation.csv and per run
-            <arm>_seed<n>/training_log.jsonl
+            <arm>_seed<n>/training_log.jsonl; --seeds and --arms must each
+            list at least one item, none of them twice
 
 Exit codes: 0 success, 2 usage error, 3 data validation error, 4 numeric
 failure. A config file is a JSON object of `ExperimentConfig` fields, such as
@@ -250,8 +251,7 @@ def cmd_infer(args) -> int:
     (seqs,), _, _ = data_mod.read_splits(args.data, ("test",), mdl.taxonomy)
     if args.hmm_smooth and mdl.transition is None:
         raise UsageError("--hmm-smooth needs a checkpoint with a transition matrix")
-    results = model_mod.infer_dataset(mdl, seqs)
-    ordered = [results[vid] for vid in sorted(results)]
+    ordered = list(model_mod.infer_dataset(mdl, seqs).values())     # in id order
     # finite weights can still overflow; nothing is written from NaN rows
     bad = [r.video_id for r in ordered if not np.isfinite(r.probs).all()]
     if bad:
@@ -349,6 +349,8 @@ def cmd_ablate(args) -> int:
         raise UsageError(f"--seeds item {bad[0]!r} is not a non-negative integer")
     seeds = [int(s) for s in items]
     arm_names = [a.strip() for a in args.arms.split(",") if a.strip()]
+    if not arm_names:
+        raise UsageError("--arms must list at least one arm")
     unknown = [a for a in arm_names if a not in ABLATION_ARMS]
     if unknown:
         raise UsageError(f"unknown ablation arms: {unknown}; "
@@ -379,7 +381,7 @@ def cmd_ablate(args) -> int:
                     eval_mod.compute_report(seq.labels,
                                             inferred[seq.video_id].labels,
                                             taxonomy.n_phases)
-                    for seq in sorted(test_seqs, key=lambda s: s.video_id)
+                    for seq in test_seqs
                 ]
                 pooled = eval_mod.aggregate_reports(reports, taxonomy.n_phases)
                 results[arm][str(seed)] = _arm_metrics(pooled, ambiguity_phases)

@@ -481,8 +481,9 @@ def read_dataset(dirpath, split: str | None = None):
 
 
 def read_splits(dirpath, splits: tuple[str, ...], taxonomy: PhaseTaxonomy | None = None):
-    """The videos of each split of `splits`, each list sorted by video id,
-    from one read of the manifest; their one taxonomy (`read_videos`); and
+    """The videos of each split of `splits`, each list in video-id order
+    (the commands rely on it and do not sort again), from one read of the
+    manifest; their one taxonomy (`read_videos`); and
     the sorted phase ids of the manifest's ambiguity groups. The first split
     must hold a video, the others may be empty. Returns (lists, taxonomy,
     phases)."""

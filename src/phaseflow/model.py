@@ -34,14 +34,16 @@ at a time, so the engine matches `infer_video` to float rounding. At B=1
 it is bit-equal to streaming inference by construction: the same kernel
 runs the same operations on the same values, with a batch axis of one.
 
-Acausal rows. Pass 2 reads the acausal statistic of each video's complete
-pass-1 stream. `PhaseModel.acausal_rows` derives it for all videos of a
-refresh, validation or `infer_dataset` call at once
-(`ssm.acausal_feature_streams` over each aggregator's offline `streams`)
-and writes each video's rows straight into the model dtype. Streaming is
-causal and leaves the a block zero: only `LockstepRunner` fills it, so pass 2
-always runs in lockstep (at B=1 in `infer_video_acausal`). Post-hoc
-smoothing runs the same offline HMM filter over one stream.
+Two passes. Pass 2 of an acausal model reads, in the a block, the acausal
+rows of each video's complete pass-1 likelihoods; pass 1 leaves it zero,
+as streaming does. Only `LockstepRunner` fills the a block, so the one
+driver of both passes is `_offline_probs` (behind `infer_dataset`,
+validation and the cache refresh): `_pass1` runs pass 1 in lockstep and
+derives the rows of all videos at once (`ssm.SsmExtractor.acausal_rows`,
+straight into the model dtype), then pass 2 runs. The first epoch's cache
+step runs `_pass1` alone; `run_inference` and `infer_video_acausal` are
+one video of `infer_dataset`. Post-hoc smoothing runs the same offline
+HMM filter over one stream.
 """
 
 from __future__ import annotations
@@ -70,8 +72,8 @@ class PhaseModel:
     """Parameter bundle: config, taxonomy, LSTM/head weights and the
     transition matrix (`fit` estimates it from the training labels for every
     arm; the hmm statistic and `infer --hmm-smooth` read it), plus the one
-    definition of the LSTM input [v | s | a] (`blocks`, `acausal_rows`) that
-    streaming and training both write through."""
+    definition of the LSTM input [v | s | a] (`blocks`) that streaming and
+    training both write through."""
 
     config: ExperimentConfig
     taxonomy: PhaseTaxonomy
@@ -108,15 +110,6 @@ class PhaseModel:
     @property
     def input_dim(self) -> int:
         return self.blocks[2].stop
-
-    def acausal_rows(self, pass1_probs: list[np.ndarray]) -> tuple[list[np.ndarray], int]:
-        """The a block of every frame of each video: the acausal statistic
-        rows of its pass-1 likelihoods, all videos in one call, each
-        written straight into an array of the model dtype; and the HMM
-        underflows over the reversed streams."""
-        extractor = self.new_extractor()
-        rows = ssm.acausal_feature_streams(extractor, pass1_probs, MODEL_DTYPE)
-        return rows, extractor.underflow_count
 
     def zero_state(self, batch: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Zero LSTM state (h, c), `batch` rows or none, in the dtype of the
@@ -253,23 +246,16 @@ def infer_video(model: PhaseModel, seq: FeatureSequence) -> InferenceResult:
 
 
 def infer_video_acausal(model: PhaseModel, seq: FeatureSequence) -> InferenceResult:
-    """Offline two-pass inference: pass 1 streams causally (acausal channels
-    zero), pass 2 reruns the model in lockstep at B=1 (bit-equal to
-    streaming) on the acausal statistics of the pass-1 likelihood stream."""
+    """Two-pass inference over one video (an acausal model only)."""
     if not model.config.acausal:
         raise UsageError("model config is causal; acausal inference unavailable")
-    pass1 = infer_video(model, seq)
-    # the one-stream case of `PhaseModel.acausal_rows`
-    rows = ssm.acausal_feature_stream(model.new_extractor(), pass1.probs)
-    (probs,), _ = _lockstep_probs(model, [seq], [rows])
-    return InferenceResult(seq.video_id, probs, np.argmax(probs, axis=1),
-                           pass1_probs=pass1.probs)
+    return infer_dataset(model, [seq])[seq.video_id]
 
 
 def run_inference(model: PhaseModel, seq: FeatureSequence) -> InferenceResult:
-    if model.config.acausal:
-        return infer_video_acausal(model, seq)
-    return infer_video(model, seq)
+    """One video of `infer_dataset`: at B=1 the lockstep engine is bit-equal
+    to streaming, so a causal model gives `infer_video`'s result."""
+    return infer_dataset(model, [seq])[seq.video_id]
 
 
 def worker_thread_count() -> int:
@@ -392,23 +378,36 @@ def _lockstep_probs(model: PhaseModel, seqs: list[FeatureSequence],
     return probs, runner.underflow_count
 
 
+def _pass1(model: PhaseModel, seqs: list[FeatureSequence]):
+    """Pass 1 of every sequence in lockstep and, in acausal mode, the
+    acausal rows of its likelihoods in the model dtype (None in causal
+    mode). Returns (pass-1 probs, rows, underflows), the underflows of the
+    filter over the reversed streams included."""
+    pass1, underflows = _lockstep_probs(model, seqs)
+    if not model.config.acausal:
+        return pass1, None, underflows
+    extractor = model.new_extractor()
+    rows = extractor.acausal_rows(pass1, MODEL_DTYPE)
+    return pass1, rows, underflows + extractor.underflow_count
+
+
 def _offline_probs(model: PhaseModel, seqs: list[FeatureSequence]):
     """The evaluated pass of every sequence, all run in lockstep: the causal
     pass, or in acausal mode pass 2 on the acausal rows derived from pass 1.
     Returns (probs, pass-1 probs, acausal rows or None, underflows)."""
-    pass1, underflows = _lockstep_probs(model, seqs)
-    if not model.config.acausal:
+    pass1, rows, underflows = _pass1(model, seqs)
+    if rows is None:
         return pass1, pass1, None, underflows
-    rows, resets = model.acausal_rows(pass1)
     probs, more = _lockstep_probs(model, seqs, rows)
-    return probs, pass1, rows, underflows + resets + more
+    return probs, pass1, rows, underflows + more
 
 
 def infer_dataset(model: PhaseModel, seqs) -> dict[str, InferenceResult]:
     """Inference over many videos in lockstep, keyed by video id; acausal
-    models run both passes and fill `pass1_probs`. Videos enter in id order,
-    so the input order never changes the output. The probabilities agree
-    with `infer_video`/`infer_video_acausal` to float rounding."""
+    models run both passes and fill `pass1_probs`. Videos enter, and the
+    result holds them, in id order, so the input order never changes the
+    output. The probabilities agree with `infer_video` to float rounding,
+    and equal its bits for one video."""
     seqs = sorted(seqs, key=lambda s: s.video_id)
     probs, pass1, _, _ = _offline_probs(model, seqs)
     acausal = model.config.acausal

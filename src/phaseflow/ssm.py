@@ -9,15 +9,16 @@ Three feature kinds, concatenated in the fixed order csl | gabor | hmm:
   each likelihood channel through a bounded ring buffer.
 * HMM: forward-filtered posterior under a row-stochastic transition matrix.
 
-Acausal variants run the same statistic over the time-reversed stream, so
-the value at frame t summarizes frames strictly after t. That stream is
+Acausal rows run the same statistic over the time-reversed stream, so the
+value at frame t summarizes frames strictly after t. That stream is
 complete before the statistic is needed, so each aggregator also has one
 offline method, `streams`: it takes complete (T_j, N) streams and yields
 one (T_j, dim) array per stream in input order, whose row t is `feature()`
 after the updates m[0..t]. CSL is a cumulative count and Gabor one
 filter-bank product over sliding windows; the HMM filter stays sequential,
-one filter stepping all streams together. `acausal_feature_streams` shifts
-those rows by one frame for every aggregator alike.
+one filter stepping all streams together. `SsmExtractor.acausal_rows`, the
+one derivation of the rows, reverses the streams, runs every part's
+`streams` and shifts the rows by one frame, so the last row is zeros.
 
 Online, every aggregator follows one protocol, `_Aggregator`. It sets
 `lead`, () for one stream and (B,) for B streams in lockstep, and `shape`,
@@ -470,28 +471,25 @@ class SsmExtractor(_Aggregator):
                 dst[rows] = src
             mine.underflow_count = theirs.underflow_count
 
-
-def acausal_feature_streams(extractor: SsmExtractor, streams,
-                            dtype=np.float64) -> list[np.ndarray]:
-    """Acausal statistic rows of complete (T_j, N) streams, one (T_j, dim)
-    array of `dtype` per stream: row t aggregates m[t+1..T_j-1], so the last
-    row is zeros. Each aggregator works on the reversed streams, where row t
-    sees frames < t (see the module doc). Only the extractor's settings are
-    read; its HMM underflow counter grows by the streams' underflows."""
-    rev = [np.asarray(ms)[::-1] for ms in streams]
-    if any(r.ndim != 2 for r in rev):
-        raise UsageError("acausal aggregation needs complete (T, N) streams")
-    out = [np.empty((len(r), extractor.dim), dtype) for r in rev]
-    for part, cols in zip(extractor._parts, extractor._columns):
-        for o, rows in zip(out, part.streams(rev)):
-            # this aggregator's block in reversed time: row t is the
-            # inclusive row t - 1, row 0 sees no frame
-            block = o[::-1, cols]
-            block[:1] = 0.0
-            block[1:] = rows[:-1]
-    return out
+    def acausal_rows(self, streams, dtype=np.float64) -> list[np.ndarray]:
+        """Acausal statistic rows of complete (T_j, N) streams, one (T_j, dim)
+        array of `dtype` per stream (see the module doc). Only this
+        extractor's settings are read; its HMM underflow counter grows by
+        the underflows over the reversed streams."""
+        rev = [np.asarray(ms)[::-1] for ms in streams]
+        if any(r.ndim != 2 for r in rev):
+            raise UsageError("acausal aggregation needs complete (T, N) streams")
+        out = [np.empty((len(r), self.dim), dtype) for r in rev]
+        for part, cols in zip(self._parts, self._columns):
+            for o, rows in zip(out, part.streams(rev)):
+                # this part's block in reversed time: row t is the
+                # inclusive row t - 1, row 0 sees no frame
+                block = o[::-1, cols]
+                block[:1] = 0.0
+                block[1:] = rows[:-1]
+        return out
 
 
 def acausal_feature_stream(extractor: SsmExtractor, ms) -> np.ndarray:
-    """The one-stream case of `acausal_feature_streams`, in float64."""
-    return acausal_feature_streams(extractor, [ms])[0]
+    """The acausal rows of one complete stream, in float64."""
+    return extractor.acausal_rows([ms])[0]

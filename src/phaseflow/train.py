@@ -18,10 +18,10 @@ batch's videos (`SsmExtractor.take`) and scatters the previous batch's back
 (`put`) only when the batch's streams differ from the previous batch's;
 with no more videos than `batch_size` that is only when a video ends.
 The cache refresh and validation run all their videos through
-`_offline_probs`, as `infer_dataset` does, which derives the acausal rows
-of every video in one closed-form call (`PhaseModel.acausal_rows`). At B=1
-(`training_forward_probs`) the engine is bit-equal to streaming inference;
-at larger B it agrees to float rounding.
+`_offline_probs`, the two-pass driver of `infer_dataset`; the start-up step
+runs its pass 1 alone (`_pass1`). At B=1 (`training_forward_probs`) the
+engine is bit-equal to streaming inference; at larger B it agrees to float
+rounding.
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ from .core import (
 # run_inference is not called here; it stays importable from train because
 # the perfbench tracer wraps `train.run_inference`
 from .model import (LockstepRunner, PhaseModel, _lockstep_probs,  # noqa: F401
-                    _offline_probs, check_embed_dim, init_model, run_inference,
-                    save_model)
+                    _offline_probs, _pass1, check_embed_dim, init_model,
+                    run_inference, save_model)
 
 log = logging.getLogger(__name__)
 
@@ -140,7 +140,7 @@ class FitResult:
     model: PhaseModel            # parameters from the best-validation epoch
     curve: list[EpochLog]
     best_epoch: int
-    best_val_accuracy: float
+    best_val_accuracy: float     # nan without validation or without an epoch
 
 
 def batch_scheduler(video_lengths: dict[str, int], batch_size: int, window: int,
@@ -267,9 +267,7 @@ def _refresh_caches(run: TrainRun, train_seqs: list[FeatureSequence]) -> None:
         probs, _, rows, underflows = _offline_probs(model, train_seqs)
         run.prox_cache.update(zip(ids, probs))
     elif model.config.acausal:
-        pass1, underflows = _lockstep_probs(model, train_seqs)
-        rows, resets = model.acausal_rows(pass1)
-        underflows += resets
+        _, rows, underflows = _pass1(model, train_seqs)
     else:
         return
     if rows is not None:
@@ -306,14 +304,12 @@ def fit(config: ExperimentConfig, taxonomy: PhaseTaxonomy,
                     len(train_seqs), config.batch_size)
 
     transition = ssm.estimate_transition_matrix(
-        [s.labels for s in sorted(train_seqs, key=lambda q: q.video_id)],
-        taxonomy.n_phases, config.hmm_smoothing)
+        [s.labels for s in train_seqs], taxonomy.n_phases, config.hmm_smoothing)
     model = init_model(config, taxonomy, substream(config.rng_seed, "init"),
                        transition)
     run = TrainRun(config, model, nn.Adam(model.params, config.learning_rate))
 
-    best_epoch = 0
-    best_acc = -1.0
+    best_epoch, best_acc = 0, float("nan")     # nan: no epoch, or no validation
     best_params = {k: v.copy() for k, v in model.params.items()}
     log_fh = open(log_path, "w") if log_path else None
     try:
@@ -341,9 +337,8 @@ def fit(config: ExperimentConfig, taxonomy: PhaseTaxonomy,
                 log_fh.flush()
             if ckpt_dir is not None:
                 save_model(model, f"{ckpt_dir}/epoch_{run.epoch:03d}.ckpt")
-            improved = val_seqs and val_acc > best_acc
-            if improved or not val_seqs:
-                best_acc = val_acc if val_seqs else float("nan")
+            if not val_seqs or best_epoch == 0 or val_acc > best_acc:
+                best_acc = best_acc if val_acc is None else val_acc
                 best_epoch = run.epoch
                 best_params = {k: v.copy() for k, v in model.params.items()}
                 if ckpt_dir is not None:

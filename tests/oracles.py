@@ -1,8 +1,9 @@
 """Helpers shared by several test files: one training window composed from
 the package's own pieces, the streaming step composed of one allocating
 call per quantity (the oracle of the step kernel), the lockstep engine
-that binds a new kernel per window (the oracle of the lockstep runner), a
-finite-difference gradient oracle, the frame-by-frame statistic streams
+that binds a new kernel per window (the oracle of the lockstep runner),
+two-pass inference over one video with a streaming pass 1 (the oracle of
+the one-video views of `infer_dataset`), a finite-difference gradient oracle, the frame-by-frame statistic streams
 the closed forms in `ssm` are checked against, the list-based HMM filter
 over complete streams, the unfused Adam update, the csv-module table
 readers and writer the one-call `np.loadtxt` readers and `%`-format
@@ -14,10 +15,10 @@ import io
 
 import numpy as np
 
-from phaseflow import cli, nn
+from phaseflow import cli, model as model_mod, nn
 from phaseflow.core import MODEL_DTYPE, DataValidationError, read_text, softmax
-from phaseflow.model import StepKernel
-from phaseflow.ssm import GaborBank
+from phaseflow.model import InferenceResult, StepKernel, infer_video
+from phaseflow.ssm import GaborBank, acausal_feature_stream
 
 
 def window_pass(params, h, c, xs, ys, prox_targets=None, prox_weight=0.0):
@@ -148,6 +149,20 @@ class PerWindowRunner:
         self.h_all[rows], self.c_all[rows] = kernel.recorder.hs[-1], kernel.recorder.cs[-1]
         self.store.put(rows, part)
         return kernel
+
+
+def streaming_two_pass(model, seq) -> InferenceResult:
+    """Two-pass inference over one video with a streaming pass 1: pass 1
+    streams causally (`infer_video`, the a block zero), its likelihoods
+    give float64 acausal rows (`ssm.acausal_feature_stream`), and pass 2
+    runs the lockstep engine at B = 1 on them. `run_inference` and
+    `infer_video_acausal` (one video of `infer_dataset`, pass 1 in
+    lockstep) must equal it bit for bit."""
+    pass1 = infer_video(model, seq)
+    rows = acausal_feature_stream(model.new_extractor(), pass1.probs)
+    (probs,), _ = model_mod._lockstep_probs(model, [seq], [rows])
+    return InferenceResult(seq.video_id, probs, np.argmax(probs, axis=1),
+                           pass1_probs=pass1.probs)
 
 
 def feature_stream(extractor, ms) -> np.ndarray:

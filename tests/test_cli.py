@@ -187,6 +187,15 @@ class TestTrain:
         assert main(["train", "--data", str(data), "--config", str(workspace["config"]),
                      "--out", str(tmp_path / "none")]) == 3
 
+    def test_zero_epochs_report_no_accuracy(self, workspace, tmp_path, capsys):
+        # no epoch ran, so there is no best accuracy: nan, as without a
+        # validation split, never a start value
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({**CONFIG, "epochs": 0}))
+        assert main(["train", "--data", str(workspace["data"]), "--config", str(cfg),
+                     "--out", str(tmp_path / "ckpt")]) == 0
+        assert capsys.readouterr().out.startswith("best epoch 0 (val accuracy nan);")
+
     def test_missing_data_dir_is_data_error(self, workspace, tmp_path):
         assert main(["train", "--data", str(tmp_path / "missing"),
                      "--config", str(workspace["config"]),
@@ -819,7 +828,9 @@ class TestAblate:
         ("1,1", "baseline", "--seeds lists 1 more than once"),
         ("1,01", "baseline", "--seeds lists 1 more than once"),
         ("1", "csl,csl", "--arms lists csl more than once"),
-    ], ids=["seed", "seed-leading-zero", "arm"])
+        ("", "baseline", "--seeds must list at least one integer"),
+        ("1", "", "--arms must list at least one arm"),
+    ], ids=["seed", "seed-leading-zero", "arm", "no-seed", "no-arm"])
     def test_repeated_item_is_usage_error(self, workspace, tmp_path, capsys,
                                           seeds, arms, named):
         assert main(["ablate", "--data", str(workspace["data"]),

@@ -1,5 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
+from oracles import streaming_two_pass
 
 from phaseflow import nn
 from phaseflow.core import (
@@ -20,6 +23,7 @@ from phaseflow.model import (
     infer_video_acausal,
     init_model,
     load_model,
+    run_inference,
     save_model,
 )
 from phaseflow.data import default_grammar_mgh_like, generate_dataset
@@ -240,6 +244,47 @@ class TestAcausal:
         rng = np.random.default_rng(9)
         with pytest.raises(UsageError):
             infer_video_acausal(mdl, random_seq(rng, 5, 3, 2))
+
+
+KINDS = ("csl", "gabor", "hmm")
+SUBSETS = [tuple(k for k, on in zip(KINDS, bits) if on)
+           for bits in itertools.product((False, True), repeat=3)]
+
+
+class TestOneVideoViews:
+    """`run_inference` and `infer_video_acausal` are one video of
+    `infer_dataset`. At B = 1 its lockstep pass 1 is bit-equal to
+    streaming, so both equal the streaming two-pass oracle bit for bit in
+    acausal configs, and `run_inference` equals `infer_video` in causal
+    ones."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("acausal", [False, True], ids=["causal", "acausal"])
+    @pytest.mark.parametrize("kinds", SUBSETS, ids=lambda k: "-".join(k) or "none")
+    def test_bit_equal_to_the_reference(self, kinds, acausal, dtype):
+        mdl = init_model(small_config(enabled_ssm_features=kinds, acausal=acausal), TAX2)
+        rng = np.random.default_rng(12)
+        # weights on every input column, so pass 2 reads the acausal rows
+        mdl.params["lstm_wx"][:] = rng.uniform(-0.5, 0.5, mdl.params["lstm_wx"].shape)
+        mdl.params = {k: v.astype(dtype) for k, v in mdl.params.items()}
+        for t in (1, 8, 37):
+            seq = random_seq(rng, t, 3, 2, video_id=f"v{t}")
+            ref = streaming_two_pass(mdl, seq) if acausal else infer_video(mdl, seq)
+            views = [run_inference(mdl, seq)]
+            if acausal:
+                views.append(infer_video_acausal(mdl, seq))
+                # the last row of the acausal statistic is zeros
+                assert (np.array_equal(ref.probs, ref.pass1_probs)
+                        == (t == 1 or not kinds))
+            for got in views:
+                assert got.video_id == seq.video_id
+                assert got.probs.dtype == ref.probs.dtype == dtype
+                assert np.array_equal(got.probs, ref.probs)
+                assert np.array_equal(got.labels, ref.labels)
+                if acausal:
+                    assert np.array_equal(got.pass1_probs, ref.pass1_probs)
+                else:
+                    assert got.pass1_probs is None
 
 
 class TestHmmSmoothing:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from phaseflow import model, train
+from phaseflow import model, ssm, train
 from phaseflow.core import ExperimentConfig, FeatureSequence, PhaseTaxonomy
 
 TAX2 = PhaseTaxonomy(("left", "right"))
@@ -43,6 +43,12 @@ def test_tracer_sees_the_calls_it_wraps_and_uninstalls():
         seqs = videos(3)
         # called through their modules: the tracer patches module attributes
         result = train.fit(cfg, TAX2, seqs[:2], seqs[2:])
+        # as the workloads do: stream a video, derive the acausal rows of
+        # its likelihoods and run the two-pass path on it
+        sess = model.InferenceSession(result.model)
+        for x in seqs[2].features:
+            sess.step(x)
+        ssm.acausal_feature_stream(result.model.new_extractor(), np.stack(sess.probs))
         model.infer_video_acausal(result.model, seqs[2])
         calls = {k: v["calls"] for k, v in tracer.totals().items()}
         metrics = bench_trace.per_layer_metrics(tracer)

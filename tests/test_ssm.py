@@ -16,7 +16,6 @@ from phaseflow.ssm import (
     SsmExtractor,
     TransitionMatrix,
     acausal_feature_stream,
-    acausal_feature_streams,
     estimate_transition_matrix,
     gabor_kernel,
 )
@@ -393,7 +392,7 @@ KINDS = ("csl", "gabor", "hmm")
 
 
 class TestClosedForm:
-    """`acausal_feature_streams` over a batch of complete streams against the
+    """`SsmExtractor.acausal_rows` over a batch of complete streams against the
     frame-by-frame oracle, one fresh extractor per stream, with lengths
     around the Gabor window width and past one Gabor product. The closed forms
     and the batched HMM filter sum in another order than the per-frame
@@ -416,8 +415,8 @@ class TestClosedForm:
     @pytest.mark.parametrize("kinds", [k for r in range(4) for k in combinations(KINDS, r)],
                              ids=lambda k: "|".join(k) or "none")
     def test_batch_matches_per_frame_oracle(self, kinds):
-        rows = acausal_feature_streams(self.extractor(kinds), self.streams)
-        rows32 = acausal_feature_streams(self.extractor(kinds), self.streams, np.float32)
+        rows = self.extractor(kinds).acausal_rows(self.streams)
+        rows32 = self.extractor(kinds).acausal_rows(self.streams, np.float32)
         for ms, got, got32 in zip(self.streams, rows, rows32):
             want = per_frame_acausal_stream(self.extractor(kinds), ms)
             assert got.shape == want.shape == (len(ms), self.extractor(kinds).dim)
@@ -431,7 +430,7 @@ class TestClosedForm:
         self.streams[0][[2, 5]] = 0.0           # two underflows in one stream
         self.streams[2][-1] = 0.0               # one at the start of the reversed stream
         batch = self.extractor(KINDS)
-        acausal_feature_streams(batch, self.streams)
+        batch.acausal_rows(self.streams)
         singles = [self.extractor(KINDS) for _ in self.streams]
         for ex, ms in zip(singles, self.streams):
             per_frame_acausal_stream(ex, ms)
@@ -471,7 +470,7 @@ class TestClosedForm:
         assert hmm.underflow_count == sum(n for _, n in singles) == 2
 
     def test_no_streams_give_no_rows(self):
-        assert acausal_feature_streams(self.extractor(KINDS), []) == []
+        assert self.extractor(KINDS).acausal_rows([]) == []
 
 
 class TestBatched:

@@ -232,7 +232,8 @@ class TestTrainingForwardEqualsInference:
         # the a block's weights are drawn like the others, so pass 2 differs
         ref = infer_video_acausal(model, seq)
         assert np.array_equal(train_probs, ref.pass1_probs)
-        pass2 = training_forward_probs(model, seq, model.acausal_rows([train_probs])[0][0])
+        pass2 = training_forward_probs(
+            model, seq, model.new_extractor().acausal_rows([train_probs], MODEL_DTYPE)[0])
         assert np.array_equal(pass2, ref.probs)
         assert not np.array_equal(ref.probs, ref.pass1_probs)
 
@@ -244,6 +245,7 @@ class TestFit:
         result = fit(cfg, TAX2, train, val)
         assert result.curve == []
         assert result.best_epoch == 0
+        assert np.isnan(result.best_val_accuracy)     # no epoch, no accuracy
         fresh = init_model(cfg, TAX2)
         for k in fresh.params:
             assert np.array_equal(result.model.params[k], fresh.params[k])
@@ -331,23 +333,25 @@ class TestCacheSchedule:
 
     @staticmethod
     def count_passes(monkeypatch, train, extra_underflows=0, delay=0.0):
-        """Wrap the offline passes `train` calls; count them by kind and by
-        split, adding `extra_underflows` and `delay` to the start-up pass."""
+        """Wrap the offline passes `train` calls: the start-up pass 1
+        (`_pass1`) and the two-pass driver (`_offline_probs`); count them by
+        kind and by split, adding `extra_underflows` and `delay` to the
+        start-up pass."""
         counts = {"startup": 0, "refresh": 0, "validate": 0}
-        real_lockstep, real_offline = train_mod._lockstep_probs, train_mod._offline_probs
+        real_pass1, real_offline = train_mod._pass1, train_mod._offline_probs
 
-        def lockstep(model, seqs):
+        def pass1(model, seqs):
             assert seqs is train
             counts["startup"] += 1
             time.sleep(delay)
-            probs, underflows = real_lockstep(model, seqs)
-            return probs, underflows + extra_underflows
+            probs, rows, underflows = real_pass1(model, seqs)
+            return probs, rows, underflows + extra_underflows
 
         def offline(model, seqs):
             counts["refresh" if seqs is train else "validate"] += 1
             return real_offline(model, seqs)
 
-        monkeypatch.setattr(train_mod, "_lockstep_probs", lockstep)
+        monkeypatch.setattr(train_mod, "_pass1", pass1)
         monkeypatch.setattr(train_mod, "_offline_probs", offline)
         return counts
 
@@ -431,7 +435,6 @@ class TestCacheSchedule:
             return probs, 0
 
         monkeypatch.setattr(model_mod, "_lockstep_probs", zeroed_pass1)
-        monkeypatch.setattr(train_mod, "_lockstep_probs", zeroed_pass1)
         train_mod._refresh_caches(run, train)
         assert run.hmm_underflows == sum(len(range(0, s.n_frames, 4)) for s in train) > 0
 
