@@ -306,7 +306,7 @@ def cmd_eval(args) -> int:
             raise DataValidationError(
                 f"{path}: {probs.shape[0]} rows of {probs.shape[1]} probabilities "
                 f"for {seq.n_frames} frames of {taxonomy.n_phases} phases")
-        report = eval_mod.compute_report(seq.labels, pred, taxonomy.n_phases)
+        report = eval_mod.compute_report(seq.labels, pred, taxonomy.n_phases, seq.fps)
         video_results.append({
             "video_id": vid, "gt": seq.labels, "pred": pred,
             "probs": probs, "report": report,
@@ -380,7 +380,7 @@ def cmd_ablate(args) -> int:
                 reports = [
                     eval_mod.compute_report(seq.labels,
                                             inferred[seq.video_id].labels,
-                                            taxonomy.n_phases)
+                                            taxonomy.n_phases, seq.fps)
                     for seq in test_seqs
                 ]
                 pooled = eval_mod.aggregate_reports(reports, taxonomy.n_phases)

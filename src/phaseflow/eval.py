@@ -17,6 +17,7 @@ frames, no segments in a bucket, no transitions) is None.
 from __future__ import annotations
 
 import csv
+import html
 import json
 import os
 from dataclasses import dataclass, fields
@@ -32,7 +33,8 @@ DURATION_BUCKETS = (
     ("31-60s", 31, 60),
     (">60s", 61, np.inf),
 )
-_BUCKET_LO = np.array([lo for _, lo, _ in DURATION_BUCKETS])
+# a bucket holds the lengths from its lower bound up to the next one's
+_BUCKET_EDGES = np.array([lo for _, lo, _ in DURATION_BUCKETS[1:]])
 TRANSITION_WINDOW_S = 10
 METRICS_SCHEMA_VERSION = 1
 
@@ -58,19 +60,20 @@ def _check_lengths(gt, pred):
     return gt, pred
 
 
-def _bucket_counts(lengths, hits) -> np.ndarray:
+def _bucket_counts(lengths, hits, fps: float) -> np.ndarray:
     """(5, 2) [correct, total] frame counts of ground-truth segments of
-    `lengths` frames with `hits` correct frames each; each frame belongs to
-    the duration bucket of its segment."""
+    `lengths` frames at `fps` with `hits` correct frames each; each frame
+    belongs to the duration bucket of its segment's length in seconds, a
+    segment shorter than one second to the first."""
     counts = np.zeros((len(DURATION_BUCKETS), 2), dtype=np.int64)
-    np.add.at(counts, np.searchsorted(_BUCKET_LO, lengths, side="right") - 1,
+    np.add.at(counts, np.searchsorted(_BUCKET_EDGES, lengths / fps, side="right"),
               np.stack([hits, lengths], axis=1))
     return counts
 
 
-def match_transitions(gt, pred, window: int = TRANSITION_WINDOW_S) -> dict:
+def match_transitions(gt, pred, window: float = TRANSITION_WINDOW_S) -> dict:
     """Greedy nearest-first matching of predicted to ground-truth transitions
-    into the same phase within `window` seconds; each transition matches at
+    into the same phase within `window` frames; each transition matches at
     most once. Returns raw counts."""
     gt, pred = _check_lengths(gt, pred)
     # (frame, phase) where a transition starts a run: every run but the first
@@ -194,9 +197,11 @@ class MetricsReport:
         }
 
 
-def compute_report(gt, pred, n_phases: int) -> MetricsReport:
-    """Counts of one video. Labels outside 0..n_phases-1, a length mismatch
-    or an empty video raise DataValidationError."""
+def compute_report(gt, pred, n_phases: int, fps: float = 1.0) -> MetricsReport:
+    """Counts of one video of `fps` frames per second, which the transition
+    window (TRANSITION_WINDOW_S) and the duration buckets are in. Labels
+    outside 0..n_phases-1, a length mismatch or an empty video raise
+    DataValidationError."""
     gt, pred = _check_lengths(gt, pred)
     for name, labels in (("gt", gt), ("pred", pred)):
         bad = np.flatnonzero((labels < 0) | (labels >= n_phases))
@@ -204,12 +209,12 @@ def compute_report(gt, pred, n_phases: int) -> MetricsReport:
             raise DataValidationError(f"{name} label {labels[bad[0]]} at frame "
                                       f"{bad[0]} is not a phase id 0..{n_phases - 1}")
     starts, ends = _runs(gt)
-    tc = match_transitions(gt, pred)
+    tc = match_transitions(gt, pred, TRANSITION_WINDOW_S * fps)
     return MetricsReport(
         n_phases=n_phases,
         confusion=np.bincount(gt * n_phases + pred, minlength=n_phases ** 2)
                     .reshape(n_phases, n_phases),
-        bucket=_bucket_counts(ends - starts + 1, np.add.reduceat(gt == pred, starts)),
+        bucket=_bucket_counts(ends - starts + 1, np.add.reduceat(gt == pred, starts), fps),
         transitions_matched=tc["matched"],
         transitions_gt_total=tc["gt_total"],
         transitions_pred_total=tc["pred_total"],
@@ -264,7 +269,7 @@ def render_timeline_svg(path, gt, pred, probs, taxonomy: PhaseTaxonomy) -> None:
                 f'<rect x="{start * sx:.2f}" y="{y}" '
                 f'width="{(end - start + 1) * sx:.2f}" height="{row_h}" {opacity}'
                 f'fill="{_phase_color(phase, taxonomy.n_phases)}">'
-                f'<title>{taxonomy.names[phase]}</title></rect>')
+                f'<title>{html.escape(taxonomy.names[phase], quote=False)}</title></rect>')
     lines.append("</svg>")
     with open(path, "w") as fh:
         fh.write("\n".join(lines))

@@ -7,16 +7,14 @@ Per-frame step (strict causality): the statistic consumed at frame t was
 aggregated from frames < t only; the new likelihood m_t updates the
 aggregators after the head fires. `StepKernel` is the one implementation of
 this step, and every path runs it: `InferenceSession` (one stream, no batch
-axis, no tape), the loss-free lockstep forward and the taped training
-window. It binds once the input rows it runs on, each aggregator's slot in
-them (`ssm.SsmExtractor.bind`), an `nn.WindowRecorder` over the rows and
-the (W, ..., N) likelihood array `ms`. Each frame the aggregators write
-their statistic straight into their slots of the float32 row, the
-recorder runs the cell and the head on the row, the softmax writes m_t into
-`ms`, and m_t updates the aggregators in place. Taped and untaped differ
-only in the arrays the cell writes to: untaped, the LSTM state and one set
-of gate buffers are overwritten in place; taped, every frame keeps its own
-for the backward pass.
+axis), the loss-free lockstep forward and the training window. It binds
+once the input rows it runs on, each aggregator's slot in them
+(`ssm.SsmExtractor.bind`), an `nn.WindowRecorder` over the rows and the
+(W, ..., N) likelihood array `ms`. Each frame the aggregators write their
+statistic straight into their slots of the float32 row, the recorder runs
+the cell and the head on the row, keeping every frame's arrays for the
+backward pass, the softmax writes m_t into `ms`, and m_t updates the
+aggregators in place.
 
 Lockstep engine. The frames of a video run in order, but videos are
 independent, so the engine steps B videos side by side, one frame of each
@@ -161,17 +159,15 @@ class StepKernel:
     the extractor with it and returns `ms[k]`.
 
     The `recorder` (an `nn.WindowRecorder`) starts from the state `h`, `c`
-    (from `PhaseModel.zero_state`, or the state a previous window left).
-    Untaped, it updates `h`, `c` and one set of gate buffers in place;
-    taped, it keeps every frame's arrays for `nn.window_backward`. Nothing
-    else differs. In lockstep, a row past its window length (`set_lengths`)
-    feeds the uniform vector to the aggregators, which cannot underflow the
-    HMM filter."""
+    (from `PhaseModel.zero_state`, or the state a previous window left) and
+    keeps every frame's arrays for `nn.window_backward`. In lockstep, a row
+    past its window length (`set_lengths`) feeds the uniform vector to the
+    aggregators, which cannot underflow the HMM filter."""
 
     def __init__(self, model: PhaseModel, extractor: ssm.SsmExtractor,
-                 xs: np.ndarray, h: np.ndarray, c: np.ndarray, taped: bool = False):
+                 xs: np.ndarray, h: np.ndarray, c: np.ndarray):
         self.extractor = extractor
-        self.recorder = nn.WindowRecorder(model.params, xs, h, c, taped)
+        self.recorder = nn.WindowRecorder(model.params, xs, h, c)
         self.ms = np.empty(xs.shape[:-1] + (model.n_phases,), self.recorder.cell.dtype)
         writes = extractor.bind(xs[..., model.blocks[1]])
         self._frames = [(m, [(write, slot[k]) for write, slot in writes])
@@ -200,7 +196,8 @@ class InferenceSession:
     """Single-video streaming state: LSTM state (zeroed), SSM aggregators
     (zero history), the input row [v | s | a] and the likelihood stream
     emitted so far; frame t is the next one, t = len(probs). Each step runs
-    the `StepKernel` bound to the input row.
+    the one-frame `StepKernel` bound to the input row, then copies its tape's
+    frame 1 into frame 0, which `h` and `c` view.
 
     Streaming is causal: in acausal configs the a block stays zero, the
     role of pass 1 of the offline two-pass scheme.
@@ -212,8 +209,10 @@ class InferenceSession:
         self._v = self._x[model.blocks[0]]
         self._v_shape = (model.config.embed_dim,)
         self.extractor = model.new_extractor()
-        self.h, self.c = model.zero_state()     # the kernel updates them in place
-        self._kernel = StepKernel(model, self.extractor, self._x[None], self.h, self.c)
+        self._kernel = StepKernel(model, self.extractor, self._x[None], *model.zero_state())
+        rec = self._kernel.recorder
+        self.h, self.c = rec.hs[0], rec.cs[0]
+        self._h1, self._c1 = rec.hs[1], rec.cs[1]
         self.probs: list[np.ndarray] = []
 
     def step(self, v: np.ndarray) -> np.ndarray:
@@ -224,6 +223,7 @@ class InferenceSession:
                 f"got {v.shape}, expected {self._v_shape}")
         self._v[:] = v
         m = self._kernel.step().copy()
+        self.h[...], self.c[...] = self._h1, self._c1
         self.probs.append(m)
         return m
 
@@ -273,15 +273,15 @@ class LockstepRunner:
     It gathers the rows of a stream set (`SsmExtractor.take`, into
     `extractor`, `h`, `c`) only when `rows` change, scattering the previous
     set back first (`put`), and binds a new input buffer and kernel only
-    then or when the window width changes. In between, the state carries
-    over in place: untaped, the kernel updates `h`, `c`; taped, the tape's
-    last state becomes its first. A stream reads acausal rows in every
-    window of its set or in none; then its a block keeps the buffer's
-    zeros. Before the first `run`, the set is the store."""
+    then or when the window width changes. In between, the tape's last
+    state becomes its first, so the store's `h`, `c` are only read until a
+    set is scattered back. A stream reads acausal rows in every window of
+    its set or in none; then its a block keeps the buffer's zeros. Before
+    the first `run`, the set is the store."""
 
     def __init__(self, model: PhaseModel, extractor: ssm.SsmExtractor,
-                 h: np.ndarray, c: np.ndarray, taped: bool = False):
-        self.model, self.taped = model, taped
+                 h: np.ndarray, c: np.ndarray):
+        self.model = model
         self._store = extractor, h, c
         self.extractor, self.h, self.c = extractor, h, c
         self._rows = None
@@ -296,7 +296,7 @@ class LockstepRunner:
     def _state(self) -> tuple[np.ndarray, np.ndarray]:
         if self._kernel is None:
             return self.h, self.c
-        rec = self._kernel.recorder     # untaped, hs[-1] and cs[-1] are h and c
+        rec = self._kernel.recorder
         return rec.hs[-1], rec.cs[-1]
 
     def _gather(self, rows: np.ndarray) -> None:
@@ -319,8 +319,8 @@ class LockstepRunner:
         if kernel is None or len(kernel.ms) != width:
             xs = np.zeros((width, len(rows), self.model.input_dim), MODEL_DTYPE)
             kernel = self._kernel = StepKernel(self.model, self.extractor, xs,
-                                               *self._state(), taped=self.taped)
-        elif self.taped:
+                                               *self._state())
+        else:
             rec = kernel.recorder
             rec.hs[0], rec.cs[0] = rec.hs[-1], rec.cs[-1]
         xs = kernel.recorder.xs
@@ -348,11 +348,20 @@ def check_embed_dim(config: ExperimentConfig, seqs) -> None:
                 f"but config embed_dim is {config.embed_dim}")
 
 
+def check_unique_ids(seqs, what: str) -> None:
+    """Refuse a video id that `seqs` (`what`) list more than once."""
+    seen = set()
+    for s in seqs:
+        if s.video_id in seen:
+            raise UsageError(f"video {s.video_id} is listed more than once in {what}")
+        seen.add(s.video_id)
+
+
 def _lockstep_probs(model: PhaseModel, seqs: list[FeatureSequence],
                     acausal: list | None = None) -> tuple[list[np.ndarray], int]:
     """Loss-free lockstep forward over whole videos, one `seq_len_bptt`
-    window at a time with state carried across windows: the untaped
-    `StepKernel`, whose arithmetic is the training forward's. Returns the
+    window at a time with state carried across windows: the `StepKernel`
+    of the training forward without the loss. Returns the
     (T, N) probabilities of each sequence, in input order, and the HMM
     underflow count. `acausal` holds each sequence's acausal rows (pass 2);
     without it an acausal model sees zeros there (pass 1)."""
@@ -407,8 +416,10 @@ def infer_dataset(model: PhaseModel, seqs) -> dict[str, InferenceResult]:
     models run both passes and fill `pass1_probs`. Videos enter, and the
     result holds them, in id order, so the input order never changes the
     output. The probabilities agree with `infer_video` to float rounding,
-    and equal its bits for one video."""
+    and equal its bits for one video. A video id listed twice raises
+    UsageError."""
     seqs = sorted(seqs, key=lambda s: s.video_id)
+    check_unique_ids(seqs, "the videos to infer")
     probs, pass1, _, _ = _offline_probs(model, seqs)
     acausal = model.config.acausal
     return {s.video_id: InferenceResult(s.video_id, p, np.argmax(p, axis=1),

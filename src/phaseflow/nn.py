@@ -8,10 +8,9 @@ whole path to 64-bit (what the finite-difference gradient checks use).
 
 `LstmCell` holds the one implementation of the cell's arithmetic, and
 `WindowRecorder.step` is the one forward step (cell, then head) that
-streaming inference, the loss-free lockstep forward and the taped training
-window all run. The recorder's frame arrays are the tape `window_backward`
-reads; untaped, every frame points at the caller's h and c and one set of
-gate buffers, which the cell overwrites in place with the same floats.
+streaming inference, the loss-free lockstep forward and the training window
+all run. Every window keeps its frame arrays, the tape `window_backward`
+reads.
 
 Every per-frame array may carry leading batch axes: the cell, the
 recorder, the window loss and the backward pass index with `...`, so B streams
@@ -77,12 +76,11 @@ class LstmCell:
     and `WindowRecorder`.
 
     A call writes the gate activations, c', tanh(c') and h' into arrays the
-    caller passes, so the caller decides what is fresh (a taped frame) and
-    what is overwritten in place (an untaped recorder passes h and c as h'
-    and c'); the pre-activation and the input-gate product live in scratch
-    bound here. Each operation is the one the textbook expression
-    `z = x @ wx + h @ wh + b`, `c' = f * c + i * g`, `h' = o * tanh(c')`
-    performs, in the same order, so the floats are the expression's."""
+    caller passes (a recorder's frame arrays); the pre-activation and the
+    input-gate product live in scratch bound here. Each operation is the one
+    the textbook expression `z = x @ wx + h @ wh + b`, `c' = f * c + i * g`,
+    `h' = o * tanh(c')` performs, in the same order, so the floats are the
+    expression's."""
 
     def __init__(self, params: dict, lead: tuple, dtype):
         self.hidden_dim = H = hidden_dim_of(params)
@@ -152,35 +150,24 @@ def head_forward(params: dict, h: np.ndarray) -> np.ndarray:
 class WindowRecorder:
     """The LSTM forward over one window of input rows `xs` (W, ..., D),
     frame by frame, and the frame arrays it writes, which are the tape of
-    `window_backward`: the states `hs`, `cs` (W + 1, ..., H) from the
-    caller's `h`, `c`, the gate activations `act` (W, ..., 4H), the
+    `window_backward`: the states `hs`, `cs` (W + 1, ..., H), frame 0 a
+    copy of the caller's `h`, `c` (only read), the gate activations `act` (W, ..., 4H), the
     candidate `g` and `tanh_c` (W, ..., H). `step(k)` runs the `LstmCell`
     on row k, which the caller may fill just before (the SSM statistic of
     frame k depends on the outputs of earlier frames), and returns the
     logits of h'. With (B, H) states it runs B streams in lockstep.
-
-    Untaped, the frame arrays are lists whose every frame is the caller's
-    `h` and `c` and one set of gate buffers, so the state is updated in
-    place and a step allocates only the logits; taped, every frame has its
-    own arrays. The arithmetic is the same either way, so a taped forward is
-    bit-equal to streaming.
     """
 
-    def __init__(self, params: dict, xs: np.ndarray, h: np.ndarray, c: np.ndarray,
-                 taped: bool = True):
+    def __init__(self, params: dict, xs: np.ndarray, h: np.ndarray, c: np.ndarray):
         self.params = params
         self.xs = xs
         W, lead = len(xs), h.shape[:-1]
         self.cell = cell = LstmCell(params, lead, cell_dtype(params, xs, h, c))
         H, dtype = cell.hidden_dim, cell.dtype
-        if taped:
-            hs = np.empty((W + 1,) + lead + (H,), dtype)
-            cs = np.empty_like(hs)
-            hs[0], cs[0] = h, c
-            act, g, tanh_c = (np.empty((W,) + lead + (n,), dtype) for n in (4 * H, H, H))
-        else:
-            hs, cs = [h] * (W + 1), [c] * (W + 1)
-            act, g, tanh_c = ([np.empty(lead + (n,), dtype)] * W for n in (4 * H, H, H))
+        hs = np.empty((W + 1,) + lead + (H,), dtype)
+        cs = np.empty_like(hs)
+        hs[0], cs[0] = h, c
+        act, g, tanh_c = (np.empty((W,) + lead + (n,), dtype) for n in (4 * H, H, H))
         self.hs, self.cs, self.act, self.g, self.tanh_c = hs, cs, act, g, tanh_c
         self._frames = [(hs[k], cs[k], xs[k], act[k], g[k], cs[k + 1], tanh_c[k], hs[k + 1])
                         for k in range(W)]
@@ -232,7 +219,7 @@ def window_backward(params: dict, rec: WindowRecorder,
                     dlogits: np.ndarray) -> dict[str, np.ndarray]:
     """Analytic gradients of the window loss w.r.t. all parameter blocks,
     summed over the window's frames and over its batch rows, from the frame
-    arrays of a taped `WindowRecorder`.
+    arrays of a `WindowRecorder`.
 
     Gradients do not flow into the inputs (SSM statistics are constants) or
     past the window's initial state. A frame whose dlogits are zero from the

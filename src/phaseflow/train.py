@@ -9,14 +9,14 @@ acausal feature cache) and pass 2 consuming the cached acausal features; the
 window loss sums both passes. Each epoch's caches are derived just before it
 (`_refresh_caches`): before epoch 1 from pass 1 alone, none after the last.
 
-Training runs on the lockstep engine of `model`, a taped
-`model.LockstepRunner` over one stream per video and pass. Each Adam step
-runs its aligned windows through it, takes one vectorised loss and one
-batched backward pass; the padded rows of a short window are masked out of
-the loss (exactly zero gradient). The runner gathers the state rows of a
-batch's videos (`SsmExtractor.take`) and scatters the previous batch's back
-(`put`) only when the batch's streams differ from the previous batch's;
-with no more videos than `batch_size` that is only when a video ends.
+Training runs on the lockstep engine of `model`, a `model.LockstepRunner`
+over one stream per video and pass. Each Adam step runs its aligned windows
+through it, takes one vectorised loss and one batched backward pass; the
+padded rows of a short window are masked out of the loss (exactly zero
+gradient). The runner gathers the state rows of a batch's videos
+(`SsmExtractor.take`) and scatters the previous batch's back (`put`) only
+when the batch's streams differ from the previous batch's; with no more
+videos than `batch_size` that is only when a video ends.
 The cache refresh and validation run all their videos through
 `_offline_probs`, the two-pass driver of `infer_dataset`; the start-up step
 runs its pass 1 alone (`_pass1`). At B=1 (`training_forward_probs`) the
@@ -47,8 +47,8 @@ from .core import (
 # run_inference is not called here; it stays importable from train because
 # the perfbench tracer wraps `train.run_inference`
 from .model import (LockstepRunner, PhaseModel, _lockstep_probs,  # noqa: F401
-                    _offline_probs, _pass1, check_embed_dim, init_model,
-                    run_inference, save_model)
+                    _offline_probs, _pass1, check_embed_dim, check_unique_ids,
+                    init_model, run_inference, save_model)
 
 log = logging.getLogger(__name__)
 
@@ -203,7 +203,7 @@ def train_epoch(run: TrainRun, train_seqs: list[FeatureSequence]) -> TrainRun:
     V = len(ids)
     row_of = {vid: j for j, vid in enumerate(ids)}
     runner = LockstepRunner(model, model.new_extractor(batch=n_pass * V),
-                            *model.zero_state(n_pass * V), taped=True)
+                            *model.zero_state(n_pass * V))
     use_prox = cfg.proximal_weight > 0.0 and bool(run.prox_cache)
     total_loss = 0.0
     total_frames = 0
@@ -287,7 +287,10 @@ def fit(config: ExperimentConfig, taxonomy: PhaseTaxonomy,
         train_seqs: list[FeatureSequence], val_seqs: list[FeatureSequence],
         log_path=None, ckpt_dir=None) -> FitResult:
     """Run the training protocol, each epoch after its cache step, and return
-    the best validation-accuracy epoch's parameters and the per-epoch curve."""
+    the best validation-accuracy epoch's parameters and the per-epoch curve.
+    A video id listed twice in either split raises UsageError."""
+    check_unique_ids(train_seqs, "the training set")
+    check_unique_ids(val_seqs, "the validation set")
     train_ids = {s.video_id for s in train_seqs}
     if train_ids & {s.video_id for s in val_seqs}:
         raise UsageError("train and validation video ids overlap")

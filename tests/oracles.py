@@ -124,8 +124,8 @@ class PerWindowRunner:
     and the same arithmetic at the same shapes, so the runner's outputs
     must equal its outputs bit for bit."""
 
-    def __init__(self, model, extractor, h, c, taped=False):
-        self.model, self.taped = model, taped
+    def __init__(self, model, extractor, h, c):
+        self.model = model
         self.store, self.h_all, self.c_all = extractor, h, c
 
     @property
@@ -142,7 +142,7 @@ class PerWindowRunner:
             if acausal is not None:
                 xs[:stop - start, j, ab] = acausal[start:stop]
         part = self.store.take(rows)
-        kernel = StepKernel(model, part, xs, self.h_all[rows], self.c_all[rows], self.taped)
+        kernel = StepKernel(model, part, xs, self.h_all[rows], self.c_all[rows])
         kernel.set_lengths(lengths)
         for k in range(len(xs)):
             kernel.step(k)

@@ -760,8 +760,23 @@ class TestEval:
         assert "v2: taxonomy differs from other videos" in capsys.readouterr().err
         assert not (tmp_path / "report").exists()
 
+    def test_buckets_read_the_video_fps(self, tmp_path):
+        # at 2 fps, segments of 4 and 16 frames last 2 s and 8 s
+        data, pred = tmp_path / "data", tmp_path / "pred"
+        pred.mkdir()
+        labels = np.array([0] * 4 + [1] * 16)
+        tax = PhaseTaxonomy(("a", "b"))
+        write_video_dir(data / "v1", FeatureSequence(
+            "v1", 2.0, np.zeros((20, 2), np.float32), labels), tax)
+        write_prediction_csv(pred / "v1.csv", InferenceResult(
+            "v1", np.eye(2, dtype=np.float32)[labels], labels), labels)
+        assert main(["eval", "--pred", str(pred), "--data", str(data),
+                     "--out", str(tmp_path / "report")]) == 0
+        payload = json.loads((tmp_path / "report" / "metrics.json").read_text())
+        assert payload["dataset"]["bucket_accuracy"] == {
+            "1-3s": 1.0, "4-10s": 1.0, "11-30s": None, "31-60s": None, ">60s": None}
 
-class TestLocking:
+
     def test_locked_output_dir_refused(self, workspace, tmp_path):
         out = tmp_path / "locked"
         out.mkdir()

@@ -1,5 +1,6 @@
 import json
 import re
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -235,6 +236,40 @@ class TestTransitions:
         assert compute_report(gt, gt, 2).transition_accuracy is None
 
 
+class TestSeconds:
+    def test_two_fps_video_scores_like_the_same_segments_at_one_fps(self):
+        rng = np.random.default_rng(14)
+        for _ in range(20):
+            gt, pred = random_label_pair(rng, **LONG_RUNS)
+            one = compute_report(gt, pred, 5)
+            two = compute_report(np.repeat(gt, 2), np.repeat(pred, 2), 5, fps=2.0)
+            assert np.array_equal(two.bucket, 2 * one.bucket)
+            assert np.array_equal(two.confusion, 2 * one.confusion)
+            assert (two.transitions_matched, two.transitions_gt_total,
+                    two.transitions_pred_total) == (one.transitions_matched,
+                                                    one.transitions_gt_total,
+                                                    one.transitions_pred_total)
+            assert (two.midpoint_correct, two.midpoint_total) == \
+                (one.midpoint_correct, one.midpoint_total)
+
+    def test_window_and_buckets_are_seconds(self):
+        # segments of 5 s and 10 s at 2 fps, the transition 8 s (16 frames) late
+        gt = np.array([0] * 10 + [1] * 20)
+        pred = np.array([0] * 26 + [1] * 4)
+        rep = compute_report(gt, pred, 2, fps=2.0)
+        assert rep.bucket.tolist() == [[0, 0], [14, 30], [0, 0], [0, 0], [0, 0]]
+        assert rep.transition_accuracy == 1.0
+        at_one_fps = compute_report(gt, pred, 2)
+        assert at_one_fps.bucket.tolist() == [[0, 0], [10, 10], [4, 20], [0, 0], [0, 0]]
+        assert at_one_fps.transition_accuracy == 0.0
+
+    def test_segment_shorter_than_a_second_is_in_the_first_bucket(self):
+        gt = np.array([0] + [1] * 99)
+        counts = compute_report(gt, gt, 2, fps=2.0).bucket
+        assert counts[0].tolist() == [1, 1]
+        assert counts[:, 1].sum() == len(gt)
+
+
 class TestMidpoint:
     def test_perfect(self):
         rng = np.random.default_rng(4)
@@ -401,6 +436,19 @@ class TestRenderReport:
                         ("500.00", "14", "500.00", "", "c"),
                         ("0.00", "68", "500.00", "0.600", "a"),
                         ("500.00", "68", "500.00", "0.600", "c")]
+
+    def test_svg_escapes_phase_names(self, tmp_path):
+        names = ("A & B", "<c>", 'say "x"')
+        tax = PhaseTaxonomy(names)
+        gt = np.array([0, 0, 1, 1, 2, 2])
+        pred = np.array([1, 1, 1, 2, 2, 0])
+        report = compute_report(gt, pred, 3)
+        vr = {"video_id": "v0", "gt": gt, "pred": pred,
+              "probs": np.full((len(pred), 3), 1 / 3), "report": report}
+        render_report(tmp_path, report, [vr], tax)
+        root = ET.parse(tmp_path / "timelines" / "v0.svg").getroot()
+        titles = [t.text for t in root.iter("{http://www.w3.org/2000/svg}title")]
+        assert titles == [names[p] for p in (0, 1, 2, 1, 2, 0)]
 
     def test_confusion_csv_row_sums(self, tmp_path):
         tax = PhaseTaxonomy(("a", "b", "c"))

@@ -168,8 +168,7 @@ def test_rows_past_their_window_feed_the_uniform_vector():
     mdl = build_model(KINDS, False, np.float64, seed=4)
     seqs = videos((3, 8), seed=5)
     windows = [(s, 0, s.n_frames, None) for s in seqs]
-    runner = model_mod.LockstepRunner(mdl, mdl.new_extractor(batch=2), *mdl.zero_state(2),
-                                      taped=True)
+    runner = model_mod.LockstepRunner(mdl, mdl.new_extractor(batch=2), *mdl.zero_state(2))
     kernel = runner.run(np.arange(2), windows)
     extractor = runner.extractor
     assert kernel.lengths.tolist() == [3, 8]
@@ -187,30 +186,42 @@ def test_rows_past_their_window_feed_the_uniform_vector():
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
-def test_taped_and_untaped_steps_are_bit_equal(dtype):
-    # B = 3 in lockstep, the last row padded past its fifth frame; the two
-    # modes differ only in the arrays the cell writes to
+def test_runner_reads_the_store_state_until_it_scatters(dtype):
+    # B = 3 in lockstep over two windows of the same set, the last row
+    # padded past its thirteenth frame
     mdl = build_model(KINDS, True, dtype, seed=6)
-    seqs = videos((8, 8, 5), seed=7)
+    seqs = videos((16, 16, 13), seed=7)
     rng = np.random.default_rng(8)
     width = mdl.blocks[2].stop - mdl.blocks[2].start
-    windows = [(s, 0, s.n_frames, rng.random((s.n_frames, width)).astype(np.float32))
-               for s in seqs]
+    rows = [rng.random((s.n_frames, width)).astype(np.float32) for s in seqs]
     h0, c0 = (rng.standard_normal((3, 4)).astype(dtype) for _ in range(2))
-    runs = []
-    for taped in (True, False):
-        runner = model_mod.LockstepRunner(mdl, mdl.new_extractor(batch=3), h0.copy(),
-                                          c0.copy(), taped)
-        kernel = runner.run(np.arange(3), windows)
-        # the state of the gathered rows, which the kernel starts from
-        extractor, h, c = runner.extractor, runner.h, runner.c
-        rec = kernel.recorder
-        # taped, the caller's state is only read; untaped, it is the state
-        assert np.array_equal(h, h0 if taped else rec.hs[-1])
-        assert np.array_equal(c, c0 if taped else rec.cs[-1])
-        runs.append((kernel.ms, rec.hs[-1], rec.cs[-1], extractor.feature()))
-    for got_taped, got_untaped in zip(*runs):
-        assert np.array_equal(got_taped, got_untaped)
+    h_all, c_all = h0.copy(), c0.copy()
+    runner = model_mod.LockstepRunner(mdl, mdl.new_extractor(batch=3), h_all, c_all)
+    first = runner.run(np.arange(3), [(s, 0, 8, r) for s, r in zip(seqs, rows)]).recorder
+    assert np.array_equal(first.hs[0], h0) and np.array_equal(first.cs[0], c0)
+    last = first.hs[-1].copy(), first.cs[-1].copy()
+    rec = runner.run(np.arange(3), [(s, 8, s.n_frames, r)
+                                    for s, r in zip(seqs, rows)]).recorder
+    # the same set again: the window starts from the last frame of the tape
+    assert np.array_equal(rec.hs[0], last[0]) and np.array_equal(rec.cs[0], last[1])
+    assert np.array_equal(h_all, h0) and np.array_equal(c_all, c0)
+    h_end, c_end = rec.hs[-1].copy(), rec.cs[-1].copy()
+    # another set scatters the state of the last one into the store
+    runner.run(np.array([1]), [(seqs[1], 0, 1, rows[1])])
+    assert np.array_equal(h_all, h_end) and np.array_equal(c_all, c_end)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+def test_session_state_is_the_last_tape_frame_of_one_stream(dtype):
+    mdl = build_model(KINDS, False, dtype, seed=9)
+    (seq,) = videos((19,), seed=10)
+    sess = stream(mdl, seq.features)
+    runner = model_mod.LockstepRunner(mdl, mdl.new_extractor(batch=1), *mdl.zero_state(1))
+    # windows of 8, 8 and 3 frames: the state carries over, then a rebind
+    for start in range(0, seq.n_frames, 8):
+        rec = runner.run(np.arange(1), [(seq, start, min(start + 8, 19), None)]).recorder
+    assert np.array_equal(sess.h, rec.hs[-1, 0]) and np.array_equal(sess.c, rec.cs[-1, 0])
+    assert sess.h.dtype == rec.hs.dtype == dtype
 
 
 def test_gabor_bank_longer_than_the_stream():

@@ -199,6 +199,13 @@ class TestInferVideo:
             if acausal:
                 assert np.array_equal(shuffled[vid].pass1_probs, r.pass1_probs)
 
+    def test_infer_dataset_rejects_a_video_listed_twice(self):
+        mdl = init_model(small_config(), TAX2)
+        rng = np.random.default_rng(3)
+        a, b = (random_seq(rng, 5, 3, 2, video_id=vid) for vid in ("a", "b"))
+        with pytest.raises(UsageError, match="video a is listed more than once"):
+            infer_dataset(mdl, [a, a, b])
+
     @pytest.mark.parametrize("acausal", [False, True], ids=["causal", "acausal"])
     def test_infer_dataset_rejects_another_embedding_width(self, acausal):
         mdl = init_model(small_config(acausal=acausal), TAX2)

@@ -279,6 +279,15 @@ class TestFit:
         with pytest.raises(UsageError, match="overlap"):
             fit(toy_config(), TAX2, train, train[:1])
 
+    @pytest.mark.parametrize("split", ["training", "validation"])
+    def test_rejects_a_video_listed_twice(self, split):
+        train, val = toy_dataset()
+        seqs = {"training": train, "validation": val}[split]
+        seqs.append(seqs[0])
+        with pytest.raises(UsageError, match=f"video {seqs[0].video_id} is listed "
+                                             f"more than once in the {split} set"):
+            fit(toy_config(), TAX2, train, val)
+
     def test_writes_log_and_checkpoints(self, tmp_path):
         train, val = toy_dataset()
         cfg = toy_config(epochs=2)
