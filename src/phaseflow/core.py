@@ -248,10 +248,10 @@ def atomic_open(path, mode: str = "w", **kwargs):
 
 def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Numerically stable softmax over the last axis; always a valid simplex.
-    Written into `out` when given (the same floats as a new array)."""
-    z = np.asarray(logits)
-    e = np.exp(np.subtract(z, z.max(axis=-1, keepdims=True), out=out), out=out)
-    e /= e.sum(axis=-1, keepdims=True)
+    Written into `out` when given (the same floats as a new array). The
+    reductions are the ufunc methods `max` and `sum` call, named directly."""
+    e = np.exp(np.subtract(logits, np.maximum.reduce(logits, axis=-1, keepdims=True), out), out)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
     return e
 
 

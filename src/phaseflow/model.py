@@ -7,14 +7,17 @@ Per-frame step (strict causality): the statistic consumed at frame t was
 aggregated from frames < t only; the new likelihood m_t updates the
 aggregators after the head fires. `StepKernel` is the one implementation of
 this step, and every path runs it: `InferenceSession` (one stream, no batch
-axis), the loss-free lockstep forward and the training window. It binds
-once the input rows it runs on, each aggregator's slot in them
-(`ssm.SsmExtractor.bind`), an `nn.WindowRecorder` over the rows and the
-(W, ..., N) likelihood array `ms`. Each frame the aggregators write their
-statistic straight into their slots of the float32 row, the recorder runs
-the cell and the head on the row, keeping every frame's arrays for the
-backward pass, the softmax writes m_t into `ms`, and m_t updates the
-aggregators in place.
+axis), the loss-free lockstep forward and the training window. All a
+frame calls is bound when the kernel is built: the input rows, each
+aggregator's `write` into its slot of one float64 staging row
+(`ssm.SsmExtractor.bind`) and its `update` (`SsmExtractor.updates`), an
+`nn.WindowRecorder` over the rows and the (W, ..., N) likelihood array
+`ms`. Each frame the aggregators write their statistic into the staging
+row, cast once into the float32 input row; the recorder runs the cell and
+the head on the row, keeping every frame's arrays for the backward pass;
+the softmax writes m_t into `ms`, and m_t updates each aggregator in
+place. The operations and operands are the composed step's, so are the
+bits.
 
 Lockstep engine. The frames of a video run in order, but videos are
 independent, so the engine steps B videos side by side, one frame of each
@@ -58,6 +61,7 @@ from .core import (
     DataValidationError,
     ExperimentConfig,
     FeatureSequence,
+    NumericError,
     PhaseTaxonomy,
     UsageError,
     softmax,
@@ -153,10 +157,11 @@ class StepKernel:
     rows `xs` it runs on: (W, D) for one stream without a batch axis,
     (W, B, D) for B streams in lockstep (bound by `LockstepRunner`, the
     only writer of the acausal block). The embedding and acausal blocks of
-    row k are the caller's. `step(k)` writes the statistic into row k
-    through the extractor's bound slots, runs `recorder.step(k)` (the LSTM
-    cell and the head), writes the softmax into `ms[k]` (W, ..., N), updates
-    the extractor with it and returns `ms[k]`.
+    row k are the caller's. `step(k)` runs `forward(k)`, which writes the
+    statistic into row k, runs `recorder.step(k)` (the LSTM cell and the
+    head) and writes the softmax into `ms[k]` (W, ..., N), then `update(k)`,
+    which feeds `ms[k]` to the aggregators, and returns `ms[k]`. A caller
+    that checks m_t before the statistics see it runs the two halves.
 
     The `recorder` (an `nn.WindowRecorder`) starts from the state `h`, `c`
     (from `PhaseModel.zero_state`, or the state a previous window left) and
@@ -167,11 +172,14 @@ class StepKernel:
     def __init__(self, model: PhaseModel, extractor: ssm.SsmExtractor,
                  xs: np.ndarray, h: np.ndarray, c: np.ndarray):
         self.extractor = extractor
-        self.recorder = nn.WindowRecorder(model.params, xs, h, c)
-        self.ms = np.empty(xs.shape[:-1] + (model.n_phases,), self.recorder.cell.dtype)
-        writes = extractor.bind(xs[..., model.blocks[1]])
-        self._frames = [(m, [(write, slot[k]) for write, slot in writes])
-                        for k, m in enumerate(self.ms)]
+        self.recorder = rec = nn.WindowRecorder(model.params, xs, h, c)
+        self.ms = np.empty(xs.shape[:-1] + (model.n_phases,), rec.cell.dtype)
+        stat = xs[..., model.blocks[1]]
+        self._stage = np.empty(stat.shape[1:])
+        self._writes, self._updates = extractor.bind(self._stage), extractor.updates
+        # per frame: its statistic columns and its likelihood row
+        self._frames = list(zip(stat, self.ms))
+        self._record = rec.step
         self.lengths = None
         self._ended_from = len(xs)
         self._uniform = MODEL_DTYPE(1.0 / model.n_phases)
@@ -180,15 +188,23 @@ class StepKernel:
         """The number of real frames of each row in the next window."""
         self.lengths, self._ended_from = lengths, int(lengths.min())
 
-    def step(self, k: int = 0) -> np.ndarray:
-        m, writes = self._frames[k]
-        for write, slot in writes:
+    def forward(self, k: int = 0) -> np.ndarray:
+        stat, m = self._frames[k]
+        for write, slot in self._writes:
             write(slot)
-        softmax(self.recorder.step(k), out=m)
-        if k < self._ended_from:
-            self.extractor.update(m)
-        else:
-            self.extractor.update(np.where((self.lengths <= k)[:, None], self._uniform, m))
+        np.copyto(stat, self._stage)
+        return softmax(self._record(k), m)
+
+    def update(self, k: int = 0) -> None:
+        _, m = self._frames[k]
+        if k >= self._ended_from:
+            m = np.where((self.lengths <= k)[:, None], self._uniform, m)
+        for update in self._updates:
+            update(m)
+
+    def step(self, k: int = 0) -> np.ndarray:
+        m = self.forward(k)
+        self.update(k)
         return m
 
 
@@ -196,8 +212,12 @@ class InferenceSession:
     """Single-video streaming state: LSTM state (zeroed), SSM aggregators
     (zero history), the input row [v | s | a] and the likelihood stream
     emitted so far; frame t is the next one, t = len(probs). Each step runs
-    the one-frame `StepKernel` bound to the input row, then copies its tape's
-    frame 1 into frame 0, which `h` and `c` view.
+    the one-frame `StepKernel` bound to the input row. The steps alternate
+    the two state rows of its tape, frame t reading row t % 2 and writing
+    the other, so `h` and `c` view row len(probs) % 2 and nothing is copied.
+    A frame with NaN likelihoods is refused before the aggregators see them
+    and leaves the session as it was; a NaN anywhere in the input row makes
+    every likelihood NaN, so one element tells.
 
     Streaming is causal: in acausal configs the a block stays zero, the
     role of pass 1 of the offline two-pass scheme.
@@ -209,21 +229,41 @@ class InferenceSession:
         self._v = self._x[model.blocks[0]]
         self._v_shape = (model.config.embed_dim,)
         self.extractor = model.new_extractor()
-        self._kernel = StepKernel(model, self.extractor, self._x[None], *model.zero_state())
-        rec = self._kernel.recorder
-        self.h, self.c = rec.hs[0], rec.cs[0]
-        self._h1, self._c1 = rec.hs[1], rec.cs[1]
+        kernel = StepKernel(model, self.extractor, self._x[None], *model.zero_state())
+        self._forward, self._update = kernel.forward, kernel.update
+        rec = kernel.recorder
+        self._hs, self._cs, self._tape = rec.hs, rec.cs, rec.frames
+        # frame 0 reads state row 0 and writes row 1; its twin the reverse
+        (h0, c0, *mid, c1, tanh_c, h1), logits = rec.frames[0]
+        self._routes = (rec.frames[0], ((h1, c1, *mid, c0, tanh_c, h0), logits))
         self.probs: list[np.ndarray] = []
 
+    @property
+    def h(self) -> np.ndarray:
+        return self._hs[len(self.probs) & 1]
+
+    @property
+    def c(self) -> np.ndarray:
+        return self._cs[len(self.probs) & 1]
+
     def step(self, v: np.ndarray) -> np.ndarray:
-        """Advance one frame: returns the phase likelihood vector m_t."""
+        """Advance one frame: returns the phase likelihood vector m_t. NaN
+        likelihoods raise DataValidationError if the embedding is not
+        finite and NumericError otherwise."""
+        t = len(self.probs)
         if v.shape != self._v_shape:
             raise DataValidationError(
-                f"embedding dimension mismatch at frame {len(self.probs)}: "
+                f"embedding dimension mismatch at frame {t}: "
                 f"got {v.shape}, expected {self._v_shape}")
         self._v[:] = v
-        m = self._kernel.step().copy()
-        self.h[...], self.c[...] = self._h1, self._c1
+        self._tape[0] = self._routes[t & 1]
+        m = self._forward(0)
+        if m[0] != m[0]:
+            if not np.isfinite(v).all():
+                raise DataValidationError(f"embedding at frame {t} is not finite")
+            raise NumericError(f"the likelihoods of frame {t} are not finite")
+        self._update(0)
+        m = m.copy()
         self.probs.append(m)
         return m
 

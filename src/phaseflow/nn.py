@@ -10,7 +10,8 @@ whole path to 64-bit (what the finite-difference gradient checks use).
 `WindowRecorder.step` is the one forward step (cell, then head) that
 streaming inference, the loss-free lockstep forward and the training window
 all run. Every window keeps its frame arrays, the tape `window_backward`
-reads.
+reads. A recorder binds each frame's arrays once, a logits row for
+`head_forward` among them, so a step allocates nothing.
 
 Every per-frame array may carry leading batch axes: the cell, the
 recorder, the window loss and the backward pass index with `...`, so B streams
@@ -80,7 +81,7 @@ class LstmCell:
     input-gate product live in scratch bound here. Each operation is the one
     the textbook expression `z = x @ wx + h @ wh + b`, `c' = f * c + i * g`,
     `h' = o * tanh(c')` performs, in the same order, so the floats are the
-    expression's."""
+    expression's. Outs go positionally, the cheapest way to a ufunc."""
 
     def __init__(self, params: dict, lead: tuple, dtype):
         self.hidden_dim = H = hidden_dim_of(params)
@@ -92,26 +93,30 @@ class LstmCell:
         self._ig = np.empty(lead + (H,), dtype)
         self._one = np.dtype(dtype).type(1.0)
 
-    def __call__(self, h, c, x, act, g, c_new, tanh_c, h_new):
-        """One update of state (h, c) on input x. `act` receives the
-        sigmoid of all four gate blocks and `g` the candidate's tanh."""
+    def gates(self, act: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The input, forget and output gate views of an `act` array."""
         H = self.hidden_dim
-        z = self._z
-        np.matmul(x, self.wx, out=z)
-        np.matmul(h, self.wh, out=self._zh)
+        return act[..., :H], act[..., H:2 * H], act[..., 3 * H:]
+
+    def __call__(self, h, c, x, act, i, f, o, g, c_new, tanh_c, h_new):
+        """One update of state (h, c) on input x. `act` receives the
+        sigmoid of all four gate blocks, `i`, `f`, `o` are its `gates`, and
+        `g` receives the candidate's tanh."""
+        z, one = self._z, self._one
+        np.matmul(x, self.wx, z)
+        np.matmul(h, self.wh, self._zh)
         z += self._zh
         z += self.b
-        np.tanh(self._z_cand, out=g)
-        np.negative(z, out=act)             # act = 1 / (1 + exp(-z))
-        np.exp(act, out=act)
-        act += self._one
-        np.divide(self._one, act, out=act)
-        i, f, o = act[..., :H], act[..., H:2 * H], act[..., 3 * H:]
-        np.multiply(i, g, out=self._ig)
-        np.multiply(f, c, out=c_new)
+        np.tanh(self._z_cand, g)
+        np.negative(z, act)                 # act = 1 / (1 + exp(-z))
+        np.exp(act, act)
+        act += one
+        np.divide(one, act, act)
+        np.multiply(i, g, self._ig)
+        np.multiply(f, c, c_new)
         c_new += self._ig
-        np.tanh(c_new, out=tanh_c)
-        np.multiply(o, tanh_c, out=h_new)
+        np.tanh(c_new, tanh_c)
+        np.multiply(o, tanh_c, h_new)
 
 
 def cell_dtype(params: dict, *inputs) -> np.dtype:
@@ -131,18 +136,20 @@ def lstm_step(params: dict, h: np.ndarray, c: np.ndarray,
     dtype, H = cell_dtype(params, x, h, c), hidden_dim_of(params)
     act = np.empty(lead + (4 * H,), dtype)
     g, c_new, tanh_c, h_new = (np.empty(lead + (H,), dtype) for _ in range(4))
-    LstmCell(params, lead, dtype)(h, c, x, act, g, c_new, tanh_c, h_new)
+    cell = LstmCell(params, lead, dtype)
+    cell(h, c, x, act, *cell.gates(act), g, c_new, tanh_c, h_new)
     return h_new, c_new
 
 
-def head_forward(params: dict, h: np.ndarray) -> np.ndarray:
-    """Affine map hidden -> phase logits."""
+def head_forward(params: dict, h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Affine map hidden -> phase logits `h @ head_w + head_b`, written into
+    `out` when given (the same floats as a new array) and returned."""
     w = params["head_w"]
     if h.shape[-1:] != w.shape[:1]:
         raise DataValidationError(
             f"head input dimension mismatch: got {h.shape}, "
             f"expected ({hidden_dim_of(params)},)")
-    logits = h @ w
+    logits = np.matmul(h, w, out)
     logits += params["head_b"]
     return logits
 
@@ -155,7 +162,12 @@ class WindowRecorder:
     candidate `g` and `tanh_c` (W, ..., H). `step(k)` runs the `LstmCell`
     on row k, which the caller may fill just before (the SSM statistic of
     frame k depends on the outputs of earlier frames), and returns the
-    logits of h'. With (B, H) states it runs B streams in lockstep.
+    logits of h', row k of `logits` (W, ..., N), which later steps leave
+    alone. With (B, H) states it runs B streams in lockstep.
+
+    `frames[k]` holds the cell's arguments for frame k and its logits row,
+    bound once; a caller may point an entry at other rows of the tape (the
+    streaming session alternates its two state rows so).
     """
 
     def __init__(self, params: dict, xs: np.ndarray, h: np.ndarray, c: np.ndarray):
@@ -169,17 +181,19 @@ class WindowRecorder:
         hs[0], cs[0] = h, c
         act, g, tanh_c = (np.empty((W,) + lead + (n,), dtype) for n in (4 * H, H, H))
         self.hs, self.cs, self.act, self.g, self.tanh_c = hs, cs, act, g, tanh_c
-        self._frames = [(hs[k], cs[k], xs[k], act[k], g[k], cs[k + 1], tanh_c[k], hs[k + 1])
-                        for k in range(W)]
+        self.logits = np.empty((W,) + lead + (n_phases_of(params),),
+                               np.result_type(dtype, params["head_w"]))
+        self.frames = [((hs[k], cs[k], xs[k], act[k], *cell.gates(act[k]), g[k], cs[k + 1],
+                         tanh_c[k], hs[k + 1]), self.logits[k]) for k in range(W)]
 
     @property
     def n_frames(self) -> int:
         return len(self.xs)
 
     def step(self, k: int) -> np.ndarray:
-        frame = self._frames[k]
-        self.cell(*frame)
-        return head_forward(self.params, frame[-1])
+        args, logits = self.frames[k]
+        self.cell(*args)
+        return head_forward(self.params, args[-1], logits)
 
 
 def window_loss_and_dlogits(ms: np.ndarray, ys, prox_targets=None,
@@ -234,7 +248,7 @@ def window_backward(params: dict, rec: WindowRecorder,
     whead_t = params["head_w"].T
     for t in reversed(range(rec.n_frames)):
         act, g, tanh_c = rec.act[t], rec.g[t], rec.tanh_c[t]
-        i, f, o = act[..., :H], act[..., H:2 * H], act[..., 3 * H:]
+        i, f, o = rec.cell.gates(act)
         dh = dh_next + dlogits[t] @ whead_t
         do = dh * tanh_c
         dc = dc_next + dh * o * (1.0 - tanh_c * tanh_c)

@@ -28,9 +28,10 @@ rest once: `dim`, the product of `shape`; `slot(block)`, the view of a
 (..., dim) row block in that shape; `feature()`, a new float64
 (*lead, dim) row written through `write(slot(row))`; and an
 `underflow_count` of 0. `SsmExtractor` is an aggregator of shape (dim,):
-`bind` pairs each part's `write` with its slot of the statistic columns,
-which the step kernel of `model` binds once and calls every frame, so each
-statistic has one formula.
+`bind` pairs each part's `write` with its slot of a (..., dim) block and
+`updates` lists each part's bound `update`; the step kernel of `model`
+binds both once and calls them every frame, so each statistic has one
+formula.
 
 Built with `batch=B`, an aggregator's state gains a leading axis of B rows
 (the Gabor ring holds them as B column blocks) and `update` takes (B, N)
@@ -42,8 +43,11 @@ copies those rows of every `state` into it; `put(rows, part)` copies them
 back. The lockstep runner of `model` does so only when its stream set
 changes, and steps the gathered part across windows in between.
 
-Aggregator internals are float64; `write` casts to the dtype of its slot
-(float32 in the model's input row).
+Aggregator internals are float64; `write` casts to the dtype of its slot.
+The step kernel binds float64 slots and casts the whole statistic into the
+model's float32 input row at once, which rounds each value as a float32
+slot would. The per-frame calls pass their outs positionally, which numpy
+parses faster than keywords.
 """
 
 from __future__ import annotations
@@ -109,16 +113,15 @@ class CslAccumulator(_Aggregator):
 
     def _hit_mask(self, m: np.ndarray, levels_out: np.ndarray,
                   argmax_out: np.ndarray) -> None:
-        m = np.asarray(m)
-        np.greater_equal(m[..., None], self.levels, out=levels_out)
-        np.equal(self._phase_ids, m.argmax(axis=-1)[..., None], out=argmax_out)
+        np.greater_equal(m[..., None], self.levels, levels_out)
+        np.equal(self._phase_ids, m.argmax(-1)[..., None], argmax_out)
 
     def update(self, m: np.ndarray) -> None:
         self._hit_mask(m, self._levels_out, self._argmax_out)
         self.counts += self._hits
 
     def write(self, out: np.ndarray) -> None:
-        np.log1p(self.counts, out=out)
+        np.log1p(self.counts, out)
 
     def streams(self, streams):
         """Offline rows (see the module doc): cumulative counts, integers
@@ -201,6 +204,8 @@ class GaborAccumulator(_Aggregator):
         self.lead, self.shape = _lead(batch), (n_phases, bank.num_scales)
         self._width = bank.width
         self.buf = np.zeros((2 * bank.width, n_phases * (batch or 1)))
+        # the buffer's rows in the shape of one update's likelihoods
+        self._rows = self.buf.reshape((len(self.buf),) + self.lead + (n_phases,))
         self._scratch = self._product_scratch((), self.buf.shape[1], self.lead)
         self.pos = 0
 
@@ -232,7 +237,7 @@ class GaborAccumulator(_Aggregator):
         if p + w > self.buf.shape[0]:
             self.buf[:w - 1] = self.buf[p:p + w - 1]
             p = 0
-        self.buf[p + w - 1] = np.asarray(m).reshape(-1)
+        self._rows[p + w - 1] = m
         self.pos = p
 
     def _magnitudes(self, windows: np.ndarray, scratch: tuple, out: np.ndarray) -> None:
@@ -240,10 +245,10 @@ class GaborAccumulator(_Aggregator):
         first, written into `out` (..., N, K) through `scratch` from
         `_product_scratch`."""
         prod, re, im, mag, mag_out = scratch
-        np.matmul(self.bank.kernels, windows, out=prod)
+        np.matmul(self.bank.kernels, windows, prod)
         prod *= prod
-        np.add(re, im, out=mag)
-        np.sqrt(mag_out, out=out)
+        np.add(re, im, mag)
+        np.sqrt(mag_out, out)
 
     def write(self, out: np.ndarray) -> None:
         self._magnitudes(self.window, self._scratch, out)
@@ -344,7 +349,7 @@ class HmmFilterState(_Aggregator):
 
     def update(self, m: np.ndarray, out: np.ndarray | None = None) -> None:
         # the new belief, also the next prior, is `out` if given, else a new array
-        post = np.matmul(self.prior, self._a, out=out)
+        post = np.matmul(self.prior, self._a, out)
         post *= m
         if not self.lead:   # one stream: one reduction to a scalar is cheapest
             s = np.add.reduce(post)
@@ -436,13 +441,19 @@ class SsmExtractor(_Aggregator):
             p.update(m)
 
     @property
+    def updates(self) -> list:
+        """Each aggregator's bound `update`, in csl | gabor | hmm order:
+        what `update` calls, for a caller that binds them once."""
+        return [p.update for p in self._parts]
+
+    @property
     def columns(self) -> dict[str, slice]:
         """The columns of each enabled kind within the statistic."""
         return dict(zip(self.enabled, self._columns))
 
     def bind(self, block: np.ndarray) -> list:
         """(write, slot) per aggregator, in csl | gabor | hmm order: its
-        `write` method and its slot of `block`, a (..., dim) view of the
+        `write` method and its slot of `block`, a (..., dim) array of
         statistic columns (see the module doc). `write(slot)` puts that
         aggregator's current statistic into the block."""
         return [(p.write, p.slot(block[..., cols]))

@@ -13,7 +13,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from oracles import ComposedStatistics, composed_stream
 from phaseflow import model as model_mod
-from phaseflow.core import ExperimentConfig, FeatureSequence, PhaseTaxonomy
+from phaseflow.core import (
+    DataValidationError,
+    ExperimentConfig,
+    FeatureSequence,
+    NumericError,
+    PhaseTaxonomy,
+)
 from phaseflow.model import InferenceSession, init_model
 from phaseflow.ssm import GaborBank, TransitionMatrix
 
@@ -222,6 +228,34 @@ def test_session_state_is_the_last_tape_frame_of_one_stream(dtype):
         rec = runner.run(np.arange(1), [(seq, start, min(start + 8, 19), None)]).recorder
     assert np.array_equal(sess.h, rec.hs[-1, 0]) and np.array_equal(sess.c, rec.cs[-1, 0])
     assert sess.h.dtype == rec.hs.dtype == dtype
+
+
+@pytest.mark.parametrize("bad_frame", [0, 1, 6])
+def test_session_refuses_a_nan_embedding_and_stays_as_it_was(bad_frame):
+    mdl = build_model(KINDS, False, np.float32, seed=11)
+    (seq,) = videos((12,), seed=12)
+    clean, sess = stream(mdl, seq.features), stream(mdl, seq.features[:bad_frame])
+    bad = seq.features[bad_frame].copy()
+    bad[1] = np.nan
+    with pytest.raises(DataValidationError, match=f"frame {bad_frame} "):
+        sess.step(bad)
+    assert len(sess.probs) == bad_frame
+    for v in seq.features[bad_frame:]:
+        sess.step(v)
+    assert np.array_equal(np.stack(sess.probs), np.stack(clean.probs))
+    assert np.array_equal(sess.h, clean.h) and np.array_equal(sess.c, clean.c)
+    assert np.array_equal(sess.extractor.feature(), clean.extractor.feature())
+    assert sess.extractor.underflow_count == 0
+
+
+def test_session_refuses_nan_likelihoods_of_a_finite_embedding():
+    mdl = build_model(KINDS, False, np.float32, seed=13)
+    mdl.params["head_w"][:] = np.inf
+    sess = InferenceSession(mdl)
+    with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="frame 0 "):
+        sess.step(np.ones(3, np.float32))
+    assert sess.probs == [] and sess.extractor.underflow_count == 0
+    assert not sess.h.any() and not sess.c.any()
 
 
 def test_gabor_bank_longer_than_the_stream():

@@ -130,6 +130,34 @@ class TestHead:
         ])
         np.testing.assert_allclose(nn.head_forward(params, h), expected, rtol=1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("lead", [(), (5,)], ids=["one", "batch"])
+    def test_out_row_equals_the_allocating_call(self, dtype, lead):
+        params = make_params(3, 4, 6, seed=4, dtype=dtype)
+        h = np.random.default_rng(5).standard_normal(lead + (4,)).astype(dtype)
+        out = np.full(lead + (6,), np.nan, dtype)
+        got = nn.head_forward(params, h, out)
+        assert got is out
+        assert np.array_equal(out, nn.head_forward(params, h))
+
+
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["one", "batch"])
+def test_recorder_logits_rows_outlive_later_steps(lead):
+    # each step fills its own logits row, so a caller may keep what step(k)
+    # returned while the window runs on (`oracles.window_pass` stacks them)
+    params = make_params(2, 3, 4, seed=6, dtype=np.float32)
+    rng = np.random.default_rng(7)
+    xs = rng.standard_normal((5,) + lead + (2,)).astype(np.float32)
+    h, c = np.zeros((2,) + lead + (3,), np.float32)
+    rec = nn.WindowRecorder(params, xs, h, c)
+    kept, at_return = [], []
+    for k in range(rec.n_frames):
+        kept.append(rec.step(k))
+        at_return.append(kept[-1].copy())
+    for k, (logits, then) in enumerate(zip(kept, at_return)):
+        assert np.array_equal(logits, then)
+        assert np.array_equal(logits, nn.head_forward(params, rec.hs[k + 1]))
+
 
 def cross_entropy(m, y):
     """The window loss of a one-frame window without the proximal term."""

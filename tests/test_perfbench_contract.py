@@ -9,6 +9,7 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from phaseflow import model, ssm, train
 from phaseflow.core import ExperimentConfig, FeatureSequence, PhaseTaxonomy
@@ -86,3 +87,35 @@ def test_infer_dataset_passes_the_workload_checks(monkeypatch):
         checks.close(np.stack(sess.probs), r.pass1_probs, seq.video_id)
     assert bench_workloads.PROB_ATOL <= 1e-4
     assert (checks.attempted, checks.failed) == (3 * len(seqs), 0), checks.failures
+
+
+# the names the tracer wraps on the per-frame step path
+STEP_SPANS = ("ssm.csl.update", "ssm.gabor.update", "ssm.hmm.update",
+              "nn.recorder.step", "nn.head_forward", "model.softmax")
+
+
+@pytest.mark.parametrize("engine", ["stream", "lockstep"])
+def test_tracer_sees_each_step_name_once_per_frame(engine):
+    # a step path that skipped or repeated one of these names would zero or
+    # inflate its per-layer metric without failing anything else
+    bench_trace = load_bench_trace()
+    cfg = ExperimentConfig(hidden_dim=3, embed_dim=2, seq_len_bptt=4,
+                           enabled_ssm_features=("csl", "gabor", "hmm"))
+    mdl = model.init_model(cfg, TAX2)
+    # lockstep: windows of 4, 4 and 2 frames, the last video ends in the first
+    seqs = videos(2, t=10) + [FeatureSequence("short", 1.0, videos(1, t=3)[0].features)]
+    tracer = bench_trace.install(bench_trace.Tracer("contract"))
+    try:
+        if engine == "stream":
+            sess = model.InferenceSession(mdl)
+            for x in seqs[0].features:
+                sess.step(x)
+        else:
+            model._lockstep_probs(mdl, seqs)
+        calls = {k: v["calls"] for k, v in tracer.totals().items()}
+    finally:
+        tracer.uninstall()
+    frames = seqs[0].n_frames
+    assert calls["model.session.step"] == (frames if engine == "stream" else 0)
+    for span in STEP_SPANS:
+        assert calls[span] == frames, span
