@@ -21,24 +21,28 @@ bits.
 
 Lockstep engine. The frames of a video run in order, but videos are
 independent, so the engine steps B videos side by side, one frame of each
-per step: one (B, D) @ (D, 4H) cell matmul and batched statistics with one
-row per stream. One runner, `LockstepRunner`, serves training and
-`_lockstep_probs`. It holds the state of every stream (an extractor, h and
-c) and gathers the rows of a stream set once, when the set changes; it
-then binds one input buffer and one `StepKernel` to that set and keeps
-them while the set and the window width stay the same, so a window only
-refills the v and a blocks and steps. `_lockstep_probs` runs whole videos
-longest first, so the live streams shrink to a prefix as videos end; rows
-past the end of a shorter window see zero embeddings and feed the uniform
-vector to the statistics. Rows are summed in another order than one video
-at a time, so the engine matches `infer_video` to float rounding. At B=1
-it is bit-equal to streaming inference by construction: the same kernel
-runs the same operations on the same values, with a batch axis of one.
+per step: one cell input product (`nn.LstmCell`'s column blocks) and
+batched statistics with one row per stream. One runner, `LockstepRunner`,
+serves training and `_lockstep_probs`. It holds the state of every
+stream (an extractor, h and c) and gathers the rows of a stream set once,
+when the set changes; it then binds one input buffer and one `StepKernel`
+to that set and keeps them while the set and the window width stay the
+same, so a window only refills the v and a blocks and steps.
+`_lockstep_probs` runs whole videos longest first, so the live streams
+shrink to a prefix as videos end; rows past the end of a shorter window
+see zero embeddings and feed the uniform vector to the statistics. Rows
+are summed in another order than one video at a time, so the engine
+matches `infer_video` to float rounding. At B=1 it is bit-equal to
+streaming inference by construction: the same kernel runs the same
+operations on the same values, with a batch axis of one.
 
 Two passes. Pass 2 of an acausal model reads, in the a block, the acausal
 rows of each video's complete pass-1 likelihoods; pass 1 leaves it zero,
-as streaming does. Only `LockstepRunner` fills the a block, so the one
-driver of both passes is `_offline_probs` (behind `infer_dataset`,
+as streaming does. The cell multiplies the a block only on the rows that
+read it (`StepKernel`'s `a_from`): streaming and pass 1 run the [v | s]
+product alone, pass 2 adds the a product on every row, and a training
+batch on its pass-2 rows. Only `LockstepRunner` fills the a block, so the
+one driver of both passes is `_offline_probs` (behind `infer_dataset`,
 validation and the cache refresh): `_pass1` runs pass 1 in lockstep and
 derives the rows of all videos at once (`ssm.SsmExtractor.acausal_rows`,
 straight into the model dtype), then pass 2 runs. The first epoch's cache
@@ -165,14 +169,18 @@ class StepKernel:
 
     The `recorder` (an `nn.WindowRecorder`) starts from the state `h`, `c`
     (from `PhaseModel.zero_state`, or the state a previous window left) and
-    keeps every frame's arrays for `nn.window_backward`. In lockstep, a row
-    past its window length (`set_lengths`) feeds the uniform vector to the
+    keeps every frame's arrays for `nn.window_backward`. Its cell reads the
+    a block on the rows from `a_from` on (none by default, as in streaming
+    and pass 1): the other rows skip its product. In lockstep, a row past
+    its window length (`set_lengths`) feeds the uniform vector to the
     aggregators, which cannot underflow the HMM filter."""
 
     def __init__(self, model: PhaseModel, extractor: ssm.SsmExtractor,
-                 xs: np.ndarray, h: np.ndarray, c: np.ndarray):
+                 xs: np.ndarray, h: np.ndarray, c: np.ndarray, a_from: int | None = None):
         self.extractor = extractor
-        self.recorder = rec = nn.WindowRecorder(model.params, xs, h, c)
+        self.a_from = a_from
+        self.recorder = rec = nn.WindowRecorder(model.params, xs, h, c,
+                                                model.blocks[2].start, a_from)
         self.ms = np.empty(xs.shape[:-1] + (model.n_phases,), rec.cell.dtype)
         stat = xs[..., model.blocks[1]]
         self._stage = np.empty(stat.shape[1:])
@@ -234,8 +242,8 @@ class InferenceSession:
         rec = kernel.recorder
         self._hs, self._cs, self._tape = rec.hs, rec.cs, rec.frames
         # frame 0 reads state row 0 and writes row 1; its twin the reverse
-        (h0, c0, *mid, c1, tanh_c, h1), logits = rec.frames[0]
-        self._routes = (rec.frames[0], ((h1, c1, *mid, c0, tanh_c, h0), logits))
+        (h0, c0, *mid, c1, tanh_c, h1, more), logits = rec.frames[0]
+        self._routes = (rec.frames[0], ((h1, c1, *mid, c0, tanh_c, h0, more), logits))
         self.probs: list[np.ndarray] = []
 
     @property
@@ -313,7 +321,8 @@ class LockstepRunner:
     It gathers the rows of a stream set (`SsmExtractor.take`, into
     `extractor`, `h`, `c`) only when `rows` change, scattering the previous
     set back first (`put`), and binds a new input buffer and kernel only
-    then or when the window width changes. In between, the tape's last
+    then, when the window width changes or when the first row that reads
+    acausal rows does (the kernel's `a_from`). In between, the tape's last
     state becomes its first, so the store's `h`, `c` are only read until a
     set is scattered back. A stream reads acausal rows in every window of
     its set or in none; then its a block keeps the buffer's zeros. Before
@@ -355,11 +364,14 @@ class LockstepRunner:
             self._gather(rows)
         lengths = np.array([stop - start for _, start, stop, _ in windows])
         width = int(lengths.max())
+        # the rows that read acausal rows are a suffix: the pass-2 rows of a
+        # training batch, every row of a pass 2
+        a_from = next((j for j, w in enumerate(windows) if w[3] is not None), None)
         kernel = self._kernel
-        if kernel is None or len(kernel.ms) != width:
+        if kernel is None or len(kernel.ms) != width or kernel.a_from != a_from:
             xs = np.zeros((width, len(rows), self.model.input_dim), MODEL_DTYPE)
             kernel = self._kernel = StepKernel(self.model, self.extractor, xs,
-                                               *self._state())
+                                               *self._state(), a_from)
         else:
             rec = kernel.recorder
             rec.hs[0], rec.cs[0] = rec.hs[-1], rec.cs[-1]

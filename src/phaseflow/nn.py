@@ -15,11 +15,20 @@ reads. A recorder binds each frame's arrays once, a logits row for
 
 Every per-frame array may carry leading batch axes: the cell, the
 recorder, the window loss and the backward pass index with `...`, so B streams
-stepped in lockstep are one (B, D) @ (D, 4H) matmul per frame and one
-backward pass per window. A single stream is the case without batch axes.
-BLAS sums a product with B > 1 rows in another order than a single row, so
-a stream's outputs are bit-equal to streaming inference only at B=1; at
-larger B they agree to float rounding.
+stepped in lockstep are one input product per frame and one backward pass
+per window. A single stream is the case without batch axes. BLAS sums a
+product with B > 1 rows in another order than a single row, so a stream's
+outputs are bit-equal to streaming inference only at B=1; at larger B they
+agree to float rounding.
+
+The cell's input product `x @ wx` is a fixed list of column-block products
+(`input_blocks`), bound when the cell is built and summed in column order.
+No block is wider than BLOCK_COLS columns, so the sum is the same at every
+BLAS thread count; a row of at most that width is one product. A column
+range that only some rows read (the acausal block of an acausal model,
+read on pass 2 only) is split off and multiplied on those rows alone. The
+backward pass keeps one `xs.T @ dz` per window, whose bits do not depend
+on the thread count either (tests/test_blas_threads.py).
 """
 
 from __future__ import annotations
@@ -35,6 +44,11 @@ from .core import DataValidationError, NumericError, atomic_open, read_bytes
 PROB_FLOOR = 1e-12
 CHECKPOINT_MAGIC = b"PHCK"
 CHECKPOINT_VERSION = 2
+# the widest column block of one input product: OpenBLAS sums a product over
+# more than 448 columns in an order that depends on its thread count (no
+# product over 448 or fewer differed with scipy-openblas 0.3.31 on x86-64);
+# 384 leaves a margin below that
+BLOCK_COLS = 384
 
 
 def param_shapes(input_dim: int, hidden_dim: int, n_phases: int) -> dict[str, tuple]:
@@ -81,9 +95,17 @@ class LstmCell:
     input-gate product live in scratch bound here. Each operation is the one
     the textbook expression `z = x @ wx + h @ wh + b`, `c' = f * c + i * g`,
     `h' = o * tanh(c')` performs, in the same order, so the floats are the
-    expression's. Outs go positionally, the cheapest way to a ufunc."""
+    expression's; outs go positionally, the cheapest way to a ufunc.
 
-    def __init__(self, params: dict, lead: tuple, dtype):
+    `x @ wx` is the sum, in column order, of the products of the input's
+    column blocks (`input_blocks`), the list bound here once. Every row reads
+    the columns before `tail`; the columns from `tail` on are read only by
+    the rows `tail_from` on of the first lead axis (all rows at 0, none at
+    None), and add into their rows of z. A row that does not read them
+    computes what their zeros would give, without their product."""
+
+    def __init__(self, params: dict, lead: tuple, dtype, tail: int | None = None,
+                 tail_from: int | None = None):
         self.hidden_dim = H = hidden_dim_of(params)
         self.wx, self.wh, self.b = params["lstm_wx"], params["lstm_wh"], params["lstm_b"]
         self.dtype = dtype
@@ -92,18 +114,34 @@ class LstmCell:
         self._zh = np.empty_like(self._z)
         self._ig = np.empty(lead + (H,), dtype)
         self._one = np.dtype(dtype).type(1.0)
+        (_, self._first), *more = input_blocks(len(self.wx), tail, tail_from)
+        self._wx = self.wx[self._first]
+        # each further block: its rows and columns of x, its rows of wx, a
+        # scratch product and the rows of z it adds into
+        self._more = [(rows, cols, self.wx[cols], np.empty_like(self._z[rows]),
+                       self._z[rows]) for rows, cols in more]
+
+    def inputs(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """The cell's input arguments `x`, `more` for the row(s) `x`: the
+        first column block and the operands of each further block."""
+        return x[..., self._first], tuple((x[rows][..., cols], *operands)
+                                          for rows, cols, *operands in self._more)
 
     def gates(self, act: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The input, forget and output gate views of an `act` array."""
         H = self.hidden_dim
         return act[..., :H], act[..., H:2 * H], act[..., 3 * H:]
 
-    def __call__(self, h, c, x, act, i, f, o, g, c_new, tanh_c, h_new):
-        """One update of state (h, c) on input x. `act` receives the
-        sigmoid of all four gate blocks, `i`, `f`, `o` are its `gates`, and
-        `g` receives the candidate's tanh."""
+    def __call__(self, h, c, x, act, i, f, o, g, c_new, tanh_c, h_new, more):
+        """One update of state (h, c) on input x, the first block of
+        `inputs` (`more` the rest). `act` receives the sigmoid of all four
+        gate blocks, `i`, `f`, `o` are its `gates`, and `g` receives the
+        candidate's tanh."""
         z, one = self._z, self._one
-        np.matmul(x, self.wx, z)
+        np.matmul(x, self._wx, z)
+        for xb, wb, part, zb in more:
+            np.matmul(xb, wb, part)
+            zb += part
         np.matmul(h, self.wh, self._zh)
         z += self._zh
         z += self.b
@@ -117,6 +155,24 @@ class LstmCell:
         c_new += self._ig
         np.tanh(c_new, tanh_c)
         np.multiply(o, tanh_c, h_new)
+
+
+def input_blocks(width: int, tail: int | None, tail_from: int | None) -> list[tuple]:
+    """The (rows, columns) of each block product of an `LstmCell`'s `x @ wx`
+    over rows of `width` columns, in summation order: [0, tail) on every
+    row, then [tail, width) on the rows from `tail_from` on (none when it is
+    None), each cut into consecutive blocks of at most BLOCK_COLS columns."""
+    tail = width if tail is None else tail
+    blocks = [(..., cols) for cols in _column_blocks(0, tail)]
+    if tail_from is not None:
+        rows = ... if tail_from == 0 else slice(tail_from, None)
+        blocks += [(rows, cols) for cols in _column_blocks(tail, width)]
+    return blocks
+
+
+def _column_blocks(start: int, stop: int) -> list[slice]:
+    """Columns [start, stop) as consecutive slices of at most BLOCK_COLS."""
+    return [slice(k, min(k + BLOCK_COLS, stop)) for k in range(start, stop, BLOCK_COLS)]
 
 
 def cell_dtype(params: dict, *inputs) -> np.dtype:
@@ -137,7 +193,8 @@ def lstm_step(params: dict, h: np.ndarray, c: np.ndarray,
     act = np.empty(lead + (4 * H,), dtype)
     g, c_new, tanh_c, h_new = (np.empty(lead + (H,), dtype) for _ in range(4))
     cell = LstmCell(params, lead, dtype)
-    cell(h, c, x, act, *cell.gates(act), g, c_new, tanh_c, h_new)
+    x, more = cell.inputs(x)
+    cell(h, c, x, act, *cell.gates(act), g, c_new, tanh_c, h_new, more)
     return h_new, c_new
 
 
@@ -166,15 +223,19 @@ class WindowRecorder:
     alone. With (B, H) states it runs B streams in lockstep.
 
     `frames[k]` holds the cell's arguments for frame k and its logits row,
-    bound once; a caller may point an entry at other rows of the tape (the
-    streaming session alternates its two state rows so).
+    bound once, the column views of row k's input blocks among them; a
+    caller may point an entry at other rows of the tape (the streaming
+    session alternates its two state rows so). `tail` and `tail_from` go to
+    the `LstmCell`.
     """
 
-    def __init__(self, params: dict, xs: np.ndarray, h: np.ndarray, c: np.ndarray):
+    def __init__(self, params: dict, xs: np.ndarray, h: np.ndarray, c: np.ndarray,
+                 tail: int | None = None, tail_from: int | None = None):
         self.params = params
         self.xs = xs
         W, lead = len(xs), h.shape[:-1]
-        self.cell = cell = LstmCell(params, lead, cell_dtype(params, xs, h, c))
+        self.cell = cell = LstmCell(params, lead, cell_dtype(params, xs, h, c),
+                                    tail, tail_from)
         H, dtype = cell.hidden_dim, cell.dtype
         hs = np.empty((W + 1,) + lead + (H,), dtype)
         cs = np.empty_like(hs)
@@ -183,8 +244,9 @@ class WindowRecorder:
         self.hs, self.cs, self.act, self.g, self.tanh_c = hs, cs, act, g, tanh_c
         self.logits = np.empty((W,) + lead + (n_phases_of(params),),
                                np.result_type(dtype, params["head_w"]))
-        self.frames = [((hs[k], cs[k], xs[k], act[k], *cell.gates(act[k]), g[k], cs[k + 1],
-                         tanh_c[k], hs[k + 1]), self.logits[k]) for k in range(W)]
+        self.frames = [((hs[k], cs[k], x, act[k], *cell.gates(act[k]), g[k], cs[k + 1],
+                         tanh_c[k], hs[k + 1], more), self.logits[k])
+                       for k, (x, more) in enumerate(map(cell.inputs, xs))]
 
     @property
     def n_frames(self) -> int:
@@ -193,7 +255,7 @@ class WindowRecorder:
     def step(self, k: int) -> np.ndarray:
         args, logits = self.frames[k]
         self.cell(*args)
-        return head_forward(self.params, args[-1], logits)
+        return head_forward(self.params, args[-2], logits)
 
 
 def window_loss_and_dlogits(ms: np.ndarray, ys, prox_targets=None,

@@ -1,17 +1,20 @@
 """Helpers shared by several test files: one training window composed from
 the package's own pieces, the streaming step composed of one allocating
-call per quantity (the oracle of the step kernel), the lockstep engine
-that binds a new kernel per window (the oracle of the lockstep runner),
-two-pass inference over one video with a streaming pass 1 (the oracle of
-the one-video views of `infer_dataset`), a finite-difference gradient oracle, the frame-by-frame statistic streams
-the closed forms in `ssm` are checked against, the list-based HMM filter
-over complete streams, the unfused Adam update, the csv-module table
-readers and writer the one-call `np.loadtxt` readers and `%`-format
-writers are checked against, and the per-row prediction writer. No
-command runs them, so they live with the tests."""
+call per quantity, its input product summed over the cell's column blocks
+(the oracle of the step kernel), the lockstep engine that binds a new
+kernel per window (the oracle of the lockstep runner), two-pass inference
+over one video with a streaming pass 1 (the oracle of the one-video views
+of `infer_dataset`), a finite-difference gradient oracle, the
+frame-by-frame statistic streams the closed forms in `ssm` are checked
+against, the list-based HMM filter over complete streams, the unfused Adam
+update, the csv-module table readers and writer the one-call `np.loadtxt`
+readers and `%`-format writers are checked against, and the per-row
+prediction writer. No command runs them, so they live with the tests."""
 
 import csv
+import functools
 import io
+import operator
 
 import numpy as np
 
@@ -30,11 +33,22 @@ def window_pass(params, h, c, xs, ys, prox_targets=None, prox_weight=0.0):
     return loss, nn.window_backward(params, rec, dlogits)
 
 
-def composed_cell(params, h, c, x):
-    """The LSTM cell as the textbook expressions, each quantity a new array;
-    returns (h', c')."""
+def block_product(x, wx, bounds=None):
+    """`x @ wx` as the cell sums it: one product per column block, summed
+    left to right. The blocks are the [start, stop) column ranges `bounds`
+    (default the whole row), each cut every `nn.BLOCK_COLS` columns;
+    columns in no range are not read."""
+    bounds = ((0, len(wx)),) if bounds is None else bounds
+    cuts = [(k, min(k + nn.BLOCK_COLS, stop))
+            for start, stop in bounds for k in range(start, stop, nn.BLOCK_COLS)]
+    return functools.reduce(operator.add, [x[..., a:b] @ wx[a:b] for a, b in cuts])
+
+
+def composed_cell(params, h, c, x, bounds=None):
+    """The LSTM cell as the textbook expressions, each quantity a new array,
+    `x @ wx` the `block_product` over `bounds`; returns (h', c')."""
     H = params["lstm_wh"].shape[0]
-    z = x @ params["lstm_wx"] + h @ params["lstm_wh"] + params["lstm_b"]
+    z = block_product(x, params["lstm_wx"], bounds) + h @ params["lstm_wh"] + params["lstm_b"]
     act = 1.0 / (1.0 + np.exp(-z))
     i, f, o = act[..., :H], act[..., H:2 * H], act[..., 3 * H:]
     c_new = f * c + i * np.tanh(z[..., 2 * H:3 * H])
@@ -94,10 +108,12 @@ class ComposedStatistics:
 def composed_stream(model, features, acausal_rows=None):
     """Streaming inference over one video as separate allocating calls:
     the statistic concatenated and cast into the input row, the cell, the
-    head, the softmax, then the statistic's update. Returns the (T, N)
-    likelihoods, the final (h, c) and the `ComposedStatistics`."""
+    head, the softmax, then the statistic's update. The cell reads the a
+    block only given `acausal_rows`. Returns the (T, N) likelihoods, the
+    final (h, c) and the `ComposedStatistics`."""
     params = model.params
     vb, sb, ab = model.blocks
+    bounds = ((0, ab.start),) + (() if acausal_rows is None else ((ab.start, ab.stop),))
     h, c = np.zeros((2, model.config.hidden_dim), np.float32)
     stats = ComposedStatistics(model)
     x = np.zeros(model.input_dim, np.float32)
@@ -107,7 +123,7 @@ def composed_stream(model, features, acausal_rows=None):
         x[sb] = stats.feature()
         if acausal_rows is not None:
             x[ab] = acausal_rows[t]
-        h, c = composed_cell(params, h, c, x)
+        h, c = composed_cell(params, h, c, x, bounds)
         logits = h @ params["head_w"] + params["head_b"]
         e = np.exp(logits - logits.max())
         m = e / e.sum()
@@ -119,7 +135,8 @@ def composed_stream(model, features, acausal_rows=None):
 class PerWindowRunner:
     """`model.LockstepRunner` as one window at a time: every `run` gathers
     the rows of its streams from the store (`SsmExtractor.take`, and h, c),
-    builds a new zeroed input buffer and a new `StepKernel` over them,
+    builds a new zeroed input buffer and a new `StepKernel` over them, its
+    cell reading the a block from the first window with acausal rows on,
     steps the window and scatters the rows back (`put`). The same interface
     and the same arithmetic at the same shapes, so the runner's outputs
     must equal its outputs bit for bit."""
@@ -141,8 +158,9 @@ class PerWindowRunner:
             xs[:stop - start, j, vb] = seq.features[start:stop]
             if acausal is not None:
                 xs[:stop - start, j, ab] = acausal[start:stop]
+        a_from = next((j for j, w in enumerate(windows) if w[3] is not None), None)
         part = self.store.take(rows)
-        kernel = StepKernel(model, part, xs, self.h_all[rows], self.c_all[rows])
+        kernel = StepKernel(model, part, xs, self.h_all[rows], self.c_all[rows], a_from)
         kernel.set_lengths(lengths)
         for k in range(len(xs)):
             kernel.step(k)

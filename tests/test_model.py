@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from oracles import streaming_two_pass
 
-from phaseflow import nn
+from phaseflow import model as model_mod, nn
 from phaseflow.core import (
     DataValidationError,
     ExperimentConfig,
@@ -217,8 +217,8 @@ class TestInferVideo:
 
 
 class TestAcausal:
-    def acausal_model(self, seed=1):
-        cfg = small_config(acausal=True, rng_seed=seed)
+    def acausal_model(self, seed=1, **kw):
+        cfg = small_config(acausal=True, rng_seed=seed, **kw)
         # sticky transitions give the hmm feature real memory of the future
         sticky = TransitionMatrix(np.array([[0.9, 0.1], [0.1, 0.9]]))
         return init_model(cfg, TAX2, transition=sticky)
@@ -245,6 +245,25 @@ class TestAcausal:
         assert np.array_equal(again.pass1_probs[:30], base.pass1_probs[:30])
         # ... but the acausal statistics see the changed future
         assert not np.array_equal(again.probs[:20], base.probs[:20])
+
+    @pytest.mark.parametrize("embed_dim", [3, 500], ids=["narrow", "chunked"])
+    def test_causal_passes_never_read_the_acausal_weights(self, embed_dim):
+        # at 500 the [v | s] columns are more than one block of BLOCK_COLS
+        mdl = self.acausal_model(embed_dim=embed_dim)
+        poisoned = PhaseModel(mdl.config, mdl.taxonomy,
+                              {k: v.copy() for k, v in mdl.params.items()}, mdl.transition)
+        poisoned.params["lstm_wx"][mdl.blocks[2]] = np.nan
+        rng = np.random.default_rng(10)
+        seqs = [random_seq(rng, t, embed_dim, 2, f"v{i}") for i, t in enumerate((30, 17, 9))]
+        for seq in seqs:
+            got, ref = infer_video(poisoned, seq).probs, infer_video(mdl, seq).probs
+            assert np.isfinite(got).all() and np.array_equal(got, ref)
+        with np.errstate(invalid="ignore"):
+            probs, pass1, _, _ = model_mod._offline_probs(poisoned, seqs)
+        ref_pass1 = model_mod._offline_probs(mdl, seqs)[1]
+        for got, ref, p2 in zip(pass1, ref_pass1, probs):
+            assert np.isfinite(got).all() and np.array_equal(got, ref)
+            assert np.isnan(p2).all()       # pass 2 reads them
 
     def test_acausal_requires_acausal_config(self):
         mdl = init_model(small_config(), TAX2)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import finite_difference_grads, textbook_adam_step, window_pass
 from phaseflow import nn
@@ -139,6 +140,37 @@ class TestHead:
         got = nn.head_forward(params, h, out)
         assert got is out
         assert np.array_equal(out, nn.head_forward(params, h))
+
+
+@settings(max_examples=40)
+@given(width=st.integers(1, 1000), tail=st.integers(1, 1000), n_rows=st.integers(1, 5),
+       tail_from=st.none() | st.integers(0, 5), seed=st.integers(0, 2 ** 16))
+@example(width=1000, tail=900, n_rows=4, tail_from=2, seed=0)
+@example(width=518, tail=323, n_rows=1, tail_from=0, seed=1)
+def test_block_product_is_one_product_to_float32_rounding(width, tail, n_rows, tail_from,
+                                                          seed):
+    # columns from `tail` on count on the rows from `tail_from` on only: the
+    # others hold NaN there, which a block product that read them would show
+    tail, tail_from = min(tail, width), None if tail_from is None else min(tail_from, n_rows)
+    blocks = nn.input_blocks(width, tail, tail_from)
+    assert all(cols.stop - cols.start <= nn.BLOCK_COLS for _, cols in blocks)
+    assert blocks[0][1].start == 0 and all(
+        a.stop == b.start for (_, a), (_, b) in zip(blocks, blocks[1:]))
+    params = make_params(width, 2, 3, seed=seed, dtype=np.float32)
+    params["lstm_b"][:] = 0.0
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((1, n_rows, width)).astype(np.float32)
+    read = x.astype(np.float64)
+    unread = slice(None) if tail_from is None else slice(0, tail_from)
+    x[0, unread, tail:] = np.nan
+    read[0, unread, tail:] = 0.0
+    h, c = np.zeros((2, n_rows, 2), np.float32)
+    rec = nn.WindowRecorder(params, x, h, c, tail, tail_from)
+    rec.step(0)
+    z = read[0] @ params["lstm_wx"].astype(np.float64)
+    bound = width * np.finfo(np.float32).eps * (np.abs(read[0]) @ np.abs(params["lstm_wx"]))
+    # the sigmoid's slope is at most 1/4
+    assert (np.abs(rec.act[0] - 1.0 / (1.0 + np.exp(-z))) <= bound / 4 + 1e-6).all()
 
 
 @pytest.mark.parametrize("lead", [(), (3,)], ids=["one", "batch"])
