@@ -21,7 +21,7 @@ bits.
 
 Lockstep engine. The frames of a video run in order, but videos are
 independent, so the engine steps B videos side by side, one frame of each
-per step: one cell input product (`nn.LstmCell`'s column blocks) and
+per step: one cell input product (the recorder's column blocks) and
 batched statistics with one row per stream. One runner, `LockstepRunner`,
 serves training and `_lockstep_probs`. It holds the state of every
 stream (an extractor, h and c) and gathers the rows of a stream set once,
@@ -56,6 +56,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cached_property
+from math import isfinite
 
 import numpy as np
 
@@ -181,7 +182,7 @@ class StepKernel:
         self.a_from = a_from
         self.recorder = rec = nn.WindowRecorder(model.params, xs, h, c,
                                                 model.blocks[2].start, a_from)
-        self.ms = np.empty(xs.shape[:-1] + (model.n_phases,), rec.cell.dtype)
+        self.ms = np.empty(xs.shape[:-1] + (model.n_phases,), rec.dtype)
         stat = xs[..., model.blocks[1]]
         self._stage = np.empty(stat.shape[1:])
         self._writes, self._updates = extractor.bind(self._stage), extractor.updates
@@ -223,9 +224,11 @@ class InferenceSession:
     the one-frame `StepKernel` bound to the input row. The steps alternate
     the two state rows of its tape, frame t reading row t % 2 and writing
     the other, so `h` and `c` view row len(probs) % 2 and nothing is copied.
-    A frame with NaN likelihoods is refused before the aggregators see them
-    and leaves the session as it was; a NaN anywhere in the input row makes
-    every likelihood NaN, so one element tells.
+    A frame with a non-finite pre-activation or NaN likelihoods is refused
+    before the aggregators see it and leaves the session as it was: a NaN
+    anywhere in the input row makes every likelihood NaN, and an infinity
+    makes every entry of the recorder's `z` infinite or NaN, so one element
+    of each tells.
 
     Streaming is causal: in acausal configs the a block stays zero, the
     role of pass 1 of the offline two-pass scheme.
@@ -240,10 +243,9 @@ class InferenceSession:
         kernel = StepKernel(model, self.extractor, self._x[None], *model.zero_state())
         self._forward, self._update = kernel.forward, kernel.update
         rec = kernel.recorder
-        self._hs, self._cs, self._tape = rec.hs, rec.cs, rec.frames
+        self._hs, self._cs, self._tape, self._z = rec.hs, rec.cs, rec.frames, rec.z
         # frame 0 reads state row 0 and writes row 1; its twin the reverse
-        (h0, c0, *mid, c1, tanh_c, h1, more), logits = rec.frames[0]
-        self._routes = (rec.frames[0], ((h1, c1, *mid, c0, tanh_c, h0, more), logits))
+        self._routes = (rec.frames[0], rec.frame(0, 1, 0))
         self.probs: list[np.ndarray] = []
 
     @property
@@ -255,9 +257,9 @@ class InferenceSession:
         return self._cs[len(self.probs) & 1]
 
     def step(self, v: np.ndarray) -> np.ndarray:
-        """Advance one frame: returns the phase likelihood vector m_t. NaN
-        likelihoods raise DataValidationError if the embedding is not
-        finite and NumericError otherwise."""
+        """Advance one frame: returns the phase likelihood vector m_t. A
+        non-finite pre-activation or likelihood raises DataValidationError
+        if the embedding is not finite and NumericError otherwise."""
         t = len(self.probs)
         if v.shape != self._v_shape:
             raise DataValidationError(
@@ -266,10 +268,11 @@ class InferenceSession:
         self._v[:] = v
         self._tape[0] = self._routes[t & 1]
         m = self._forward(0)
-        if m[0] != m[0]:
+        if not (isfinite(self._z[0]) and isfinite(m[0])):
             if not np.isfinite(v).all():
                 raise DataValidationError(f"embedding at frame {t} is not finite")
-            raise NumericError(f"the likelihoods of frame {t} are not finite")
+            raise NumericError(
+                f"the pre-activation or the likelihoods of frame {t} are not finite")
         self._update(0)
         m = m.copy()
         self.probs.append(m)

@@ -6,12 +6,13 @@ Gate layout inside the fused (4H) axis is [input | forget | candidate |
 output]. Model math runs in float32; passing float64 parameters switches the
 whole path to 64-bit (what the finite-difference gradient checks use).
 
-`LstmCell` holds the one implementation of the cell's arithmetic, and
-`WindowRecorder.step` is the one forward step (cell, then head) that
-streaming inference, the loss-free lockstep forward and the training window
-all run. Every window keeps its frame arrays, the tape `window_backward`
-reads. A recorder binds each frame's arrays once, a logits row for
-`head_forward` among them, so a step allocates nothing.
+`WindowRecorder` holds the one implementation of the cell's arithmetic
+and of its per-frame argument layout, and `WindowRecorder.step` is the one
+forward step (cell, then head) that streaming inference, the loss-free
+lockstep forward and the training window all run; `lstm_step` is one
+frame of a one-frame recorder. Every window keeps its frame arrays, the
+tape `window_backward` reads. A recorder binds each frame's arrays once, a
+logits row for `head_forward` among them, so a step allocates nothing.
 
 Every per-frame array may carry leading batch axes: the cell, the
 recorder, the window loss and the backward pass index with `...`, so B streams
@@ -22,13 +23,15 @@ outputs are bit-equal to streaming inference only at B=1; at larger B they
 agree to float rounding.
 
 The cell's input product `x @ wx` is a fixed list of column-block products
-(`input_blocks`), bound when the cell is built and summed in column order.
-No block is wider than BLOCK_COLS columns, so the sum is the same at every
-BLAS thread count; a row of at most that width is one product. A column
-range that only some rows read (the acausal block of an acausal model,
-read on pass 2 only) is split off and multiplied on those rows alone. The
-backward pass keeps one `xs.T @ dz` per window, whose bits do not depend
-on the thread count either (tests/test_blas_threads.py).
+(`input_blocks`), bound when the recorder is built and summed in column
+order. No block is wider than BLOCK_COLS columns, so the sum is the same at
+every BLAS thread count; a row of at most that width is one product. A
+column range that only some rows read (the acausal block of an acausal
+model, read on pass 2 only) is split off and multiplied on those rows
+alone. The backward pass sums its `dz @ wh.T` over the same blocks of the
+4H gate columns (one product up to H = 96) and keeps one `xs.T @ dz` per
+window, whose bits do not depend on the thread count either
+(tests/test_blas_threads.py).
 """
 
 from __future__ import annotations
@@ -85,81 +88,9 @@ def n_phases_of(params: dict) -> int:
     return params["head_w"].shape[1]
 
 
-class LstmCell:
-    """The LSTM cell, bound to one parameter set, batch shape `lead` and
-    dtype: the one implementation of its arithmetic, shared by `lstm_step`
-    and `WindowRecorder`.
-
-    A call writes the gate activations, c', tanh(c') and h' into arrays the
-    caller passes (a recorder's frame arrays); the pre-activation and the
-    input-gate product live in scratch bound here. Each operation is the one
-    the textbook expression `z = x @ wx + h @ wh + b`, `c' = f * c + i * g`,
-    `h' = o * tanh(c')` performs, in the same order, so the floats are the
-    expression's; outs go positionally, the cheapest way to a ufunc.
-
-    `x @ wx` is the sum, in column order, of the products of the input's
-    column blocks (`input_blocks`), the list bound here once. Every row reads
-    the columns before `tail`; the columns from `tail` on are read only by
-    the rows `tail_from` on of the first lead axis (all rows at 0, none at
-    None), and add into their rows of z. A row that does not read them
-    computes what their zeros would give, without their product."""
-
-    def __init__(self, params: dict, lead: tuple, dtype, tail: int | None = None,
-                 tail_from: int | None = None):
-        self.hidden_dim = H = hidden_dim_of(params)
-        self.wx, self.wh, self.b = params["lstm_wx"], params["lstm_wh"], params["lstm_b"]
-        self.dtype = dtype
-        self._z = np.empty(lead + (4 * H,), dtype)
-        self._z_cand = self._z[..., 2 * H:3 * H]
-        self._zh = np.empty_like(self._z)
-        self._ig = np.empty(lead + (H,), dtype)
-        self._one = np.dtype(dtype).type(1.0)
-        (_, self._first), *more = input_blocks(len(self.wx), tail, tail_from)
-        self._wx = self.wx[self._first]
-        # each further block: its rows and columns of x, its rows of wx, a
-        # scratch product and the rows of z it adds into
-        self._more = [(rows, cols, self.wx[cols], np.empty_like(self._z[rows]),
-                       self._z[rows]) for rows, cols in more]
-
-    def inputs(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
-        """The cell's input arguments `x`, `more` for the row(s) `x`: the
-        first column block and the operands of each further block."""
-        return x[..., self._first], tuple((x[rows][..., cols], *operands)
-                                          for rows, cols, *operands in self._more)
-
-    def gates(self, act: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The input, forget and output gate views of an `act` array."""
-        H = self.hidden_dim
-        return act[..., :H], act[..., H:2 * H], act[..., 3 * H:]
-
-    def __call__(self, h, c, x, act, i, f, o, g, c_new, tanh_c, h_new, more):
-        """One update of state (h, c) on input x, the first block of
-        `inputs` (`more` the rest). `act` receives the sigmoid of all four
-        gate blocks, `i`, `f`, `o` are its `gates`, and `g` receives the
-        candidate's tanh."""
-        z, one = self._z, self._one
-        np.matmul(x, self._wx, z)
-        for xb, wb, part, zb in more:
-            np.matmul(xb, wb, part)
-            zb += part
-        np.matmul(h, self.wh, self._zh)
-        z += self._zh
-        z += self.b
-        np.tanh(self._z_cand, g)
-        np.negative(z, act)                 # act = 1 / (1 + exp(-z))
-        np.exp(act, act)
-        act += one
-        np.divide(one, act, act)
-        np.multiply(i, g, self._ig)
-        np.multiply(f, c, c_new)
-        c_new += self._ig
-        np.tanh(c_new, tanh_c)
-        np.multiply(o, tanh_c, h_new)
-
-
 def input_blocks(width: int, tail: int | None, tail_from: int | None) -> list[tuple]:
-    """The (rows, columns) of each block product of an `LstmCell`'s `x @ wx`
-    over rows of `width` columns, in summation order: [0, tail) on every
+    """The (rows, columns) of each block product of the cell's `x @ wx` over
+    rows of `width` columns, in summation order: [0, tail) on every
     row, then [tail, width) on the rows from `tail_from` on (none when it is
     None), each cut into consecutive blocks of at most BLOCK_COLS columns."""
     tail = width if tail is None else tail
@@ -183,19 +114,17 @@ def cell_dtype(params: dict, *inputs) -> np.dtype:
 
 def lstm_step(params: dict, h: np.ndarray, c: np.ndarray,
               x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One LSTM cell update; returns (h', c')."""
+    """One LSTM cell update, frame 0 of a one-frame `WindowRecorder`;
+    returns (h', c')."""
     if x.shape[-1:] != (input_dim_of(params),):
         raise DataValidationError(
             f"lstm input dimension mismatch: got {x.shape}, "
             f"expected ({input_dim_of(params)},)")
     lead = np.broadcast_shapes(x.shape[:-1], h.shape[:-1])
-    dtype, H = cell_dtype(params, x, h, c), hidden_dim_of(params)
-    act = np.empty(lead + (4 * H,), dtype)
-    g, c_new, tanh_c, h_new = (np.empty(lead + (H,), dtype) for _ in range(4))
-    cell = LstmCell(params, lead, dtype)
-    x, more = cell.inputs(x)
-    cell(h, c, x, act, *cell.gates(act), g, c_new, tanh_c, h_new, more)
-    return h_new, c_new
+    rec = WindowRecorder(params, np.broadcast_to(x, lead + x.shape[-1:])[None],
+                         np.broadcast_to(h, lead + h.shape[-1:]), c)
+    rec.step(0)
+    return rec.hs[1], rec.cs[1]
 
 
 def head_forward(params: dict, h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -215,18 +144,33 @@ class WindowRecorder:
     """The LSTM forward over one window of input rows `xs` (W, ..., D),
     frame by frame, and the frame arrays it writes, which are the tape of
     `window_backward`: the states `hs`, `cs` (W + 1, ..., H), frame 0 a
-    copy of the caller's `h`, `c` (only read), the gate activations `act` (W, ..., 4H), the
-    candidate `g` and `tanh_c` (W, ..., H). `step(k)` runs the `LstmCell`
-    on row k, which the caller may fill just before (the SSM statistic of
-    frame k depends on the outputs of earlier frames), and returns the
-    logits of h', row k of `logits` (W, ..., N), which later steps leave
-    alone. With (B, H) states it runs B streams in lockstep.
+    copy of the caller's `h`, `c` (only read), the gate activations `act`
+    (W, ..., 4H), the candidate `g` and `tanh_c` (W, ..., H). `step(k)` runs
+    the cell on row k, which the caller may fill just before (the SSM
+    statistic of frame k depends on the outputs of earlier frames), and
+    returns the logits of h', row k of `logits` (W, ..., N), which later
+    steps leave alone. With (B, H) states it runs B streams in lockstep.
 
-    `frames[k]` holds the cell's arguments for frame k and its logits row,
-    bound once, the column views of row k's input blocks among them; a
-    caller may point an entry at other rows of the tape (the streaming
-    session alternates its two state rows so). `tail` and `tail_from` go to
-    the `LstmCell`.
+    `cell` is the one implementation of the cell's arithmetic. It writes
+    the gate activations, c', tanh(c') and h' into a frame's arrays; the
+    pre-activation `z` and the input-gate product live in scratch bound
+    here. Each operation is the one the textbook expression
+    `z = x @ wx + h @ wh + b`, `c' = f * c + i * g`, `h' = o * tanh(c')`
+    performs, in the same order, so the floats are the expression's; outs
+    go positionally, the cheapest way to a ufunc.
+
+    `x @ wx` is the sum, in column order, of the products of the input's
+    column blocks (`input_blocks`), the list bound here once. Every row
+    reads the columns before `tail`; the columns from `tail` on are read
+    only by the rows `tail_from` on of the first lead axis (all rows at 0,
+    none at None), and add into their rows of z. A row that does not read
+    them computes what their zeros would give, without their product.
+
+    `frame(k, src, dst)` binds the cell's arguments for frame k, reading
+    state row `src` and writing row `dst`, and its logits row; `frames[k]`
+    is `frame(k, k, k + 1)`, bound once. A caller may point an entry at
+    another `frame` (the streaming session alternates its two state rows
+    so).
     """
 
     def __init__(self, params: dict, xs: np.ndarray, h: np.ndarray, c: np.ndarray,
@@ -234,23 +178,69 @@ class WindowRecorder:
         self.params = params
         self.xs = xs
         W, lead = len(xs), h.shape[:-1]
-        self.cell = cell = LstmCell(params, lead, cell_dtype(params, xs, h, c),
-                                    tail, tail_from)
-        H, dtype = cell.hidden_dim, cell.dtype
-        hs = np.empty((W + 1,) + lead + (H,), dtype)
-        cs = np.empty_like(hs)
-        hs[0], cs[0] = h, c
-        act, g, tanh_c = (np.empty((W,) + lead + (n,), dtype) for n in (4 * H, H, H))
-        self.hs, self.cs, self.act, self.g, self.tanh_c = hs, cs, act, g, tanh_c
+        self.hidden_dim = H = hidden_dim_of(params)
+        self.dtype = dtype = cell_dtype(params, xs, h, c)
+        wx, self.wh, self.b = params["lstm_wx"], params["lstm_wh"], params["lstm_b"]
+        self.z = z = np.empty(lead + (4 * H,), dtype)
+        self._z_cand = z[..., 2 * H:3 * H]
+        self._zh = np.empty_like(z)
+        self._ig = np.empty(lead + (H,), dtype)
+        self._one = np.dtype(dtype).type(1.0)
+        (_, self._first), *more = input_blocks(len(wx), tail, tail_from)
+        self._wx = wx[self._first]
+        # each further block: its rows and columns of x, its rows of wx, a
+        # scratch product and the rows of z it adds into
+        self._more = [(rows, cols, wx[cols], np.empty_like(z[rows]), z[rows])
+                      for rows, cols in more]
+        self.hs = np.empty((W + 1,) + lead + (H,), dtype)
+        self.cs = np.empty_like(self.hs)
+        self.hs[0], self.cs[0] = h, c
+        self.act, self.g, self.tanh_c = (np.empty((W,) + lead + (n,), dtype)
+                                         for n in (4 * H, H, H))
         self.logits = np.empty((W,) + lead + (n_phases_of(params),),
                                np.result_type(dtype, params["head_w"]))
-        self.frames = [((hs[k], cs[k], x, act[k], *cell.gates(act[k]), g[k], cs[k + 1],
-                         tanh_c[k], hs[k + 1], more), self.logits[k])
-                       for k, (x, more) in enumerate(map(cell.inputs, xs))]
+        self.frames = [self.frame(k, k, k + 1) for k in range(W)]
 
     @property
     def n_frames(self) -> int:
         return len(self.xs)
+
+    def gates(self, act: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The input, forget and output gate views of an `act` array."""
+        H = self.hidden_dim
+        return act[..., :H], act[..., H:2 * H], act[..., 3 * H:]
+
+    def frame(self, k: int, src: int, dst: int) -> tuple[tuple, np.ndarray]:
+        """The `cell` arguments of frame k, reading state row `src` and
+        writing row `dst`, and the frame's logits row."""
+        x, act, hs, cs = self.xs[k], self.act[k], self.hs, self.cs
+        more = tuple((x[rows][..., cols], *ops) for rows, cols, *ops in self._more)
+        return ((hs[src], cs[src], x[..., self._first], act, *self.gates(act), self.g[k],
+                 cs[dst], self.tanh_c[k], hs[dst], more), self.logits[k])
+
+    def cell(self, h, c, x, act, i, f, o, g, c_new, tanh_c, h_new, more):
+        """One update of state (h, c) on input x, the first column block
+        (`more` the operands of the others). `act` receives the sigmoid of
+        all four gate blocks, `i`, `f`, `o` are its `gates`, and `g`
+        receives the candidate's tanh."""
+        z, one = self.z, self._one
+        np.matmul(x, self._wx, z)
+        for xb, wb, part, zb in more:
+            np.matmul(xb, wb, part)
+            zb += part
+        np.matmul(h, self.wh, self._zh)
+        z += self._zh
+        z += self.b
+        np.tanh(self._z_cand, g)
+        np.negative(z, act)                 # act = 1 / (1 + exp(-z))
+        np.exp(act, act)
+        act += one
+        np.divide(one, act, act)
+        np.multiply(i, g, self._ig)
+        np.multiply(f, c, c_new)
+        c_new += self._ig
+        np.tanh(c_new, tanh_c)
+        np.multiply(o, tanh_c, h_new)
 
     def step(self, k: int) -> np.ndarray:
         args, logits = self.frames[k]
@@ -306,11 +296,14 @@ def window_backward(params: dict, rec: WindowRecorder,
     dz = np.empty_like(rec.act)
     dh_next = np.zeros_like(rec.hs[0])
     dc_next = np.zeros_like(rec.cs[0])
-    wh_t = params["lstm_wh"].T
+    # dz_t @ wh.T summed over the column blocks of 4H, as x @ wx is, so
+    # its bits do not depend on the BLAS thread count
+    (cols, wh_t), *more = [(cols, params["lstm_wh"].T[cols])
+                           for cols in _column_blocks(0, 4 * H)]
     whead_t = params["head_w"].T
     for t in reversed(range(rec.n_frames)):
         act, g, tanh_c = rec.act[t], rec.g[t], rec.tanh_c[t]
-        i, f, o = rec.cell.gates(act)
+        i, f, o = rec.gates(act)
         dh = dh_next + dlogits[t] @ whead_t
         do = dh * tanh_c
         dc = dc_next + dh * o * (1.0 - tanh_c * tanh_c)
@@ -322,7 +315,9 @@ def window_backward(params: dict, rec: WindowRecorder,
         dz_t[..., H:2 * H] = df * f * (1.0 - f)
         dz_t[..., 2 * H:3 * H] = dg * (1.0 - g * g)
         dz_t[..., 3 * H:] = do * o * (1.0 - o)
-        dh_next = dz_t @ wh_t
+        dh_next = dz_t[..., cols] @ wh_t
+        for cb, wb in more:
+            dh_next += dz_t[..., cb] @ wb
         dc_next = dc * f
     dz = dz.reshape(-1, 4 * H)
     dl = np.asarray(dlogits).reshape(-1, N)

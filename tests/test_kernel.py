@@ -258,6 +258,35 @@ def test_session_refuses_nan_likelihoods_of_a_finite_embedding():
     assert not sess.h.any() and not sess.c.any()
 
 
+@pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("acausal", [False, True], ids=["causal", "acausal"])
+def test_session_refuses_a_non_finite_embedding_entry(acausal, entry):
+    # an infinity saturates the gates, so the likelihoods stay finite; the
+    # pre-activation turns infinite and tells
+    mdl = build_model(KINDS, acausal, np.float32, seed=14)
+    (seq,) = videos((9,), seed=15)
+    clean, sess = stream(mdl, seq.features), stream(mdl, seq.features[:4])
+    bad = np.zeros(3, np.float32)
+    bad[0] = entry
+    with pytest.raises(DataValidationError, match="frame 4 is not finite"):
+        sess.step(bad)
+    assert len(sess.probs) == 4
+    for v in seq.features[4:]:
+        sess.step(v)
+    assert np.array_equal(np.stack(sess.probs), np.stack(clean.probs))
+    assert np.array_equal(sess.h, clean.h) and np.array_equal(sess.c, clean.c)
+    assert np.array_equal(sess.extractor.feature(), clean.extractor.feature())
+
+
+def test_session_refuses_an_infinite_pre_activation_of_a_finite_embedding():
+    mdl = build_model(KINDS, False, np.float32, seed=16)
+    mdl.params["lstm_wx"][:] = np.finfo(np.float32).max
+    sess = InferenceSession(mdl)
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match="frame 0 "):
+        sess.step(np.ones(3, np.float32))
+    assert sess.probs == [] and not sess.h.any() and not sess.c.any()
+
+
 def test_gabor_bank_longer_than_the_stream():
     mdl = build_model(("gabor",), False, np.float32, scale_max=16.0)
     assert GaborBank.build(3, 2.0, 16.0).width > 6

@@ -64,13 +64,13 @@ class TestForwardStep:
         mdl = init_model(small_config(), TAX2)
         sess = InferenceSession(mdl)
         inputs = []
-        cell = nn.LstmCell.__call__
+        cell = nn.WindowRecorder.cell
 
         def recording_cell(self, h, c, x, *out):
             inputs.append(x.copy())
             return cell(self, h, c, x, *out)
 
-        monkeypatch.setattr(nn.LstmCell, "__call__", recording_cell)
+        monkeypatch.setattr(nn.WindowRecorder, "cell", recording_cell)
         sess.step(np.ones(3, np.float32))
         expected = np.zeros(mdl.input_dim, np.float32)
         expected[:3] = 1.0

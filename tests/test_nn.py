@@ -191,6 +191,44 @@ def test_recorder_logits_rows_outlive_later_steps(lead):
         assert np.array_equal(logits, nn.head_forward(params, rec.hs[k + 1]))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["one", "batch"])
+def test_a_frame_reads_and_writes_the_state_rows_it_names(dtype, lead):
+    # frame(0, 1, 0) is frames[0] on the swapped state rows: it reads row 1,
+    # writes row 0 and the same gate, candidate and logits rows
+    params = make_params(5, 3, 4, seed=8, dtype=dtype)
+    rng = np.random.default_rng(9)
+    xs = rng.standard_normal((1,) + lead + (5,)).astype(dtype)
+    h, c = rng.standard_normal((2,) + lead + (3,)).astype(dtype)
+    nan = np.full_like(h, np.nan)
+    rec = nn.WindowRecorder(params, xs, nan, nan, 3, 0)
+    rec.hs[1], rec.cs[1] = h, c
+    args, logits = rec.frame(0, 1, 0)
+    rec.cell(*args)
+    got = nn.head_forward(params, args[-2], logits)
+    ref = nn.WindowRecorder(params, xs, h, c, 3, 0)
+    want = ref.step(0)
+    assert np.array_equal(rec.hs[1], h) and np.array_equal(rec.cs[1], c)
+    assert np.array_equal(rec.hs[0], ref.hs[1]) and np.array_equal(rec.cs[0], ref.cs[1])
+    for name in ("act", "g", "tanh_c", "logits"):
+        assert np.array_equal(getattr(rec, name), getattr(ref, name))
+    assert got is logits and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["one", "batch"])
+def test_lstm_step_is_frame_0_of_a_recorder(dtype, lead):
+    params = make_params(4, 3, 2, seed=10, dtype=dtype)
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal(lead + (4,)).astype(dtype)
+    h, c = rng.standard_normal((2,) + lead + (3,)).astype(dtype)
+    rec = nn.WindowRecorder(params, x[None], h, c)
+    rec.step(0)
+    h_new, c_new = nn.lstm_step(params, h, c, x)
+    assert h_new.dtype == c_new.dtype == dtype
+    assert np.array_equal(h_new, rec.hs[1]) and np.array_equal(c_new, rec.cs[1])
+
+
 def cross_entropy(m, y):
     """The window loss of a one-frame window without the proximal term."""
     loss, _ = nn.window_loss_and_dlogits(np.asarray(m)[None], [y])
