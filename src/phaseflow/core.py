@@ -36,16 +36,6 @@ MGH100_PHASES = (
     "Other step",
 )
 
-CHOLEC80_PHASES = (
-    "Preparation",
-    "Calot Triangle Dissection",
-    "Clipping and Cutting",
-    "Gallbladder Dissection",
-    "Gallbladder Packaging",
-    "Cleaning and Coagulation",
-    "Gallbladder Retraction",
-)
-
 
 class PhaseflowError(Exception):
     """Base class for all package errors."""
@@ -65,12 +55,15 @@ class UsageError(PhaseflowError):
 
 @dataclass(frozen=True)
 class PhaseTaxonomy:
-    """Ordered set of phase labels; index in `names` is the phase id."""
+    """Ordered set of phase labels, each a str; index in `names` is the
+    phase id."""
 
     names: tuple[str, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "names", tuple(self.names))
+        if bad := [n for n in self.names if type(n) is not str]:
+            raise DataValidationError(f"phase names must be strings, got {bad[0]!r}")
         if len(self.names) < 2:
             raise DataValidationError("taxonomy needs at least 2 phases")
         if len(set(self.names)) != len(self.names):
@@ -83,10 +76,6 @@ class PhaseTaxonomy:
     @classmethod
     def mgh100(cls) -> "PhaseTaxonomy":
         return cls(MGH100_PHASES)
-
-    @classmethod
-    def cholec80(cls) -> "PhaseTaxonomy":
-        return cls(CHOLEC80_PHASES)
 
     def to_dict(self) -> dict:
         return {str(i): name for i, name in enumerate(self.names)}

@@ -6,6 +6,8 @@ a precedence DAG (so mutually unconstrained phases appear in random order),
 log-normal per-phase durations at 1 fps, Gaussian per-phase embeddings.
 Phases in an ambiguity group share the exact same emission mean, so they are
 indistinguishable frame-by-frame and only workflow history can separate them.
+A grammar file holds the fields of a WorkflowGrammar (listed in its doc) as
+`to_dict` writes them; any other key is refused.
 
 On-disk layout: one subdirectory per video, named by the video's id, holding
 features.bin (PHFT binary format), labels.csv and meta.json (the fps and the
@@ -31,7 +33,7 @@ import json
 import os
 import re
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -72,9 +74,15 @@ def _reachability(n: int, edges) -> np.ndarray:
 class WorkflowGrammar:
     """Generative description of one procedure type.
 
-    `occurrences` maps phase id -> (min, max) occurrence count per video;
-    unlisted phases occur exactly once. Duration parameters are log-normal in
-    seconds (= frames at 1 fps).
+    Fields, which are also the keys of its JSON form (`to_dict`): the
+    `taxonomy`; `precedence`, (before, after) phase pairs of a DAG; the
+    log-normal `duration_median_s` and `duration_sigma`, one per phase, in
+    seconds (= frames at 1 fps); `emission_means`, one embedding row per
+    phase, and the Gaussian `emission_noise`; `occurrences`, mapping phase id
+    -> (min, max) occurrence count per video, unlisted phases occurring
+    exactly once; `ambiguity_groups` of phases sharing one emission mean;
+    `order_weights`, one positive weight per phase (default all 1); and a
+    `name`. `from_dict` refuses any other key.
     """
 
     taxonomy: PhaseTaxonomy
@@ -83,7 +91,6 @@ class WorkflowGrammar:
     duration_sigma: np.ndarray
     emission_means: np.ndarray
     emission_noise: float
-    interchangeable_groups: tuple[tuple[int, ...], ...] = ()
     occurrences: dict[int, tuple[int, int]] = field(default_factory=dict)
     ambiguity_groups: tuple[tuple[int, ...], ...] = ()
     order_weights: np.ndarray | None = None
@@ -107,24 +114,14 @@ class WorkflowGrammar:
         for a, b in self.precedence:
             if not (0 <= a < n and 0 <= b < n):
                 raise GrammarError(f"precedence pair ({a}, {b}) out of range")
-        for kind, groups in (("interchangeable", self.interchangeable_groups),
-                             ("ambiguity", self.ambiguity_groups)):
-            for group in groups:
-                if not all(0 <= p < n for p in group):
-                    raise GrammarError(f"{kind} group {tuple(group)} names a phase "
-                                       f"outside 0..{n - 1}")
+        for group in self.ambiguity_groups:
+            if not all(0 <= p < n for p in group):
+                raise GrammarError(f"ambiguity group {tuple(group)} names a phase "
+                                   f"outside 0..{n - 1}")
         reach = _reachability(n, self.precedence)
         if reach.diagonal().any():
             cyc = int(np.argwhere(reach.diagonal())[0][0])
             raise GrammarError(f"precedence constraints are cyclic (via phase {cyc})")
-        for group in self.interchangeable_groups:
-            # order within the group must actually vary: every member needs at
-            # least one other member it is not ordered against
-            for a in group:
-                if all(reach[a, b] or reach[b, a] for b in group if b != a):
-                    raise GrammarError(
-                        f"interchangeable group {group}: phase {a} is fully "
-                        f"ordered by precedence within the group")
         for phase, (lo, hi) in self.occurrences.items():
             if not 0 <= phase < n:
                 raise GrammarError(f"occurrences name phase {phase} outside 0..{n - 1}")
@@ -151,7 +148,6 @@ class WorkflowGrammar:
             "name": self.name,
             "taxonomy": self.taxonomy.to_dict(),
             "precedence": [list(p) for p in self.precedence],
-            "interchangeable_groups": [list(g) for g in self.interchangeable_groups],
             "occurrences": {str(k): list(v) for k, v in self.occurrences.items()},
             "duration_median_s": self.duration_median_s.tolist(),
             "duration_sigma": self.duration_sigma.tolist(),
@@ -163,6 +159,9 @@ class WorkflowGrammar:
 
     @classmethod
     def from_dict(cls, d: dict) -> "WorkflowGrammar":
+        unknown = set(d) - {f.name for f in fields(cls)}
+        if unknown:
+            raise GrammarError(f"unknown grammar keys: {sorted(unknown)}")
         return cls(
             taxonomy=PhaseTaxonomy.from_dict(d["taxonomy"]),
             precedence=tuple((int(a), int(b)) for a, b in d["precedence"]),
@@ -170,8 +169,6 @@ class WorkflowGrammar:
             duration_sigma=np.asarray(d["duration_sigma"]),
             emission_means=np.asarray(d["emission_means"]),
             emission_noise=float(d["emission_noise"]),
-            interchangeable_groups=tuple(tuple(int(p) for p in g)
-                                         for g in d.get("interchangeable_groups", [])),
             occurrences={int(k): (int(v[0]), int(v[1]))
                          for k, v in d.get("occurrences", {}).items()},
             ambiguity_groups=tuple(tuple(int(p) for p in g)
@@ -239,18 +236,18 @@ def generate_video(grammar: WorkflowGrammar, rng: np.random.Generator,
     return validate_sequence(seq, grammar.taxonomy)
 
 
-def generate_dataset(grammar: WorkflowGrammar, n_videos: int, seed: int,
-                     id_prefix: str = "video") -> list[FeatureSequence]:
+def generate_dataset(grammar: WorkflowGrammar, n_videos: int,
+                     seed: int) -> list[FeatureSequence]:
     """Reproducible from (grammar, seed): video i draws from the generator
     sub-stream for index i."""
     return [
-        generate_video(grammar, substream(seed, "generator", i), f"{id_prefix}_{i:03d}")
+        generate_video(grammar, substream(seed, "generator", i), f"video_{i:03d}")
         for i in range(n_videos)
     ]
 
 
-def default_grammar_mgh_like(embed_dim: int = 128, emission_noise: float = 0.5,
-                             mean_seed: int = 7) -> WorkflowGrammar:
+def default_grammar_mgh_like(embed_dim: int = 128,
+                             emission_noise: float = 0.5) -> WorkflowGrammar:
     """13-phase cholecystectomy-style grammar: short checkpoints, short
     clip/divide phases in interchangeable artery/duct order, long dissection
     phases, and a repeatable catch-all step. The clip pair and the divide pair
@@ -265,7 +262,7 @@ def default_grammar_mgh_like(embed_dim: int = 128, emission_noise: float = 0.5,
                        dtype=np.float64)
     sigmas = np.array([0.4, 0.4, 0.5, 0.5, 0.35, 0.4, 0.4, 0.4, 0.4, 0.35,
                        0.5, 0.4, 0.6])
-    rng = substream(mean_seed, "grammar-emissions")
+    rng = substream(7, "grammar-emissions")
     means = rng.standard_normal((tax.n_phases, embed_dim))
     means /= np.linalg.norm(means, axis=1, keepdims=True)
     means[7] = means[5]   # clip cystic duct looks like clip cystic artery
@@ -281,7 +278,6 @@ def default_grammar_mgh_like(embed_dim: int = 128, emission_noise: float = 0.5,
         duration_sigma=sigmas,
         emission_means=means,
         emission_noise=emission_noise,
-        interchangeable_groups=((5, 6, 7, 8),),
         occurrences={12: (1, 3)},
         ambiguity_groups=((5, 7), (6, 8)),
         order_weights=weights,
@@ -346,10 +342,13 @@ def read_video_dir(dirpath) -> tuple[FeatureSequence, PhaseTaxonomy]:
     meta = read_json(meta_path)
     try:
         taxonomy = PhaseTaxonomy.from_dict(meta["taxonomy"])
-        video_id, fps = os.path.basename(os.path.normpath(dirpath)), float(meta["fps"])
+        video_id, fps = os.path.basename(os.path.normpath(dirpath)), meta["fps"]
+        if type(fps) not in (int, float):     # not a bool, nor a number in a string
+            raise TypeError(f"fps must be a number, got {type(fps).__name__}")
+        fps = float(fps)
         if meta.get("video_id", video_id) != video_id:
             raise ValueError(f"video_id {meta['video_id']!r} is not the directory's name")
-    except (ValueError, KeyError, TypeError, DataValidationError) as e:
+    except (ValueError, KeyError, TypeError, OverflowError, DataValidationError) as e:
         raise DataValidationError(f"{meta_path}: {type(e).__name__}: {e}") from None
     features = read_features_bin(os.path.join(dirpath, "features.bin"))
     labels = None

@@ -275,10 +275,10 @@ def render_timeline_svg(path, gt, pred, probs, taxonomy: PhaseTaxonomy) -> None:
         fh.write("\n".join(lines))
 
 
-def accuracy_vs_length_rows(video_pairs, n_bins: int = 10) -> list[dict]:
-    """Frame accuracy stratified by gt segment length: bin b holds the frames
-    of every segment with edges[b] <= length < edges[b + 1], the edges
-    log-spaced from 1 to the longest segment + 1."""
+def accuracy_vs_length_rows(video_pairs) -> list[dict]:
+    """Frame accuracy stratified by gt segment length in 10 bins: bin b holds
+    the frames of every segment with edges[b] <= length < edges[b + 1], the
+    edges log-spaced from 1 to the longest segment + 1."""
     lengths, hits = [], []
     for gt, pred in video_pairs:
         gt, pred = _check_lengths(gt, pred)
@@ -288,10 +288,10 @@ def accuracy_vs_length_rows(video_pairs, n_bins: int = 10) -> list[dict]:
     if not lengths:
         return []
     lengths = np.concatenate(lengths)
-    edges = np.geomspace(1.0, lengths.max() + 1.0, n_bins + 1)
+    edges = np.geomspace(1.0, lengths.max() + 1.0, 11)
     b = np.searchsorted(edges, lengths, side="right") - 1
-    totals = np.bincount(b, lengths, n_bins).astype(np.int64).tolist()
-    correct = np.bincount(b, np.concatenate(hits), n_bins).astype(np.int64).tolist()
+    totals = np.bincount(b, lengths, 10).astype(np.int64).tolist()
+    correct = np.bincount(b, np.concatenate(hits), 10).astype(np.int64).tolist()
     return [{"bin_lo": float(lo), "bin_hi": float(hi), "n_frames": t,
              "accuracy": _rate(c, t)}
             for lo, hi, c, t in zip(edges[:-1], edges[1:], correct, totals)]

@@ -503,8 +503,9 @@ def save_model(model: PhaseModel, ckpt_path) -> None:
 
 
 def load_model(ckpt_path) -> PhaseModel:
-    """The model of a `save_model` file. A header or parameter block that does
-    not describe one model raises DataValidationError naming the file."""
+    """The model of a `save_model` file. A header, a parameter block or a set
+    of blocks that does not describe one model raises DataValidationError
+    naming the file."""
     params, extra = nn.load_checkpoint(ckpt_path)
     try:
         config = ExperimentConfig.from_dict(extra["config"])
@@ -521,8 +522,11 @@ def load_model(ckpt_path) -> PhaseModel:
         raise DataValidationError(
             f"bad checkpoint header in {ckpt_path}: {type(e).__name__}: {e}") from None
     model = PhaseModel(config, taxonomy, params, transition)
-    for name, shape in nn.param_shapes(model.input_dim, config.hidden_dim,
-                                       taxonomy.n_phases).items():
+    shapes = nn.param_shapes(model.input_dim, config.hidden_dim, taxonomy.n_phases)
+    if unexpected := [name for name in params if name not in shapes]:
+        raise DataValidationError(f"checkpoint {ckpt_path}: unexpected block "
+                                  f"{unexpected[0]}")
+    for name, shape in shapes.items():
         if name not in params:
             raise DataValidationError(f"checkpoint {ckpt_path}: missing block {name}")
         if params[name].shape != shape:

@@ -37,6 +37,7 @@ import numpy as np
 from . import nn, ssm
 from .core import (
     SSM_FEATURE_KINDS,
+    DataValidationError,
     ExperimentConfig,
     FeatureSequence,
     NumericError,
@@ -288,7 +289,8 @@ def fit(config: ExperimentConfig, taxonomy: PhaseTaxonomy,
         log_path=None, ckpt_dir=None) -> FitResult:
     """Run the training protocol, each epoch after its cache step, and return
     the best validation-accuracy epoch's parameters and the per-epoch curve.
-    A video id listed twice in either split raises UsageError."""
+    A video id listed twice in either split raises UsageError, a video
+    without labels DataValidationError."""
     check_unique_ids(train_seqs, "the training set")
     check_unique_ids(val_seqs, "the validation set")
     train_ids = {s.video_id for s in train_seqs}
@@ -299,7 +301,7 @@ def fit(config: ExperimentConfig, taxonomy: PhaseTaxonomy,
     labelled = list(train_seqs) + list(val_seqs)
     for s in labelled:
         if s.labels is None:
-            raise UsageError(f"video {s.video_id} has no labels")
+            raise DataValidationError(f"video {s.video_id} has no labels")
     check_embed_dim(config, labelled)
 
     if len(train_seqs) < config.batch_size:

@@ -361,6 +361,7 @@ class TestTypedErrors:
         "header {bad", "header {}", "transition non-numeric", "transition ragged",
         "transition size", "transition missing",
         "block head_w", "name head_b", "value nan", "value inf", "value -inf",
+        "extra block", "taxonomy name",
     ])
     def test_malformed_checkpoint_is_data_error(self, workspace, tmp_path, capsys,
                                                 broken):
@@ -377,6 +378,10 @@ class TestTypedErrors:
         else:
             if kind == "block":
                 params[what] = np.zeros((params[what].shape[0], 1), np.float32)
+            elif kind == "extra":    # save_model would write it back
+                params["extra"] = np.zeros(3, np.float32)
+            elif kind == "taxonomy":
+                extra["taxonomy"]["0"] = 0
             elif kind == "value":    # a weight that is not finite
                 params["head_b"][0] = float(what)
             elif what == "non-numeric":
@@ -396,6 +401,10 @@ class TestTypedErrors:
             assert "block head_b" in err and "not finite" in err
         if kind == "transition":
             assert "transition" in err
+        if kind == "extra":
+            assert "unexpected block extra" in err
+        if kind == "taxonomy":
+            assert "phase names must be strings, got 0" in err
         assert not (tmp_path / "p").exists()
 
     def test_version_1_checkpoint_is_data_error(self, workspace, tmp_path, capsys):
@@ -468,7 +477,7 @@ class TestTypedErrors:
 
     @pytest.mark.parametrize("broken", [
         "meta.json {}", "meta.json fps", "meta.json bytes", "labels.csv bytes",
-        "features.bin missing",
+        "features.bin missing", "meta.json fps-string", "meta.json fps-bool",
     ])
     def test_malformed_video_dir_is_data_error(self, workspace, tmp_path, capsys, broken):
         data = shutil.copytree(workspace["data"], tmp_path / "data")
@@ -478,13 +487,39 @@ class TestTypedErrors:
             bad.unlink()
         elif what == "bytes":
             bad.write_bytes(bad.read_bytes().replace(b"0", b"\xff", 1))
-        elif what == "fps":
-            meta = json.loads(bad.read_text())
-            bad.write_text(json.dumps({**meta, "fps": "abc"}))
+        elif what.startswith("fps"):    # float() reads "25" as 25.0 and true as 1.0
+            fps = {"fps": "abc", "fps-string": "25", "fps-bool": True}[what]
+            bad.write_text(json.dumps({**json.loads(bad.read_text()), "fps": fps}))
         else:
             bad.write_text(what)
         assert main(["train", "--data", str(data), "--out", str(tmp_path / "c")]) == 3
         assert str(bad) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", [0, None], ids=["number", "null"])
+    def test_phase_name_that_is_not_a_string_is_data_error(self, workspace, tmp_path,
+                                                           capsys, name):
+        # train would write such a name into the checkpoint, and eval's
+        # reports need strings
+        data = shutil.copytree(workspace["data"], tmp_path / "data")
+        for meta in data.glob("*/meta.json"):
+            meta.write_text(json.dumps({**json.loads(meta.read_text()),
+                                        "taxonomy": {"0": name, "1": "b", "2": "c"}}))
+        for cmd in (["train", "--config", str(workspace["config"])],
+                    ["eval", "--pred", str(workspace["pred"])]):
+            assert main(cmd + ["--data", str(data), "--out", str(tmp_path / "out")]) == 3
+            err = capsys.readouterr().err
+            assert f"meta.json: DataValidationError: phase names must be strings, " \
+                   f"got {name!r}" in err
+            assert not (tmp_path / "out").exists()
+
+    def test_training_video_without_labels_is_data_error(self, workspace, tmp_path,
+                                                         capsys):
+        data = shutil.copytree(workspace["data"], tmp_path / "data")
+        (data / "video_000" / "labels.csv").unlink()
+        for cmd in (["train"], ["ablate", "--seeds", "1", "--arms", "baseline"]):
+            assert main(cmd + ["--data", str(data), "--config", str(workspace["config"]),
+                               "--out", str(tmp_path / "out")]) == 3
+            assert "video video_000 has no labels" in capsys.readouterr().err
 
     @pytest.mark.parametrize("cmd, split, other", [
         (["train"], "val", "other videos"),
@@ -617,7 +652,7 @@ class TestTypedErrors:
                      "--out", str(tmp_path / "d")]) == 3
         assert str(grammar) in capsys.readouterr().err
 
-    @pytest.mark.parametrize("field", ["interchangeable_groups", "ambiguity_groups"])
+    @pytest.mark.parametrize("field", ["ambiguity_groups"])
     def test_grammar_group_out_of_range_is_data_error(self, tmp_path, capsys, field):
         grammar = tmp_path / "grammar.json"
         grammar.write_text(json.dumps({**tiny_grammar_dict(), field: [[-1, 2]]}))
@@ -626,6 +661,18 @@ class TestTypedErrors:
         err = capsys.readouterr().err
         assert str(grammar) in err
         assert "(-1, 2) names a phase outside 0..2" in err
+
+    @pytest.mark.parametrize("key", ["interchangeable_groups", "ambiguity_group"])
+    def test_unknown_grammar_key_is_data_error(self, tmp_path, capsys, key):
+        # a misspelt key, such as `ambiguity_group`, must not be dropped
+        # without a word
+        grammar = tmp_path / "grammar.json"
+        grammar.write_text(json.dumps({**tiny_grammar_dict(), key: [[0, 1]]}))
+        assert main(["synth", "--grammar", str(grammar), "--videos", "2", "--seed", "1",
+                     "--out", str(tmp_path / "d")]) == 3
+        err = capsys.readouterr().err
+        assert f"grammar file {grammar}: GrammarError: unknown grammar keys: ['{key}']" in err
+        assert not (tmp_path / "d").exists()
 
     def test_infer_embedding_width_mismatch_is_data_error(self, workspace, tmp_path,
                                                           capsys):

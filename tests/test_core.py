@@ -40,7 +40,6 @@ def make_seq(features, labels=None, video_id="v0", fps=1.0):
 class TestTaxonomy:
     def test_presets(self):
         assert PhaseTaxonomy.mgh100().n_phases == 13
-        assert PhaseTaxonomy.cholec80().n_phases == 7
         assert PhaseTaxonomy.mgh100().names[5] == "Clip Cystic Artery"
 
     def test_needs_two_phases(self):
@@ -50,6 +49,13 @@ class TestTaxonomy:
     def test_unique_names(self):
         with pytest.raises(DataValidationError):
             PhaseTaxonomy(("a", "a"))
+
+    @pytest.mark.parametrize("name", [0, None, 1.5, True, ["a"]])
+    def test_names_must_be_strings(self, name):
+        with pytest.raises(DataValidationError, match="phase names must be strings"):
+            PhaseTaxonomy(("a", name))
+        with pytest.raises(DataValidationError, match="phase names must be strings"):
+            PhaseTaxonomy.from_dict({"0": name, "1": "b"})
 
     def test_dict_round_trip(self):
         tax = PhaseTaxonomy.mgh100()
@@ -67,7 +73,7 @@ class TestValidateSequence:
         assert seq.n_frames == 3 and seq.embed_dim == 2
 
     def test_label_out_of_range_names_frame(self):
-        tax = PhaseTaxonomy.cholec80()
+        tax = PhaseTaxonomy(tuple("abcdefg"))
         seq = make_seq(np.zeros((4, 3)), [0, 1, 7, 2])
         with pytest.raises(DataValidationError, match="label out of range at frame 2"):
             validate_sequence(seq, tax)

@@ -54,11 +54,7 @@ class TestGrammarValidation:
         g = tiny_grammar(emission_means=means, ambiguity_groups=((0, 1),))
         assert g.ambiguity_groups == ((0, 1),)
 
-    def test_interchangeable_group_must_be_unordered(self):
-        with pytest.raises(GrammarError, match="ordered by precedence"):
-            tiny_grammar(interchangeable_groups=((0, 1),))
-
-    @pytest.mark.parametrize("field", ["interchangeable_groups", "ambiguity_groups"])
+    @pytest.mark.parametrize("field", ["ambiguity_groups"])
     @pytest.mark.parametrize("group", [(-1, 2), (0, 3)])
     def test_group_member_out_of_range_rejected(self, field, group):
         with pytest.raises(GrammarError, match=r"names a phase outside 0\.\.2"):
@@ -80,6 +76,13 @@ class TestGrammarValidation:
         assert g2.precedence == g.precedence
         np.testing.assert_array_equal(g2.emission_means, g.emission_means)
         assert g2.occurrences == g.occurrences
+
+    @pytest.mark.parametrize("key", ["interchangeable_groups", "ambiguity_group"])
+    def test_from_dict_refuses_an_unknown_key(self, key):
+        # a misspelt key would otherwise load as its field's default
+        d = {**tiny_grammar().to_dict(), key: [[0, 1]]}
+        with pytest.raises(GrammarError, match=rf"unknown grammar keys: \['{key}'\]"):
+            WorkflowGrammar.from_dict(d)
 
 
 class TestGenerateVideo:

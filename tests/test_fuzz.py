@@ -1,9 +1,10 @@
 """Byte-level fuzzing of every parser of outside input: a valid file has a
 few bytes replaced, inserted or deleted, or is cut short, and the parser
 must either accept it or raise a PhaseflowError subclass; any other
-exception fails. The transition matrix of a checkpoint header is fuzzed at
-the level of JSON values as well. Examples are derandomized, so the suite
-runs the same inputs every time."""
+exception fails. The transition matrix of a checkpoint header and the fps
+and phase names of meta.json are fuzzed at the level of JSON values as
+well. Examples are derandomized, so the suite runs the same inputs every
+time."""
 
 import contextlib
 import io
@@ -90,7 +91,9 @@ def files(tmp_path_factory):
 
     ckpt, config = ckdir / "best.ckpt", root / "config.json"
     grammar_file = root / "grammar.json"
+    eval_meta = root / "eval_data" / seqs[0].video_id / "meta.json"
     return {
+        "eval meta.json": (eval_meta, run_eval),
         "features.bin": (video / "features.bin", lambda: data.read_video_dir(video)),
         "best.ckpt": (ckpt, lambda: model.load_model(ckpt)),
         "labels.csv": (video / "labels.csv", lambda: data.read_video_dir(video)),
@@ -160,6 +163,27 @@ def test_header_transition_loads_or_raises_a_data_error(files, value):
         assert str(path) in str(e) and "transition" in str(e)
     else:
         assert loaded.transition.a.shape == (3, 3)
+
+
+@settings(max_examples=100)
+@given(fps=JSON_VALUES, phase=st.sampled_from(["0", "1", "2"]), name=JSON_VALUES)
+@example(fps="25", phase="0", name="setup")
+@example(fps=True, phase="0", name="setup")
+@example(fps=10 ** 400, phase="0", name="setup")
+@example(fps=1.0, phase="0", name=0)
+@example(fps=1.0, phase="1", name=None)
+def test_meta_json_values_eval_exits_0_or_3(files, fps, phase, name):
+    """eval, end to end on a video whose meta.json has any JSON value as its
+    fps and as one phase name, exits 0 or 3 (`run_eval`)."""
+    path, run_eval = files["eval meta.json"]
+    valid = path.read_text()
+    meta = json.loads(valid)
+    meta["fps"], meta["taxonomy"][phase] = fps, name
+    path.write_text(json.dumps(meta))
+    try:
+        run_eval()
+    finally:
+        path.write_text(valid)
 
 
 # manifest ids: short text of any characters, and ids that are not one path
