@@ -55,8 +55,8 @@ class UsageError(PhaseflowError):
 
 @dataclass(frozen=True)
 class PhaseTaxonomy:
-    """Ordered set of phase labels, each a str; index in `names` is the
-    phase id."""
+    """Ordered set of phase labels, each a str that encodes as UTF-8;
+    index in `names` is the phase id."""
 
     names: tuple[str, ...]
 
@@ -64,6 +64,10 @@ class PhaseTaxonomy:
         object.__setattr__(self, "names", tuple(self.names))
         if bad := [n for n in self.names if type(n) is not str]:
             raise DataValidationError(f"phase names must be strings, got {bad[0]!r}")
+        if bad := [i for i, n in enumerate(self.names)
+                   if any("\ud800" <= ch <= "\udfff" for ch in n)]:
+            raise DataValidationError(f"the name of phase {bad[0]} holds a lone "
+                                      f"surrogate, which UTF-8 cannot encode")
         if len(self.names) < 2:
             raise DataValidationError("taxonomy needs at least 2 phases")
         if len(set(self.names)) != len(self.names):

@@ -162,21 +162,34 @@ class WorkflowGrammar:
         unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise GrammarError(f"unknown grammar keys: {sorted(unknown)}")
+        # phase ids, counts and precedence pairs are ints, other numbers ints or floats
+        ints = ("precedence", "occurrences", "ambiguity_groups")
+        num = {k: _numbers(k, v, int if k in ints else (int, float))
+               for k, v in d.items() if k not in ("taxonomy", "name")}
         return cls(
             taxonomy=PhaseTaxonomy.from_dict(d["taxonomy"]),
-            precedence=tuple((int(a), int(b)) for a, b in d["precedence"]),
-            duration_median_s=np.asarray(d["duration_median_s"]),
-            duration_sigma=np.asarray(d["duration_sigma"]),
-            emission_means=np.asarray(d["emission_means"]),
-            emission_noise=float(d["emission_noise"]),
-            occurrences={int(k): (int(v[0]), int(v[1]))
-                         for k, v in d.get("occurrences", {}).items()},
-            ambiguity_groups=tuple(tuple(int(p) for p in g)
-                                   for g in d.get("ambiguity_groups", [])),
-            order_weights=(np.asarray(d["order_weights"])
-                           if "order_weights" in d else None),
+            precedence=tuple((a, b) for a, b in num["precedence"]),
+            duration_median_s=np.asarray(num["duration_median_s"]),
+            duration_sigma=np.asarray(num["duration_sigma"]),
+            emission_means=np.asarray(num["emission_means"]),
+            emission_noise=float(num["emission_noise"]),
+            occurrences={int(k): tuple(v) for k, v in num.get("occurrences", {}).items()},
+            ambiguity_groups=tuple(tuple(g) for g in num.get("ambiguity_groups", [])),
+            order_weights=np.asarray(num["order_weights"]) if "order_weights" in d else None,
             name=d.get("name", "custom"),
         )
+
+
+def _numbers(key: str, value, kinds):
+    """`value`, a number of `kinds` but not a bool, or lists or dicts of them;
+    anything else raises GrammarError naming the grammar `key`."""
+    if isinstance(value, dict | list | tuple):
+        for v in value.values() if isinstance(value, dict) else value:
+            _numbers(key, v, kinds)
+    elif isinstance(value, bool) or not isinstance(value, kinds):
+        what = "an int" if kinds is int else "a number"
+        raise GrammarError(f"grammar key {key!r}: expected {what}, got {value!r}")
+    return value
 
 
 def load_grammar(path) -> WorkflowGrammar:

@@ -32,10 +32,17 @@ alone. The backward pass sums its `dz @ wh.T` over the same blocks of the
 4H gate columns (one product up to H = 96) and keeps one `xs.T @ dz` per
 window, whose bits do not depend on the thread count either
 (tests/test_blas_threads.py).
+
+Training runs on one flat vector (`Adam`) and on buffers bound to their
+owner, so a batch allocates none. No trained bit changes: only elementwise
+operations on operands the recursion does not change leave the backward's
+frame loop (IEEE arithmetic rounds an element alike wherever it sits), each
+expression keeps its order, and each product and reduction its shape.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import struct
@@ -82,10 +89,6 @@ def hidden_dim_of(params: dict) -> int:
 
 def input_dim_of(params: dict) -> int:
     return params["lstm_wx"].shape[0]
-
-
-def n_phases_of(params: dict) -> int:
-    return params["head_w"].shape[1]
 
 
 def input_blocks(width: int, tail: int | None, tail_from: int | None) -> list[tuple]:
@@ -197,13 +200,26 @@ class WindowRecorder:
         self.hs[0], self.cs[0] = h, c
         self.act, self.g, self.tanh_c = (np.empty((W,) + lead + (n,), dtype)
                                          for n in (4 * H, H, H))
-        self.logits = np.empty((W,) + lead + (n_phases_of(params),),
+        self.logits = np.empty((W,) + lead + (params["head_w"].shape[1],),
                                np.result_type(dtype, params["head_w"]))
         self.frames = [self.frame(k, k, k + 1) for k in range(W)]
 
     @property
     def n_frames(self) -> int:
         return len(self.xs)
+
+    @functools.cached_property
+    def grad_scratch(self) -> tuple:
+        """`window_backward`'s buffers (the (..., 4H) row zeroed: its
+        candidate block is read before written) and, last frame first, each
+        frame's views of them and of the tape."""
+        dz, dh, decay = map(np.empty_like, (self.act, self.g, self.g))
+        cols = _column_blocks(0, 4 * self.hidden_dim)
+        frames = [(*self.gates(self.act[t]), self.act[t], self.g[t], self.cs[t], self.tanh_c[t],
+                   dh[t], decay[t], dz[t], [dz[t][..., c] for c in cols])
+                  for t in reversed(range(self.n_frames))]
+        return (dz, dh, decay, np.zeros_like(self.act[0]),
+                *map(np.empty_like, [self.hs[0]] * 3), frames)
 
     def gates(self, act: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The input, forget and output gate views of an `act` array."""
@@ -281,109 +297,133 @@ def window_loss_and_dlogits(ms: np.ndarray, ys, prox_targets=None,
     return loss, dlogits
 
 
-def window_backward(params: dict, rec: WindowRecorder,
-                    dlogits: np.ndarray) -> dict[str, np.ndarray]:
+def window_backward(params: dict, rec: WindowRecorder, dlogits: np.ndarray,
+                    out: dict | None = None) -> dict[str, np.ndarray]:
     """Analytic gradients of the window loss w.r.t. all parameter blocks,
     summed over the window's frames and over its batch rows, from the frame
-    arrays of a `WindowRecorder`.
+    arrays of a `WindowRecorder`, written into the blocks of `out` when
+    given (`Adam.grads`) and returned.
 
     Gradients do not flow into the inputs (SSM statistics are constants) or
     past the window's initial state. A frame whose dlogits are zero from the
     end of its row onward adds exactly zero, which is how rows whose window
     ended early are masked.
     """
-    H, N = hidden_dim_of(params), n_phases_of(params)
-    dz = np.empty_like(rec.act)
-    dh_next = np.zeros_like(rec.hs[0])
-    dc_next = np.zeros_like(rec.cs[0])
+    H = rec.hidden_dim
+    dz, dh_all, decay, prod, dh_next, dc, dc_next, frames = rec.grad_scratch
+    one, dlogits = rec._one, np.asarray(dlogits)
+    # for the whole window: dz holds 1 - act (1 - g * g in the candidate
+    # block) until frame t, decay 1 - tanh(c')^2 and dh dlogits @ head_w.T,
+    # a stacked product so that a single stream's frames stay one-row products
+    np.subtract(one, rec.act, dz)
+    np.subtract(one, rec.g * rec.g, dz[..., 2 * H:3 * H])
+    np.subtract(one, rec.tanh_c * rec.tanh_c, decay)
+    dl = dlogits if dlogits.ndim > 2 else dlogits[:, None]
+    np.matmul(dl, params["head_w"].T, dh_all.reshape(dl.shape[:-1] + (H,)))
     # dz_t @ wh.T summed over the column blocks of 4H, as x @ wx is, so
     # its bits do not depend on the BLAS thread count
-    (cols, wh_t), *more = [(cols, params["lstm_wh"].T[cols])
-                           for cols in _column_blocks(0, 4 * H)]
-    whead_t = params["head_w"].T
-    for t in reversed(range(rec.n_frames)):
-        act, g, tanh_c = rec.act[t], rec.g[t], rec.tanh_c[t]
-        i, f, o = rec.gates(act)
-        dh = dh_next + dlogits[t] @ whead_t
-        do = dh * tanh_c
-        dc = dc_next + dh * o * (1.0 - tanh_c * tanh_c)
-        di = dc * g
-        df = dc * rec.cs[t]
-        dg = dc * i
-        dz_t = dz[t]
-        dz_t[..., :H] = di * i * (1.0 - i)
-        dz_t[..., H:2 * H] = df * f * (1.0 - f)
-        dz_t[..., 2 * H:3 * H] = dg * (1.0 - g * g)
-        dz_t[..., 3 * H:] = do * o * (1.0 - o)
-        dh_next = dz_t[..., cols] @ wh_t
-        for cb, wb in more:
-            dh_next += dz_t[..., cb] @ wb
-        dc_next = dc * f
-    dz = dz.reshape(-1, 4 * H)
-    dl = np.asarray(dlogits).reshape(-1, N)
-    return {
-        "lstm_wx": rec.xs.reshape(-1, input_dim_of(params)).T @ dz,
-        "lstm_wh": rec.hs[:-1].reshape(-1, H).T @ dz,
-        "lstm_b": dz.sum(axis=0),
-        "head_w": rec.hs[1:].reshape(-1, H).T @ dl,
-        "head_b": dl.sum(axis=0),
-    }
+    wh_t = [params["lstm_wh"].T[cols] for cols in _column_blocks(0, 4 * H)]
+    p_i, p_f, p_g, p_o = (prod[..., k * H:(k + 1) * H] for k in range(4))
+    dh_next[...] = dc_next[...] = 0
+    for i, f, o, act, g, c, tanh_c, dh, decay_t, dz_t, dz_cols in frames:
+        dh += dh_next                       # dh = dh_next + dlogits[t] @ head_w.T
+        np.multiply(dh, o, dc)              # dc = dc_next + dh * o * (1 - tanh_c^2)
+        dc *= decay_t
+        dc += dc_next
+        np.multiply(dc, g, p_i)             # dz = di * i * (1 - i), df * f * (1 - f),
+        np.multiply(dc, c, p_f)             # dg * (1 - g * g), do * o * (1 - o)
+        np.multiply(dh, tanh_c, p_o)
+        prod *= act
+        np.multiply(dc, i, p_g)
+        dz_t *= prod
+        np.matmul(dz_cols[0], wh_t[0], dh_next)
+        for zb, wb in zip(dz_cols[1:], wh_t[1:]):
+            np.matmul(zb, wb, dc_next)      # dc_next is free until its turn
+            dh_next += dc_next
+        np.multiply(dc, f, dc_next)
+    if out is None:
+        out = {k: np.empty(np.shape(v), rec.dtype) for k, v in params.items()}
+    dz, dl = dz.reshape(-1, 4 * H), dlogits.reshape(-1, dlogits.shape[-1])
+    np.matmul(rec.xs.reshape(-1, input_dim_of(params)).T, dz, out["lstm_wx"])
+    np.matmul(rec.hs[:-1].reshape(-1, H).T, dz, out["lstm_wh"])
+    dz.sum(0, out=out["lstm_b"])
+    np.matmul(rec.hs[1:].reshape(-1, H).T, dl, out["head_w"])
+    dl.sum(0, out=out["head_b"])
+    return out
 
 
 def clip_global_norm(grads: dict, max_norm: float) -> float:
     """Scale gradients in place so the global norm is at most max_norm;
-    returns the norm before clipping."""
-    norm = float(np.sqrt(sum(float((g.astype(np.float64) ** 2).sum())
+    returns the norm before clipping, the sum in block order of each block's
+    float64 sum of squares (Adam's `grads` lend the squares a buffer)."""
+    flat = isinstance(grads, FlatBlocks)
+    sq = grads.squares if flat else np.empty(max(g.size for g in grads.values()))
+    norm = float(np.sqrt(sum(float(np.square(g, sq[:g.size].reshape(g.shape),
+                                             dtype=np.float64).sum())
                              for g in grads.values())))
     if norm > max_norm:
-        scale = max_norm / norm
-        for g in grads.values():
-            g *= scale
+        for g in [grads.flat] if flat else grads.values():
+            g *= max_norm / norm
     return norm
 
 
-class Adam:
-    """Standard Adam with bias correction; moment buffers per parameter block.
+class FlatBlocks(dict):
+    """Blocks of the given shapes, in order, as views of one vector `flat`."""
 
-    `step` updates the moments and parameters in place, with two temporary
-    arrays per block and the operations of the textbook formula in the same
-    order, so its floats are the formula's."""
+    def __init__(self, flat: np.ndarray, shapes: dict):
+        ends = np.cumsum([math.prod(s) for s in shapes.values()])[:-1]
+        super().__init__(zip(shapes, map(np.reshape, np.split(flat, ends), shapes.values())))
+        self.flat = flat
+
+
+class Adam:
+    """Standard Adam with bias correction on one flat vector: the constructor
+    rebinds `params[k]` to views of it; the moments `m`, `v` and the gradient
+    buffer `grads` are `FlatBlocks` of the same layout. `step` checks the
+    whole gradient before anything moves, then runs each operation of the
+    textbook formula once over the vector, in its order, so its floats are
+    the formula's; the denominator goes into the gradient buffer."""
 
     def __init__(self, params: dict, lr: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.lr, self.beta1, self.beta2, self.eps, self.t = lr, beta1, beta2, eps, 0
+        shapes = {k: np.shape(v) for k, v in params.items()}
+        flat = np.concatenate([np.ravel(v) for v in params.values()])
+        self.params, self.m, self.v, self.grads = (FlatBlocks(a, shapes) for a in (
+            flat, np.zeros_like(flat), np.zeros_like(flat), np.empty_like(flat)))
+        params.update(self.params)
+        self.grads.squares = np.empty(max(map(math.prod, shapes.values())))
+        self._upd = np.empty_like(flat)
 
     def step(self, params: dict, grads: dict) -> None:
+        """Update the blocks the constructor rebound in `params`."""
+        if grads is not self.grads:
+            for k, g in self.grads.items():
+                g[...] = grads[k]
+        g = self.grads.flat
+        if not np.isfinite(g).all():
+            bad = next(k for k, b in self.grads.items() if not np.isfinite(b).all())
+            raise NumericError(f"non-finite gradient in parameter block '{bad}'")
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
-        for k, p in params.items():
-            g = grads[k]
-            if not np.isfinite(g).all():
-                raise NumericError(f"non-finite gradient in parameter block '{k}'")
-            m, v = self.m[k], self.v[k]
-            upd = np.multiply(g, 1.0 - b1)      # m = b1 * m + (1 - b1) * g
-            m *= b1
-            m += upd
-            np.multiply(g, g, out=upd)          # v = b2 * v + (1 - b2) * (g * g)
-            upd *= 1.0 - b2
-            v *= b2
-            v += upd
-            # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
-            np.divide(m, bc1, out=upd)
-            upd *= self.lr
-            den = np.divide(v, bc2)
-            np.sqrt(den, out=den)
-            den += self.eps
-            upd /= den
-            p -= upd
+        m, v, upd = self.m.flat, self.v.flat, self._upd
+        np.multiply(g, 1.0 - b1, upd)       # m = b1 * m + (1 - b1) * g
+        m *= b1
+        m += upd
+        np.multiply(g, g, upd)              # v = b2 * v + (1 - b2) * (g * g)
+        upd *= 1.0 - b2
+        v *= b2
+        v += upd
+        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), the denominator in g
+        np.divide(m, bc1, upd)
+        upd *= self.lr
+        np.divide(v, bc2, g)
+        np.sqrt(g, g)
+        g += self.eps
+        upd /= g
+        self.params.flat -= upd
 
 
 def save_checkpoint(path, params: dict, extra: dict) -> None:

@@ -11,7 +11,9 @@ window loss sums both passes. Each epoch's caches are derived just before it
 
 Training runs on the lockstep engine of `model`, a `model.LockstepRunner`
 over one stream per video and pass. Each Adam step runs its aligned windows
-through it, takes one vectorised loss and one batched backward pass; the
+through it, takes one vectorised loss and one batched backward pass, which
+writes into Adam's flat gradient vector (see `nn`); the vector is divided
+by the batch's window count and clipped as a whole, then Adam steps. The
 padded rows of a short window are masked out of the loss (exactly zero
 gradient). The runner gathers the state rows of a batch's videos
 (`SsmExtractor.take`) and scatters the previous batch's back (`put`) only
@@ -238,9 +240,8 @@ def train_epoch(run: TrainRun, train_seqs: list[FeatureSequence]) -> TrainRun:
             raise NumericError(
                 f"non-finite loss in video {vid} frames [{start}, {stop})")
         run.stat_ranges.add(rec.xs, valid, (n_pass - 1) * B)
-        grads = nn.window_backward(model.params, rec, dlogits)
-        for g in grads.values():
-            g /= B
+        grads = nn.window_backward(model.params, rec, dlogits, run.adam.grads)
+        grads.flat /= B
         run.grad_norms.append(nn.clip_global_norm(grads, cfg.grad_clip))
         run.adam.step(model.params, grads)
         total_loss += loss

@@ -6,10 +6,11 @@ kernel per window (the oracle of the lockstep runner), two-pass inference
 over one video with a streaming pass 1 (the oracle of the one-video views
 of `infer_dataset`), a finite-difference gradient oracle, the
 frame-by-frame statistic streams the closed forms in `ssm` are checked
-against, the list-based HMM filter over complete streams, the unfused Adam
-update, the csv-module table readers and writer the one-call `np.loadtxt`
-readers and `%`-format writers are checked against, and the per-row
-prediction writer. No command runs them, so they live with the tests."""
+against, the list-based HMM filter over complete streams, the backward
+pass frame by frame without buffers, the per-block gradient clip, the
+unfused Adam update, the csv-module table readers and writer the one-call
+`np.loadtxt` readers and `%`-format writers are checked against, and the
+per-row prediction writer. No command runs them, so they live with the tests."""
 
 import csv
 import functools
@@ -255,6 +256,57 @@ def finite_difference_grads(loss_fn, params, step=1e-5):
             gflat[idx] = (up - down) / (2.0 * step)
         grads[name] = g
     return grads
+
+
+def per_frame_window_backward(params, rec, dlogits):
+    """`nn.window_backward` as it was before its buffers: every factor
+    taken in the frame loop, one new array per quantity, the head term one
+    product per frame. The reference the buffered backward must match bit
+    for bit."""
+    H = rec.hidden_dim
+    dz = np.empty_like(rec.act)
+    dh_next = np.zeros_like(rec.hs[0])
+    dc_next = np.zeros_like(rec.cs[0])
+    (cols, wh_t), *more = [(cols, params["lstm_wh"].T[cols])
+                           for cols in nn._column_blocks(0, 4 * H)]
+    whead_t = params["head_w"].T
+    for t in reversed(range(rec.n_frames)):
+        act, g, tanh_c = rec.act[t], rec.g[t], rec.tanh_c[t]
+        i, f, o = rec.gates(act)
+        dh = dh_next + dlogits[t] @ whead_t
+        do = dh * tanh_c
+        dc = dc_next + dh * o * (1.0 - tanh_c * tanh_c)
+        di = dc * g
+        df = dc * rec.cs[t]
+        dg = dc * i
+        dz_t = dz[t]
+        dz_t[..., :H] = di * i * (1.0 - i)
+        dz_t[..., H:2 * H] = df * f * (1.0 - f)
+        dz_t[..., 2 * H:3 * H] = dg * (1.0 - g * g)
+        dz_t[..., 3 * H:] = do * o * (1.0 - o)
+        dh_next = dz_t[..., cols] @ wh_t
+        for cb, wb in more:
+            dh_next += dz_t[..., cb] @ wb
+        dc_next = dc * f
+    dz = dz.reshape(-1, 4 * H)
+    dl = np.asarray(dlogits).reshape(-1, dlogits.shape[-1])
+    return {
+        "lstm_wx": rec.xs.reshape(-1, rec.xs.shape[-1]).T @ dz,
+        "lstm_wh": rec.hs[:-1].reshape(-1, H).T @ dz,
+        "lstm_b": dz.sum(axis=0),
+        "head_w": rec.hs[1:].reshape(-1, H).T @ dl,
+        "head_b": dl.sum(axis=0),
+    }
+
+
+def per_block_clip(grads, max_norm) -> float:
+    """`nn.clip_global_norm` block by block, one new array per block."""
+    norm = float(np.sqrt(sum(float((g.astype(np.float64) ** 2).sum())
+                             for g in grads.values())))
+    if norm > max_norm:
+        for g in grads.values():
+            g *= max_norm / norm
+    return norm
 
 
 def textbook_adam_step(opt, params, grads) -> None:

@@ -512,6 +512,20 @@ class TestTypedErrors:
                    f"got {name!r}" in err
             assert not (tmp_path / "out").exists()
 
+    def test_phase_name_with_a_lone_surrogate_is_data_error(self, workspace, tmp_path,
+                                                           capsys):
+        # json reads the escape \ud800 as a lone surrogate; the reports eval
+        # writes could not encode it as UTF-8
+        data = shutil.copytree(workspace["data"], tmp_path / "data")
+        for meta in data.glob("*/meta.json"):
+            meta.write_text(json.dumps({**json.loads(meta.read_text()),
+                                        "taxonomy": {"0": "\ud800", "1": "b", "2": "c"}}))
+        for cmd in (["train", "--config", str(workspace["config"])],
+                    ["eval", "--pred", str(workspace["pred"])]):
+            assert main(cmd + ["--data", str(data), "--out", str(tmp_path / "out")]) == 3
+            assert "the name of phase 0 holds a lone surrogate" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
+
     def test_training_video_without_labels_is_data_error(self, workspace, tmp_path,
                                                          capsys):
         data = shutil.copytree(workspace["data"], tmp_path / "data")
@@ -644,7 +658,10 @@ class TestTypedErrors:
 
     @pytest.mark.parametrize("text", ["{bad", "{}", pytest.param(json.dumps(
         {**tiny_grammar_dict(), "occurrences": {"-1": [2, 3], "99": [0, 0]}}),
-        id="occurrences-out-of-range")])
+        id="occurrences-out-of-range"), pytest.param(json.dumps(
+            {**tiny_grammar_dict(), "emission_noise": "0.5"}), id="emission_noise-string"),
+        pytest.param(json.dumps({**tiny_grammar_dict(), "occurrences": {"1": [1, 2, 3]}}),
+                     id="occurrences-triple")])
     def test_malformed_grammar_file_is_data_error(self, tmp_path, capsys, text):
         grammar = tmp_path / "grammar.json"
         grammar.write_text(text)

@@ -57,6 +57,14 @@ class TestTaxonomy:
         with pytest.raises(DataValidationError, match="phase names must be strings"):
             PhaseTaxonomy.from_dict({"0": name, "1": "b"})
 
+    @pytest.mark.parametrize("name", ["\ud800", "setup \udfff"], ids=["alone", "inside"])
+    def test_names_must_encode_as_utf8(self, name):
+        # a lone surrogate is a str that no UTF-8 file can hold
+        with pytest.raises(DataValidationError, match="phase 1 holds a lone surrogate"):
+            PhaseTaxonomy(("a", name))
+        with pytest.raises(DataValidationError, match="phase 1 holds a lone surrogate"):
+            PhaseTaxonomy.from_dict({"0": "a", "1": name})
+
     def test_dict_round_trip(self):
         tax = PhaseTaxonomy.mgh100()
         assert PhaseTaxonomy.from_dict(tax.to_dict()) == tax

@@ -39,6 +39,20 @@ def tiny_grammar(**overrides):
     return WorkflowGrammar(**kw)
 
 
+# a grammar key and a value whose numbers int() or float() would read:
+# "0.5" as 0.5, 0.7 as 0 and True as 1
+WRONG_TYPES = [
+    ("precedence", [[0.7, 1.2]]),
+    ("occurrences", {"1": [True, "3"]}),
+    ("ambiguity_groups", [[0, "1"]]),
+    ("emission_noise", "0.5"),
+    ("duration_median_s", ["5", 5.0, 5.0]),
+    ("duration_sigma", [0.3, True, 0.3]),
+    ("emission_means", [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, "1", 0]]),
+    ("order_weights", [1.0, True, 1.0]),
+]
+
+
 class TestGrammarValidation:
     def test_cyclic_precedence_rejected(self):
         with pytest.raises(GrammarError, match="cyclic"):
@@ -82,6 +96,12 @@ class TestGrammarValidation:
         # a misspelt key would otherwise load as its field's default
         d = {**tiny_grammar().to_dict(), key: [[0, 1]]}
         with pytest.raises(GrammarError, match=rf"unknown grammar keys: \['{key}'\]"):
+            WorkflowGrammar.from_dict(d)
+
+    @pytest.mark.parametrize("key, value", WRONG_TYPES, ids=[k for k, _ in WRONG_TYPES])
+    def test_from_dict_refuses_a_value_of_another_type(self, key, value):
+        d = {**tiny_grammar().to_dict(), key: value}
+        with pytest.raises(GrammarError, match=f"grammar key '{key}': expected"):
             WorkflowGrammar.from_dict(d)
 
 

@@ -166,15 +166,19 @@ def test_header_transition_loads_or_raises_a_data_error(files, value):
 
 
 @settings(max_examples=100)
-@given(fps=JSON_VALUES, phase=st.sampled_from(["0", "1", "2"]), name=JSON_VALUES)
+@given(fps=JSON_VALUES, phase=st.sampled_from(["0", "1", "2"]),
+       name=JSON_VALUES | st.text(st.characters(codec=None, categories=["Cs"]),
+                                  min_size=1, max_size=3))
 @example(fps="25", phase="0", name="setup")
 @example(fps=True, phase="0", name="setup")
 @example(fps=10 ** 400, phase="0", name="setup")
 @example(fps=1.0, phase="0", name=0)
 @example(fps=1.0, phase="1", name=None)
+@example(fps=1.0, phase="2", name="\ud800")
 def test_meta_json_values_eval_exits_0_or_3(files, fps, phase, name):
     """eval, end to end on a video whose meta.json has any JSON value as its
-    fps and as one phase name, exits 0 or 3 (`run_eval`)."""
+    fps and as one phase name (lone surrogates among them), exits 0 or 3
+    (`run_eval`)."""
     path, run_eval = files["eval meta.json"]
     valid = path.read_text()
     meta = json.loads(valid)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import finite_difference_grads, textbook_adam_step, window_pass
+from oracles import (finite_difference_grads, per_frame_window_backward,
+                     textbook_adam_step, window_pass)
 from phaseflow import nn
 from phaseflow.core import DataValidationError, NumericError, softmax
 
@@ -298,6 +299,36 @@ class TestBackward:
         worst = run_gradient_check(2, 2, 2, 1, seed=9)
         assert worst < 1e-4
 
+    @pytest.mark.parametrize("hidden", [64, 130])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("acausal", [False, True], ids=["causal", "acausal"])
+    @pytest.mark.parametrize("rows", [None, 1, 3, 32], ids=["one", "b1", "b3", "b32"])
+    def test_bit_equal_to_the_per_frame_oracle(self, rows, acausal, dtype, hidden):
+        # only elementwise factors and the stacked head product leave the
+        # frame loop; at 130 hidden units dz @ wh.T is two column blocks.
+        # The acausal tail is read by the second half of the rows
+        D, N, W = 40, 7, 8
+        rng = np.random.default_rng(hidden + (rows or 0))
+        params = nn.init_params(D, hidden, N, rng, dtype)
+        opt = nn.Adam(params, 0.01)
+        lead = () if rows is None else (rows,)
+        xs = rng.standard_normal((W,) + lead + (D,)).astype(dtype)
+        h, c = (rng.standard_normal(lead + (hidden,)).astype(dtype) for _ in range(2))
+        tail_from = (rows or 0) // 2 if acausal else None
+        rec = nn.WindowRecorder(params, xs, h, c, 30 if acausal else None, tail_from)
+        for k in range(W):
+            rec.step(k)
+        dlogits = rng.standard_normal((W,) + lead + (N,)).astype(dtype)
+        dlogits[W - 3:, ...] = 0.0          # frames past a row's window end
+        expected = per_frame_window_backward(params, rec, dlogits)
+        # twice into Adam's views, then into new arrays: the buffers are reused
+        for out in (opt.grads, opt.grads, None):
+            got = nn.window_backward(params, rec, dlogits, out)
+            assert out is None or got is out
+            for k, e in expected.items():
+                assert got[k].dtype == e.dtype == dtype
+                assert np.array_equal(got[k], e), k
+
 
 class TestAdam:
     def test_zero_gradient_leaves_params_unchanged(self):
@@ -348,6 +379,38 @@ class TestAdam:
                 assert np.array_equal(params[k], ref_params[k]), k
                 assert np.array_equal(opt.m[k], ref.m[k]), k
                 assert np.array_equal(opt.v[k], ref.v[k]), k
+
+    def test_blocks_become_views_of_one_vector(self):
+        params = make_params(3, 4, 2, dtype=np.float32)
+        before = {k: v.copy() for k, v in params.items()}
+        opt = nn.Adam(params, lr=0.01)
+        for k, v in params.items():
+            assert v is opt.params[k] and np.shares_memory(v, opt.params.flat), k
+            assert np.array_equal(v, before[k]), k
+            for moments in (opt.m, opt.v, opt.grads):
+                assert moments[k].shape == v.shape and moments[k].dtype == v.dtype
+
+    def test_nonfinite_gradient_moves_nothing(self):
+        # the check comes before any block, moment or the step count moves;
+        # lstm_wh is the second block, so a check per block would have
+        # stepped lstm_wx
+        params = make_params(3, 4, 2, dtype=np.float32)
+        opt = nn.Adam(params, lr=0.01)
+        rng = np.random.default_rng(5)
+        for _ in range(2):
+            opt.step(params, {k: rng.standard_normal(v.shape).astype(np.float32)
+                              for k, v in params.items()})
+        before = [{k: v.copy() for k, v in d.items()} for d in (params, opt.m, opt.v)]
+        grads = {k: rng.standard_normal(v.shape).astype(np.float32)
+                 for k, v in params.items()}
+        grads["lstm_wh"][1, 2] = np.nan
+        grads["head_b"][0] = -np.inf
+        with pytest.raises(NumericError, match="'lstm_wh'"):
+            opt.step(params, grads)
+        assert opt.t == 2
+        for now, then in zip((params, opt.m, opt.v), before):
+            for k in then:
+                assert np.array_equal(now[k], then[k]), k
 
     def test_nonfinite_gradient_names_block(self):
         params = make_params(2, 2, 2, dtype=np.float32)

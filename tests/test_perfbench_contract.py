@@ -57,7 +57,8 @@ def test_tracer_sees_the_calls_it_wraps_and_uninstalls():
         tracer.uninstall()
     for span in ("train.fit", "train.train_epoch", "nn.recorder.step",
                  "nn.head_forward", "model.softmax", "model.session.step",
-                 "ssm.acausal_feature_stream", "ssm.hmm.update"):
+                 "ssm.acausal_feature_stream", "ssm.hmm.update",
+                 "nn.window_backward", "nn.clip_global_norm", "nn.adam.step"):
         assert calls[span] > 0, span
     assert metrics["nn.head_softmax_us.calls"][0] > 0
     for owner, attr, original in wrapped:

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import logging
 import time
@@ -6,7 +7,8 @@ import time
 import numpy as np
 import pytest
 
-from oracles import PerWindowRunner, finite_difference_grads, window_pass
+from oracles import (PerWindowRunner, finite_difference_grads, per_block_clip,
+                     per_frame_window_backward, textbook_adam_step, window_pass)
 from phaseflow import model as model_mod, nn, ssm, train as train_mod
 from phaseflow.core import (
     MODEL_DTYPE,
@@ -666,10 +668,10 @@ class TestRunnerBindsOncePerStreamSet:
         runs, tapes = [], {}
         backward = nn.window_backward
 
-        def recorded(params, rec, dlogits):
+        def recorded(params, rec, dlogits, out):
             # padded frames included: the runner zeroes them as the oracle does
             tapes[engine].append((rec.xs.copy(), rec.hs.copy(), rec.cs.copy()))
-            return backward(params, rec, dlogits)
+            return backward(params, rec, dlogits, out)
 
         monkeypatch.setattr(nn, "window_backward", recorded)
         for engine in ("runner", "per-window"):
@@ -755,3 +757,49 @@ class TestRunnerBindsOncePerStreamSet:
         # 40 and 2 after it
         model_mod._lockstep_probs(model, ragged_videos(lengths=(64, 64, 40, 8)))
         assert [shape[1] for shape in kernels] == [4, 3, 2]
+
+
+# ---------------------------------------------------------------------------
+# the training step on Adam's flat vector against one made of oracles
+
+def oracle_backward(params, rec, dlogits, out):
+    """The per-frame backward, written into `out` as `nn.window_backward`
+    writes Adam's gradient buffer."""
+    for k, g in per_frame_window_backward(params, rec, dlogits).items():
+        out[k][...] = g
+    return out
+
+
+class TestFlatTrainingStep:
+    @pytest.mark.parametrize("hidden", [4, 130])
+    @pytest.mark.parametrize("acausal", [False, True], ids=["causal", "acausal"])
+    @pytest.mark.parametrize("batch_size", [2, 8], ids=["rotate", "shrink"])
+    def test_two_epochs_are_bit_equal_to_the_oracle_step(self, batch_size, acausal,
+                                                         hidden, monkeypatch):
+        # the reference step: the per-frame backward, a per-block clip and
+        # the textbook Adam. A low grad_clip scales most steps
+        cfg = toy_config(batch_size=batch_size, acausal=acausal, hidden_dim=hidden,
+                         proximal_weight=0.5, grad_clip=0.05, **ALL_SSM)
+        seqs = ragged_videos(seed=13)
+        runs = []
+        for engine in ("flat", "oracles"):
+            model = steering_model(cfg)
+            run = TrainRun(cfg, model, nn.Adam(model.params, cfg.learning_rate))
+            if engine == "oracles":
+                monkeypatch.setattr(nn, "window_backward", oracle_backward)
+                monkeypatch.setattr(nn, "clip_global_norm", per_block_clip)
+                monkeypatch.setattr(run.adam, "step",
+                                    functools.partial(textbook_adam_step, run.adam))
+            for _ in range(2):
+                train_mod._refresh_caches(run, seqs)
+                train_epoch(run, seqs)
+            runs.append(run)
+        got, ref = runs
+        for k, p in ref.model.params.items():
+            assert got.model.params[k].tobytes() == p.tobytes(), k
+            assert np.array_equal(got.adam.m[k], ref.adam.m[k]), k
+            assert np.array_equal(got.adam.v[k], ref.adam.v[k]), k
+        assert got.adam.t == ref.adam.t
+        assert got.grad_norms == ref.grad_norms
+        assert got.last_epoch_loss == ref.last_epoch_loss
+        assert any(n > cfg.grad_clip for n in got.grad_norms)
