@@ -31,7 +31,12 @@ def window_pass(params, h, c, xs, ys, prox_targets=None, prox_weight=0.0):
     rec = nn.WindowRecorder(params, np.asarray(xs), h, c)
     ms = softmax(np.stack([rec.step(k) for k in range(rec.n_frames)]))
     loss, dlogits = nn.window_loss_and_dlogits(ms, ys, prox_targets, prox_weight)
-    return loss, nn.window_backward(params, rec, dlogits)
+    return loss, nn.window_backward(params, rec, dlogits, new_grads(params, rec))
+
+
+def new_grads(params, rec):
+    """Arrays for `nn.window_backward` to write a recorder's gradients into."""
+    return {k: np.empty(np.shape(v), rec.dtype) for k, v in params.items()}
 
 
 def block_product(x, wx, bounds=None):

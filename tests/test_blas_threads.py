@@ -54,7 +54,8 @@ for rows in (12, 32, 96):
     h, c = rng.standard_normal((2, rows, 130)).astype(np.float32)
     rec = nn.WindowRecorder(params, xs, h, c)
     dlogits = np.stack([rec.step(k) for k in range(2)])
-    grads = nn.window_backward(params, rec, dlogits)
+    grads = nn.window_backward(params, rec, dlogits,
+                               {k: np.empty_like(v) for k, v in params.items()})
     print(rows, "window_backward", hashlib.sha256(b"".join(
         grads[k].tobytes() for k in sorted(grads))).hexdigest())
 """

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import (finite_difference_grads, per_frame_window_backward,
+from oracles import (finite_difference_grads, new_grads, per_frame_window_backward,
                      textbook_adam_step, window_pass)
 from phaseflow import nn
-from phaseflow.core import DataValidationError, NumericError, softmax
+from phaseflow.core import DataValidationError, NumericError, UsageError, softmax
 
 # ---------------------------------------------------------------------------
 # independent straight-line references (kept deliberately naive)
@@ -56,6 +56,13 @@ def make_params(input_dim, hidden, n_phases, seed=0, dtype=np.float64):
     # nonzero head bias / richer weights make gradient checks harder to pass by luck
     params["head_b"] = rng.standard_normal(n_phases).astype(dtype) * 0.3
     return params
+
+
+def adam_step(opt, params, grads):
+    """Write `grads` into the optimizer's gradient buffer and step."""
+    for k, g in grads.items():
+        opt.grads[k][...] = g
+    opt.step(params, opt.grads)
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +329,9 @@ class TestBackward:
         dlogits[W - 3:, ...] = 0.0          # frames past a row's window end
         expected = per_frame_window_backward(params, rec, dlogits)
         # twice into Adam's views, then into new arrays: the buffers are reused
-        for out in (opt.grads, opt.grads, None):
+        for out in (opt.grads, opt.grads, new_grads(params, rec)):
             got = nn.window_backward(params, rec, dlogits, out)
-            assert out is None or got is out
+            assert got is out
             for k, e in expected.items():
                 assert got[k].dtype == e.dtype == dtype
                 assert np.array_equal(got[k], e), k
@@ -335,7 +342,7 @@ class TestAdam:
         params = make_params(2, 2, 2, dtype=np.float32)
         before = {k: v.copy() for k, v in params.items()}
         opt = nn.Adam(params, lr=0.1)
-        opt.step(params, {k: np.zeros_like(v) for k, v in params.items()})
+        adam_step(opt, params, {k: np.zeros_like(v) for k, v in params.items()})
         for k in params:
             np.testing.assert_array_equal(params[k], before[k])
 
@@ -343,7 +350,7 @@ class TestAdam:
         params = {"w": np.array([1.0, -2.0, 0.5])}
         g = np.array([0.3, -0.1, 2.0])
         opt = nn.Adam(params, lr=0.01)
-        opt.step(params, {"w": g})
+        adam_step(opt, params, {"w": g})
         # bias-corrected first step: m_hat = g, v_hat = g^2
         expected = np.array([1.0, -2.0, 0.5]) - 0.01 * g / (np.abs(g) + 1e-8)
         np.testing.assert_allclose(params["w"], expected, rtol=1e-12)
@@ -353,8 +360,8 @@ class TestAdam:
         params = {"w": np.array([0.7])}
         g = np.array([0.4])
         opt = nn.Adam(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
-        opt.step(params, {"w": g.copy()})
-        opt.step(params, {"w": g.copy()})
+        adam_step(opt, params, {"w": g.copy()})
+        adam_step(opt, params, {"w": g.copy()})
         w = 0.7
         m = v = 0.0
         for t in (1, 2):
@@ -372,7 +379,7 @@ class TestAdam:
         for _ in range(5):
             grads = {k: rng.standard_normal(v.shape).astype(dtype)
                      for k, v in params.items()}
-            opt.step(params, grads)
+            adam_step(opt, params, grads)
             textbook_adam_step(ref, ref_params, grads)
             for k in params:
                 assert params[k].dtype == opt.m[k].dtype == opt.v[k].dtype == dtype
@@ -398,15 +405,15 @@ class TestAdam:
         opt = nn.Adam(params, lr=0.01)
         rng = np.random.default_rng(5)
         for _ in range(2):
-            opt.step(params, {k: rng.standard_normal(v.shape).astype(np.float32)
-                              for k, v in params.items()})
+            adam_step(opt, params, {k: rng.standard_normal(v.shape).astype(np.float32)
+                                    for k, v in params.items()})
         before = [{k: v.copy() for k, v in d.items()} for d in (params, opt.m, opt.v)]
         grads = {k: rng.standard_normal(v.shape).astype(np.float32)
                  for k, v in params.items()}
         grads["lstm_wh"][1, 2] = np.nan
         grads["head_b"][0] = -np.inf
         with pytest.raises(NumericError, match="'lstm_wh'"):
-            opt.step(params, grads)
+            adam_step(opt, params, grads)
         assert opt.t == 2
         for now, then in zip((params, opt.m, opt.v), before):
             for k in then:
@@ -418,7 +425,26 @@ class TestAdam:
         grads = {k: np.zeros_like(v) for k, v in params.items()}
         grads["lstm_wh"][0, 0] = np.nan
         with pytest.raises(NumericError, match="lstm_wh"):
-            opt.step(params, grads)
+            adam_step(opt, params, grads)
+
+    def test_step_refuses_arrays_it_does_not_own(self):
+        # step reads opt.grads and writes the views the constructor bound;
+        # another gradient dict, another parameter dict or a rebound block
+        # would be ignored or left stale
+        params = make_params(3, 4, 2, dtype=np.float32)
+        opt = nn.Adam(params, lr=0.01)
+        before = {k: v.copy() for k, v in params.items()}
+        opt.grads.flat[:] = 1.0
+        with pytest.raises(UsageError):
+            opt.step(params, {k: np.ones_like(v) for k, v in params.items()})
+        with pytest.raises(UsageError):
+            opt.step({k: v.copy() for k, v in params.items()}, opt.grads)
+        params["head_b"] = params["head_b"].copy()
+        with pytest.raises(UsageError):
+            opt.step(params, opt.grads)
+        assert opt.t == 0
+        for k, v in before.items():
+            assert np.array_equal(opt.params[k], v), k
 
 
 class TestTrainingDynamics:
@@ -451,7 +477,7 @@ class TestTrainingDynamics:
         first, _ = self._batch_loss_and_grads(params, xs, ys)
         for _ in range(5):
             _, grads = self._batch_loss_and_grads(params, xs, ys)
-            opt.step(params, grads)
+            adam_step(opt, params, grads)
         final, _ = self._batch_loss_and_grads(params, xs, ys)
         assert final < first
 
@@ -466,7 +492,7 @@ class TestTrainingDynamics:
                 xs = [data_rng.standard_normal(3).astype(np.float32) for _ in range(4)]
                 ys = data_rng.integers(0, 2, 4)
                 _, grads = window_pass(params, h, c, xs, ys)
-                opt.step(params, grads)
+                adam_step(opt, params, grads)
             return params
         p1, p2 = run(), run()
         for k in p1:
@@ -475,13 +501,13 @@ class TestTrainingDynamics:
 
 class TestGradClip:
     def test_clips_to_max_norm(self):
-        grads = {"a": np.array([3.0, 4.0])}
+        grads = nn.FlatBlocks(np.array([3.0, 4.0]), {"a": (2,)})
         norm = nn.clip_global_norm(grads, 2.5)
         assert norm == pytest.approx(5.0)
         assert np.linalg.norm(grads["a"]) == pytest.approx(2.5)
 
     def test_no_clip_below_threshold(self):
-        grads = {"a": np.array([0.3, 0.4])}
+        grads = nn.FlatBlocks(np.array([0.3, 0.4]), {"a": (2,)})
         nn.clip_global_norm(grads, 5.0)
         np.testing.assert_array_equal(grads["a"], [0.3, 0.4])
 

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import (PerWindowRunner, finite_difference_grads, per_block_clip,
+from oracles import (PerWindowRunner, finite_difference_grads, new_grads, per_block_clip,
                      per_frame_window_backward, textbook_adam_step, window_pass)
 from phaseflow import model as model_mod, nn, ssm, train as train_mod
 from phaseflow.core import (
@@ -182,7 +182,7 @@ class TestDetachment:
             softmax(rec.step(t), out=ms[t])
             ext.update(ms[t])
         _, dlogits = nn.window_loss_and_dlogits(ms, seq.labels[:8])
-        analytic = nn.window_backward(params64, rec, dlogits)
+        analytic = nn.window_backward(params64, rec, dlogits, new_grads(params64, rec))
 
         def frozen_loss(params):
             loss, _ = window_pass(params, *np.zeros((2, 3)), xs,
@@ -545,7 +545,8 @@ def per_video_step_grads(run, train_seqs):
                     ms, seq.labels[start:stop],
                     None if prox is None else prox[start:stop],
                     cfg.proximal_weight if final else 0.0)
-                for k, g in nn.window_backward(model.params, rec, dl).items():
+                for k, g in nn.window_backward(model.params, rec, dl,
+                                                new_grads(model.params, rec)).items():
                     total[k] += g
                 sess[0], sess[1] = rec.hs[-1], rec.cs[-1]
         for k in total:
