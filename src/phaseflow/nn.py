@@ -357,11 +357,14 @@ def window_backward(params: dict, rec: WindowRecorder, dlogits: np.ndarray,
 def clip_global_norm(grads: FlatBlocks, max_norm: float) -> float:
     """Scale gradients in place so the global norm is at most max_norm;
     returns the norm before clipping, the sum in block order of each block's
-    float64 sum of squares (squared into `grads.squares`)."""
-    sq = grads.squares
-    norm = float(np.sqrt(sum(float(np.square(g, sq[:g.size].reshape(g.shape),
-                                             dtype=np.float64).sum())
-                             for g in grads.values())))
+    float64 sum of squares (squared in `grads.squares`)."""
+    total = 0.0
+    for g in grads.values():
+        sq = grads.squares[:g.size].reshape(g.shape)
+        np.copyto(sq, g)                    # g.astype(float64) ** 2, without
+        np.multiply(sq, sq, sq)             # the casting loop of np.square
+        total += float(sq.sum())
+    norm = float(np.sqrt(total))
     if norm > max_norm:
         for g in grads.values():
             g *= max_norm / norm
