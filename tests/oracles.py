@@ -1,7 +1,8 @@
 """Helpers shared by several test files: one training window composed from
-the package's own pieces, the streaming step composed of one allocating
-call per quantity, its input product summed over the cell's column blocks
-(the oracle of the step kernel), the lockstep engine that binds a new
+the package's own pieces and the gradient arrays its backward writes into,
+the streaming step composed of one allocating call per quantity, its input
+product summed over the cell's column blocks (the oracle of the step
+kernel), the lockstep engine that binds a new
 kernel per window (the oracle of the lockstep runner), two-pass inference
 over one video with a streaming pass 1 (the oracle of the one-video views
 of `infer_dataset`), a finite-difference gradient oracle, the
