@@ -213,7 +213,7 @@ class WindowRecorder:
         """`window_backward`'s buffers and, last frame first, each frame's
         views of them and of the tape. The zeroed product row is multiplied
         by `act` whole (the candidate block's product goes unread): one call
-        is about 5x faster than three over the strided gate blocks."""
+        is about 5x faster than two over the strided blocks it needs."""
         dz, dh, decay = map(np.empty_like, (self.act, self.g, self.g))
         cols = _column_blocks(0, 4 * self.hidden_dim)
         frames = [(*self.gates(self.act[t]), self.act[t], self.g[t], self.cs[t], self.tanh_c[t],
