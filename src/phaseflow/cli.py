@@ -249,8 +249,6 @@ def cmd_infer(args) -> int:
         raise UsageError(f"no checkpoint file at {args.ckpt}")
     mdl = model_mod.load_model(args.ckpt)
     (seqs,), _, _ = data_mod.read_splits(args.data, ("test",), mdl.taxonomy)
-    if args.hmm_smooth and mdl.transition is None:
-        raise UsageError("--hmm-smooth needs a checkpoint with a transition matrix")
     ordered = list(model_mod.infer_dataset(mdl, seqs).values())     # in id order
     # finite weights can still overflow; nothing is written from NaN rows
     bad = [r.video_id for r in ordered if not np.isfinite(r.probs).all()]

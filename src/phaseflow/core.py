@@ -111,10 +111,6 @@ class FeatureSequence:
     def n_frames(self) -> int:
         return self.features.shape[0]
 
-    @property
-    def embed_dim(self) -> int:
-        return self.features.shape[1]
-
 
 def validate_sequence(seq: FeatureSequence, tax: PhaseTaxonomy) -> FeatureSequence:
     """Check all FeatureSequence invariants; freeze and return the sequence.
@@ -220,15 +216,15 @@ def parse_csv_rows(text: str, dtype: np.dtype, usecols=None) -> np.ndarray | Non
 
 
 @contextlib.contextmanager
-def atomic_open(path, mode: str = "w", **kwargs):
-    """Open a temporary file next to `path` for writing. When the block ends
-    normally the file is flushed to disk and renamed over `path` in one step;
-    when it raises, the temporary file is removed and `path` keeps its old
-    content, so readers never see a partly written file."""
+def atomic_open(path):
+    """Open a temporary file next to `path` for binary writing. When the
+    block ends normally the file is flushed to disk and renamed over `path`
+    in one step; when it raises, the temporary file is removed and `path`
+    keeps its old content, so readers never see a partly written file."""
     path = os.fspath(path)
     tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
     try:
-        with open(tmp, mode, **kwargs) as fh:
+        with open(tmp, "wb") as fh:
             yield fh
             fh.flush()
             os.fsync(fh.fileno())
@@ -283,6 +279,10 @@ class ExperimentConfig:
             if ((isinstance(f.default, float) or f.name == "csl_levels")
                     and not np.isfinite(getattr(self, f.name)).all()):
                 raise UsageError(f"config field {f.name} must be finite")
+        levels = self.csl_levels
+        if not all(0 < v <= 1 for v in levels) or any(a >= b for a, b in zip(levels, levels[1:])):
+            raise UsageError("config field csl_levels must be probability thresholds "
+                             "in (0, 1], strictly increasing")
         for name in (
             "hidden_dim", "seq_len_bptt", "batch_size", "learning_rate",
             "epochs", "embed_dim", "gabor_num_scales", "gabor_scale_min",

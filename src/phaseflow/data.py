@@ -40,6 +40,7 @@ import numpy as np
 from .core import (
     CSV_UNREAD,
     DataValidationError,
+    ExperimentConfig,
     FeatureSequence,
     PhaseTaxonomy,
     parse_csv_rows,
@@ -166,6 +167,9 @@ class WorkflowGrammar:
         ints = ("precedence", "occurrences", "ambiguity_groups")
         num = {k: _numbers(k, v, int if k in ints else (int, float))
                for k, v in d.items() if k not in ("taxonomy", "name")}
+        name = d.get("name", "custom")
+        if not isinstance(name, str):
+            raise GrammarError(f"grammar key 'name': expected a string, got {name!r}")
         return cls(
             taxonomy=PhaseTaxonomy.from_dict(d["taxonomy"]),
             precedence=tuple((a, b) for a, b in num["precedence"]),
@@ -173,11 +177,20 @@ class WorkflowGrammar:
             duration_sigma=np.asarray(num["duration_sigma"]),
             emission_means=np.asarray(num["emission_means"]),
             emission_noise=float(num["emission_noise"]),
-            occurrences={int(k): tuple(v) for k, v in num.get("occurrences", {}).items()},
+            occurrences={_phase_id(k): tuple(v) for k, v in num.get("occurrences", {}).items()},
             ambiguity_groups=tuple(tuple(g) for g in num.get("ambiguity_groups", [])),
             order_weights=np.asarray(num["order_weights"]) if "order_weights" in d else None,
-            name=d.get("name", "custom"),
+            name=name,
         )
+
+
+def _phase_id(key) -> int:
+    """An `occurrences` key: a phase id written in canonical decimal, so
+    that " 12", "+12" and "012" do not all name phase 12."""
+    if not (isinstance(key, str) and re.fullmatch("0|[1-9][0-9]*", key)):
+        raise GrammarError(f"grammar key 'occurrences': phase id {key!r} is not "
+                           "a decimal integer")
+    return int(key)
 
 
 def _numbers(key: str, value, kinds):
@@ -259,8 +272,7 @@ def generate_dataset(grammar: WorkflowGrammar, n_videos: int,
     ]
 
 
-def default_grammar_mgh_like(embed_dim: int = 128,
-                             emission_noise: float = 0.5) -> WorkflowGrammar:
+def default_grammar_mgh_like(embed_dim: int = ExperimentConfig.embed_dim) -> WorkflowGrammar:
     """13-phase cholecystectomy-style grammar: short checkpoints, short
     clip/divide phases in interchangeable artery/duct order, long dissection
     phases, and a repeatable catch-all step. The clip pair and the divide pair
@@ -290,7 +302,7 @@ def default_grammar_mgh_like(embed_dim: int = 128,
         duration_median_s=medians,
         duration_sigma=sigmas,
         emission_means=means,
-        emission_noise=emission_noise,
+        emission_noise=0.5,
         occurrences={12: (1, 3)},
         ambiguity_groups=((5, 7), (6, 8)),
         order_weights=weights,

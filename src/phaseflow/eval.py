@@ -71,7 +71,7 @@ def _bucket_counts(lengths, hits, fps: float) -> np.ndarray:
     return counts
 
 
-def match_transitions(gt, pred, window: float = TRANSITION_WINDOW_S) -> dict:
+def match_transitions(gt, pred, window: float) -> dict:
     """Greedy nearest-first matching of predicted to ground-truth transitions
     into the same phase within `window` frames; each transition matches at
     most once. Returns raw counts."""
@@ -176,11 +176,12 @@ class MetricsReport:
         idx = list(phases)
         return _rate(self.confusion[idx, idx].sum(), self.confusion[idx].sum())
 
-    def to_dict(self, taxonomy: PhaseTaxonomy | None = None) -> dict:
-        """The `metrics.json` entry of this scope: None rates without frames."""
+    def to_dict(self, taxonomy: PhaseTaxonomy) -> dict:
+        """The `metrics.json` entry of this scope, per-phase rates keyed by
+        the taxonomy's names: None rates without frames."""
         stats = self.frame_stats() or {}
-        per_phase = ({(taxonomy.names[p] if taxonomy else str(p)): v
-                      for p, v in stats["per_phase"].items()} if stats else None)
+        per_phase = ({taxonomy.names[p]: v for p, v in stats["per_phase"].items()}
+                     if stats else None)
         return {
             "n_videos": self.n_videos,
             "total_frames": self.total_frames,

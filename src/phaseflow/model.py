@@ -77,15 +77,21 @@ from .core import (
 @dataclass
 class PhaseModel:
     """Parameter bundle: config, taxonomy, LSTM/head weights and the
-    transition matrix (`fit` estimates it from the training labels for every
-    arm; the hmm statistic and `infer --hmm-smooth` read it), plus the one
-    definition of the LSTM input [v | s | a] (`blocks`) that streaming and
-    training both write through."""
+    transition matrix, plus the one definition of the LSTM input [v | s | a]
+    (`blocks`) that streaming and training both write through.
+
+    Every statistic setting comes from `config`: the enabled kinds, the CSL
+    levels and the Gabor scales (`new_extractor` passes them to `ssm`, which
+    has no defaults of its own). The transition matrix is the one setting
+    learned from data: `train.fit` estimates it from the training labels
+    (with `config.hmm_smoothing`) for every arm, `init_model` starts from
+    the uniform one, and a checkpoint always holds it. The hmm statistic and
+    `infer --hmm-smooth` read it."""
 
     config: ExperimentConfig
     taxonomy: PhaseTaxonomy
     params: dict[str, np.ndarray]
-    transition: ssm.TransitionMatrix | None = None
+    transition: ssm.TransitionMatrix
 
     @property
     def n_phases(self) -> int:
@@ -126,12 +132,10 @@ class PhaseModel:
         return np.zeros(shape, dtype), np.zeros(shape, dtype)
 
     @cached_property
-    def gabor_bank(self) -> ssm.GaborBank | None:
-        """The Gabor filter bank of the config (None without the gabor
-        feature), built once: every extractor of this model shares it."""
+    def gabor_bank(self) -> ssm.GaborBank:
+        """The Gabor filter bank of the config, built once: every extractor
+        of this model shares it, and one without the gabor feature ignores it."""
         cfg = self.config
-        if "gabor" not in cfg.enabled_ssm_features:
-            return None
         return ssm.GaborBank.build(cfg.gabor_num_scales, cfg.gabor_scale_min,
                                    cfg.gabor_scale_max)
 
@@ -139,21 +143,18 @@ class PhaseModel:
         """Aggregators of this model's statistic stream; `batch=B` runs B
         streams in lockstep."""
         cfg = self.config
-        return ssm.SsmExtractor(
-            self.n_phases, cfg.enabled_ssm_features, cfg.csl_levels,
-            gabor_bank=self.gabor_bank, transition=self.transition, batch=batch)
+        return ssm.SsmExtractor(self.n_phases, cfg.enabled_ssm_features, cfg.csl_levels,
+                                self.gabor_bank, self.transition, batch)
 
 
 def init_model(config: ExperimentConfig, taxonomy: PhaseTaxonomy,
-               rng: np.random.Generator | None = None,
                transition: ssm.TransitionMatrix | None = None) -> PhaseModel:
-    if rng is None:
-        rng = substream(config.rng_seed, "init")
-    if transition is None and "hmm" in config.enabled_ssm_features:
-        transition = ssm.TransitionMatrix.uniform(taxonomy.n_phases)
+    """A new model: parameters drawn from the config's "init" sub-stream and
+    `transition`, the uniform matrix when none is given."""
+    transition = transition or ssm.TransitionMatrix.uniform(taxonomy.n_phases)
     model = PhaseModel(config, taxonomy, {}, transition)
-    model.params = nn.init_params(model.input_dim, config.hidden_dim,
-                                  taxonomy.n_phases, rng)
+    model.params = nn.init_params(model.input_dim, config.hidden_dim, taxonomy.n_phases,
+                                  substream(config.rng_seed, "init"))
     return model
 
 
@@ -493,11 +494,11 @@ def hmm_smooth_posthoc(probs: np.ndarray,
 
 def save_model(model: PhaseModel, ckpt_path) -> None:
     """One PHCK file: the parameters, and in the JSON header the config, the
-    taxonomy and the transition matrix as float64 rows (null without one)."""
+    taxonomy and the transition matrix as float64 rows."""
     extra = {
         "config": model.config.to_dict(),
         "taxonomy": model.taxonomy.to_dict(),
-        "transition": None if model.transition is None else model.transition.a.tolist(),
+        "transition": model.transition.a.tolist(),
     }
     nn.save_checkpoint(ckpt_path, model.params, extra)
 
@@ -511,13 +512,11 @@ def load_model(ckpt_path) -> PhaseModel:
         config = ExperimentConfig.from_dict(extra["config"])
         taxonomy = PhaseTaxonomy.from_dict(extra["taxonomy"])
         rows, n = extra["transition"], taxonomy.n_phases
-        if rows is None and "hmm" in config.enabled_ssm_features:
-            raise ValueError("transition is null, but the hmm feature needs a matrix")
-        if rows is not None and not (type(rows) is list and len(rows) == n and all(
+        if not (type(rows) is list and len(rows) == n and all(
                 type(r) is list and len(r) == n and all(type(v) is float for v in r)
                 for r in rows)):
             raise ValueError(f"transition must be {n} rows of {n} floats")
-        transition = None if rows is None else ssm.TransitionMatrix(np.array(rows))
+        transition = ssm.TransitionMatrix(np.array(rows))
     except (KeyError, TypeError, ValueError, UsageError, DataValidationError) as e:
         raise DataValidationError(
             f"bad checkpoint header in {ckpt_path}: {type(e).__name__}: {e}") from None

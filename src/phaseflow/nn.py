@@ -38,6 +38,11 @@ update write into float buffers their owner binds once. No trained bit
 changes: only elementwise operations on operands the recursion does not
 change leave the frame loop (IEEE rounds an element alike wherever it
 sits), and each expression, product and reduction keeps its order and shape.
+
+Settings: Adam's learning rate is the config's (`train.fit` passes it), its
+decays and eps are the textbook constants ADAM_BETA1, ADAM_BETA2 and
+ADAM_EPS, and `init_params` draws MODEL_DTYPE blocks unless a caller asks
+for another dtype.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ import struct
 
 import numpy as np
 
-from .core import DataValidationError, NumericError, UsageError, atomic_open, read_bytes
+from .core import MODEL_DTYPE, DataValidationError, NumericError, atomic_open, read_bytes
 
 PROB_FLOOR = 1e-12
 CHECKPOINT_MAGIC = b"PHCK"
@@ -59,6 +64,10 @@ CHECKPOINT_VERSION = 2
 # product over 448 or fewer differed with scipy-openblas 0.3.31 on x86-64);
 # 384 leaves a margin below that
 BLOCK_COLS = 384
+# Adam's moment decays and denominator guard: the textbook values
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 def param_shapes(input_dim: int, hidden_dim: int, n_phases: int) -> dict[str, tuple]:
@@ -69,7 +78,7 @@ def param_shapes(input_dim: int, hidden_dim: int, n_phases: int) -> dict[str, tu
 
 
 def init_params(input_dim: int, hidden_dim: int, n_phases: int,
-                rng: np.random.Generator, dtype=np.float32) -> dict[str, np.ndarray]:
+                rng: np.random.Generator, dtype=MODEL_DTYPE) -> dict[str, np.ndarray]:
     """Weight matrices uniform in [-1/sqrt(fan_in), 1/sqrt(fan_in)], drawn
     in layout order; zero biases but the forget gate's, 1.0."""
     params = {}
@@ -389,14 +398,16 @@ class FlatBlocks(dict):
 class Adam:
     """Adam with bias correction on one flat vector, whose views the
     constructor binds into `params`; the moments `m`, `v` and the gradient
-    buffer `grads` are `FlatBlocks` of that layout. `step` takes only these:
-    it checks the whole gradient, then runs each textbook operation once
-    over the vector in the formula's order (so its floats are the
-    formula's), the denominator in `grads`."""
+    buffer `grads` are `FlatBlocks` of that layout. The learning rate is the
+    config's; the decays and eps are the textbook ADAM_BETA1, ADAM_BETA2 and
+    ADAM_EPS. `step()` reads `grads` (the caller writes the window's
+    gradient there) and updates the bound vector: it checks the whole
+    gradient, then runs each textbook operation once over the vector in the
+    formula's order (so its floats are the formula's), the denominator in
+    `grads`."""
 
-    def __init__(self, params: dict, lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
-        self.lr, self.beta1, self.beta2, self.eps, self.t = lr, beta1, beta2, eps, 0
+    def __init__(self, params: dict, lr: float):
+        self.lr, self.t = lr, 0
         shapes = {k: np.shape(v) for k, v in params.items()}
         flat = np.concatenate([np.ravel(v) for v in params.values()])
         self.params, self.m, self.v, self.grads = (FlatBlocks(a, shapes) for a in (
@@ -404,16 +415,13 @@ class Adam:
         params.update(self.params)
         self._upd = np.empty_like(flat)
 
-    def step(self, params: dict, grads: dict) -> None:
-        if grads is not self.grads or any(params.get(k) is not p for k, p in self.params.items()):
-            raise UsageError("Adam.step takes the parameter views its constructor "
-                             "bound and its own gradient buffer")
-        g = grads.flat
+    def step(self) -> None:
+        g = self.grads.flat
         if not np.isfinite(g).all():
             bad = next(k for k, b in self.grads.items() if not np.isfinite(b).all())
             raise NumericError(f"non-finite gradient in parameter block '{bad}'")
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
         m, v, upd = self.m.flat, self.v.flat, self._upd
@@ -429,7 +437,7 @@ class Adam:
         upd *= self.lr
         np.divide(v, bc2, g)
         np.sqrt(g, g)
-        g += self.eps
+        g += ADAM_EPS
         upd /= g
         self.params.flat -= upd
 
@@ -439,7 +447,7 @@ def save_checkpoint(path, params: dict, extra: dict) -> None:
     magic, u32 version, length-prefixed JSON, then named float32-LE blocks.
     The file is replaced atomically: a failed write leaves the old one."""
     blob = json.dumps(extra, sort_keys=True).encode("utf-8")
-    with atomic_open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         fh.write(struct.pack("<I", len(blob)))

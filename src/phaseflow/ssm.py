@@ -5,8 +5,8 @@ Three feature kinds, concatenated in the fixed order csl | gabor | hmm:
 
 * CSL: per phase, log(1 + count of past frames whose probability crossed each
   threshold level), plus an is-argmax counter channel.
-* Gabor: magnitudes of a causal 1-D Gabor filter bank (10 scales) applied to
-  each likelihood channel through a bounded ring buffer.
+* Gabor: magnitudes of a causal 1-D Gabor filter bank applied to each
+  likelihood channel through a bounded ring buffer.
 * HMM: forward-filtered posterior under a row-stochastic transition matrix.
 
 Acausal rows run the same statistic over the time-reversed stream, so the
@@ -42,6 +42,13 @@ the live ring window as (B, width, N), HMM the prior and the belief).
 copies those rows of every `state` into it; `put(rows, part)` copies them
 back. The lockstep runner of `model` does so only when its stream set
 changes, and steps the gathered part across windows in between.
+
+Every setting comes from `ExperimentConfig`, and nothing here restates
+one as a default: `model.PhaseModel.new_extractor` passes the enabled
+kinds, the CSL levels (`csl_levels`), the bank (`GaborBank.build` of
+`gabor_num_scales` scales from `gabor_scale_min` to `gabor_scale_max`) and
+the model's transition matrix, which `train.fit` estimates with
+`estimate_transition_matrix` and `hmm_smoothing`.
 
 Aggregator internals are float64; `write` casts to the dtype of its slot.
 The step kernel binds float64 slots and casts the whole statistic into the
@@ -96,8 +103,7 @@ class CslAccumulator(_Aggregator):
     break to the lowest phase id. Feature is log(count + 1), phase-major.
     Counts are held as float64, exact up to 2**53 frames."""
 
-    def __init__(self, n_phases: int, levels=(0.25, 0.5, 0.75),
-                 batch: int | None = None):
+    def __init__(self, n_phases: int, levels, batch: int | None = None):
         self.n_phases = n_phases
         self.levels = np.asarray(levels, dtype=np.float64)
         self.lead, self.shape = _lead(batch), (n_phases, len(levels) + 1)
@@ -166,8 +172,7 @@ class GaborBank:
     kernels: np.ndarray = field(repr=False)
 
     @classmethod
-    def build(cls, num_scales: int = 10, scale_min: float = 10.0,
-              scale_max: float = 30.0) -> "GaborBank":
+    def build(cls, num_scales: int, scale_min: float, scale_max: float) -> "GaborBank":
         scales = np.linspace(scale_min, scale_max, num_scales)
         kernels = [gabor_kernel(s) for s in scales]
         width = max(len(kr) for kr, _ in kernels)
@@ -304,7 +309,7 @@ class TransitionMatrix:
 
 
 def estimate_transition_matrix(label_sequences, n_phases: int,
-                               smoothing: float = 1e-3) -> TransitionMatrix:
+                               smoothing: float) -> TransitionMatrix:
     """Laplace-smoothed successive-frame transition counts, row-normalized.
 
     Smoothing keeps rare-but-legal transitions possible while still
@@ -403,13 +408,12 @@ class SsmExtractor(_Aggregator):
     the zero vector before the first update ("history memory initialized with
     zeros"). Total dimension is fixed for the life of the extractor. With
     `batch=B` it runs B streams in lockstep (see the module doc). Its
-    `write` fills the columns of every part.
+    `write` fills the columns of every part. Only the enabled parts read
+    their setting.
     """
 
-    def __init__(self, n_phases: int, enabled=("csl", "gabor", "hmm"),
-                 csl_levels=(0.25, 0.5, 0.75), gabor_bank: GaborBank | None = None,
-                 transition: TransitionMatrix | None = None,
-                 batch: int | None = None):
+    def __init__(self, n_phases: int, enabled, csl_levels, gabor_bank: GaborBank,
+                 transition: TransitionMatrix, batch: int | None = None):
         unknown = set(enabled) - set(SSM_FEATURE_KINDS)
         if unknown:
             raise UsageError(f"unknown ssm features: {sorted(unknown)}")
@@ -420,11 +424,8 @@ class SsmExtractor(_Aggregator):
         if "csl" in self.enabled:
             self._parts.append(CslAccumulator(n_phases, csl_levels, batch))
         if "gabor" in self.enabled:
-            gabor_bank = gabor_bank if gabor_bank is not None else GaborBank.build()
             self._parts.append(GaborAccumulator(n_phases, gabor_bank, batch))
         if "hmm" in self.enabled:
-            if transition is None:
-                transition = TransitionMatrix.uniform(n_phases)
             self._parts.append(HmmFilterState(transition, batch))
         self._settings = (n_phases, self.enabled, csl_levels, gabor_bank, transition)
         ends = np.cumsum([0] + [p.dim for p in self._parts])

@@ -243,7 +243,7 @@ def train_epoch(run: TrainRun, train_seqs: list[FeatureSequence]) -> TrainRun:
         grads = nn.window_backward(model.params, rec, dlogits, run.adam.grads)
         grads.flat /= B
         run.grad_norms.append(nn.clip_global_norm(grads, cfg.grad_clip))
-        run.adam.step(model.params, grads)
+        run.adam.step()
         total_loss += loss
         total_frames += int(lengths[:B].sum())
     run.last_epoch_loss = total_loss / max(1, total_frames)
@@ -311,8 +311,7 @@ def fit(config: ExperimentConfig, taxonomy: PhaseTaxonomy,
 
     transition = ssm.estimate_transition_matrix(
         [s.labels for s in train_seqs], taxonomy.n_phases, config.hmm_smoothing)
-    model = init_model(config, taxonomy, substream(config.rng_seed, "init"),
-                       transition)
+    model = init_model(config, taxonomy, transition)
     run = TrainRun(config, model, nn.Adam(model.params, config.learning_rate))
 
     best_epoch, best_acc = 0, float("nan")     # nan: no epoch, or no validation

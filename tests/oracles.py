@@ -76,7 +76,7 @@ class ComposedStatistics:
                                cfg.gabor_scale_max)
         self.kernels = bank.kernels
         self.history = np.zeros((bank.width, n))     # oldest frame first
-        self.a = model.transition.a if model.transition is not None else None
+        self.a = model.transition.a
         self.prior = np.full(n, 1.0 / n)
         self.belief = np.zeros(n)
         self.underflows = 0
@@ -315,21 +315,22 @@ def per_block_clip(grads, max_norm) -> float:
     return norm
 
 
-def textbook_adam_step(opt, params, grads) -> None:
-    """Adam's update as the textbook formula, one new array per term: the
-    reference the in-place `nn.Adam.step` must match bit for bit. Advances
-    `opt`'s step count and moments as `step` does."""
+def textbook_adam_step(opt) -> None:
+    """Adam's update of `opt`'s parameters from its gradient buffer as the
+    textbook formula, one new array per term: the reference the in-place
+    `nn.Adam.step` must match bit for bit. Advances `opt`'s step count and
+    moments as `step` does."""
     opt.t += 1
-    b1, b2 = opt.beta1, opt.beta2
+    b1, b2, eps = nn.ADAM_BETA1, nn.ADAM_BETA2, nn.ADAM_EPS
     bc1 = 1.0 - b1 ** opt.t
     bc2 = 1.0 - b2 ** opt.t
-    for k, p in params.items():
-        g = grads[k]
+    for k, p in opt.params.items():
+        g = opt.grads[k]
         opt.m[k] = b1 * opt.m[k] + (1.0 - b1) * g
         opt.v[k] = b2 * opt.v[k] + (1.0 - b2) * (g * g)
         m_hat = opt.m[k] / bc1
         v_hat = opt.v[k] / bc2
-        p -= (opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps)).astype(p.dtype)
+        p -= (opt.lr * m_hat / (np.sqrt(v_hat) + eps)).astype(p.dtype)
 
 
 def outcome(read, *args):

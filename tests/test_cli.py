@@ -246,6 +246,22 @@ class TestInfer:
             changed += int((smoothed != labels).sum())
         assert changed > 0      # the smoothing does act on this fixture
 
+    def test_hmm_smooth_on_a_baseline_checkpoint(self, workspace, tmp_path, capsys):
+        # every checkpoint holds the matrix fit estimated, the plain LSTM's
+        # too, and none loads without one
+        cfg = tmp_path / "baseline.json"
+        cfg.write_text(json.dumps({**CONFIG, "epochs": 1, "enabled_ssm_features": []}))
+        ckpt = tmp_path / "ckpt"
+        assert main(["train", "--data", str(workspace["data"]), "--config", str(cfg),
+                     "--out", str(ckpt)]) == 0
+        infer = ["infer", "--data", str(workspace["data"]), "--hmm-smooth", "--ckpt"]
+        assert main(infer + [str(ckpt / "best.ckpt"), "--out", str(tmp_path / "p")]) == 0
+        params, extra = nn.load_checkpoint(ckpt / "best.ckpt")
+        nn.save_checkpoint(ckpt / "null.ckpt", params, {**extra, "transition": None})
+        capsys.readouterr()
+        assert main(infer + [str(ckpt / "null.ckpt"), "--out", str(tmp_path / "q")]) == 3
+        assert str(ckpt / "null.ckpt") in capsys.readouterr().err
+
     def test_confidence_summary(self, workspace, capsys, tmp_path):
         out = tmp_path / "pred"
         assert main(["infer", "--ckpt", str(workspace["ckpt"] / "best.ckpt"),
@@ -359,7 +375,7 @@ class TestTypedErrors:
 
     @pytest.mark.parametrize("broken", [
         "header {bad", "header {}", "transition non-numeric", "transition ragged",
-        "transition size", "transition missing",
+        "transition size", "transition null", "transition missing",
         "block head_w", "name head_b", "value nan", "value inf", "value -inf",
         "extra block", "taxonomy name",
     ])
@@ -390,6 +406,8 @@ class TestTypedErrors:
                 rows[1].append(0.5)
             elif what == "size":     # the matrix of one phase fewer
                 extra["transition"] = [row[:-1] for row in rows[:-1]]
+            elif what == "null":
+                extra["transition"] = None
             else:
                 del extra["transition"]
             nn.save_checkpoint(bad, params, extra)
@@ -661,7 +679,9 @@ class TestTypedErrors:
         id="occurrences-out-of-range"), pytest.param(json.dumps(
             {**tiny_grammar_dict(), "emission_noise": "0.5"}), id="emission_noise-string"),
         pytest.param(json.dumps({**tiny_grammar_dict(), "occurrences": {"1": [1, 2, 3]}}),
-                     id="occurrences-triple")])
+                     id="occurrences-triple"),
+        pytest.param(json.dumps({**tiny_grammar_dict(), "occurrences": {" 1": [1, 2]}}),
+                     id="occurrences-key-space")])
     def test_malformed_grammar_file_is_data_error(self, tmp_path, capsys, text):
         grammar = tmp_path / "grammar.json"
         grammar.write_text(text)
@@ -762,7 +782,9 @@ class TestTypedErrors:
         ("epochs = 3\nacausal = true\n", "Expecting value: line 1 column 1"),
         ('{"epochs": "3"}', "config key epochs: invalid value '3'"),
         ("[" * 100_000, "maximum recursion depth exceeded"),
-    ], ids=["array", "malformed", "key-value-text", "string-number", "deeply-nested"])
+        ('{"epochs": 1, "csl_levels": [1.5]}', "config field csl_levels must be probability"),
+    ], ids=["array", "malformed", "key-value-text", "string-number", "deeply-nested",
+            "csl-level-above-one"])
     def test_config_not_a_json_config_object_is_usage_error(
             self, workspace, tmp_path, capsys, text, named):
         cfg = tmp_path / "run.json"

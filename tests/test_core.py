@@ -78,7 +78,7 @@ class TestValidateSequence:
     def test_accepts_valid(self):
         tax = PhaseTaxonomy(("a", "b"))
         seq = validate_sequence(make_seq([[0, 1], [2, 3], [4, 5]], [0, 0, 1]), tax)
-        assert seq.n_frames == 3 and seq.embed_dim == 2
+        assert seq.n_frames == 3 and seq.features.shape == (3, 2)
 
     def test_label_out_of_range_names_frame(self):
         tax = PhaseTaxonomy(tuple("abcdefg"))
@@ -137,6 +137,21 @@ class TestConfig:
         assert cfg.epochs == 20
         assert cfg.embed_dim == 128
         assert cfg.proximal_weight == 0.1
+
+    @pytest.mark.parametrize("levels", [(2.0,), (-1.0,), (0.0,), (0.5, 0.5), (0.75, 0.25),
+                                        (0.5, 1.5)])
+    def test_csl_levels_must_be_increasing_probabilities(self, levels):
+        # a level above 1 gives a column that stays 0, one at or below 0 an
+        # unbounded log1p(t) column, and equal or falling levels the same
+        # counts twice
+        with pytest.raises(UsageError, match="config field csl_levels must be probability "
+                                             r"thresholds in \(0, 1\], strictly increasing"):
+            ExperimentConfig(csl_levels=levels)
+
+    def test_csl_levels_may_be_empty_or_reach_one(self):
+        # with no level the csl block is the is-argmax counter alone
+        assert ExperimentConfig(csl_levels=()).csl_levels == ()
+        assert ExperimentConfig(csl_levels=(0.1, 1)).csl_levels == (0.1, 1.0)
 
     def test_empty_feature_set_is_baseline(self):
         cfg = ExperimentConfig(enabled_ssm_features=())

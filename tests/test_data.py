@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 
 import numpy as np
@@ -50,6 +51,7 @@ WRONG_TYPES = [
     ("duration_sigma", [0.3, True, 0.3]),
     ("emission_means", [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, "1", 0]]),
     ("order_weights", [1.0, True, 1.0]),
+    ("name", 7),
 ]
 
 
@@ -98,6 +100,18 @@ class TestGrammarValidation:
         with pytest.raises(GrammarError, match=rf"unknown grammar keys: \['{key}'\]"):
             WorkflowGrammar.from_dict(d)
 
+    @pytest.mark.parametrize("key", [" 1", "+1", "01", "1 ", "\uff11", "x", "1.0", "-0", ""])
+    def test_from_dict_refuses_an_occurrences_key_not_in_decimal(self, key):
+        # int() reads " 1", "+1", "01" and the fullwidth digit as phase 1
+        d = {**tiny_grammar().to_dict(), "occurrences": {key: [1, 2]}}
+        with pytest.raises(GrammarError, match=re.escape(
+                f"grammar key 'occurrences': phase id {key!r} is not a decimal integer")):
+            WorkflowGrammar.from_dict(d)
+
+    def test_from_dict_reads_decimal_occurrences_keys(self):
+        d = {**tiny_grammar().to_dict(), "occurrences": {"0": [1, 2], "2": [0, 1]}}
+        assert WorkflowGrammar.from_dict(d).occurrences == {0: (1, 2), 2: (0, 1)}
+
     @pytest.mark.parametrize("key, value", WRONG_TYPES, ids=[k for k, _ in WRONG_TYPES])
     def test_from_dict_refuses_a_value_of_another_type(self, key, value):
         d = {**tiny_grammar().to_dict(), key: value}
@@ -124,7 +138,7 @@ class TestGenerateVideo:
             assert first[0] < first[1] < first[2]
 
     def test_ambiguous_phases_have_matching_sample_means(self):
-        g = default_grammar_mgh_like(embed_dim=16, emission_noise=0.5)
+        g = default_grammar_mgh_like(embed_dim=16)
         seqs = generate_dataset(g, 20, seed=3)
         frames5 = np.concatenate([s.features[s.labels == 5] for s in seqs])
         frames7 = np.concatenate([s.features[s.labels == 7] for s in seqs])

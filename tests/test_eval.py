@@ -226,7 +226,7 @@ class TestTransitions:
     def test_one_prediction_between_two_gt_transitions_matches_nearest(self):
         gt = np.array([0] * 10 + [1] * 5 + [0] * 10 + [1] * 10 + [0] * 5)
         pred = np.array([0] * 18 + [1] * 22)
-        counts = match_transitions(gt, pred)
+        counts = match_transitions(gt, pred, 10)
         assert counts["matched"] == 1            # greedy nearest: the t=25 one
         assert counts["gt_total"] == 4
         assert counts["pred_total"] == 1
@@ -366,7 +366,8 @@ class TestAggregation:
         _, reports = self.make_reports(rng)
         fwd = aggregate_reports(reports, 5)
         rev = aggregate_reports(reports[::-1], 5)
-        assert fwd.to_dict() == rev.to_dict()
+        tax = PhaseTaxonomy(tuple("abcde"))
+        assert fwd.to_dict(tax) == rev.to_dict(tax)
 
     def test_pooled_confusion_row_sums_are_gt_counts(self):
         rng = np.random.default_rng(7)

@@ -10,6 +10,7 @@ import contextlib
 import io
 import json
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -72,6 +73,9 @@ def files(tmp_path_factory):
     ckdir = root / "ckpt"
     ckdir.mkdir()
     model.save_model(mdl, ckdir / "best.ckpt")
+    # a model without the hmm statistic carries a matrix all the same
+    model.save_model(model.init_model(replace(cfg, enabled_ssm_features=("csl",)),
+                                      grammar.taxonomy), ckdir / "csl.ckpt")
     pred = root / "pred"
     pred.mkdir()
     result = model.infer_video(mdl, seqs[0])
@@ -138,6 +142,7 @@ JSON_VALUES = st.recursive(LEAVES, lambda kids: st.lists(kids, max_size=3)
 NO_KEY = "no transition key"
 
 
+@pytest.mark.parametrize("ckpt_name", ["best.ckpt", "csl.ckpt"])
 @settings(max_examples=200)
 @given(value=MATRICES | RAGGED | JSON_VALUES | st.just(NO_KEY))
 @example(value=[[8.0, 1.0, 1.0], [1.0, 8.0, 1.0], [1.0, 1.0, 8.0]])
@@ -145,11 +150,12 @@ NO_KEY = "no transition key"
 @example(value=[[True, True, True]] * 3)
 @example(value=None)
 @example(value=NO_KEY)
-def test_header_transition_loads_or_raises_a_data_error(files, value):
-    """The csl|hmm model of `files` has 3 phases: load_model returns a 3 x 3
-    matrix or raises a DataValidationError naming the file and the
-    transition matrix, nothing else."""
-    ckpt = files["best.ckpt"][0]
+def test_header_transition_loads_or_raises_a_data_error(files, ckpt_name, value):
+    """The csl|hmm and the csl model of `files` have 3 phases: load_model
+    returns a 3 x 3 matrix or raises a DataValidationError naming the file
+    and the transition matrix, nothing else. Neither model loads without
+    one."""
+    ckpt = files["best.ckpt"][0].with_name(ckpt_name)
     params, extra = nn.load_checkpoint(ckpt)
     if value == NO_KEY:
         del extra["transition"]

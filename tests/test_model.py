@@ -367,8 +367,10 @@ class TestSaveLoad:
         # changes their last bits, so a loaded matrix must be taken as saved
         tax = PhaseTaxonomy.mgh100()
         videos = generate_dataset(default_grammar_mgh_like(embed_dim=3), 10, seed=3)
-        tm = estimate_transition_matrix([s.labels for s in videos], tax.n_phases)
-        save_model(init_model(small_config(), tax, transition=tm), tmp_path / "a.ckpt")
+        cfg = small_config()
+        tm = estimate_transition_matrix([s.labels for s in videos], tax.n_phases,
+                                        cfg.hmm_smoothing)
+        save_model(init_model(cfg, tax, transition=tm), tmp_path / "a.ckpt")
         loaded = load_model(tmp_path / "a.ckpt")
         np.testing.assert_array_equal(loaded.transition.a, tm.a)
         save_model(loaded, tmp_path / "b.ckpt")
@@ -387,10 +389,14 @@ class TestSaveLoad:
         assert str(path) in str(err.value)
 
     def test_model_without_transition_round_trips(self, tmp_path):
+        # a model built without a matrix carries the uniform one, whatever
+        # its statistics, and its checkpoint holds it
         mdl = init_model(small_config(enabled_ssm_features=("csl",)), TAX2)
-        save_model(mdl, tmp_path / "best.ckpt")
-        assert nn.load_checkpoint(tmp_path / "best.ckpt")[1]["transition"] is None
-        assert load_model(tmp_path / "best.ckpt").transition is None
+        assert np.array_equal(mdl.transition.a, np.full((2, 2), 0.5))
+        save_model(mdl, tmp_path / "a.ckpt")
+        assert nn.load_checkpoint(tmp_path / "a.ckpt")[1]["transition"] == [[0.5, 0.5]] * 2
+        save_model(load_model(tmp_path / "a.ckpt"), tmp_path / "b.ckpt")
+        assert (tmp_path / "b.ckpt").read_bytes() == (tmp_path / "a.ckpt").read_bytes()
 
     def test_moved_checkpoint_keeps_its_own_matrix(self, tmp_path):
         # a checkpoint copied into another run's directory is the same model

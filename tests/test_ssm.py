@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from oracles import feature_stream, list_hmm_streams, per_frame_acausal_stream
 
-from phaseflow.core import DataValidationError, UsageError, softmax
+from phaseflow.core import DataValidationError, ExperimentConfig, UsageError, softmax
 from phaseflow.model import hmm_smooth_posthoc
 from phaseflow.ssm import (
     STREAM_CHUNK,
@@ -19,6 +19,16 @@ from phaseflow.ssm import (
     estimate_transition_matrix,
     gabor_kernel,
 )
+
+CFG = ExperimentConfig()
+CFG_BANK = GaborBank.build(CFG.gabor_num_scales, CFG.gabor_scale_min, CFG.gabor_scale_max)
+
+
+def config_extractor(n, enabled=CFG.enabled_ssm_features, csl_levels=CFG.csl_levels):
+    """An extractor of the default config's settings and the uniform matrix,
+    as a model built without a transition matrix has."""
+    return SsmExtractor(n, enabled, csl_levels, CFG_BANK, TransitionMatrix.uniform(n))
+
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -84,7 +94,7 @@ def random_prob_streams(rng, n_streams, t_max, n_max):
 
 class TestCsl:
     def test_empty_history_feature_is_zero(self):
-        acc = CslAccumulator(3)
+        acc = CslAccumulator(3, CFG.csl_levels)
         assert np.array_equal(acc.feature(), np.zeros(12))
 
     def test_hand_enumerated_stream(self):
@@ -143,7 +153,8 @@ class TestGaborBank:
             assert not imag[:pad].any()
 
     def test_ten_scales_linear_between_10_and_30(self):
-        bank = GaborBank.build()
+        # the bank of the default config
+        bank = CFG_BANK
         assert bank.num_scales == 10
         assert bank.scales[0] == 10.0
         assert bank.scales[-1] == 30.0
@@ -208,12 +219,12 @@ class TestTransitionMatrix:
     def test_uniform_labels_approach_uniform_rows(self):
         rng = np.random.default_rng(3)
         seqs = [rng.integers(0, 3, 20000) for _ in range(5)]
-        tm = estimate_transition_matrix(seqs, 3)
+        tm = estimate_transition_matrix(seqs, 3, CFG.hmm_smoothing)
         np.testing.assert_allclose(tm.a, np.full((3, 3), 1 / 3), atol=0.05)
 
     def test_empty_input_rejected(self):
         with pytest.raises(DataValidationError):
-            estimate_transition_matrix([], 3)
+            estimate_transition_matrix([], 3, CFG.hmm_smoothing)
 
     def test_constructor_keeps_a_stochastic_matrix_as_given(self):
         w = np.random.default_rng(4).random((4, 4)) + 0.1
@@ -313,20 +324,20 @@ class TestHmmFilter:
 
 class TestConcatDims:
     def test_csl_only_two_phases_one_level(self):
-        ex = SsmExtractor(2, enabled=("csl",), csl_levels=(0.5,))
+        ex = config_extractor(2, ("csl",), (0.5,))
         assert ex.dim == 4
 
     def test_all_features_seven_phases(self):
-        ex = SsmExtractor(7)
+        ex = config_extractor(7)
         assert ex.dim == 7 * 4 + 7 * 10 + 7 == 105
 
     def test_empty_set_dim_zero(self):
-        ex = SsmExtractor(5, enabled=())
+        ex = config_extractor(5, ())
         assert ex.dim == 0
         assert ex.feature().shape == (0,)
 
     def test_order_is_csl_gabor_hmm(self):
-        ex = SsmExtractor(2, enabled=("hmm", "csl"), csl_levels=(0.5,))
+        ex = config_extractor(2, ("hmm", "csl"), (0.5,))
         ex.update(np.array([0.9, 0.1]))
         feat = ex.feature()
         # csl block first (dim 4), hmm belief last (dim 2)
@@ -339,17 +350,17 @@ class TestStreamHelpers:
     def test_stream_row_zero_is_zero(self):
         rng = np.random.default_rng(7)
         ms = softmax(rng.standard_normal((12, 3)))
-        ex = SsmExtractor(3, enabled=("csl", "hmm"))
+        ex = config_extractor(3, ("csl", "hmm"))
         rows = feature_stream(ex, ms)
         assert np.array_equal(rows[0], np.zeros(ex.dim))
 
     def test_streaming_equals_batch_prefix_recompute(self):
         rng = np.random.default_rng(8)
         ms = softmax(rng.standard_normal((40, 3)))
-        ex = SsmExtractor(3)
+        ex = config_extractor(3)
         rows = feature_stream(ex, ms)
         for t in range(40):
-            fresh = SsmExtractor(3)
+            fresh = config_extractor(3)
             for k in range(t):
                 fresh.update(ms[k])
             np.testing.assert_allclose(rows[t], fresh.feature(), atol=1e-6)
@@ -357,7 +368,7 @@ class TestStreamHelpers:
     def test_acausal_last_row_zero(self):
         rng = np.random.default_rng(9)
         ms = softmax(rng.standard_normal((15, 3)))
-        ex = SsmExtractor(3, enabled=("csl",))
+        ex = config_extractor(3, ("csl",))
         rows = acausal_feature_stream(ex, ms)
         assert np.array_equal(rows[-1], np.zeros(ex.dim))
 
@@ -365,9 +376,9 @@ class TestStreamHelpers:
         rng = np.random.default_rng(10)
         half = softmax(rng.standard_normal((6, 3)))
         ms = np.concatenate([half, half[::-1]])          # palindrome, T=12
-        ex = SsmExtractor(3, enabled=("csl",))
+        ex = config_extractor(3, ("csl",))
         causal = feature_stream(ex, ms)
-        acausal = acausal_feature_stream(SsmExtractor(3, enabled=("csl",)), ms)
+        acausal = acausal_feature_stream(config_extractor(3, ("csl",)), ms)
         T = ms.shape[0]
         for t in range(T):
             np.testing.assert_allclose(acausal[t], causal[T - 1 - t], atol=1e-12)
@@ -375,17 +386,17 @@ class TestStreamHelpers:
     def test_acausal_equals_direct_future_recompute(self):
         rng = np.random.default_rng(11)
         ms = softmax(rng.standard_normal((25, 3)))
-        rows = acausal_feature_stream(SsmExtractor(3), ms)
+        rows = acausal_feature_stream(config_extractor(3), ms)
         T = ms.shape[0]
         for t in range(T):
-            fresh = SsmExtractor(3)
+            fresh = config_extractor(3)
             for k in range(T - 1, t, -1):
                 fresh.update(ms[k])
             np.testing.assert_allclose(rows[t], fresh.feature(), atol=1e-12)
 
     def test_acausal_requires_complete_stream(self):
         with pytest.raises(UsageError):
-            acausal_feature_stream(SsmExtractor(3), np.zeros(3))
+            acausal_feature_stream(config_extractor(3), np.zeros(3))
 
 
 KINDS = ("csl", "gabor", "hmm")
@@ -410,7 +421,7 @@ class TestClosedForm:
                         for t in (w + 1, 1, 3 * w, w - 1, 2, w, STREAM_CHUNK + 1)]
 
     def extractor(self, kinds):
-        return SsmExtractor(self.n, kinds, gabor_bank=self.bank, transition=self.tm)
+        return SsmExtractor(self.n, kinds, CFG.csl_levels, self.bank, self.tm)
 
     @pytest.mark.parametrize("kinds", [k for r in range(4) for k in combinations(KINDS, r)],
                              ids=lambda k: "|".join(k) or "none")
@@ -485,8 +496,7 @@ class TestBatched:
         self.rng = rng
 
     def extractor(self, batch=None):
-        return SsmExtractor(self.n, gabor_bank=self.bank, transition=self.tm,
-                            batch=batch)
+        return SsmExtractor(self.n, KINDS, CFG.csl_levels, self.bank, self.tm, batch)
 
     def frames(self, t, b):
         return softmax(self.rng.standard_normal((t, b, self.n)) * 2.0)
@@ -582,8 +592,7 @@ class TestProtocol:
             return GaborAccumulator(self.N, self.BANK, batch)
         if kind == "hmm":
             return HmmFilterState(tm, batch)
-        return SsmExtractor(self.N, csl_levels=(0.3, 0.6), gabor_bank=self.BANK,
-                            transition=tm, batch=batch)
+        return SsmExtractor(self.N, KINDS, (0.3, 0.6), self.BANK, tm, batch)
 
     @pytest.mark.parametrize("batch", [None, 3], ids=["one", "three"])
     @pytest.mark.parametrize("kind", ["csl", "gabor", "hmm", "extractor"])

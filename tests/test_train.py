@@ -561,8 +561,7 @@ def lockstep_step_grads(run, train_seqs, monkeypatch):
     """Per-Adam-step gradients of train_epoch with the parameters frozen."""
     steps = []
     monkeypatch.setattr(run.adam, "step",
-                        lambda params, grads: steps.append(
-                            {k: g.copy() for k, g in grads.items()}))
+                        lambda: steps.append({k: g.copy() for k, g in run.adam.grads.items()}))
     run.hmm_underflows = 0
     train_epoch(run, train_seqs)
     return steps
